@@ -136,10 +136,10 @@ void BM_IngestSampled(benchmark::State& state, const char* name,
   hdldp::Rng data_rng(7);
   std::vector<double> tuples(kUsers * kDims);
   for (double& v : tuples) v = data_rng.Uniform(-1.0, 1.0);
-  hdldp::engine::EngineOptions engine_options;
-  engine_options.seed = 1;
-  engine_options.seed_scheme = scheme;
-  const hdldp::engine::ChunkedEstimation core(kUsers, engine_options);
+  hdldp::engine::RunControl control;
+  control.seed = 1;
+  control.seed_scheme = scheme;
+  const hdldp::engine::ChunkedEstimation core(kUsers, control, 1);
   const hdldp::engine::ChunkRange range = core.Range(0);
   auto agg = hdldp::protocol::MeanAggregator::Create(kDims, map).value();
   for (auto _ : state) {
@@ -254,8 +254,8 @@ void BM_IngestScalar(benchmark::State& state, const char* name) {
 // so BM_IngestBatch keeps measuring the historical baseline the plan path
 // is compared against: eps constants hoisted per call (so re-derived per
 // 64-value user block) and the branchy per-value sampling of the original
-// scalar code. Current Mechanism::PerturbBatch routes through MakePlan's
-// branch-free bodies, which would silently modernize the baseline.
+// scalar code. The MakePlan bodies are branch-free and would silently
+// modernize the baseline.
 void Pr1PerturbBatch(std::string_view name, std::span<const double> ts,
                      double eps, hdldp::Rng* rng, std::span<double> out) {
   using hdldp::Clamp;

@@ -73,17 +73,8 @@ class Rng {
   /// correlations between streams.
   Rng Fork();
 
-  /// \brief Reconstructs a generator from a raw 256-bit xoshiro state (as
-  /// produced by ExportState). Used by RngLanes to hand a lane's stream to
-  /// scalar samplers and take it back; the Gaussian pair cache is NOT part
-  /// of the exported state (no lane sampler draws Gaussians).
-  static Rng FromState(const std::uint64_t state[4]) {
-    Rng rng(0);
-    for (int w = 0; w < 4; ++w) rng.s_[w] = state[w];
-    return rng;
-  }
-
-  /// \brief Copies the raw 256-bit xoshiro state into `out`.
+  /// \brief Copies the raw 256-bit xoshiro state into `out` (how RngLanes
+  /// seeds its lanes); the Gaussian pair cache is not part of it.
   void ExportState(std::uint64_t out[4]) const {
     for (int w = 0; w < 4; ++w) out[w] = s_[w];
   }

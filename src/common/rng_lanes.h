@@ -243,23 +243,6 @@ class RngLanes {
     lanes::Store(out, UniformVec());
   }
 
-  /// \brief Hands lane `lane`'s stream to a scalar Rng (for samplers that
-  /// resist vectorization, e.g. GenericPlan's virtual fallback). Pair
-  /// with InjectLane to resume the lane where the scalar consumer left
-  /// off; the Rng's Gaussian pair cache is not carried either way.
-  Rng ExtractLane(std::size_t lane) const {
-    std::uint64_t state[4];
-    for (int w = 0; w < 4; ++w) state[w] = s_[w][lane];
-    return Rng::FromState(state);
-  }
-
-  /// \brief Writes a scalar Rng's stream position back into lane `lane`.
-  void InjectLane(std::size_t lane, const Rng& rng) {
-    std::uint64_t state[4];
-    rng.ExportState(state);
-    for (int w = 0; w < 4; ++w) s_[w][lane] = state[w];
-  }
-
  private:
 #if HDLDP_SIMD_AVX2
   static __m256i Rotl(__m256i x, int k) {

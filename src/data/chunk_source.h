@@ -105,6 +105,13 @@ class ChunkSource {
     const std::size_t n = num_users();
     return begin >= n ? 0 : std::min(kUsersPerChunk, n - begin);
   }
+  /// Users outside the `quarantined` chunks (distinct chunk indices).
+  std::size_t SurvivingUsers(
+      const std::vector<std::size_t>& quarantined) const {
+    std::size_t n = num_users();
+    for (const std::size_t c : quarantined) n -= ChunkUsers(c);
+    return n;
+  }
 
   /// \brief Rows of chunk `chunk` — ChunkUsers(chunk) * num_dims()
   /// doubles, row-major. Thread-safe for concurrent pulls with distinct

@@ -6,7 +6,7 @@
 //
 //   * kTransient  — the chunk's first `failing_attempts` pulls return
 //     Unavailable; later pulls succeed. Models an I/O hiccup; the
-//     engine's RetryPolicy (engine/chunked_estimation.h) recovers these
+//     engine's RetryPolicy (engine/run_control.h) recovers these
 //     and the run's estimate is bit-identical to a fault-free run,
 //     because retries re-pull the chunk but never touch its RNG stream.
 //   * kPersistent — every pull returns DataLoss. Models an

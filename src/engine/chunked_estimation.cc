@@ -9,14 +9,17 @@ SampledChunkScratch& PerWorkerSampledScratch() {
 }
 
 ChunkedEstimation::ChunkedEstimation(std::size_t num_users,
-                                     const EngineOptions& options)
+                                     const RunControl& control,
+                                     std::size_t num_threads)
     : num_users_(num_users),
       num_chunks_((num_users + kUsersPerChunk - 1) / kUsersPerChunk),
-      options_(options) {}
+      control_(control),
+      num_threads_(num_threads) {}
 
 ChunkedEstimation::ChunkedEstimation(const data::ChunkSource& source,
-                                     const EngineOptions& options)
-    : ChunkedEstimation(source.num_users(), options) {
+                                     const RunControl& control,
+                                     std::size_t num_threads)
+    : ChunkedEstimation(source.num_users(), control, num_threads) {
   source_ = &source;
 }
 
@@ -38,7 +41,7 @@ ChunkRange ChunkedEstimation::Range(std::size_t c) const {
   range.chunk = c;
   range.begin = c * kUsersPerChunk;
   range.end = std::min(num_users_, range.begin + kUsersPerChunk);
-  range.chunk_seed = ChunkSeed(options_.seed, c);
+  range.chunk_seed = ChunkSeed(control_.seed, c);
   return range;
 }
 

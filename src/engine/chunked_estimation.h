@@ -42,6 +42,7 @@
 #include "common/status.h"
 #include "data/chunk_source.h"
 #include "engine/reduce.h"
+#include "engine/run_control.h"
 #include "mech/plan.h"
 
 namespace hdldp {
@@ -93,35 +94,6 @@ struct SampledChunkScratch {
 /// simulates).
 SampledChunkScratch& PerWorkerSampledScratch();
 
-/// \brief Configuration shared by every chunked estimation run.
-struct EngineOptions {
-  /// Seed of the run; all chunk streams derive from it.
-  std::uint64_t seed = 1;
-  /// RNG stream contract of the run (see common/rng_lanes.h), the
-  /// single source a workload body dispatches on (via
-  /// ChunkedEstimation::options()): the engine's lane drivers implement
-  /// kV3Batched (the default; dense chunks are laid out exactly as
-  /// kV2Lanes, sampled chunks batch entries across users) and the legacy
-  /// kV2Lanes per-user sampled layout, while pipelines keep their own
-  /// frozen kV1Scalar bodies (on ScalarStream) for pre-lane-era
-  /// reproducibility.
-  SeedScheme seed_scheme = SeedScheme::kV3Batched;
-  /// Maximum worker threads simulating chunks concurrently on the shared
-  /// ThreadPool (0 = one per hardware thread). Affects wall-clock time
-  /// only, never the estimates.
-  std::size_t num_threads = 1;
-  /// Retry behaviour for chunks that fail with kUnavailable (transient
-  /// I/O faults). Recovered retries never change estimates — the chunk
-  /// body re-derives its streams from the chunk seed and the scratch is
-  /// reset per attempt.
-  RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// (kUnavailable / kDataLoss) instead of failing the run. Estimates
-  /// then cover surviving users only; pipelines report the quarantined
-  /// chunk indices in their results.
-  bool allow_missing_chunks = false;
-};
-
 /// \brief One chunk of the schedule: its index, user range and stream
 /// seed. A pure function of (num_users, seed, chunk).
 struct ChunkRange {
@@ -138,19 +110,26 @@ struct ChunkRange {
 /// methods are const and scratch is per worker thread).
 class ChunkedEstimation {
  public:
-  ChunkedEstimation(std::size_t num_users, const EngineOptions& options);
+  /// `control` is the run's seed, stream contract and fault handling
+  /// (its checkpoint_path is bound by the pipeline through
+  /// ReduceResumable's hooks); `num_threads` bounds the workers
+  /// simulating chunks concurrently on the shared ThreadPool (0 = one per
+  /// hardware thread) and affects wall-clock time only, never estimates.
+  ChunkedEstimation(std::size_t num_users, const RunControl& control,
+                    std::size_t num_threads);
 
   /// \brief Binds the run to a data source: chunk geometry comes from
   /// `source` (whose chunking is definitionally the engine's) and
   /// ChunkRows() becomes available to workload bodies. The source must
   /// outlive the run and supports concurrent pulls (each worker thread
   /// uses its own buffer).
-  ChunkedEstimation(const data::ChunkSource& source,
-                    const EngineOptions& options);
+  ChunkedEstimation(const data::ChunkSource& source, const RunControl& control,
+                    std::size_t num_threads);
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_chunks() const { return num_chunks_; }
-  const EngineOptions& options() const { return options_; }
+  /// The run controls; workload bodies dispatch on control().seed_scheme.
+  const RunControl& control() const { return control_; }
 
   /// User range and stream seed of chunk c.
   ChunkRange Range(std::size_t c) const;
@@ -181,34 +160,22 @@ class ChunkedEstimation {
 
   /// \brief Runs `body(range, scratch)` for every chunk and reduces the
   /// scratches through the deterministic two-level tree (engine/
-  /// reduce.h), bounded by options().num_threads workers. `make_acc` is
-  /// `() -> Result<Acc>`; `body` is `(const ChunkRange&, Acc*) -> Status`
-  /// and may run concurrently across chunks (scratches are per-worker).
-  template <typename Acc, typename MakeAcc, typename Body>
-  Result<Acc> Reduce(MakeAcc&& make_acc, Body&& body) const {
-    return ReduceResumable<Acc>(std::forward<MakeAcc>(make_acc),
-                                std::forward<Body>(body),
-                                CheckpointHooks<Acc>{}, nullptr);
-  }
-
-  /// \brief Reduce with fault-tolerance outputs and checkpoint hooks:
-  /// honours options().retry and options().allow_missing_chunks (the
-  /// quarantined chunk indices land in *quarantined, sorted, when
-  /// non-null), and drives `hooks` for checkpoint/resume (see
-  /// engine/reduce.h). Reduce() is this with no hooks.
+  /// reduce.h), bounded by the run's num_threads workers and honouring
+  /// control().retry and control().allow_missing_chunks (the quarantined
+  /// chunk indices land in *quarantined, sorted, when non-null).
+  /// `make_acc` is `() -> Result<Acc>`; `body` is `(const ChunkRange&,
+  /// Acc*) -> Status` and may run concurrently across chunks (scratches
+  /// are per-worker). `hooks` drive checkpoint/resume (engine/reduce.h).
   template <typename Acc, typename MakeAcc, typename Body>
   Result<Acc> ReduceResumable(MakeAcc&& make_acc, Body&& body,
                               const CheckpointHooks<Acc>& hooks,
                               std::vector<std::size_t>* quarantined) const {
-    ReduceControls controls;
-    controls.retry = options_.retry;
-    controls.allow_missing_chunks = options_.allow_missing_chunks;
     return ReduceChunksResumable<Acc>(
-        num_chunks_, options_.num_threads, std::forward<MakeAcc>(make_acc),
+        num_chunks_, num_threads_, std::forward<MakeAcc>(make_acc),
         [this, &body](std::size_t c, Acc* scratch) {
           return body(Range(c), scratch);
         },
-        controls, hooks, quarantined);
+        control_, hooks, quarantined);
   }
 
   /// \brief Dense per-chunk driver (every dimension reported): streams
@@ -252,7 +219,7 @@ class ChunkedEstimation {
   /// workload expands them into (entry index, native value) pairs, and
   /// the entries stream through `plan` on the chunk's lane generator.
   ///
-  /// Layout depends on options().seed_scheme (see common/rng_lanes.h):
+  /// Layout depends on control().seed_scheme (see common/rng_lanes.h):
   ///
   ///   kV3Batched  all of the chunk's dimension draws happen up front
   ///               (Rng::SampleWithoutReplacementBatch, sorted per
@@ -284,7 +251,7 @@ class ChunkedEstimation {
     SampledChunkScratch& s = PerWorkerSampledScratch();
     RngLanes lanes = LaneStreams(range);
     Rng dims_rng = DimSamplerStream(range);
-    if (options_.seed_scheme == SeedScheme::kV3Batched) {
+    if (control_.seed_scheme == SeedScheme::kV3Batched) {
       s.sampled.clear();
       dims_rng.SampleWithoutReplacementBatch(num_dims, report_dims,
                                              range.num_users(), /*sorted=*/true,
@@ -334,7 +301,8 @@ class ChunkedEstimation {
 
   std::size_t num_users_;
   std::size_t num_chunks_;
-  EngineOptions options_;
+  RunControl control_;
+  std::size_t num_threads_;
   // Bound data source (nullptr when constructed from a bare user count).
   const data::ChunkSource* source_ = nullptr;
 };

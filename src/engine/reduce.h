@@ -27,52 +27,10 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "engine/run_control.h"
 
 namespace hdldp {
 namespace engine {
-
-/// \brief Retry behaviour for transient chunk faults.
-///
-/// A chunk body that fails with StatusCode::kUnavailable — an I/O
-/// hiccup, an injected transient fault — is retried up to max_attempts
-/// total attempts with exponential backoff. Retries are invisible to
-/// estimates: the scratch accumulator is Reset() before every attempt
-/// and the body re-derives all random streams from the chunk seed, so a
-/// run with recovered transient faults is bit-identical to a fault-free
-/// run. Any other error code fails (or quarantines) immediately.
-struct RetryPolicy {
-  /// Total attempts per chunk; 1 means no retry.
-  int max_attempts = 1;
-  /// Backoff before retry k (1-based count of failures so far):
-  /// initial_backoff_ms << (k - 1) milliseconds. 0 retries immediately.
-  std::uint64_t initial_backoff_ms = 0;
-  /// Overall wall-clock retry deadline per chunk in milliseconds; 0
-  /// means unlimited. The deadline arms at the chunk's first failure;
-  /// once that much time has elapsed no further retries are scheduled
-  /// (the chunk fails as if the last attempt had just run), so a
-  /// persistent outage cannot hold a run hostage for the full
-  /// exponential ladder. Retries that do run stay bit-identical — the
-  /// deadline only cuts the ladder short, never alters an attempt.
-  std::uint64_t max_total_backoff_ms = 0;
-  /// Injectable sleep, so tests assert the backoff sequence without
-  /// wall-clock waits. Defaults (nullptr) to std::this_thread sleep.
-  std::function<void(std::uint64_t backoff_ms)> sleep;
-  /// Injectable monotonic clock in milliseconds for the
-  /// max_total_backoff_ms deadline. Defaults (nullptr) to
-  /// std::chrono::steady_clock.
-  std::function<std::uint64_t()> now_ms;
-};
-
-/// \brief Failure-handling knobs of one reduction run.
-struct ReduceControls {
-  RetryPolicy retry;
-  /// When set, a chunk whose final attempt fails with kUnavailable or
-  /// kDataLoss is quarantined — skipped and reported — instead of
-  /// failing the run. Estimates then cover the surviving users only;
-  /// callers opt in explicitly (the CLI flag --allow-missing-chunks)
-  /// because it changes the estimand. Other codes always fail the run.
-  bool allow_missing_chunks = false;
-};
 
 /// \brief Resumable state of one reduction group, as persisted by the
 /// checkpoint codec (protocol/snapshot): the group accumulator after
@@ -152,17 +110,17 @@ inline ReductionGeometry GroupGeometry(std::size_t num_chunks) {
 /// chunk's Status is returned (by lowest group; later chunks of a failed
 /// group are skipped).
 ///
-/// `controls` adds fault tolerance: kUnavailable chunk failures retry
-/// per `controls.retry`, and under `controls.allow_missing_chunks`
-/// chunks that still fail (kUnavailable / kDataLoss) are quarantined —
-/// skipped, collected into *quarantined_out sorted ascending — instead
-/// of failing the run. `hooks` adds checkpoint/resume at group
-/// granularity (see CheckpointHooks).
+/// `control` adds fault tolerance: kUnavailable chunk failures retry
+/// per `control.retry`, and under `control.allow_missing_chunks` chunks
+/// that still fail (kUnavailable / kDataLoss) are quarantined — skipped,
+/// collected into *quarantined_out sorted ascending — instead of failing
+/// the run. `hooks` adds checkpoint/resume at group granularity (see
+/// CheckpointHooks); the caller binds them to control.checkpoint_path.
 template <typename Acc, typename MakeAcc, typename Body>
 Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
                                   std::size_t max_concurrency,
                                   MakeAcc&& make_acc, Body&& body,
-                                  const ReduceControls& controls,
+                                  const RunControl& control,
                                   const CheckpointHooks<Acc>& hooks,
                                   std::vector<std::size_t>* quarantined_out) {
   HDLDP_ASSIGN_OR_RETURN(Acc global, make_acc());
@@ -177,7 +135,7 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
     HDLDP_ASSIGN_OR_RETURN(Acc local, make_acc());
     group_locals.push_back(std::move(local));
   }
-  const int max_attempts = std::max(1, controls.retry.max_attempts);
+  const int max_attempts = std::max(1, control.retry.max_attempts);
   ThreadPool::Shared().ParallelFor(
       0, geometry.num_groups,
       [&](std::size_t g) {
@@ -213,7 +171,7 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
         }
         Acc scratch = std::move(scratch_or).value();
         const auto clock_now_ms = [&]() -> std::uint64_t {
-          if (controls.retry.now_ms) return controls.retry.now_ms();
+          if (control.retry.now_ms) return control.retry.now_ms();
           return static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::milliseconds>(
                   std::chrono::steady_clock::now().time_since_epoch())
@@ -230,22 +188,22 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
                 attempt == max_attempts) {
               break;
             }
-            if (controls.retry.max_total_backoff_ms > 0) {
+            if (control.retry.max_total_backoff_ms > 0) {
               const std::uint64_t now = clock_now_ms();
               if (!retry_epoch_ms.has_value()) {
                 retry_epoch_ms = now;  // Deadline arms at the first failure.
               } else if (now - *retry_epoch_ms >=
-                         controls.retry.max_total_backoff_ms) {
+                         control.retry.max_total_backoff_ms) {
                 break;  // Out of wall-clock budget: fail as-is, no retry.
               }
             }
             const std::uint64_t backoff_ms =
-                controls.retry.initial_backoff_ms == 0
+                control.retry.initial_backoff_ms == 0
                     ? 0
-                    : controls.retry.initial_backoff_ms
+                    : control.retry.initial_backoff_ms
                           << (static_cast<unsigned>(attempt) - 1);
-            if (controls.retry.sleep) {
-              controls.retry.sleep(backoff_ms);
+            if (control.retry.sleep) {
+              control.retry.sleep(backoff_ms);
             } else if (backoff_ms > 0) {
               std::this_thread::sleep_for(
                   std::chrono::milliseconds(backoff_ms));
@@ -255,7 +213,7 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
             const bool quarantinable =
                 status.code() == StatusCode::kUnavailable ||
                 status.code() == StatusCode::kDataLoss;
-            if (!(controls.allow_missing_chunks && quarantinable)) {
+            if (!(control.allow_missing_chunks && quarantinable)) {
               statuses[g] = status;
               return;
             }
@@ -298,7 +256,7 @@ Result<Acc> ReduceChunks(std::size_t num_chunks, std::size_t max_concurrency,
                          MakeAcc&& make_acc, Body&& body) {
   return ReduceChunksResumable<Acc>(
       num_chunks, max_concurrency, std::forward<MakeAcc>(make_acc),
-      std::forward<Body>(body), ReduceControls{}, CheckpointHooks<Acc>{},
+      std::forward<Body>(body), RunControl{}, CheckpointHooks<Acc>{},
       nullptr);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -14,7 +13,7 @@
 #include "protocol/aggregator.h"
 #include "protocol/budget.h"
 #include "protocol/metrics.h"
-#include "protocol/snapshot.h"
+#include "protocol/run_control.h"
 
 namespace hdldp {
 namespace freq {
@@ -130,19 +129,19 @@ Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
 }
 
 // The legacy kV1Scalar ingestion loop: one scalar stream, per-entry
-// virtual Perturb, exactly the pre-lane-era draw order — chunks are
-// pulled in order and walked serially, so the draw sequence matches the
-// old whole-dataset loop user for user. Frozen so runs recorded under
-// v1 seeds keep their outputs bit for bit.
+// draws in exactly the pre-lane-era order — chunks are pulled in order
+// and walked serially, so the draw sequence matches the old
+// whole-dataset loop user for user. The prepared plan draws exactly as
+// the mechanism's Perturb does (tests/test_plan.cc). Frozen so runs
+// recorded under v1 seeds keep their outputs bit for bit.
 Status IngestV1Scalar(const engine::ChunkedEstimation& core,
                       const CategoricalSchema& schema,
-                      const mech::Mechanism& mechanism,
-                      const mech::DomainMap& map, double per_entry_eps,
-                      std::uint64_t seed, std::size_t m,
+                      const mech::SamplerPlan& plan,
+                      const mech::DomainMap& map, std::size_t m,
                       std::vector<NeumaierSum>* sums,
                       std::vector<std::int64_t>* dim_reports) {
   const std::size_t d = schema.num_dims();
-  Rng rng(seed);
+  Rng rng(core.control().seed);
   std::vector<std::uint32_t> sampled;
   for (std::size_t c = 0; c < core.num_chunks(); ++c) {
     const engine::ChunkRange range = core.Range(c);
@@ -160,7 +159,7 @@ Status IngestV1Scalar(const engine::ChunkedEstimation& core,
         for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
           const double entry = k == category ? 1.0 : 0.0;
           (*sums)[off + k].Add(
-              mechanism.Perturb(map.Forward(entry), per_entry_eps, &rng));
+              mech::PerturbOne(plan, map.Forward(entry), &rng));
         }
       }
     }
@@ -205,11 +204,6 @@ struct OracleAccumulator {
 Result<FrequencyEstimationResult> RunOracleEstimation(
     const data::ChunkSource& source, const CategoricalSchema& schema,
     const FrequencyOptions& options, std::size_t m) {
-  if (!options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "frequency-oracle encodings do not support checkpointing; drop "
-        "--checkpoint or use the numeric encoding");
-  }
   const std::size_t d = schema.num_dims();
   const std::size_t total_entries = schema.total_entries();
   // The oracle randomizes a whole sampled dimension's answer as one
@@ -230,13 +224,7 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
   const double p_tilde = use_oue ? oue.p : olh.p;
   const double q_tilde = use_oue ? oue.q : 1.0 / static_cast<double>(olh.g);
 
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
+  const engine::ChunkedEstimation core(source, options, options.num_threads);
 
   std::vector<std::size_t> quarantined_chunks;
   HDLDP_ASSIGN_OR_RETURN(
@@ -333,11 +321,8 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
   HDLDP_ASSIGN_OR_RETURN(
       result.true_frequencies,
       SourceTrueFrequencies(source, schema, quarantined_chunks));
+  result.surviving_users = source.SurvivingUsers(quarantined_chunks);
   result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
   result.raw = Unflatten(raw_flat, schema);
   result.recalibrated = Unflatten(recal.enhanced_mean, schema);
   if (options.clip_and_normalize) {
@@ -358,13 +343,10 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
 Result<FrequencyEstimationResult> RunFrequencyEstimation(
     const data::ChunkSource& source, const CategoricalSchema& schema,
     mech::MechanismPtr mechanism, const FrequencyOptions& options) {
+  HDLDP_RETURN_NOT_OK(protocol::ValidateRunControl(
+      options, options.encoding, protocol::Workload::kFrequency));
   const bool oracle = options.encoding == protocol::ReportEncoding::kOue ||
                       options.encoding == protocol::ReportEncoding::kOlh;
-  if (options.encoding == protocol::ReportEncoding::kHadamard1) {
-    return Status::InvalidArgument(
-        "hadamard1 is a mean encoding; frequency estimation supports "
-        "dense|sampled|oue|olh");
-  }
   if (mechanism == nullptr && !oracle) {
     return Status::InvalidArgument("frequency estimation requires a mechanism");
   }
@@ -391,34 +373,19 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   HDLDP_ASSIGN_OR_RETURN(
       const mech::DomainMap map,
       mech::DomainMap::Between(entry_domain, mechanism->InputDomain()));
+  const mech::SamplerPlan plan = mechanism->MakePlan(per_entry_eps);
 
   const std::size_t total_entries = schema.total_entries();
   std::vector<double> raw_flat(total_entries, 0.0);
   std::vector<std::int64_t> dim_reports(d, 0);
   std::vector<std::size_t> quarantined_chunks;
   bool resumed = false;
-
-  if (options.seed_scheme == SeedScheme::kV1Scalar &&
-      !options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "frequency checkpointing requires an engine seed scheme (kV2Lanes "
-        "or kV3Batched); the kV1Scalar serial loop predates the reduction "
-        "tree");
-  }
-
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
+  const engine::ChunkedEstimation core(source, options, options.num_threads);
 
   if (options.seed_scheme == SeedScheme::kV1Scalar) {
     std::vector<NeumaierSum> sums(total_entries);
-    HDLDP_RETURN_NOT_OK(IngestV1Scalar(core, schema, *mechanism, map,
-                                       per_entry_eps, options.seed, m, &sums,
-                                       &dim_reports));
+    HDLDP_RETURN_NOT_OK(
+        IngestV1Scalar(core, schema, plan, map, m, &sums, &dim_reports));
     // Naive aggregation: per-entry mean mapped back to [0, 1].
     for (std::size_t j = 0; j < d; ++j) {
       const std::size_t off = schema.EntryOffset(j);
@@ -431,69 +398,30 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   } else {
     // kV2Lanes / kV3Batched: the engine owns chunk geometry, (seed,
     // chunk, lane) stream seeding, plan dispatch (including the v3
-    // cross-user sampled batching) and the deterministic reduction tree;
-    // the lambdas below only define the one-hot encoding of a user row.
-    const mech::SamplerPlan plan = mechanism->MakePlan(per_entry_eps);
+    // cross-user sampled batching) and the deterministic reduction tree,
+    // ReduceMeanChunks the checkpointing; the lambdas below only define
+    // the one-hot encoding of a user row. The checkpoint digest holds
+    // everything the estimates depend on (thread count excluded).
     const double native_zero = map.Forward(0.0);
     const double native_one = map.Forward(1.0);
-    // Checkpointing: bind a SnapshotFile keyed by the run configuration
-    // (everything the estimates depend on — thread count deliberately
-    // excluded) and translate between the codec's opaque group records
-    // and the aggregator's exact state.
-    std::optional<protocol::SnapshotFile> snapshot;
-    engine::CheckpointHooks<protocol::MeanAggregator> hooks;
-    if (!options.checkpoint_path.empty()) {
-      protocol::RunDigest digest;
-      digest.AddString("freq");
-      digest.AddString(mechanism->Name());
-      digest.AddF64(options.total_epsilon);
-      digest.AddU64(m);
-      digest.AddU64(options.seed);
-      digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
-      digest.AddU64(source.num_users());
-      digest.AddU64(d);
-      digest.AddU64(total_entries);
-      for (std::size_t j = 0; j < d; ++j) {
-        digest.AddU64(schema.Cardinality(j));
-      }
-      digest.AddU64(options.allow_missing_chunks ? 1 : 0);
-      HDLDP_ASSIGN_OR_RETURN(
-          protocol::SnapshotFile file,
-          protocol::SnapshotFile::Open(options.checkpoint_path, digest.bytes));
-      snapshot.emplace(std::move(file));
-      hooks.load = [&snapshot, total_entries, map](std::size_t group)
-          -> Result<std::optional<
-              engine::GroupCheckpoint<protocol::MeanAggregator>>> {
-        const std::optional<protocol::SnapshotFile::GroupState> state =
-            snapshot->Load(group);
-        if (!state.has_value()) {
-          return std::optional<
-              engine::GroupCheckpoint<protocol::MeanAggregator>>();
-        }
-        HDLDP_ASSIGN_OR_RETURN(
-            protocol::MeanAggregator acc,
-            protocol::MeanAggregator::Create(total_entries, map));
-        HDLDP_RETURN_NOT_OK(acc.RestoreState(state->acc_state));
-        return std::optional<
-            engine::GroupCheckpoint<protocol::MeanAggregator>>(
-            engine::GroupCheckpoint<protocol::MeanAggregator>{
-                state->chunks_done, state->quarantined, std::move(acc)});
-      };
-      hooks.save = [&snapshot](std::size_t group, std::size_t chunks_done,
-                               const std::vector<std::size_t>& quarantined,
-                               const protocol::MeanAggregator& acc) -> Status {
-        std::vector<unsigned char> bytes;
-        acc.SerializeState(&bytes);
-        return snapshot->Save(group, chunks_done, quarantined, bytes);
-      };
+    protocol::RunDigest digest;
+    digest.AddString("freq");
+    digest.AddString(mechanism->Name());
+    digest.AddF64(options.total_epsilon);
+    digest.AddU64(m);
+    digest.AddU64(options.seed);
+    digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
+    digest.AddU64(source.num_users());
+    digest.AddU64(d);
+    digest.AddU64(total_entries);
+    for (std::size_t j = 0; j < d; ++j) {
+      digest.AddU64(schema.Cardinality(j));
     }
-    resumed = snapshot.has_value() && snapshot->resumed();
+    digest.AddU64(options.allow_missing_chunks ? 1 : 0);
     HDLDP_ASSIGN_OR_RETURN(
-        const protocol::MeanAggregator aggregator,
-        core.ReduceResumable<protocol::MeanAggregator>(
-            [&] {
-              return protocol::MeanAggregator::Create(total_entries, map);
-            },
+        protocol::MeanReduction reduced,
+        protocol::ReduceMeanChunks(
+            core, digest, total_entries, map,
             [&](const engine::ChunkRange& range,
                 protocol::MeanAggregator* scratch) -> Status {
               HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
@@ -560,21 +488,16 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
                       base += cardinality;
                     }
                   });
-            },
-            hooks, &quarantined_chunks));
-    // The run completed; its checkpoint is spent.
-    if (snapshot.has_value()) {
-      HDLDP_RETURN_NOT_OK(snapshot->Close());
-      HDLDP_RETURN_NOT_OK(
-          protocol::SnapshotFile::Remove(options.checkpoint_path));
-    }
+            }));
     // Every entry of dimension j is perturbed on each of its reports, so
     // the first entry's count is the dimension's report count r_j, and
     // EstimatedMean is exactly the per-entry Backward(sum / r).
-    raw_flat = aggregator.EstimatedMean();
+    raw_flat = reduced.aggregator.EstimatedMean();
     for (std::size_t j = 0; j < d; ++j) {
-      dim_reports[j] = aggregator.ReportCount(schema.EntryOffset(j));
+      dim_reports[j] = reduced.aggregator.ReportCount(schema.EntryOffset(j));
     }
+    quarantined_chunks = std::move(reduced.quarantined_chunks);
+    resumed = reduced.resumed_from_checkpoint;
   }
 
   for (std::size_t j = 0; j < d; ++j) {
@@ -620,11 +543,8 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   HDLDP_ASSIGN_OR_RETURN(
       result.true_frequencies,
       SourceTrueFrequencies(source, schema, quarantined_chunks));
+  result.surviving_users = source.SurvivingUsers(quarantined_chunks);
   result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
   result.resumed_from_checkpoint = resumed;
   result.raw = Unflatten(raw_flat, schema);
   result.recalibrated = Unflatten(recal.enhanced_mean, schema);

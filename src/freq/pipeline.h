@@ -18,13 +18,12 @@
 #define HDLDP_FREQ_PIPELINE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/chunk_source.h"
-#include "engine/reduce.h"
+#include "engine/run_control.h"
 #include "freq/encoding.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/mechanism.h"
@@ -33,57 +32,25 @@
 namespace hdldp {
 namespace freq {
 
-/// Configuration of a frequency-estimation run.
-struct FrequencyOptions {
+/// Configuration of a frequency-estimation run. The run controls (seed,
+/// seed_scheme, retry, allow_missing_chunks, checkpoint_path) are
+/// engine::RunControl's, documented there; under kV1Scalar the serial
+/// loop fails on the first chunk fault regardless of retry/quarantine.
+struct FrequencyOptions : engine::RunControl {
   /// Collective per-user privacy budget.
   double total_epsilon = 1.0;
   /// Categorical dimensions sampled per user (m); 0 means all d.
   std::size_t report_dims = 0;
-  /// Seed of the run. Estimates are a pure function of (dataset, options
-  /// minus num_threads) under either seed scheme.
-  std::uint64_t seed = 1;
-  /// RNG stream contract (see common/rng_lanes.h). kV3Batched (default)
-  /// streams fixed 4096-user chunks over the shared thread pool, chunk c
-  /// perturbing through the prepared sampler plan with the four lane
-  /// streams of ChunkSeed(seed, c); dense (m == d) runs are laid out
-  /// exactly as kV2Lanes while sampled (m < d) runs batch many users'
-  /// one-hot entries into each lane span — the fast path. kV2Lanes
-  /// replays the per-user sampled lane spans of the first lane-era
-  /// releases; kV1Scalar replays the legacy serial loop (one scalar
-  /// stream, per-entry Perturb) and reproduces pre-lane-era runs bit for
-  /// bit under their old seeds.
-  SeedScheme seed_scheme = SeedScheme::kV3Batched;
-  /// Maximum worker threads simulating chunks concurrently under
-  /// kV2Lanes (on the shared ThreadPool). 1 = serial, 0 = one per
-  /// hardware thread. Affects wall-clock time only, never the estimates.
-  /// Ignored under kV1Scalar, which is single-stream by definition.
+  /// Maximum worker threads simulating chunks concurrently (on the shared
+  /// ThreadPool). 1 = serial, 0 = one per hardware thread. Affects
+  /// wall-clock time only, never the estimates. Ignored under kV1Scalar,
+  /// which is single-stream by definition.
   std::size_t num_threads = 1;
   /// HDR4ME configuration for the re-calibrated estimate.
   hdr4me::Hdr4meOptions hdr4me;
   /// Post-process estimates: clip to [0, 1] and renormalize each
   /// dimension to sum to 1.
   bool clip_and_normalize = true;
-  /// Retry policy for transient (kUnavailable) chunk faults during
-  /// ingestion. Recovered retries never change the estimates. Engine
-  /// schemes (kV2Lanes / kV3Batched) only; the kV1Scalar serial loop
-  /// fails on the first fault regardless.
-  engine::RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// instead of failing the run. Per-dimension averages divide by the
-  /// received report counts, so surviving-user estimates need no
-  /// post-hoc correction; the ground-truth frequencies are computed over
-  /// the same surviving users so MSEs stay comparable. Engine schemes
-  /// only.
-  bool allow_missing_chunks = false;
-  /// Checkpoint file path; empty disables checkpointing. With a path,
-  /// per-group aggregator state persists as ingestion progresses
-  /// (protocol/snapshot.h); re-running after a crash resumes from the
-  /// file and produces bit-identical estimates, and a completed run
-  /// removes its spent checkpoint. Engine schemes only: the kV1Scalar
-  /// loop predates the reduction tree and rejects a checkpoint path
-  /// with InvalidArgument. Numeric encodings only: the frequency-oracle
-  /// accumulators do not checkpoint yet and reject a path likewise.
-  std::string checkpoint_path;
   /// Report encoding. kDense/kSampled run the numeric path above (every
   /// one-hot entry perturbed by `mechanism` at eps/(2m)); kOue/kOlh run
   /// the frequency-oracle path: one randomized categorical report per

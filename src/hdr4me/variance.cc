@@ -11,6 +11,7 @@
 #include "framework/value_distribution.h"
 #include "protocol/metrics.h"
 #include "protocol/pipeline.h"
+#include "protocol/run_control.h"
 
 namespace hdldp {
 namespace hdr4me {
@@ -54,6 +55,9 @@ Result<std::vector<double>> RecalibrateHalf(
 Result<VarianceEstimationResult> RunVarianceEstimation(
     const data::ChunkSource& source, mech::MechanismPtr mechanism,
     const VarianceOptions& options) {
+  HDLDP_RETURN_NOT_OK(protocol::ValidateRunControl(
+      options, protocol::ReportEncoding::kDense,
+      protocol::Workload::kVariance));
   if (mechanism == nullptr) {
     return Status::InvalidArgument("variance estimation requires a mechanism");
   }
@@ -86,12 +90,9 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   // spent and removed, so re-running it recomputes deterministically —
   // bit-identical either way.
   protocol::PipelineOptions mean_opts;
+  static_cast<engine::RunControl&>(mean_opts) = options;
   mean_opts.total_epsilon = options.total_epsilon;
   mean_opts.report_dims = options.report_dims;
-  mean_opts.seed = options.seed;
-  mean_opts.seed_scheme = options.seed_scheme;
-  mean_opts.retry = options.retry;
-  mean_opts.allow_missing_chunks = options.allow_missing_chunks;
   if (!options.checkpoint_path.empty()) {
     mean_opts.checkpoint_path = options.checkpoint_path + ".values";
   }

@@ -19,52 +19,32 @@
 #define HDLDP_HDR4ME_VARIANCE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/chunk_source.h"
 #include "data/dataset.h"
-#include "engine/reduce.h"
+#include "engine/run_control.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/mechanism.h"
 
 namespace hdldp {
 namespace hdr4me {
 
-/// Configuration of a variance-estimation run.
-struct VarianceOptions {
+/// Configuration of a variance-estimation run. The run controls (seed,
+/// seed_scheme, retry, allow_missing_chunks, checkpoint_path) are
+/// engine::RunControl's, documented there, and apply to both internal
+/// mean-estimation runs.
+struct VarianceOptions : engine::RunControl {
   /// Collective privacy budget per user.
   double total_epsilon = 1.0;
   /// Dimensions reported per user (m); 0 means all d.
   std::size_t report_dims = 0;
-  /// Seed of the run.
-  std::uint64_t seed = 1;
-  /// RNG stream contract of the two internal mean-estimation runs (see
-  /// common/rng_lanes.h): kV3Batched (default) is the engine's lane fast
-  /// path with cross-user sampled batching; kV2Lanes replays the
-  /// per-user sampled lane spans and kV1Scalar the pre-engine scalar
-  /// chunk streams, so recorded variance runs stay reproducible.
-  SeedScheme seed_scheme = SeedScheme::kV3Batched;
   /// Re-calibrate both halves with HDR4ME before combining.
   bool recalibrate = false;
   /// HDR4ME configuration (read when `recalibrate` is set).
   Hdr4meOptions hdr4me;
-  /// Retry policy for transient (kUnavailable) chunk faults, forwarded
-  /// to both internal mean-estimation runs.
-  engine::RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// instead of failing the run, forwarded to both halves. The result
-  /// reports each half's quarantined chunk indices (relative to that
-  /// half's sliced source).
-  bool allow_missing_chunks = false;
-  /// Checkpoint file path; empty disables checkpointing. The two halves
-  /// checkpoint independently at `path + ".values"` and
-  /// `path + ".squares"` (protocol/snapshot.h); re-running after a
-  /// crash resumes whichever half was interrupted and produces
-  /// bit-identical final estimates.
-  std::string checkpoint_path;
 };
 
 /// Outcome of a variance-estimation run.

@@ -12,16 +12,16 @@
 // plus the conditional output distribution itself (Density()/Atoms()) so
 // that closed-form moments can be cross-validated by quadrature.
 //
-// Hot path vs cold path: Perturb() runs millions of times per experiment
-// and therefore takes pre-validated arguments (callers run ValidateBudget()
-// once per run; debug builds assert). Moments()/Density() are cold analysis
-// paths and return Result<> with full validation.
+// Hot path vs cold path: the MakePlan() sampler runs millions of times per
+// experiment and, like its reference Perturb(), takes pre-validated
+// arguments (callers run ValidateBudget() once per run; debug builds
+// assert). Moments()/Density() are cold analysis paths and return
+// Result<> with full validation.
 
 #ifndef HDLDP_MECH_MECHANISM_H_
 #define HDLDP_MECH_MECHANISM_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -129,29 +129,12 @@ class Mechanism {
   /// zero transcendental evaluations and zero virtual dispatch per value.
   ///
   /// The returned plan draws from its Rng in exactly Perturb()'s order and
-  /// produces bit-identical outputs (tests/test_plan.cc). The base
-  /// implementation returns a GenericPlan deferring to Perturb(); the
-  /// registered mechanisms all override with a concrete plan struct.
+  /// produces bit-identical outputs (tests/test_plan.cc), so Perturb()
+  /// stays the readable reference the plan is checked against.
   ///
-  /// REQUIRES: ValidateBudget(eps).ok(). The plan does not keep `this`
-  /// alive (except GenericPlan, which holds a raw pointer): concrete plans
-  /// are self-contained value types safe to copy across threads.
-  virtual SamplerPlan MakePlan(double eps) const;
-
-  /// \brief Perturbs `ts.size()` inputs at one shared budget, writing
-  /// outputs into `out` (which must hold at least ts.size() entries).
-  ///
-  /// Contract: draws from `rng` in exactly the order of ts.size()
-  /// sequential Perturb() calls and produces bit-identical outputs, so
-  /// scalar and batched ingestion paths are interchangeable under a fixed
-  /// seed. Implemented as MakePlan(eps) + one plan pass, which hoists the
-  /// eps-dependent constants out of the per-value loop; callers running
-  /// many batches at one eps should MakePlan() once and use PerturbSpan()
-  /// to also hoist the plan construction.
-  ///
-  /// REQUIRES: ValidateBudget(eps).ok(); inputs are clamped like Perturb().
-  void PerturbBatch(std::span<const double> ts, double eps, Rng* rng,
-                    std::span<double> out) const;
+  /// REQUIRES: ValidateBudget(eps).ok(). The plan is a self-contained
+  /// value type, safe to copy across threads and to outlive `this`.
+  virtual SamplerPlan MakePlan(double eps) const = 0;
 
   /// \brief Conditional moments of t* given t at budget eps.
   ///

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
-#include <type_traits>
 #include <variant>
 
 #include "common/lane_math.h"
@@ -29,8 +28,6 @@
 
 namespace hdldp {
 namespace mech {
-
-class Mechanism;
 
 // Lane bodies (the Lanes4 methods): each concrete plan also perturbs four
 // values at once, value l drawing only from lane l of an RngLanes — the
@@ -439,29 +436,10 @@ struct HybridPlan {
   }
 };
 
-/// \brief Fallback for mechanisms without a specialized plan: defers to
-/// the virtual Perturb() per value. Correct for any mechanism, but pays
-/// the per-value dispatch the concrete plans exist to avoid.
-struct GenericPlan {
-  const Mechanism* mechanism = nullptr;
-  double eps = 1.0;
-
-  double operator()(double t, Rng* rng) const;
-};
-
-/// \brief Lane-parallel span fallback for GenericPlan: value i draws from
-/// lane i % kLanes (the same lane assignment PerturbLanes gives concrete
-/// plans), via a scalar Rng extracted from and re-injected into each
-/// lane. Never consumes padding draws — a generic sampler's draw count
-/// is unknowable, so its lane contract is simply "scalar Perturb() on the
-/// lane's stream".
-void PerturbLanesGeneric(const GenericPlan& plan, std::span<const double> ts,
-                         RngLanes* rng, std::span<double> out);
-
 /// \brief A prepared sampler: one mechanism at one eps, constants resolved.
 using SamplerPlan =
     std::variant<DuchiPlan, LaplacePlan, PiecewisePlan, SquareWavePlan,
-                 StaircasePlan, ScdfPlan, HybridPlan, GenericPlan>;
+                 StaircasePlan, ScdfPlan, HybridPlan>;
 
 /// \brief One draw from a prepared plan (native input -> native output).
 inline double PerturbOne(const SamplerPlan& plan, double t, Rng* rng) {
@@ -487,9 +465,7 @@ inline void PerturbSpan(const SamplerPlan& plan, std::span<const double> ts,
 /// value base + l of each group of kLanes consecutive values draws from
 /// lane l. A trailing partial group is padded — the dead lanes draw and
 /// their outputs are discarded, keeping every lane's consumption a pure
-/// function of ts.size() (GenericPlan, whose draw count per value is
-/// unknowable, instead runs scalar per lane and never pads; see
-/// PerturbLanesGeneric). The span-to-user mapping is the caller's
+/// function of ts.size(). The span-to-user mapping is the caller's
 /// contract: v2 sampled spans hold one user, v3 sampled spans pack
 /// entries across users (common/rng_lanes.h). `out` must hold at least
 /// ts.size() entries.
@@ -497,22 +473,17 @@ inline void PerturbLanes(const SamplerPlan& plan, std::span<const double> ts,
                          RngLanes* rng, std::span<double> out) {
   std::visit(
       [&](const auto& p) {
-        using P = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<P, GenericPlan>) {
-          PerturbLanesGeneric(p, ts, rng, out);
-        } else {
-          constexpr std::size_t kL = RngLanes::kLanes;
-          std::size_t i = 0;
-          for (; i + kL <= ts.size(); i += kL) {
-            p.Lanes4(&ts[i], rng, &out[i]);
-          }
-          if (i < ts.size()) {
-            double t4[kL] = {0.0, 0.0, 0.0, 0.0};
-            double o4[kL];
-            for (std::size_t l = 0; i + l < ts.size(); ++l) t4[l] = ts[i + l];
-            p.Lanes4(t4, rng, o4);
-            for (std::size_t l = 0; i + l < ts.size(); ++l) out[i + l] = o4[l];
-          }
+        constexpr std::size_t kL = RngLanes::kLanes;
+        std::size_t i = 0;
+        for (; i + kL <= ts.size(); i += kL) {
+          p.Lanes4(&ts[i], rng, &out[i]);
+        }
+        if (i < ts.size()) {
+          double t4[kL] = {0.0, 0.0, 0.0, 0.0};
+          double o4[kL];
+          for (std::size_t l = 0; i + l < ts.size(); ++l) t4[l] = ts[i + l];
+          p.Lanes4(t4, rng, o4);
+          for (std::size_t l = 0; i + l < ts.size(); ++l) out[i + l] = o4[l];
         }
       },
       plan);

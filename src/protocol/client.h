@@ -58,8 +58,7 @@ class Client {
 
   /// \brief The sampler plan prepared at Create() (mechanism at eps / m,
   /// every eps-only constant resolved). The engine's lane drivers
-  /// dispatch on it directly; keep this Client alive while the plan is
-  /// in use (GenericPlan fallbacks reference the mechanism it owns).
+  /// dispatch on it directly.
   const mech::SamplerPlan& plan() const { return plan_; }
 
   /// \brief Builds one user's report. `tuple` must have d entries in the
@@ -100,7 +99,7 @@ class Client {
     rng->SampleWithoutReplacement(num_dims_, report_dims_, &scratch_dims_);
     for (const std::uint32_t j : scratch_dims_) {
       const double native = domain_map_.Forward(tuple[j]);
-      sink(j, mechanism_->Perturb(native, per_dim_epsilon_, rng));
+      sink(j, mech::PerturbOne(plan_, native, rng));
     }
   }
 
@@ -115,8 +114,7 @@ class Client {
   double per_dim_epsilon_;
   mech::DomainMap domain_map_;
   // Prepared at construction; keeps every eps-only constant out of the
-  // reporting hot loops. (GenericPlan fallbacks reference *mechanism_,
-  // which the shared_ptr above keeps alive.)
+  // reporting hot loops.
   mech::SamplerPlan plan_;
   // Reused sampling/gather buffers; Client is thread-compatible, not
   // thread-safe, matching the one-client-per-worker usage of the pipeline.

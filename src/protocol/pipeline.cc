@@ -1,7 +1,7 @@
 #include "protocol/pipeline.h"
 
 #include <algorithm>
-#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -9,7 +9,7 @@
 #include "engine/chunked_estimation.h"
 #include "protocol/aggregator.h"
 #include "protocol/metrics.h"
-#include "protocol/snapshot.h"
+#include "protocol/run_control.h"
 
 namespace hdldp {
 namespace protocol {
@@ -62,14 +62,52 @@ Status SimulateChunkV1(std::span<const double> rows, std::size_t num_dims,
   return Status::OK();
 }
 
+// The result every mean path reports: the reduced aggregator's estimate
+// scored against the source's ground truth.
+Result<MeanEstimationResult> MeanResult(const data::ChunkSource& source,
+                                        MeanReduction reduced,
+                                        double per_dim_epsilon) {
+  MeanEstimationResult result;
+  result.estimated_mean = reduced.aggregator.EstimatedMean();
+  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+  result.report_counts.reserve(source.num_dims());
+  for (std::size_t j = 0; j < source.num_dims(); ++j) {
+    result.report_counts.push_back(reduced.aggregator.ReportCount(j));
+  }
+  result.per_dim_epsilon = per_dim_epsilon;
+  HDLDP_ASSIGN_OR_RETURN(
+      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
+  result.surviving_users = source.SurvivingUsers(reduced.quarantined_chunks);
+  result.quarantined_chunks = std::move(reduced.quarantined_chunks);
+  result.resumed_from_checkpoint = reduced.resumed_from_checkpoint;
+  return result;
+}
+
+// Checkpoint digest of a mean run: everything the estimate depends on,
+// thread count deliberately excluded. `variant` is the mechanism name or
+// the compact encoding's.
+RunDigest MeanDigest(std::string_view variant, const PipelineOptions& options,
+                     std::size_t m, const data::ChunkSource& source) {
+  RunDigest digest;
+  digest.AddString("mean");
+  digest.AddString(variant);
+  digest.AddF64(options.total_epsilon);
+  digest.AddU64(m);
+  digest.AddU64(options.seed);
+  digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
+  digest.AddU64(source.num_users());
+  digest.AddU64(source.num_dims());
+  digest.AddU64(options.allow_missing_chunks ? 1 : 0);
+  return digest;
+}
+
 // The Hadamard 1-bit mean path: one randomized sign bit per user at the
 // full eps, decoded unbiasedly by MeanAggregator::ConsumeHadamard1.
 // Draw layout (the "compact encodings" stream contract in
 // common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
 // m-of-d sample sorted ascending, then the Hadamard1Encode draws (row
 // index, sign coin). Decoded values are already in the data domain, so
-// the aggregator runs with an identity map; checkpointing reuses the
-// standard MeanAggregator hooks.
+// the aggregator runs with an identity map.
 Result<MeanEstimationResult> RunHadamard1Estimation(
     const data::ChunkSource& source, const PipelineOptions& options) {
   const std::size_t d = source.num_dims();
@@ -77,62 +115,12 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
   HDLDP_ASSIGN_OR_RETURN(
       const Hadamard1Params params,
       Hadamard1Params::Create(d, m, options.total_epsilon));
-  const mech::DomainMap identity;
-
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
-
-  std::optional<SnapshotFile> snapshot;
-  engine::CheckpointHooks<MeanAggregator> hooks;
-  if (!options.checkpoint_path.empty()) {
-    RunDigest digest;
-    digest.AddString("mean");
-    digest.AddString("hadamard1");
-    digest.AddF64(options.total_epsilon);
-    digest.AddU64(m);
-    digest.AddU64(options.seed);
-    digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
-    digest.AddU64(source.num_users());
-    digest.AddU64(d);
-    digest.AddU64(options.allow_missing_chunks ? 1 : 0);
-    HDLDP_ASSIGN_OR_RETURN(
-        SnapshotFile file,
-        SnapshotFile::Open(options.checkpoint_path, digest.bytes));
-    snapshot.emplace(std::move(file));
-    hooks.load = [&snapshot, d, identity](std::size_t group)
-        -> Result<std::optional<engine::GroupCheckpoint<MeanAggregator>>> {
-      const std::optional<SnapshotFile::GroupState> state =
-          snapshot->Load(group);
-      if (!state.has_value()) {
-        return std::optional<engine::GroupCheckpoint<MeanAggregator>>();
-      }
-      HDLDP_ASSIGN_OR_RETURN(MeanAggregator acc,
-                             MeanAggregator::Create(d, identity));
-      HDLDP_RETURN_NOT_OK(acc.RestoreState(state->acc_state));
-      return std::optional<engine::GroupCheckpoint<MeanAggregator>>(
-          engine::GroupCheckpoint<MeanAggregator>{
-              state->chunks_done, state->quarantined, std::move(acc)});
-    };
-    hooks.save = [&snapshot](std::size_t group, std::size_t chunks_done,
-                             const std::vector<std::size_t>& quarantined,
-                             const MeanAggregator& acc) -> Status {
-      std::vector<unsigned char> bytes;
-      acc.SerializeState(&bytes);
-      return snapshot->Save(group, chunks_done, quarantined, bytes);
-    };
-  }
-  const bool resumed = snapshot.has_value() && snapshot->resumed();
-
-  std::vector<std::size_t> quarantined_chunks;
+  const engine::ChunkedEstimation core(source, options, options.num_threads);
   HDLDP_ASSIGN_OR_RETURN(
-      const MeanAggregator aggregator,
-      core.ReduceResumable<MeanAggregator>(
-          [&] { return MeanAggregator::Create(d, identity); },
+      MeanReduction reduced,
+      ReduceMeanChunks(
+          core, MeanDigest("hadamard1", options, m, source), d,
+          mech::DomainMap(),
           [&](const engine::ChunkRange& range,
               MeanAggregator* scratch) -> Status {
             HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
@@ -154,33 +142,10 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
                   params, sampled, report.index, report.positive));
             }
             return Status::OK();
-          },
-          hooks, &quarantined_chunks));
-
-  if (snapshot.has_value()) {
-    HDLDP_RETURN_NOT_OK(snapshot->Close());
-    HDLDP_RETURN_NOT_OK(SnapshotFile::Remove(options.checkpoint_path));
-  }
-
-  MeanEstimationResult result;
-  result.estimated_mean = aggregator.EstimatedMean();
-  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
-  result.report_counts.reserve(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    result.report_counts.push_back(aggregator.ReportCount(j));
-  }
+          }));
   // The single bit spends the whole budget; there is no per-dimension
   // split to report.
-  result.per_dim_epsilon = options.total_epsilon;
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
-  result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
-  result.resumed_from_checkpoint = resumed;
-  return result;
+  return MeanResult(source, std::move(reduced), options.total_epsilon);
 }
 
 }  // namespace
@@ -188,12 +153,8 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
 Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                mech::MechanismPtr mechanism,
                                                const PipelineOptions& options) {
-  if (options.encoding == ReportEncoding::kOue ||
-      options.encoding == ReportEncoding::kOlh) {
-    return Status::InvalidArgument(
-        "oue/olh are frequency-oracle encodings; mean estimation supports "
-        "dense|sampled|hadamard1");
-  }
+  HDLDP_RETURN_NOT_OK(
+      ValidateRunControl(options, options.encoding, Workload::kMean));
   if (options.encoding == ReportEncoding::kHadamard1) {
     return RunHadamard1Estimation(source, options);
   }
@@ -208,75 +169,24 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
   const std::size_t m = client.report_dims();
   const mech::DomainMap map = client.domain_map();
   const mech::SamplerPlan& plan = client.plan();
-
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
-
-  // Checkpointing: bind a SnapshotFile keyed by the run configuration
-  // (everything the estimate depends on — thread count deliberately
-  // excluded) and translate between the codec's opaque group records
-  // and the aggregator's exact state.
-  std::optional<SnapshotFile> snapshot;
-  engine::CheckpointHooks<MeanAggregator> hooks;
-  if (!options.checkpoint_path.empty()) {
-    RunDigest digest;
-    digest.AddString("mean");
-    digest.AddString(client.mechanism().Name());
-    digest.AddF64(options.total_epsilon);
-    digest.AddU64(m);
-    digest.AddU64(options.seed);
-    digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
-    digest.AddU64(source.num_users());
-    digest.AddU64(d);
-    digest.AddU64(options.allow_missing_chunks ? 1 : 0);
-    HDLDP_ASSIGN_OR_RETURN(
-        SnapshotFile file,
-        SnapshotFile::Open(options.checkpoint_path, digest.bytes));
-    snapshot.emplace(std::move(file));
-    hooks.load = [&snapshot, d, map](std::size_t group)
-        -> Result<std::optional<engine::GroupCheckpoint<MeanAggregator>>> {
-      const std::optional<SnapshotFile::GroupState> state =
-          snapshot->Load(group);
-      if (!state.has_value()) {
-        return std::optional<engine::GroupCheckpoint<MeanAggregator>>();
-      }
-      HDLDP_ASSIGN_OR_RETURN(MeanAggregator acc,
-                             MeanAggregator::Create(d, map));
-      HDLDP_RETURN_NOT_OK(acc.RestoreState(state->acc_state));
-      return std::optional<engine::GroupCheckpoint<MeanAggregator>>(
-          engine::GroupCheckpoint<MeanAggregator>{
-              state->chunks_done, state->quarantined, std::move(acc)});
-    };
-    hooks.save = [&snapshot](std::size_t group, std::size_t chunks_done,
-                             const std::vector<std::size_t>& quarantined,
-                             const MeanAggregator& acc) -> Status {
-      std::vector<unsigned char> bytes;
-      acc.SerializeState(&bytes);
-      return snapshot->Save(group, chunks_done, quarantined, bytes);
-    };
-  }
-  const bool resumed = snapshot.has_value() && snapshot->resumed();
+  const engine::ChunkedEstimation core(source, options, options.num_threads);
 
   // The whole orchestration — chunk geometry, (seed, chunk, lane) stream
-  // seeding, plan dispatch, deterministic two-level reduction — lives in
-  // the engine; the lambdas below only say what a user row looks like in
-  // the mechanism's native domain. Each chunk body pulls its rows once
-  // up front (worker-local buffer, one chunk resident per worker).
-  std::vector<std::size_t> quarantined_chunks;
+  // seeding, plan dispatch, deterministic two-level reduction,
+  // checkpointing — lives in the engine and ReduceMeanChunks; the lambdas
+  // below only say what a user row looks like in the mechanism's native
+  // domain. Each chunk body pulls its rows once up front (worker-local
+  // buffer, one chunk resident per worker).
   HDLDP_ASSIGN_OR_RETURN(
-      const MeanAggregator aggregator,
-      core.ReduceResumable<MeanAggregator>(
-          [&] { return MeanAggregator::Create(d, map); },
+      MeanReduction reduced,
+      ReduceMeanChunks(
+          core, MeanDigest(client.mechanism().Name(), options, m, source), d,
+          map,
           [&](const engine::ChunkRange& range,
               MeanAggregator* scratch) -> Status {
             HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
                                    core.ChunkRows(range));
-            if (core.options().seed_scheme == SeedScheme::kV1Scalar) {
+            if (options.seed_scheme == SeedScheme::kV1Scalar) {
               return SimulateChunkV1(rows, d, client, range, scratch);
             }
             if (m == d) {
@@ -312,32 +222,8 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                     out[k] = map.Forward(row[dims[k]]);
                   }
                 });
-          },
-          hooks, &quarantined_chunks));
-
-  // The run completed; its checkpoint is spent.
-  if (snapshot.has_value()) {
-    HDLDP_RETURN_NOT_OK(snapshot->Close());
-    HDLDP_RETURN_NOT_OK(SnapshotFile::Remove(options.checkpoint_path));
-  }
-
-  MeanEstimationResult result;
-  result.estimated_mean = aggregator.EstimatedMean();
-  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
-  result.report_counts.reserve(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    result.report_counts.push_back(aggregator.ReportCount(j));
-  }
-  result.per_dim_epsilon = client.PerDimensionEpsilon();
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
-  result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
-  result.resumed_from_checkpoint = resumed;
-  return result;
+          }));
+  return MeanResult(source, std::move(reduced), client.PerDimensionEpsilon());
 }
 
 Result<MeanEstimationResult> RunMeanEstimation(const data::Dataset& dataset,

@@ -20,14 +20,13 @@
 #define HDLDP_PROTOCOL_PIPELINE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/chunk_source.h"
 #include "data/dataset.h"
-#include "engine/reduce.h"
+#include "engine/run_control.h"
 #include "mech/mechanism.h"
 #include "protocol/client.h"
 #include "protocol/wire.h"
@@ -35,49 +34,18 @@
 namespace hdldp {
 namespace protocol {
 
-/// Configuration of a mean-estimation run.
-struct PipelineOptions {
+/// Configuration of a mean-estimation run. The run controls (seed,
+/// seed_scheme, retry, allow_missing_chunks, checkpoint_path) are
+/// engine::RunControl's, documented there.
+struct PipelineOptions : engine::RunControl {
   /// Collective privacy budget per user.
   double total_epsilon = 1.0;
   /// Dimensions reported per user (m); 0 means all d.
   std::size_t report_dims = 0;
-  /// Seed of the run. Estimates are a pure function of (dataset, options
-  /// minus num_threads) under either seed scheme: the simulation is
-  /// decomposed into fixed-size user chunks whose streams derive from
-  /// (seed, chunk_index) and whose partial aggregates reduce through the
-  /// deterministic engine tree, so the result is identical for every
-  /// num_threads value.
-  std::uint64_t seed = 1;
-  /// RNG stream contract (see common/rng_lanes.h). kV3Batched (default)
-  /// perturbs through the prepared sampler plan with the four lane
-  /// streams of ChunkSeed(seed, chunk); dense (m == d) runs are laid out
-  /// exactly as kV2Lanes while sampled (m < d) runs batch many users'
-  /// entries into each lane span — the fast path, invariant to
-  /// SIMD-vs-scalar builds. kV2Lanes replays the per-user sampled lane
-  /// spans of the first lane-era releases; kV1Scalar replays the legacy
-  /// per-chunk scalar stream (ReportDense / ReportBatch draw order) and
-  /// reproduces pre-lane-era mean estimates bit for bit under their old
-  /// seeds.
-  SeedScheme seed_scheme = SeedScheme::kV3Batched;
   /// Maximum worker threads simulating chunks concurrently (on the shared
   /// ThreadPool). 1 = serial, 0 = one per hardware thread. Affects
   /// wall-clock time only, never the estimate.
   std::size_t num_threads = 1;
-  /// Retry policy for transient (kUnavailable) chunk faults. Recovered
-  /// retries never change the estimate.
-  engine::RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// instead of failing the run; the estimate then covers surviving
-  /// users only (per-dimension averages already divide by received
-  /// report counts, so no post-hoc correction is applied) and the
-  /// result reports the quarantined chunk indices.
-  bool allow_missing_chunks = false;
-  /// Checkpoint file path; empty disables checkpointing. With a path,
-  /// per-group accumulator state persists as the run progresses
-  /// (protocol/snapshot.h); re-running after a crash resumes from the
-  /// file and produces bit-identical final estimates, and a completed
-  /// run removes its spent checkpoint.
-  std::string checkpoint_path;
   /// Report encoding. kDense/kSampled run the numeric path above (each
   /// reported value perturbed by `mechanism` at eps/m); kHadamard1 runs
   /// the 1-bit path (protocol/hadamard.h): each user's m sampled values

@@ -1,0 +1,95 @@
+#include "protocol/run_control.h"
+
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+namespace hdldp {
+namespace protocol {
+
+Status ValidateRunControl(const engine::RunControl& control,
+                          ReportEncoding encoding, Workload workload) {
+  const bool oracle =
+      encoding == ReportEncoding::kOue || encoding == ReportEncoding::kOlh;
+  if (workload == Workload::kFrequency) {
+    if (encoding == ReportEncoding::kHadamard1) {
+      return Status::InvalidArgument(
+          "hadamard1 is a mean encoding; frequency estimation supports "
+          "dense|sampled|oue|olh");
+    }
+  } else if (oracle) {
+    return Status::InvalidArgument(
+        "oue/olh are frequency-oracle encodings; mean estimation supports "
+        "dense|sampled|hadamard1");
+  }
+  if (control.checkpoint_path.empty()) return Status::OK();
+  if (oracle) {
+    return Status::InvalidArgument(
+        "frequency-oracle encodings do not support checkpointing; drop "
+        "--checkpoint or use the numeric encoding");
+  }
+  if (workload == Workload::kFrequency &&
+      control.seed_scheme == SeedScheme::kV1Scalar) {
+    return Status::InvalidArgument(
+        "frequency checkpointing requires an engine seed scheme (kV2Lanes "
+        "or kV3Batched); the kV1Scalar serial loop predates the reduction "
+        "tree");
+  }
+  return Status::OK();
+}
+
+Result<MeanReduction> ReduceMeanChunks(const engine::ChunkedEstimation& core,
+                                       const RunDigest& digest,
+                                       std::size_t width,
+                                       const mech::DomainMap& map,
+                                       const MeanChunkBody& body) {
+  // Translates between the codec's opaque group records and the
+  // aggregator's exact state (MeanAggregator::SerializeState).
+  const std::string& path = core.control().checkpoint_path;
+  std::optional<SnapshotFile> snapshot;
+  engine::CheckpointHooks<MeanAggregator> hooks;
+  if (!path.empty()) {
+    HDLDP_ASSIGN_OR_RETURN(SnapshotFile file,
+                           SnapshotFile::Open(path, digest.bytes));
+    snapshot.emplace(std::move(file));
+    hooks.load = [&snapshot, width, map](std::size_t group)
+        -> Result<std::optional<engine::GroupCheckpoint<MeanAggregator>>> {
+      std::optional<SnapshotFile::GroupState> state = snapshot->Load(group);
+      if (!state.has_value()) {
+        return std::optional<engine::GroupCheckpoint<MeanAggregator>>();
+      }
+      HDLDP_ASSIGN_OR_RETURN(MeanAggregator acc,
+                             MeanAggregator::Create(width, map));
+      HDLDP_RETURN_NOT_OK(acc.RestoreState(state->acc_state));
+      return std::optional<engine::GroupCheckpoint<MeanAggregator>>(
+          engine::GroupCheckpoint<MeanAggregator>{
+              state->chunks_done, std::move(state->quarantined),
+              std::move(acc)});
+    };
+    hooks.save = [&snapshot](std::size_t group, std::size_t chunks_done,
+                             const std::vector<std::size_t>& quarantined,
+                             const MeanAggregator& acc) -> Status {
+      std::vector<unsigned char> bytes;
+      acc.SerializeState(&bytes);
+      return snapshot->Save(group, chunks_done, quarantined, bytes);
+    };
+  }
+  const bool resumed = snapshot.has_value() && snapshot->resumed();
+  std::vector<std::size_t> quarantined;
+  HDLDP_ASSIGN_OR_RETURN(
+      MeanAggregator aggregator,
+      core.ReduceResumable<MeanAggregator>(
+          [&] { return MeanAggregator::Create(width, map); }, body, hooks,
+          &quarantined));
+  // The run completed; its checkpoint is spent.
+  if (snapshot.has_value()) {
+    HDLDP_RETURN_NOT_OK(snapshot->Close());
+    HDLDP_RETURN_NOT_OK(SnapshotFile::Remove(path));
+  }
+  return MeanReduction{std::move(aggregator), std::move(quarantined),
+                       resumed};
+}
+
+}  // namespace protocol
+}  // namespace hdldp

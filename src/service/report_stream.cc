@@ -36,7 +36,6 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
   HDLDP_ASSIGN_OR_RETURN(mech::MechanismPtr mechanism,
                          mech::MakeMechanism(options.mechanism));
   ReportStream stream(options);
-  stream.mechanism_ = mechanism;
   const std::size_t m = options.report_dims == 0 ? options.num_dims
                                                  : options.report_dims;
   if (m > options.num_dims) {
@@ -117,6 +116,7 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
         stream.per_entry_epsilon_,
         protocol::BudgetAccountant::PerEntryBudget(options.epsilon, m));
     HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(stream.per_entry_epsilon_));
+    stream.plan_ = mechanism->MakePlan(stream.per_entry_epsilon_);
     // One-hot entries live in {0, 1}; map that onto the mechanism's
     // native input domain, exactly like the freq pipeline does.
     HDLDP_ASSIGN_OR_RETURN(
@@ -266,7 +266,7 @@ Status ReportStream::Generate(std::uint64_t index,
             domain_map_.Forward(k == answer ? 1.0 : 0.0);
         report.entries.push_back(protocol::DimensionReport{
             static_cast<std::uint32_t>(question * c + k),
-            mechanism_->Perturb(native, per_entry_epsilon_, &rng)});
+            mech::PerturbOne(plan_, native, &rng)});
       }
     }
   }

@@ -149,8 +149,8 @@ class ReportStream {
   Status GenerateCompact(std::uint64_t index, std::vector<std::uint8_t>* out);
 
   ReportStreamOptions options_;
-  mech::MechanismPtr mechanism_;
   std::optional<protocol::Client> client_;  // kMean only
+  mech::SamplerPlan plan_;  // kFreq numeric perturbation at per_entry_epsilon_
   // Compact-encoding parameters (one of them, matching options_.encoding).
   std::optional<protocol::Hadamard1Params> hadamard_;
   freq::OueParams oue_;

@@ -1,5 +1,5 @@
-// Tests of the batched ingestion path: Mechanism::PerturbBatch,
-// Client::ReportBatch and MeanAggregator::ConsumeBatch must be
+// Tests of the batched ingestion path: Client::ReportBatch and
+// MeanAggregator::ConsumeBatch must be
 // bit-identical to the scalar path under a fixed seed (the pipeline runs
 // the batched path, so this equivalence is what keeps historical
 // fixed-seed results stable), and ConsumeBatch must reject malformed
@@ -23,41 +23,6 @@ namespace {
 
 mech::MechanismPtr Mech(std::string_view name) {
   return mech::MakeMechanism(name).value();
-}
-
-// Inputs spread over the mechanism's native domain.
-std::vector<double> NativeInputs(const mech::Mechanism& mechanism,
-                                 std::size_t count) {
-  const mech::Interval domain = mechanism.InputDomain();
-  std::vector<double> ts(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ts[i] = domain.lo + domain.Width() * static_cast<double>(i) /
-                            static_cast<double>(count - 1);
-  }
-  return ts;
-}
-
-TEST(PerturbBatchTest, BitIdenticalToScalarForEveryMechanism) {
-  for (const auto name : mech::RegisteredMechanismNames()) {
-    SCOPED_TRACE(std::string(name));
-    const auto mechanism = Mech(name);
-    const std::vector<double> ts = NativeInputs(*mechanism, 257);
-    for (const double eps : {0.05, 0.5, 1.0, 4.0}) {
-      Rng scalar_rng(1234);
-      std::vector<double> scalar(ts.size());
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        scalar[i] = mechanism->Perturb(ts[i], eps, &scalar_rng);
-      }
-      Rng batch_rng(1234);
-      std::vector<double> batched(ts.size());
-      mechanism->PerturbBatch(ts, eps, &batch_rng, batched);
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        ASSERT_EQ(scalar[i], batched[i]) << "eps=" << eps << " i=" << i;
-      }
-      // Both paths must leave the stream in the same state.
-      EXPECT_EQ(scalar_rng.Next(), batch_rng.Next());
-    }
-  }
 }
 
 TEST(ReportBatchTest, BitIdenticalToSequentialReports) {

@@ -43,9 +43,9 @@ std::uint64_t Bits(double v) {
 // --- Engine geometry -------------------------------------------------------
 
 TEST(ChunkedEstimationTest, ScheduleIsAPureFunctionOfUsersAndSeed) {
-  engine::EngineOptions options;
-  options.seed = 77;
-  const engine::ChunkedEstimation core(10000, options);
+  engine::RunControl control;
+  control.seed = 77;
+  const engine::ChunkedEstimation core(10000, control, 1);
   EXPECT_EQ(core.num_chunks(), 3u);  // ceil(10000 / 4096)
   const engine::ChunkRange r0 = core.Range(0);
   const engine::ChunkRange r2 = core.Range(2);
@@ -58,9 +58,9 @@ TEST(ChunkedEstimationTest, ScheduleIsAPureFunctionOfUsersAndSeed) {
 }
 
 TEST(ChunkedEstimationTest, StreamsMatchTheDocumentedContracts) {
-  engine::EngineOptions options;
-  options.seed = 5;
-  const engine::ChunkedEstimation core(5000, options);
+  engine::RunControl control;
+  control.seed = 5;
+  const engine::ChunkedEstimation core(5000, control, 1);
   const engine::ChunkRange r = core.Range(1);
   // Lane l of the chunk's lane generator is Rng(LaneSeed(chunk_seed, l)).
   RngLanes lanes = core.LaneStreams(r);
@@ -278,7 +278,7 @@ TEST(MeanPipelineGoldenTest, V3SampledGoldensPinTheBatchedLayout) {
 
 TEST(MeanPipelineGoldenTest, V3BatchedIsTheDefaultScheme) {
   EXPECT_EQ(protocol::PipelineOptions{}.seed_scheme, SeedScheme::kV3Batched);
-  EXPECT_EQ(engine::EngineOptions{}.seed_scheme, SeedScheme::kV3Batched);
+  EXPECT_EQ(engine::RunControl{}.seed_scheme, SeedScheme::kV3Batched);
 }
 
 TEST(MeanPipelineGoldenTest, V3DenseEqualsV2DenseBitForBit) {

@@ -1,15 +1,13 @@
 // Tests of the prepared sampler plans (mech/plan.h): MakePlan() output
 // must be bit-identical to the scalar Perturb() path for every registered
 // mechanism across an eps grid that includes the tiny per-dimension
-// budgets of high-d runs (eps/m = 0.001), the GenericPlan fallback must
-// hold the same contract for mechanisms without a specialized plan, and
-// the dense client/aggregator fast path must match the scalar protocol.
+// budgets of high-d runs (eps/m = 0.001), and the dense client/aggregator
+// fast path must match the scalar protocol.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -53,9 +51,6 @@ TEST(SamplerPlanTest, BitIdenticalToScalarForEveryMechanism) {
       SCOPED_TRACE(eps);
       ASSERT_TRUE(mechanism->ValidateBudget(eps).ok());
       const SamplerPlan plan = mechanism->MakePlan(eps);
-      // Every registered mechanism must provide a real plan, not the
-      // virtual-dispatch fallback.
-      EXPECT_FALSE(std::holds_alternative<GenericPlan>(plan));
 
       Rng scalar_rng(0x9'1234);
       std::vector<double> scalar(ts.size());
@@ -97,41 +92,6 @@ TEST(SamplerPlanTest, PlanIsReusableAcrossCalls) {
       ASSERT_EQ(mechanism->Perturb(ts[i], 0.02, &scalar_rng), planned[i]);
     }
   }
-}
-
-// A mechanism that does not override MakePlan(): the GenericPlan fallback
-// must still match its scalar path bit for bit.
-class NoPlanMechanism final : public Mechanism {
- public:
-  std::string_view Name() const override { return "no_plan"; }
-  bool IsBounded() const override { return true; }
-  Interval InputDomain() const override { return {-1.0, 1.0}; }
-  Result<Interval> OutputDomain(double) const override {
-    return Interval{-2.0, 2.0};
-  }
-  double Perturb(double t, double eps, Rng* rng) const override {
-    return Clamp(t, -1.0, 1.0) + rng->Uniform(-1.0 / eps, 1.0 / eps);
-  }
-  Result<double> Density(double, double, double) const override {
-    return 0.0;
-  }
-  Result<std::vector<double>> DensityBreakpoints(double,
-                                                 double) const override {
-    return std::vector<double>{-2.0, 2.0};
-  }
-};
-
-TEST(SamplerPlanTest, GenericFallbackMatchesScalar) {
-  const NoPlanMechanism mechanism;
-  const SamplerPlan plan = mechanism.MakePlan(0.5);
-  ASSERT_TRUE(std::holds_alternative<GenericPlan>(plan));
-  Rng scalar_rng(5);
-  Rng plan_rng(5);
-  for (double t = -1.0; t <= 1.0; t += 0.125) {
-    ASSERT_EQ(mechanism.Perturb(t, 0.5, &scalar_rng),
-              PerturbOne(plan, t, &plan_rng));
-  }
-  EXPECT_EQ(scalar_rng.Next(), plan_rng.Next());
 }
 
 }  // namespace

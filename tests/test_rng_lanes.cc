@@ -101,25 +101,6 @@ TEST(RngLanesTest, UniformsAreThe52BitGrid) {
   }
 }
 
-TEST(RngLanesTest, ExtractInjectRoundTripsLaneStreams) {
-  RngLanes lanes(5);
-  RngLanes reference(5);
-  // Drain two values from lane 2 through a scalar view, put it back.
-  Rng lane2 = lanes.ExtractLane(2);
-  lane2.Next();
-  lane2.Next();
-  lanes.InjectLane(2, lane2);
-  // Reference: advance every lane twice, discarding.
-  std::uint64_t scratch[RngLanes::kLanes];
-  reference.NextLanes(scratch);
-  reference.NextLanes(scratch);
-  std::uint64_t got[RngLanes::kLanes];
-  std::uint64_t want[RngLanes::kLanes];
-  lanes.NextLanes(got);
-  reference.NextLanes(want);
-  EXPECT_EQ(got[2], want[2]);  // Lane 2 advanced exactly two steps.
-}
-
 TEST(LaneMathTest, LogKernelBitIdenticalToScalarTwin) {
   // Dispatching Log4 (AVX2 on SIMD builds) against the always-scalar
   // twin, over random uniform-grid arguments plus edge values.
@@ -249,29 +230,6 @@ TEST(PerturbLanesTest, PartialGroupPaddingIsPrefixStable) {
   lanes7.NextLanes(a);
   lanes8.NextLanes(b);
   for (std::size_t l = 0; l < RngLanes::kLanes; ++l) EXPECT_EQ(a[l], b[l]);
-}
-
-TEST(PerturbLanesTest, GenericPlanRunsScalarSamplerPerLane) {
-  const auto mechanism = mech::MakeMechanism("piecewise").value();
-  const double eps = 0.8;
-  const mech::GenericPlan generic{mechanism.get(), eps};
-  const mech::SamplerPlan plan = generic;
-  std::vector<double> ts(11);
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    ts[i] = -1.0 + 2.0 * static_cast<double>(i) / (ts.size() - 1);
-  }
-  std::vector<double> out(ts.size());
-  RngLanes lanes(77);
-  mech::PerturbLanes(plan, ts, &lanes, out);
-  // Reference: value i consumed from Rng(LaneSeed(77, i % kLanes)), in
-  // stride order, with no padding draws.
-  Rng ref[RngLanes::kLanes] = {Rng(LaneSeed(77, 0)), Rng(LaneSeed(77, 1)),
-                               Rng(LaneSeed(77, 2)), Rng(LaneSeed(77, 3))};
-  for (std::size_t l = 0; l < RngLanes::kLanes; ++l) {
-    for (std::size_t i = l; i < ts.size(); i += RngLanes::kLanes) {
-      EXPECT_EQ(out[i], mechanism->Perturb(ts[i], eps, &ref[l])) << i;
-    }
-  }
 }
 
 TEST(PerturbLanesTest, LaneDistributionsMatchScalarPlans) {

@@ -1,115 +1,67 @@
 // hdldp_cli: command-line front end for the hdldp library.
 //
-// Subcommands:
+// All flags are --key=value (a bare --key means --key=true); unknown keys
+// and malformed values are errors. Values parse strictly: integers and
+// reals must be consumed whole (--report-dims=4x, --threads=four and
+// --seed=-1 are rejected), booleans are true or false.
 //
-//   hdldp_cli mean    --mechanism=piecewise --dataset=gaussian
-//                     --users=20000 --dims=128 --epsilon=0.5
-//                     [--report-dims=0] [--seed=1] [--threads=1]
-//                     [--seed-scheme=v3] [--recalibrate=both|l1|l2|none]
-//                     [--gate] [--input=<shard-dir>] [--chunk-keyed]
-//                     [--encoding=dense|sampled|hadamard1]
+// Subcommands and their own flags:
+//
+//   hdldp_cli mean    [--mechanism=piecewise] [--epsilon=1] [--report-dims=0]
+//                     [--threads=1] [--recalibrate=both|l1|l2|none] [--gate]
+//                     [--print-estimate] [--encoding=dense|sampled|hadamard1]
+//                     + run-control flags + numeric source flags
+//                       (--dataset=uniform --dims=128)
 //       Runs the full mean-estimation protocol and prints naive and
-//       HDR4ME-enhanced MSE. --encoding=hadamard1 runs the 1-bit
-//       compact-report path (protocol/hadamard.h); oue/olh are
-//       frequency encodings and are rejected here.
+//       HDR4ME-enhanced MSE (--print-estimate adds 17-digit estimates).
+//       --encoding=hadamard1 runs the 1-bit compact-report path
+//       (protocol/hadamard.h); oue/olh are frequency encodings and are
+//       rejected here.
 //
-//   hdldp_cli freq    --mechanism=piecewise --users=20000 --questions=16
-//                     --categories=8 [--zipf=1.0] [--epsilon=1]
-//                     [--sampled=4] [--seed=1] [--threads=1]
-//                     [--seed-scheme=v3] [--input=<shard-dir>]
-//                     [--encoding=dense|sampled|oue|olh]
+//   hdldp_cli freq    [--mechanism=piecewise] [--epsilon=1] [--sampled=0]
+//                     [--questions=16] [--categories=8] [--zipf=1.0]
+//                     [--threads=1] [--encoding=dense|sampled|oue|olh]
+//                     + run-control flags + categorical source flags
 //       Runs the Section V-C frequency-estimation protocol.
 //       --encoding=oue|olh runs the frequency-oracle path (one
-//       categorical report per sampled dimension at eps/m);
-//       hadamard1 is a mean encoding and is rejected here.
+//       categorical report per sampled dimension at eps/m); hadamard1 is
+//       a mean encoding and is rejected here. With --input keep
+//       --questions/--categories: the shard stores category indices, the
+//       schema stores cardinalities.
 //
-//   hdldp_cli generate --out=<shard-dir> --dataset=uniform
-//                      --users=1000000 --dims=16 [--seed=1]
-//                      [--chunks-per-file=1024]
-//       Streams a chunk-keyed synthetic population into an on-disk
-//       shard directory (data/shard.h) without ever materializing it;
-//       --dataset=categorical (with --questions/--categories/--zipf)
-//       writes category indices for the freq pipeline instead.
+//   hdldp_cli variance [--mechanism=piecewise] [--epsilon=1] [--recalibrate]
+//                      + run-control flags + numeric source flags
+//                        (--dataset=gaussian --dims=64)
+//       Runs the split-population variance-estimation extension.
 //
-// Data-source flags shared by mean/freq/variance:
-//   --input=<shard-dir>  estimate over an on-disk shard directory
-//       (population size and dimensionality come from the shards; the
-//       in-memory generator flags --dataset/--users/--dims are
-//       rejected). Estimates are bit-identical to the same values
-//       resident in memory.
-//   --chunk-keyed        generate the in-memory population with the
-//       chunk-keyed contract (data/generator_source.h) instead of the
-//       classic sequential stream, so the run matches
-//       `generate --seed=<same seed>` + `--input` bit for bit.
-//
-// Fault-tolerance flags shared by mean/freq/variance:
-//   --checkpoint=<file>        persist per-group progress; re-running the
-//       same command after a crash resumes from the file with
-//       bit-identical final estimates (freq requires an engine seed
-//       scheme, v2/v3). Variance checkpoints its two halves at
-//       <file>.values and <file>.squares.
-//   --max-attempts=N           total attempts per chunk on transient
-//       (Unavailable) faults; 1 = no retry.
-//   --backoff-ms=B             exponential backoff base: B << (k-1) ms
-//       before retry k.
-//   --max-total-backoff-ms=D   wall-clock retry budget per chunk: once D
-//       ms have elapsed since the chunk's first failure, no further
-//       retries (0 = unlimited).
-//   --allow-missing-chunks     quarantine chunks that still fail after
-//       retries instead of failing the run (the estimate then covers the
-//       surviving users, and the run reports the quarantined chunks).
-//   --fault-seed=S --fault-transient-rate=P --fault-persistent-rate=P
-//   --fault-bitflip-rate=P --fault-failing-attempts=K
-//       wrap the source in a deterministic fault injector
-//       (data/fault_injection.h): same seed, same faults, at any thread
-//       count. For testing the machinery above, including from CI.
-//
-// Write-path fault injection (generate: shard writes; serve/replay:
-// snapshot writes) — deterministic, keyed by (seed, write-op index):
-//   --write-fault-seed=S --write-fault-short-rate=P
-//   --write-fault-nospace-rate=P --write-fault-fsync-rate=P
-//       injected ENOSPC / short write exits 5 (resource exhausted),
-//       injected fsync failure exits 4 (data loss); either way the
-//       previous on-disk state survives intact.
-//
-// Byzantine-tenant quarantine (serve/replay):
-//   --max-invalid-per-tenant=K     after K consecutive rejected reports
-//       a tenant is quarantined: later reports are counted-shed at O(1)
-//       and its streak is part of the snapshot digest state.
-//
-// Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 data
-// loss / I/O failure, 5 resource exhausted (see ExitCodeFor below).
-//
-// --seed-scheme selects the RNG stream contract (common/rng_lanes.h):
-// "v3" (default) is the lane-parallel fast path with cross-user sampled
-// batching, "v2" replays the per-user sampled lane spans and "v1" the
-// legacy scalar streams, so recorded runs of either era are reproducible
-// without recompiling; unknown names are a one-line error, never a
-// silent default. --threads bounds worker concurrency (0 = one per
-// hardware thread); estimates never depend on it.
-//
-//   hdldp_cli analyze --epsilon=0.001 --reports=10000 [--xi=0.001,0.01,...]
+//   hdldp_cli analyze [--epsilon=0.001] [--reports=10000]
+//                     [--xi=0.001,0.01,0.05,0.1]
 //       Pure analytical benchmark of all registered mechanisms at a
 //       per-dimension budget (no experiment; the paper's framework).
 //
-//   hdldp_cli variance --mechanism=piecewise --dataset=gaussian
-//                      --users=20000 --dims=64 --epsilon=1
-//                      [--recalibrate] [--seed=1] [--seed-scheme=v3]
-//       Runs the split-population variance-estimation extension.
+//   hdldp_cli generate --out=<shard-dir> [--dataset=uniform] [--users=20000]
+//                      [--dims=16] [--seed=1] [--chunks-per-file=1024]
+//                      [--questions=16 --categories=8 --zipf=1.0]
+//                      + write-fault flags
+//       Streams a chunk-keyed synthetic population into an on-disk shard
+//       directory (data/shard.h) without ever materializing it;
+//       --dataset=categorical writes category indices for freq instead.
 //
-//   hdldp_cli serve   --workload=mean|freq --mechanism=duchi
-//                     --reports=10000 --dims=8 --epsilon=1
-//                     [--report-dims=0] [--questions/--categories (freq)]
-//                     [--seed=1] [--tenants=4] [--tenant-budget=0]
-//                     [--reports-per-tick=0] [--window-width=1]
-//                     [--window-slide=0] [--window-lateness=0]
-//                     [--threads=0] [--queue-capacity=1024]
-//                     [--overload=shed|block] [--checkpoint=<file>]
-//                     [--snapshot-every=0] [--kill-after=0]
+//   hdldp_cli serve   [--workload=mean|freq] [--mechanism=duchi]
+//                     [--reports=10000] [--dims=8 | --questions=4
+//                     --categories=4] [--report-dims=0] [--epsilon=1]
+//                     [--seed=1] [--seed-scheme=v1] [--tenants=4]
+//                     [--tenant-budget=0] [--reports-per-tick=0]
+//                     [--window-width=1] [--window-slide=0]
+//                     [--window-lateness=0] [--threads=0]
+//                     [--queue-capacity=1024] [--overload=shed|block]
+//                     [--checkpoint=<file>] [--snapshot-every=0]
+//                     [--kill-after=0] [--max-invalid-per-tenant=0]
 //                     [--fault-drop-rate=P] [--fault-duplicate-rate=P]
 //                     [--fault-reorder-rate=P] [--fault-reorder-delay=3]
 //                     [--fault-seed=S] [--print-estimate]
 //                     [--encoding=dense|sampled|oue|olh|hadamard1]
+//                     + write-fault flags
 //       Drives a deterministic report stream through the online
 //       aggregation service (src/service/): asynchronous multi-worker
 //       ingestion, per-(tenant, sequence) dedup, per-tenant budget
@@ -117,26 +69,84 @@
 //       load shedding, and crash-safe snapshots (--checkpoint +
 //       --snapshot-every; re-running after a kill resumes from the file
 //       and republishes bit-identical estimates). --kill-after=N
-//       simulates the crash: the process exits abruptly (code 7) after
-//       N stream envelopes.
+//       simulates the crash: the process exits abruptly (code 7) after N
+//       stream envelopes. After K consecutive rejected reports
+//       (--max-invalid-per-tenant) a tenant is quarantined and counted-
+//       shed. The service's --checkpoint and --fault-* flags are its
+//       own (snapshot file; report delivery faults), not the groups below.
 //
-//   hdldp_cli replay  <same flags minus --threads/--queue-capacity/
+//   hdldp_cli replay  <serve flags minus --threads/--queue-capacity/
 //                      --overload>
 //       The deterministic single-threaded twin of serve: one worker,
 //       lossless backpressure — the golden path whose published bits
 //       serve must reproduce at any worker count. serve/replay ingest
-//       per-report scalar streams: --seed-scheme=v1 is the only
-//       accepted scheme; v2/v3 are a typed validation error.
+//       per-report scalar streams: --seed-scheme=v1 is the only accepted
+//       scheme; v2/v3 are a typed validation error.
 //
-// All flags are --key=value; unknown keys are errors.
+// Run-control flags (mean/freq/variance; engine::RunControl):
+//   --seed=1                   seed of the run; every stream derives from it.
+//   --seed-scheme=v3           RNG stream contract (common/rng_lanes.h):
+//       "v3" is the lane-parallel fast path with cross-user sampled
+//       batching, "v2" replays the per-user sampled lane spans and "v1"
+//       the legacy scalar streams, so recorded runs of every era stay
+//       reproducible without recompiling.
+//   --max-attempts=1           total attempts per chunk on transient
+//       (Unavailable) faults; 1 = no retry.
+//   --backoff-ms=0             exponential backoff base: B << (k-1) ms
+//       before retry k.
+//   --max-total-backoff-ms=0   wall-clock retry budget per chunk from its
+//       first failure (0 = unlimited).
+//   --allow-missing-chunks     quarantine chunks that still fail after
+//       retries instead of failing the run (the estimate then covers the
+//       surviving users, and the run reports the quarantined chunks).
+//   --checkpoint=<file>        persist per-group progress; re-running the
+//       same command after a crash resumes with bit-identical final
+//       estimates (freq needs v2/v3 and a numeric encoding; variance
+//       checkpoints its halves at <file>.values and <file>.squares).
+// --threads (mean/freq) bounds worker concurrency (0 = one per hardware
+// thread); estimates never depend on it.
+//
+// Source flags (mean/freq/variance):
+//   --input=<shard-dir>   estimate over an on-disk shard directory
+//       (population size and dimensionality come from the shards, so the
+//       in-memory generator flags are rejected). Estimates are
+//       bit-identical to the same values resident in memory.
+//   --users=20000         in-memory population size; mean/variance also
+//       take --dataset=uniform|gaussian|poisson|correlated and --dims, and
+//   --chunk-keyed         generate it with the chunk-keyed contract
+//       (data/generator_source.h), so the run matches
+//       `generate --seed=<same seed>` + `--input` bit for bit.
+//   --fault-seed=S --fault-transient-rate=P --fault-persistent-rate=P
+//   --fault-bitflip-rate=P --fault-failing-attempts=K
+//       wrap the source in a deterministic fault injector
+//       (data/fault_injection.h): same seed, same faults, at any thread
+//       count. For testing the run-control machinery, including from CI.
+//
+// Write-fault flags (generate: shard writes; serve/replay: snapshot
+// writes) — deterministic, keyed by (seed, write-op index):
+//   --write-fault-seed=S --write-fault-short-rate=P
+//   --write-fault-nospace-rate=P --write-fault-fsync-rate=P
+//       injected ENOSPC / short write exits 5 (resource exhausted),
+//       injected fsync failure exits 4 (data loss); either way the
+//       previous on-disk state survives intact.
+//
+// Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 data
+// loss / I/O failure, 5 resource exhausted (see ExitCodeFor below).
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -145,8 +155,8 @@
 #include "data/generator_source.h"
 #include "data/generators.h"
 #include "data/shard.h"
+#include "engine/run_control.h"
 #include "framework/benchmark.h"
-#include "framework/berry_esseen.h"
 #include "framework/deviation_model.h"
 #include "framework/value_distribution.h"
 #include "freq/encoding.h"
@@ -163,6 +173,79 @@ namespace {
 
 using hdldp::Result;
 using hdldp::Status;
+
+// Strict value parsers, one per flag value type.
+Status ParseValue(std::string_view text, std::string* out) {
+  *out = text;
+  return Status::OK();
+}
+
+Status ParseValue(std::string_view text, bool* out) {
+  if (text != "true" && text != "false") {
+    return Status::InvalidArgument("want true or false");
+  }
+  *out = text == "true";
+  return Status::OK();
+}
+
+template <typename T>
+  requires std::is_arithmetic_v<T>
+Status ParseValue(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(std::is_integral_v<T>
+                                       ? "want a non-negative integer"
+                                       : "want a number");
+  }
+  return Status::OK();
+}
+
+Status ParseValue(std::string_view text, std::vector<double>* out) {
+  out->clear();
+  while (!text.empty()) {
+    const std::size_t comma = text.find(',');
+    const std::string_view token = text.substr(0, comma);
+    if (!token.empty()) {
+      HDLDP_RETURN_NOT_OK(ParseValue(token, &out->emplace_back()));
+    }
+    text = comma == std::string_view::npos ? "" : text.substr(comma + 1);
+  }
+  return Status::OK();
+}
+
+Status ParseValue(std::string_view text, hdldp::SeedScheme* out) {
+  if (text == "v3" || text == "3") {
+    *out = hdldp::SeedScheme::kV3Batched;
+  } else if (text == "v2" || text == "2") {
+    *out = hdldp::SeedScheme::kV2Lanes;
+  } else if (text == "v1" || text == "1") {
+    *out = hdldp::SeedScheme::kV1Scalar;
+  } else {
+    return Status::InvalidArgument("want v1|v2|v3");
+  }
+  return Status::OK();
+}
+
+Status ParseValue(std::string_view text,
+                  hdldp::protocol::ReportEncoding* out) {
+  HDLDP_ASSIGN_OR_RETURN(*out, hdldp::protocol::ParseReportEncoding(
+                                   std::string(text)));
+  return Status::OK();
+}
+
+// One row of a flag table: the flag's name and the variable its value
+// parses into. The variable's current value is the flag's default.
+struct Flag {
+  template <typename T>
+  Flag(const char* flag_name, T* target)
+      : name(flag_name), parse([target](std::string_view text) {
+          return ParseValue(text, target);
+        }) {}
+
+  const char* name;
+  std::function<Status(std::string_view)> parse;
+};
 
 class Flags {
  public:
@@ -184,30 +267,20 @@ class Flags {
     return flags;
   }
 
-  std::string GetString(const std::string& key, std::string fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double GetDouble(const std::string& key, double fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
-  std::size_t GetSize(const std::string& key, std::size_t fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : static_cast<std::size_t>(std::atoll(it->second.c_str()));
-  }
-
-  bool GetBool(const std::string& key) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second == "true";
+  /// Parses every given flag of `table` into its variable (absent flags
+  /// keep the default) and marks the table's names as known.
+  Status Read(std::initializer_list<Flag> table) {
+    for (const Flag& flag : table) {
+      consumed_.insert(flag.name);
+      const auto it = values_.find(flag.name);
+      if (it == values_.end()) continue;
+      const Status parsed = flag.parse(it->second);
+      if (!parsed.ok()) {
+        return Status::InvalidArgument("--" + it->first + "=" + it->second +
+                                       ": " + parsed.message());
+      }
+    }
+    return Status::OK();
   }
 
   /// Whether the flag was provided at all (does not consume it).
@@ -215,25 +288,7 @@ class Flags {
     return values_.find(key) != values_.end();
   }
 
-  std::vector<double> GetDoubleList(const std::string& key,
-                                    std::vector<double> fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    std::vector<double> out;
-    std::string token;
-    for (const char c : it->second + ",") {
-      if (c == ',') {
-        if (!token.empty()) out.push_back(std::atof(token.c_str()));
-        token.clear();
-      } else {
-        token += c;
-      }
-    }
-    return out;
-  }
-
-  /// Errors if any provided flag was never consumed (catches typos).
+  /// Errors if any provided flag was never read (catches typos).
   Status CheckAllConsumed() const {
     for (const auto& [key, value] : values_) {
       if (consumed_.find(key) == consumed_.end()) {
@@ -245,77 +300,218 @@ class Flags {
 
  private:
   std::map<std::string, std::string> values_;
-  mutable std::set<std::string> consumed_;
+  std::set<std::string> consumed_;
 };
 
-// Fault-tolerance flags shared by mean/freq/variance: retry policy,
-// quarantine opt-in, checkpoint path, and (mean/freq/variance in-process
-// testing) deterministic fault injection over the resolved source.
-struct FaultFlags {
-  hdldp::engine::RetryPolicy retry;
-  bool allow_missing_chunks = false;
-  std::string checkpoint;
-  /// Set when any --fault-* rate is nonzero; the source is then wrapped
-  /// in a FaultInjectingChunkSource over FaultSchedule::Random.
-  bool inject = false;
-  std::uint64_t fault_seed = 0;
-  hdldp::data::FaultSchedule::RandomOptions random;
-};
-
-Result<FaultFlags> ParseFaultFlags(Flags* flags) {
-  FaultFlags ft;
-  const std::size_t max_attempts = flags->GetSize("max-attempts", 1);
-  if (max_attempts == 0) {
-    return Status::InvalidArgument("--max-attempts must be >= 1");
-  }
-  ft.retry.max_attempts = static_cast<int>(max_attempts);
-  ft.retry.initial_backoff_ms = flags->GetSize("backoff-ms", 0);
-  ft.retry.max_total_backoff_ms =
-      flags->GetSize("max-total-backoff-ms", 0);
-  ft.allow_missing_chunks = flags->GetBool("allow-missing-chunks");
-  ft.checkpoint = flags->GetString("checkpoint", "");
-  ft.fault_seed = flags->GetSize("fault-seed", 0);
-  ft.random.transient_rate = flags->GetDouble("fault-transient-rate", 0.0);
-  ft.random.persistent_rate = flags->GetDouble("fault-persistent-rate", 0.0);
-  ft.random.bit_flip_rate = flags->GetDouble("fault-bitflip-rate", 0.0);
-  const std::size_t failing =
-      flags->GetSize("fault-failing-attempts", 1);
-  if (failing == 0) {
-    return Status::InvalidArgument("--fault-failing-attempts must be >= 1");
-  }
-  ft.random.failing_attempts = static_cast<int>(failing);
-  for (const double rate : {ft.random.transient_rate,
-                            ft.random.persistent_rate,
-                            ft.random.bit_flip_rate}) {
+Status CheckRates(std::initializer_list<double> rates, const char* family) {
+  for (const double rate : rates) {
     if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::InvalidArgument("--fault-*-rate must lie in [0, 1]");
+      return Status::InvalidArgument(std::string(family) +
+                                     "-rate must lie in [0, 1]");
     }
   }
-  ft.inject = ft.random.transient_rate > 0.0 ||
-              ft.random.persistent_rate > 0.0 ||
-              ft.random.bit_flip_rate > 0.0;
-  return ft;
+  return Status::OK();
+}
+
+// The run-control group, straight into the options' engine::RunControl.
+Status ReadRunControl(Flags* flags, hdldp::engine::RunControl* control) {
+  HDLDP_RETURN_NOT_OK(flags->Read(
+      {{"seed", &control->seed},
+       {"seed-scheme", &control->seed_scheme},
+       {"max-attempts", &control->retry.max_attempts},
+       {"backoff-ms", &control->retry.initial_backoff_ms},
+       {"max-total-backoff-ms", &control->retry.max_total_backoff_ms},
+       {"allow-missing-chunks", &control->allow_missing_chunks},
+       {"checkpoint", &control->checkpoint_path}}));
+  if (control->retry.max_attempts < 1) {
+    return Status::InvalidArgument("--max-attempts must be >= 1");
+  }
+  return Status::OK();
 }
 
 // Write-path fault-injection flags (generate: shard part files;
-// serve/replay: snapshot records). Same deterministic seed-keyed
-// contract as the read-side --fault-* family.
-Result<hdldp::WriteFaultSchedule> ParseWriteFaultFlags(Flags* flags) {
-  const std::uint64_t seed = flags->GetSize("write-fault-seed", 0);
+// serve/replay: snapshot records).
+Result<hdldp::WriteFaultSchedule> ReadWriteFaults(Flags* flags) {
+  std::uint64_t seed = 0;
   hdldp::WriteFaultSchedule::RandomOptions random;
-  random.short_write_rate = flags->GetDouble("write-fault-short-rate", 0.0);
-  random.no_space_rate = flags->GetDouble("write-fault-nospace-rate", 0.0);
-  random.fsync_failure_rate =
-      flags->GetDouble("write-fault-fsync-rate", 0.0);
-  for (const double rate : {random.short_write_rate, random.no_space_rate,
-                            random.fsync_failure_rate}) {
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::InvalidArgument(
-          "--write-fault-*-rate must lie in [0, 1]");
-    }
-  }
+  HDLDP_RETURN_NOT_OK(flags->Read(
+      {{"write-fault-seed", &seed},
+       {"write-fault-short-rate", &random.short_write_rate},
+       {"write-fault-nospace-rate", &random.no_space_rate},
+       {"write-fault-fsync-rate", &random.fsync_failure_rate}}));
+  HDLDP_RETURN_NOT_OK(CheckRates({random.short_write_rate,
+                                  random.no_space_rate,
+                                  random.fsync_failure_rate},
+                                 "--write-fault-*"));
   return hdldp::WriteFaultSchedule(seed, random);
 }
+
+Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
+                                                     std::size_t users,
+                                                     std::size_t dims) {
+  namespace data = hdldp::data;
+  const std::map<std::string, data::GeneratorSpec> specs = {
+      {"uniform", data::UniformSpec{.num_users = users, .num_dims = dims}},
+      {"gaussian", data::GaussianSpec{.num_users = users, .num_dims = dims}},
+      {"poisson", data::PoissonSpec{.num_users = users, .num_dims = dims}},
+      {"correlated",
+       data::CorrelatedSpec{.num_users = users, .num_dims = dims}}};
+  const auto it = specs.find(name);
+  if (it == specs.end()) {
+    return Status::InvalidArgument(
+        "unknown dataset '" + name +
+        "' (want uniform|gaussian|poisson|correlated)");
+  }
+  return it->second;
+}
+
+// The classic sequential-stream population of `spec` (as opposed to the
+// chunk-keyed GeneratorChunkSource contract).
+Result<hdldp::data::Dataset> GenerateSequential(
+    const hdldp::data::GeneratorSpec& spec, hdldp::Rng* rng) {
+  namespace data = hdldp::data;
+  return std::visit(
+      [rng](const auto& s) -> Result<data::Dataset> {
+        using S = std::decay_t<decltype(s)>;
+        if constexpr (std::is_same_v<S, data::UniformSpec>) {
+          return data::GenerateUniform(s, rng);
+        } else if constexpr (std::is_same_v<S, data::GaussianSpec>) {
+          return data::GenerateGaussian(s, rng);
+        } else if constexpr (std::is_same_v<S, data::PoissonSpec>) {
+          return data::GeneratePoisson(s, rng);
+        } else if constexpr (std::is_same_v<S, data::CorrelatedSpec>) {
+          return data::GenerateCorrelated(s, rng);
+        } else {
+          return data::GenerateDiscrete(s, rng);
+        }
+      },
+      spec);
+}
+
+// The source group: where a mean/freq/variance population comes from,
+// plus the deterministic fault injector around it.
+struct SourceFlags {
+  std::string input;
+  std::size_t users = 20000;
+  // Numeric populations (mean/variance).
+  bool chunk_keyed = false;
+  std::string dataset;
+  std::size_t dims = 0;
+  // Categorical populations (freq): set by the verb, which owns the
+  // schema flags.
+  std::optional<hdldp::freq::CategoricalSchema> schema;
+  double zipf = 1.0;
+  std::uint64_t fault_seed = 0;
+  hdldp::data::FaultSchedule::RandomOptions faults;
+};
+
+// Reads the source group; `categorical` selects freq's generator flags
+// (--zipf) over the numeric ones (--chunk-keyed/--dataset/--dims).
+Status ReadSource(Flags* flags, bool categorical, SourceFlags* source) {
+  HDLDP_RETURN_NOT_OK(flags->Read(
+      {{"input", &source->input},
+       {"users", &source->users},
+       {"fault-seed", &source->fault_seed},
+       {"fault-transient-rate", &source->faults.transient_rate},
+       {"fault-persistent-rate", &source->faults.persistent_rate},
+       {"fault-bitflip-rate", &source->faults.bit_flip_rate},
+       {"fault-failing-attempts", &source->faults.failing_attempts}}));
+  if (categorical) {
+    HDLDP_RETURN_NOT_OK(flags->Read({{"zipf", &source->zipf}}));
+  } else {
+    HDLDP_RETURN_NOT_OK(flags->Read({{"chunk-keyed", &source->chunk_keyed},
+                                     {"dataset", &source->dataset},
+                                     {"dims", &source->dims}}));
+  }
+  if (source->faults.failing_attempts < 1) {
+    return Status::InvalidArgument("--fault-failing-attempts must be >= 1");
+  }
+  HDLDP_RETURN_NOT_OK(CheckRates({source->faults.transient_rate,
+                                  source->faults.persistent_rate,
+                                  source->faults.bit_flip_rate},
+                                 "--fault-*"));
+  if (source->input.empty()) return Status::OK();
+  // --input reads the population geometry from the shard headers; the
+  // in-memory generator flags contradict it.
+  const std::vector<const char*> generator_keys =
+      categorical ? std::vector<const char*>{"users", "zipf"}
+                  : std::vector<const char*>{"dataset", "users", "dims",
+                                             "chunk-keyed"};
+  for (const char* key : generator_keys) {
+    if (flags->Has(key)) {
+      return Status::InvalidArgument(
+          "--input reads the population from the shard directory; drop --" +
+          std::string(key));
+    }
+  }
+  return Status::OK();
+}
+
+// The resolved source group: whichever population the flags named, and
+// the fault-injecting view a run reads. Members point at each other once
+// opened, so a Population stays where Open filled it.
+class Population {
+ public:
+  Population() = default;
+  Population(const Population&) = delete;
+  Population& operator=(const Population&) = delete;
+
+  /// `data_seed` is the verb's tagged data seed (e.g. seed ^ 0xDA7A);
+  /// `generate` applies the same tag, so an in-memory run and a
+  /// `generate` + `--input` run of the same --seed see identical values.
+  Status Open(const SourceFlags& flags, std::uint64_t data_seed) {
+    if (!flags.input.empty()) {
+      HDLDP_ASSIGN_OR_RETURN(shard_,
+                             hdldp::data::ShardFileSource::Open(flags.input));
+      base_ = &*shard_;
+    } else if (flags.schema.has_value()) {
+      hdldp::Rng rng(data_seed);
+      HDLDP_ASSIGN_OR_RETURN(categorical_,
+                             hdldp::freq::GenerateCategorical(
+                                 flags.users, *flags.schema, flags.zipf, &rng));
+      base_ = &categorical_source_.emplace(&*categorical_);
+    } else {
+      HDLDP_ASSIGN_OR_RETURN(
+          const auto spec,
+          MakeGeneratorSpec(flags.dataset, flags.users, flags.dims));
+      if (flags.chunk_keyed) {
+        HDLDP_ASSIGN_OR_RETURN(
+            generated_,
+            hdldp::data::GeneratorChunkSource::Create(spec, data_seed));
+        base_ = &*generated_;
+      } else {
+        hdldp::Rng rng(data_seed);
+        HDLDP_ASSIGN_OR_RETURN(dataset_, GenerateSequential(spec, &rng));
+        base_ = &resident_.emplace(&*dataset_);
+      }
+    }
+    source_ = base_;
+    if (flags.faults.transient_rate > 0.0 ||
+        flags.faults.persistent_rate > 0.0 ||
+        flags.faults.bit_flip_rate > 0.0) {
+      source_ = &faulty_.emplace(
+          base_, hdldp::data::FaultSchedule::Random(
+                     flags.fault_seed, base_->num_chunks(), flags.faults));
+    }
+    return Status::OK();
+  }
+
+  /// What the run reads (fault-injected when any --fault-* rate is set).
+  const hdldp::data::ChunkSource& source() const { return *source_; }
+  /// The population itself, for reference passes that measure the data.
+  const hdldp::data::ChunkSource& base() const { return *base_; }
+
+ private:
+  std::optional<hdldp::data::ShardFileSource> shard_;
+  std::optional<hdldp::data::Dataset> dataset_;
+  std::optional<hdldp::data::ResidentChunkSource> resident_;
+  std::optional<hdldp::data::GeneratorChunkSource> generated_;
+  std::optional<hdldp::freq::CategoricalDataset> categorical_;
+  std::optional<hdldp::freq::CategoricalChunkSource> categorical_source_;
+  std::optional<hdldp::data::FaultInjectingChunkSource> faulty_;
+  const hdldp::data::ChunkSource* base_ = nullptr;
+  const hdldp::data::ChunkSource* source_ = nullptr;
+};
 
 // Reports the fault-tolerance outcome of a run in a stable, greppable
 // form (CI asserts on these lines).
@@ -328,193 +524,47 @@ void PrintFaultOutcome(bool resumed, const std::vector<std::size_t>& chunks,
   }
 }
 
-Result<hdldp::SeedScheme> ParseSeedScheme(const std::string& value) {
-  if (value == "v3" || value == "3") return hdldp::SeedScheme::kV3Batched;
-  if (value == "v2" || value == "2") return hdldp::SeedScheme::kV2Lanes;
-  if (value == "v1" || value == "1") return hdldp::SeedScheme::kV1Scalar;
-  return Status::InvalidArgument("unknown --seed-scheme '" + value +
-                                 "' (want v1|v2|v3)");
-}
-
-Result<hdldp::data::Dataset> MakeDataset(const std::string& name,
-                                         std::size_t users, std::size_t dims,
-                                         hdldp::Rng* rng) {
-  if (name == "uniform") {
-    return hdldp::data::GenerateUniform(
-        {.num_users = users, .num_dims = dims}, rng);
-  }
-  if (name == "gaussian") {
-    hdldp::data::GaussianSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GenerateGaussian(spec, rng);
-  }
-  if (name == "poisson") {
-    hdldp::data::PoissonSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratePoisson(spec, rng);
-  }
-  if (name == "correlated") {
-    hdldp::data::CorrelatedSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GenerateCorrelated(spec, rng);
-  }
-  return Status::InvalidArgument(
-      "unknown dataset '" + name +
-      "' (want uniform|gaussian|poisson|correlated)");
-}
-
-Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
-                                                     std::size_t users,
-                                                     std::size_t dims) {
-  if (name == "uniform") {
-    return hdldp::data::GeneratorSpec(
-        hdldp::data::UniformSpec{.num_users = users, .num_dims = dims});
-  }
-  if (name == "gaussian") {
-    hdldp::data::GaussianSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratorSpec(spec);
-  }
-  if (name == "poisson") {
-    hdldp::data::PoissonSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratorSpec(spec);
-  }
-  if (name == "correlated") {
-    hdldp::data::CorrelatedSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratorSpec(spec);
-  }
-  return Status::InvalidArgument(
-      "unknown dataset '" + name +
-      "' (want uniform|gaussian|poisson|correlated)");
-}
-
-// Owns whichever data source a numeric subcommand resolved — a resident
-// generated dataset, an opened shard directory, or a streaming
-// chunk-keyed generator — and exposes it through `source`. The members
-// hold self-referential pointers once resolved, so a holder must stay
-// where ResolveSource filled it (it is neither copied nor moved).
-struct SourceHolder {
-  std::optional<hdldp::data::Dataset> dataset;
-  std::optional<hdldp::data::ResidentChunkSource> resident;
-  std::optional<hdldp::data::ShardFileSource> shard;
-  std::optional<hdldp::data::GeneratorChunkSource> generated;
-  const hdldp::data::ChunkSource* source = nullptr;
-};
-
-// Shared --input/--chunk-keyed resolution for mean and variance.
-// `data_seed` is the subcommand's tagged data seed (e.g. seed ^ 0xDA7A);
-// `generate` applies the same tag, so a chunk-keyed in-memory run and a
-// `generate` + `--input` run of the same --seed see identical values.
-Status ResolveSource(const std::string& input, bool chunk_keyed,
-                     const std::string& dataset_name, std::size_t users,
-                     std::size_t dims, std::uint64_t data_seed,
-                     SourceHolder* out) {
-  if (!input.empty()) {
-    HDLDP_ASSIGN_OR_RETURN(out->shard,
-                           hdldp::data::ShardFileSource::Open(input));
-    out->source = &*out->shard;
-    return Status::OK();
-  }
-  if (chunk_keyed) {
-    HDLDP_ASSIGN_OR_RETURN(const auto spec,
-                           MakeGeneratorSpec(dataset_name, users, dims));
-    HDLDP_ASSIGN_OR_RETURN(
-        out->generated,
-        hdldp::data::GeneratorChunkSource::Create(spec, data_seed));
-    out->source = &*out->generated;
-    return Status::OK();
-  }
-  hdldp::Rng data_rng(data_seed);
-  HDLDP_ASSIGN_OR_RETURN(out->dataset,
-                         MakeDataset(dataset_name, users, dims, &data_rng));
-  out->resident.emplace(&*out->dataset);
-  out->source = &*out->resident;
-  return Status::OK();
-}
-
-// --input reads the population geometry from the shard headers; the
-// in-memory generator flags contradict it.
-Status RejectGeneratorFlagsWithInput(const Flags& flags) {
-  for (const char* key : {"dataset", "users", "dims", "chunk-keyed"}) {
-    if (flags.Has(key)) {
-      return Status::InvalidArgument(
-          "--input reads the population from the shard directory; drop --" +
-          std::string(key));
-    }
-  }
-  return Status::OK();
-}
-
 Status RunMean(Flags flags) {
-  const std::string mech_name = flags.GetString("mechanism", "piecewise");
-  const std::string input = flags.GetString("input", "");
-  const bool chunk_keyed = flags.GetBool("chunk-keyed");
-  const std::string dataset_name = flags.GetString("dataset", "uniform");
-  const std::size_t users_flag = flags.GetSize("users", 20000);
-  const std::size_t dims_flag = flags.GetSize("dims", 128);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::size_t report_dims = flags.GetSize("report-dims", 0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::size_t threads = flags.GetSize("threads", 1);
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v3")));
-  const std::string recalibrate = flags.GetString("recalibrate", "both");
-  const bool gate = flags.GetBool("gate");
-  const bool print_estimate = flags.GetBool("print-estimate");
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::protocol::ReportEncoding encoding,
-      hdldp::protocol::ParseReportEncoding(
-          flags.GetString("encoding", "dense")));
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseFaultFlags(&flags));
-  if (!input.empty()) HDLDP_RETURN_NOT_OK(RejectGeneratorFlagsWithInput(flags));
+  std::string mech_name = "piecewise";
+  std::string recalibrate = "both";
+  bool gate = false;
+  bool print_estimate = false;
+  hdldp::protocol::PipelineOptions opts;
+  SourceFlags source_flags;
+  source_flags.dataset = "uniform";
+  source_flags.dims = 128;
+  HDLDP_RETURN_NOT_OK(ReadRunControl(&flags, &opts));
+  HDLDP_RETURN_NOT_OK(ReadSource(&flags, /*categorical=*/false, &source_flags));
+  HDLDP_RETURN_NOT_OK(flags.Read({{"mechanism", &mech_name},
+                                  {"epsilon", &opts.total_epsilon},
+                                  {"report-dims", &opts.report_dims},
+                                  {"threads", &opts.num_threads},
+                                  {"recalibrate", &recalibrate},
+                                  {"gate", &gate},
+                                  {"print-estimate", &print_estimate},
+                                  {"encoding", &opts.encoding}}));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
-  SourceHolder data;
-  HDLDP_RETURN_NOT_OK(ResolveSource(input, chunk_keyed, dataset_name,
-                                    users_flag, dims_flag, seed ^ 0xDA7Aull,
-                                    &data));
-  std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  const hdldp::data::ChunkSource* source = data.source;
-  if (ft.inject) {
-    faulty.emplace(source,
-                   hdldp::data::FaultSchedule::Random(
-                       ft.fault_seed, source->num_chunks(), ft.random));
-    source = &*faulty;
-  }
-  const std::size_t users = source->num_users();
-  const std::size_t dims = source->num_dims();
+  Population population;
+  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed ^ 0xDA7Aull));
+  const hdldp::data::ChunkSource& source = population.source();
+  const std::size_t users = source.num_users();
+  const std::size_t dims = source.num_dims();
+  const std::size_t report_dims = opts.report_dims;
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-
-  hdldp::protocol::PipelineOptions opts;
-  opts.total_epsilon = epsilon;
-  opts.report_dims = report_dims;
-  opts.seed = seed;
-  opts.seed_scheme = seed_scheme;
-  opts.num_threads = threads;
-  opts.retry = ft.retry;
-  opts.allow_missing_chunks = ft.allow_missing_chunks;
-  opts.checkpoint_path = ft.checkpoint;
-  opts.encoding = encoding;
   HDLDP_ASSIGN_OR_RETURN(
       const auto run,
-      hdldp::protocol::RunMeanEstimation(*source, mechanism, opts));
+      hdldp::protocol::RunMeanEstimation(source, mechanism, opts));
 
   std::printf("mechanism=%s dataset=%s users=%zu dims=%zu eps=%g m=%zu "
               "encoding=%s\n",
               mech_name.c_str(),
-              input.empty() ? dataset_name.c_str() : input.c_str(), users,
-              dims, epsilon, report_dims == 0 ? dims : report_dims,
-              hdldp::protocol::ReportEncodingName(encoding));
+              source_flags.input.empty() ? source_flags.dataset.c_str()
+                                         : source_flags.input.c_str(),
+              users, dims, opts.total_epsilon,
+              report_dims == 0 ? dims : report_dims,
+              hdldp::protocol::ReportEncodingName(opts.encoding));
   PrintFaultOutcome(run.resumed_from_checkpoint, run.quarantined_chunks,
                     run.surviving_users);
   std::printf("%-24s %12.6g\n", "naive MSE", run.mse);
@@ -527,7 +577,7 @@ Status RunMean(Flags flags) {
   }
 
   if (recalibrate == "none") return Status::OK();
-  if (encoding == hdldp::protocol::ReportEncoding::kHadamard1) {
+  if (opts.encoding == hdldp::protocol::ReportEncoding::kHadamard1) {
     // The deviation model below describes the numeric mechanism's
     // perturbation; the 1-bit path has no mechanism, so HDR4ME
     // re-calibration is not offered (naive MSE above is the result).
@@ -537,8 +587,9 @@ Status RunMean(Flags flags) {
   // Per-dimension deviation models from per-dimension empirical marginals.
   std::vector<hdldp::framework::GaussianDeviation> deviations;
   const std::size_t rows = std::min<std::size_t>(users, 2000);
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<double> marginals,
-                         hdldp::data::MaterializeRows(*data.source, 0, rows));
+  HDLDP_ASSIGN_OR_RETURN(
+      const std::vector<double> marginals,
+      hdldp::data::MaterializeRows(population.base(), 0, rows));
   std::vector<double> column(rows);
   const double reports = static_cast<double>(users) *
                          static_cast<double>(report_dims == 0 ? dims
@@ -584,81 +635,42 @@ Status RunMean(Flags flags) {
 }
 
 Status RunFreq(Flags flags) {
-  const std::string mech_name = flags.GetString("mechanism", "piecewise");
-  const std::string input = flags.GetString("input", "");
-  const std::size_t users_flag = flags.GetSize("users", 20000);
-  const std::size_t questions = flags.GetSize("questions", 16);
-  const std::size_t categories = flags.GetSize("categories", 8);
-  const double zipf = flags.GetDouble("zipf", 1.0);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::size_t sampled = flags.GetSize("sampled", 0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::size_t threads = flags.GetSize("threads", 1);
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v3")));
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::protocol::ReportEncoding encoding,
-      hdldp::protocol::ParseReportEncoding(
-          flags.GetString("encoding", "dense")));
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseFaultFlags(&flags));
-  if (!input.empty() && (flags.Has("users") || flags.Has("zipf"))) {
-    return Status::InvalidArgument(
-        "--input reads the population from the shard directory; drop "
-        "--users/--zipf (keep --questions/--categories: the shard stores "
-        "indices, the schema stores cardinalities)");
-  }
+  std::string mech_name = "piecewise";
+  std::size_t questions = 16;
+  std::size_t categories = 8;
+  hdldp::freq::FrequencyOptions opts;
+  SourceFlags source_flags;
+  HDLDP_RETURN_NOT_OK(ReadRunControl(&flags, &opts));
+  HDLDP_RETURN_NOT_OK(ReadSource(&flags, /*categorical=*/true, &source_flags));
+  HDLDP_RETURN_NOT_OK(flags.Read({{"mechanism", &mech_name},
+                                  {"questions", &questions},
+                                  {"categories", &categories},
+                                  {"epsilon", &opts.total_epsilon},
+                                  {"sampled", &opts.report_dims},
+                                  {"threads", &opts.num_threads},
+                                  {"encoding", &opts.encoding}}));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
-  HDLDP_ASSIGN_OR_RETURN(auto schema,
+  HDLDP_ASSIGN_OR_RETURN(source_flags.schema,
                          hdldp::freq::CategoricalSchema::Create(
                              std::vector<std::size_t>(questions, categories)));
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-  hdldp::freq::FrequencyOptions opts;
-  opts.total_epsilon = epsilon;
-  opts.report_dims = sampled;
-  opts.seed = seed;
-  opts.seed_scheme = seed_scheme;
-  opts.num_threads = threads;
-  opts.retry = ft.retry;
-  opts.allow_missing_chunks = ft.allow_missing_chunks;
-  opts.checkpoint_path = ft.checkpoint;
-  opts.encoding = encoding;
-
-  // Both branches resolve a base ChunkSource, optionally wrap it in the
-  // deterministic fault injector, and run the source overload.
-  std::optional<hdldp::data::ShardFileSource> shard;
-  std::optional<hdldp::freq::CategoricalDataset> dataset;
-  std::optional<hdldp::freq::CategoricalChunkSource> resident;
-  const hdldp::data::ChunkSource* source = nullptr;
-  if (!input.empty()) {
-    HDLDP_ASSIGN_OR_RETURN(shard, hdldp::data::ShardFileSource::Open(input));
-    source = &*shard;
-  } else {
-    hdldp::Rng rng(seed ^ 0xF8E0ull);
-    HDLDP_ASSIGN_OR_RETURN(
-        dataset,
-        hdldp::freq::GenerateCategorical(users_flag, schema, zipf, &rng));
-    resident.emplace(&*dataset);
-    source = &*resident;
-  }
-  std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  if (ft.inject) {
-    faulty.emplace(source,
-                   hdldp::data::FaultSchedule::Random(
-                       ft.fault_seed, source->num_chunks(), ft.random));
-    source = &*faulty;
-  }
-  const std::size_t users = source->num_users();
-  HDLDP_ASSIGN_OR_RETURN(const auto result,
-                         hdldp::freq::RunFrequencyEstimation(
-                             *source, schema, mechanism, opts));
+  // In memory, categories come from the Rng(seed ^ 0xF8E0) stream that
+  // `generate --dataset=categorical` also draws.
+  Population population;
+  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed ^ 0xF8E0ull));
+  const hdldp::data::ChunkSource& source = population.source();
+  HDLDP_ASSIGN_OR_RETURN(
+      const auto result,
+      hdldp::freq::RunFrequencyEstimation(source, *source_flags.schema,
+                                          mechanism, opts));
   std::printf("mechanism=%s users=%zu questions=%zu categories=%zu eps=%g "
               "eps/entry=%g encoding=%s\n",
-              mech_name.c_str(), users, questions, categories, epsilon,
+              mech_name.c_str(), source.num_users(), questions, categories,
+              opts.total_epsilon,
               result.per_entry_epsilon,
-              hdldp::protocol::ReportEncodingName(encoding));
+              hdldp::protocol::ReportEncodingName(opts.encoding));
   PrintFaultOutcome(result.resumed_from_checkpoint, result.quarantined_chunks,
                     result.surviving_users);
   std::printf("%-24s %12.6g\n", "naive MSE", result.mse_raw);
@@ -667,10 +679,11 @@ Status RunFreq(Flags flags) {
 }
 
 Status RunAnalyze(Flags flags) {
-  const double eps = flags.GetDouble("epsilon", 0.001);
-  const double reports = flags.GetDouble("reports", 10000.0);
-  const std::vector<double> xis =
-      flags.GetDoubleList("xi", {0.001, 0.01, 0.05, 0.1});
+  double eps = 0.001;
+  double reports = 10000.0;
+  std::vector<double> xis = {0.001, 0.01, 0.05, 0.1};
+  HDLDP_RETURN_NOT_OK(
+      flags.Read({{"epsilon", &eps}, {"reports", &reports}, {"xi", &xis}}));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   std::vector<double> values;
@@ -706,54 +719,34 @@ Status RunAnalyze(Flags flags) {
 }
 
 Status RunVariance(Flags flags) {
-  const std::string mech_name = flags.GetString("mechanism", "piecewise");
-  const std::string input = flags.GetString("input", "");
-  const bool chunk_keyed = flags.GetBool("chunk-keyed");
-  const std::string dataset_name = flags.GetString("dataset", "gaussian");
-  const std::size_t users_flag = flags.GetSize("users", 20000);
-  const std::size_t dims_flag = flags.GetSize("dims", 64);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v3")));
-  const bool recalibrate = flags.GetBool("recalibrate");
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseFaultFlags(&flags));
-  if (!input.empty()) HDLDP_RETURN_NOT_OK(RejectGeneratorFlagsWithInput(flags));
+  std::string mech_name = "piecewise";
+  hdldp::hdr4me::VarianceOptions opts;
+  SourceFlags source_flags;
+  source_flags.dataset = "gaussian";
+  source_flags.dims = 64;
+  HDLDP_RETURN_NOT_OK(ReadRunControl(&flags, &opts));
+  HDLDP_RETURN_NOT_OK(ReadSource(&flags, /*categorical=*/false, &source_flags));
+  HDLDP_RETURN_NOT_OK(flags.Read({{"mechanism", &mech_name},
+                                  {"epsilon", &opts.total_epsilon},
+                                  {"recalibrate", &opts.recalibrate}}));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
-  SourceHolder data;
-  HDLDP_RETURN_NOT_OK(ResolveSource(input, chunk_keyed, dataset_name,
-                                    users_flag, dims_flag, seed ^ 0x5ECull,
-                                    &data));
-  std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  const hdldp::data::ChunkSource* source = data.source;
-  if (ft.inject) {
-    faulty.emplace(source,
-                   hdldp::data::FaultSchedule::Random(
-                       ft.fault_seed, source->num_chunks(), ft.random));
-    source = &*faulty;
-  }
-  const std::size_t users = source->num_users();
-  const std::size_t dims = source->num_dims();
+  Population population;
+  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed ^ 0x5ECull));
+  const hdldp::data::ChunkSource& source = population.source();
+  const std::size_t dims = source.num_dims();
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-  hdldp::hdr4me::VarianceOptions opts;
-  opts.total_epsilon = epsilon;
-  opts.seed = seed;
-  opts.seed_scheme = seed_scheme;
-  opts.recalibrate = recalibrate;
-  opts.retry = ft.retry;
-  opts.allow_missing_chunks = ft.allow_missing_chunks;
-  opts.checkpoint_path = ft.checkpoint;
   HDLDP_ASSIGN_OR_RETURN(
       const auto result,
-      hdldp::hdr4me::RunVarianceEstimation(*source, mechanism, opts));
+      hdldp::hdr4me::RunVarianceEstimation(source, mechanism, opts));
   std::printf("mechanism=%s dataset=%s users=%zu dims=%zu eps=%g "
               "recalibrate=%d\n",
               mech_name.c_str(),
-              input.empty() ? dataset_name.c_str() : input.c_str(), users,
-              dims, epsilon, recalibrate ? 1 : 0);
+              source_flags.input.empty() ? source_flags.dataset.c_str()
+                                         : source_flags.input.c_str(),
+              source.num_users(), dims, opts.total_epsilon,
+              opts.recalibrate ? 1 : 0);
   std::vector<std::size_t> quarantined = result.quarantined_values_chunks;
   quarantined.insert(quarantined.end(),
                      result.quarantined_squares_chunks.begin(),
@@ -770,27 +763,33 @@ Status RunVariance(Flags flags) {
 }
 
 Status RunGenerate(Flags flags) {
-  const std::string out = flags.GetString("out", "");
-  const std::string dataset_name = flags.GetString("dataset", "uniform");
-  const std::size_t users = flags.GetSize("users", 20000);
-  const std::size_t dims = flags.GetSize("dims", 16);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::size_t chunks_per_file = flags.GetSize("chunks-per-file", 1024);
-  const std::size_t questions = flags.GetSize("questions", 16);
-  const std::size_t categories = flags.GetSize("categories", 8);
-  const double zipf = flags.GetDouble("zipf", 1.0);
-  HDLDP_ASSIGN_OR_RETURN(const auto write_faults,
-                         ParseWriteFaultFlags(&flags));
+  std::string out;
+  std::string dataset_name = "uniform";
+  std::size_t users = 20000;
+  std::size_t dims = 16;
+  std::uint64_t seed = 1;
+  std::size_t questions = 16;
+  std::size_t categories = 8;
+  double zipf = 1.0;
+  hdldp::data::ShardWriterOptions shard_opts;
+  HDLDP_RETURN_NOT_OK(
+      flags.Read({{"out", &out},
+                  {"dataset", &dataset_name},
+                  {"users", &users},
+                  {"dims", &dims},
+                  {"seed", &seed},
+                  {"chunks-per-file", &shard_opts.chunks_per_file},
+                  {"questions", &questions},
+                  {"categories", &categories},
+                  {"zipf", &zipf}}));
+  HDLDP_ASSIGN_OR_RETURN(shard_opts.write_faults, ReadWriteFaults(&flags));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
   if (out.empty()) {
     return Status::InvalidArgument("generate requires --out=<shard-dir>");
   }
-  if (chunks_per_file == 0) {
+  if (shard_opts.chunks_per_file == 0) {
     return Status::InvalidArgument("--chunks-per-file must be >= 1");
   }
-  hdldp::data::ShardWriterOptions shard_opts;
-  shard_opts.chunks_per_file = chunks_per_file;
-  shard_opts.write_faults = write_faults;
 
   if (dataset_name == "categorical") {
     // Category indices for the freq pipeline, drawn from the same
@@ -831,82 +830,79 @@ Status RunGenerate(Flags flags) {
 // aggregation service. `replay` pins the deterministic golden path (one
 // worker, lossless backpressure); `serve` exercises the concurrent one.
 Status RunServe(Flags flags, bool replay) {
-  const std::string workload_name = flags.GetString("workload", "mean");
-  const std::string mech_name = flags.GetString("mechanism", "duchi");
-  const std::uint64_t reports = flags.GetSize("reports", 10000);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::size_t report_dims = flags.GetSize("report-dims", 0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::uint64_t tenants = flags.GetSize("tenants", 4);
-  const double tenant_budget = flags.GetDouble("tenant-budget", 0.0);
-  const std::uint64_t reports_per_tick = flags.GetSize("reports-per-tick", 0);
-  const std::string checkpoint = flags.GetString("checkpoint", "");
-  const std::size_t snapshot_every = flags.GetSize("snapshot-every", 0);
-  const std::size_t kill_after = flags.GetSize("kill-after", 0);
-  const bool print_estimate = flags.GetBool("print-estimate");
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::protocol::ReportEncoding encoding,
-      hdldp::protocol::ParseReportEncoding(
-          flags.GetString("encoding", "dense")));
-
+  std::string workload_name = "mean";
+  bool print_estimate = false;
+  std::uint64_t snapshot_every = 0;
+  std::uint64_t kill_after = 0;
+  hdldp::SeedScheme seed_scheme = hdldp::SeedScheme::kV1Scalar;
+  std::string overload = "shed";
+  hdldp::service::ReportStreamOptions stream_options;
+  stream_options.num_reports = 10000;
+  stream_options.num_tenants = 4;
+  hdldp::service::ServiceOptions service_options;
+  HDLDP_RETURN_NOT_OK(flags.Read(
+      {{"workload", &workload_name},
+       {"mechanism", &stream_options.mechanism},
+       {"reports", &stream_options.num_reports},
+       {"epsilon", &stream_options.epsilon},
+       {"report-dims", &stream_options.report_dims},
+       {"seed", &stream_options.seed},
+       {"seed-scheme", &seed_scheme},
+       {"tenants", &stream_options.num_tenants},
+       {"tenant-budget", &service_options.tenant_epsilon},
+       {"reports-per-tick", &stream_options.reports_per_tick},
+       {"checkpoint", &service_options.checkpoint_path},
+       {"snapshot-every", &snapshot_every},
+       {"kill-after", &kill_after},
+       {"print-estimate", &print_estimate},
+       {"encoding", &stream_options.encoding},
+       {"fault-drop-rate", &stream_options.faults.drop_rate},
+       {"fault-duplicate-rate", &stream_options.faults.duplicate_rate},
+       {"fault-reorder-rate", &stream_options.faults.reorder_rate},
+       {"fault-reorder-delay", &stream_options.faults.reorder_delay},
+       {"fault-seed", &stream_options.fault_seed},
+       {"window-width", &service_options.window.width},
+       {"window-slide", &service_options.window.slide},
+       {"window-lateness", &service_options.window.lateness},
+       {"max-invalid-per-tenant", &service_options.max_invalid_per_tenant}}));
   // The stream generator emits per-report scalar Rng streams — the v1
   // contract. v2/v3 name the engine's lane/batched contracts, which have
   // no per-report envelope form; refusing them loudly mirrors the freq
   // v1 --checkpoint rejection.
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v1")));
   if (seed_scheme != hdldp::SeedScheme::kV1Scalar) {
     return Status::InvalidArgument(
         "serve/replay ingest per-report scalar streams: --seed-scheme=v1 "
         "is the only supported scheme (v2/v3 are engine lane contracts "
         "with no per-report envelope form)");
   }
-
-  hdldp::service::ReportStreamOptions stream_options;
   if (workload_name == "mean") {
     stream_options.workload = hdldp::service::StreamWorkload::kMean;
-    stream_options.num_dims = flags.GetSize("dims", 8);
+    stream_options.num_dims = 8;
+    HDLDP_RETURN_NOT_OK(flags.Read({{"dims", &stream_options.num_dims}}));
   } else if (workload_name == "freq") {
     stream_options.workload = hdldp::service::StreamWorkload::kFreq;
-    stream_options.num_dims = flags.GetSize("questions", 4);
-    stream_options.num_categories = flags.GetSize("categories", 4);
+    stream_options.num_dims = 4;
+    stream_options.num_categories = 4;
+    HDLDP_RETURN_NOT_OK(
+        flags.Read({{"questions", &stream_options.num_dims},
+                    {"categories", &stream_options.num_categories}}));
   } else {
     return Status::InvalidArgument("unknown --workload '" + workload_name +
                                    "' (want mean|freq)");
   }
-  stream_options.encoding = encoding;
-  stream_options.mechanism = mech_name;
-  stream_options.num_reports = reports;
-  stream_options.epsilon = epsilon;
-  stream_options.report_dims = report_dims;
-  stream_options.seed = seed;
-  stream_options.num_tenants = tenants;
-  stream_options.reports_per_tick = reports_per_tick;
-  stream_options.faults.drop_rate = flags.GetDouble("fault-drop-rate", 0.0);
-  stream_options.faults.duplicate_rate =
-      flags.GetDouble("fault-duplicate-rate", 0.0);
-  stream_options.faults.reorder_rate =
-      flags.GetDouble("fault-reorder-rate", 0.0);
-  stream_options.faults.reorder_delay =
-      flags.GetSize("fault-reorder-delay", 3);
-  stream_options.fault_seed = flags.GetSize("fault-seed", 0);
-  for (const double rate : {stream_options.faults.drop_rate,
-                            stream_options.faults.duplicate_rate,
-                            stream_options.faults.reorder_rate}) {
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::InvalidArgument("--fault-*-rate must lie in [0, 1]");
-    }
-  }
-
-  hdldp::service::ServiceOptions service_options;
+  HDLDP_RETURN_NOT_OK(CheckRates({stream_options.faults.drop_rate,
+                                  stream_options.faults.duplicate_rate,
+                                  stream_options.faults.reorder_rate},
+                                 "--fault-*"));
   if (replay) {
     service_options.num_workers = 1;
     service_options.overload = hdldp::service::OverloadPolicy::kBlock;
   } else {
-    service_options.num_workers = flags.GetSize("threads", 0);
-    service_options.queue_capacity = flags.GetSize("queue-capacity", 1024);
-    const std::string overload = flags.GetString("overload", "shed");
+    service_options.num_workers = 0;
+    HDLDP_RETURN_NOT_OK(
+        flags.Read({{"threads", &service_options.num_workers},
+                    {"queue-capacity", &service_options.queue_capacity},
+                    {"overload", &overload}}));
     if (overload == "shed") {
       service_options.overload = hdldp::service::OverloadPolicy::kShed;
     } else if (overload == "block") {
@@ -916,15 +912,8 @@ Status RunServe(Flags flags, bool replay) {
                                      "' (want shed|block)");
     }
   }
-  service_options.window.width = flags.GetSize("window-width", 1);
-  service_options.window.slide = flags.GetSize("window-slide", 0);
-  service_options.window.lateness = flags.GetSize("window-lateness", 0);
-  service_options.tenant_epsilon = tenant_budget;
-  service_options.checkpoint_path = checkpoint;
-  service_options.max_invalid_per_tenant =
-      flags.GetSize("max-invalid-per-tenant", 0);
   HDLDP_ASSIGN_OR_RETURN(service_options.snapshot_write_faults,
-                         ParseWriteFaultFlags(&flags));
+                         ReadWriteFaults(&flags));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   HDLDP_ASSIGN_OR_RETURN(
@@ -935,8 +924,9 @@ Status RunServe(Flags flags, bool replay) {
   service_options.expected_entries = stream.expected_entries();
   service_options.output_lo = stream.output_lo();
   service_options.output_hi = stream.output_hi();
-  service_options.per_report_epsilon =
-      tenant_budget > 0.0 ? stream.per_report_epsilon() : 0.0;
+  service_options.per_report_epsilon = service_options.tenant_epsilon > 0.0
+                                           ? stream.per_report_epsilon()
+                                           : 0.0;
   service_options.codec = stream.CodecOptions();
   // Everything that defines the stream (and hence the estimates) is in
   // the digest tag; worker count / queue capacity / overload policy are
@@ -949,12 +939,14 @@ Status RunServe(Flags flags, bool replay) {
                   "t=%llu rpt=%llu drop=%.17g dup=%.17g reord=%.17g "
                   "delay=%zu fseed=%llu",
                   workload_name.c_str(),
-                  hdldp::protocol::ReportEncodingName(encoding),
-                  mech_name.c_str(),
-                  static_cast<unsigned long long>(reports), epsilon,
-                  report_dims, static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(tenants),
-                  static_cast<unsigned long long>(reports_per_tick),
+                  hdldp::protocol::ReportEncodingName(stream_options.encoding),
+                  stream_options.mechanism.c_str(),
+                  static_cast<unsigned long long>(stream_options.num_reports),
+                  stream_options.epsilon, stream_options.report_dims,
+                  static_cast<unsigned long long>(stream_options.seed),
+                  static_cast<unsigned long long>(stream_options.num_tenants),
+                  static_cast<unsigned long long>(
+                      stream_options.reports_per_tick),
                   stream_options.faults.drop_rate,
                   stream_options.faults.duplicate_rate,
                   stream_options.faults.reorder_rate,
@@ -963,26 +955,26 @@ Status RunServe(Flags flags, bool replay) {
     service_options.digest_tag = tag;
   }
 
+  const hdldp::service::WindowConfig window = service_options.window;
+  const bool checkpointing = !service_options.checkpoint_path.empty();
   HDLDP_ASSIGN_OR_RETURN(
       const auto service,
       hdldp::service::AggregationService::Create(std::move(service_options)));
   std::printf("service workload=%s mechanism=%s reports=%llu tenants=%llu "
               "workers=%zu window=%llu/%llu+%llu\n",
-              workload_name.c_str(), mech_name.c_str(),
-              static_cast<unsigned long long>(reports),
-              static_cast<unsigned long long>(tenants),
+              workload_name.c_str(), stream_options.mechanism.c_str(),
+              static_cast<unsigned long long>(stream_options.num_reports),
+              static_cast<unsigned long long>(stream_options.num_tenants),
               service->num_workers(),
-              static_cast<unsigned long long>(
-                  flags.GetSize("window-width", 1)),
-              static_cast<unsigned long long>(
-                  flags.GetSize("window-slide", 0)),
-              static_cast<unsigned long long>(
-                  flags.GetSize("window-lateness", 0)));
+              static_cast<unsigned long long>(window.width),
+              static_cast<unsigned long long>(window.slide),
+              static_cast<unsigned long long>(window.lateness));
   if (service->resumed()) {
     std::printf("resumed from checkpoint\n");
     HDLDP_RETURN_NOT_OK(stream.SkipTo(service->resume_cursor()));
   }
 
+  const std::uint64_t reports_per_tick = stream_options.reports_per_tick;
   std::vector<std::uint8_t> envelope;
   std::uint64_t watermark = 0;
   for (;;) {
@@ -1004,7 +996,7 @@ Status RunServe(Flags flags, bool replay) {
         HDLDP_RETURN_NOT_OK(service->AdvanceWatermark(watermark));
       }
     }
-    if (snapshot_every > 0 && !checkpoint.empty() &&
+    if (snapshot_every > 0 && checkpointing &&
         stream.position() % snapshot_every == 0) {
       HDLDP_RETURN_NOT_OK(service->SaveSnapshot(stream.position()));
     }
@@ -1047,18 +1039,18 @@ Status RunServe(Flags flags, bool replay) {
               static_cast<unsigned long long>(stream.dropped()),
               static_cast<unsigned long long>(stream.duplicated()),
               static_cast<unsigned long long>(stream.reordered()));
-  for (const hdldp::service::PublishedWindow& window :
+  for (const hdldp::service::PublishedWindow& published :
        service->PublishedWindows()) {
     std::printf("window[%llu] reports=%llu\n",
-                static_cast<unsigned long long>(window.index),
-                static_cast<unsigned long long>(window.report_count));
+                static_cast<unsigned long long>(published.index),
+                static_cast<unsigned long long>(published.report_count));
     if (print_estimate) {
       // Full precision, one line per dimension: resume/equivalence tests
       // diff this output to assert bit-identical published estimates.
-      for (std::size_t j = 0; j < window.estimate.size(); ++j) {
+      for (std::size_t j = 0; j < published.estimate.size(); ++j) {
         std::printf("window[%llu].estimate[%zu]=%.17g\n",
-                    static_cast<unsigned long long>(window.index), j,
-                    window.estimate[j]);
+                    static_cast<unsigned long long>(published.index), j,
+                    published.estimate[j]);
       }
     }
   }
@@ -1079,8 +1071,8 @@ void PrintUsage(std::FILE* stream) {
 //   0 — success
 //   2 — usage error: unparseable command line, unknown subcommand
 //   3 — validation error: a well-formed command line naming an invalid
-//       configuration (unknown mechanism/dataset/flag value, missing
-//       input, out-of-range parameter)
+//       configuration (unknown mechanism/dataset/flag, malformed flag
+//       value, missing input, out-of-range parameter)
 //   4 — I/O or corruption error: the configuration was valid but the
 //       data could not be (fully) read — checksum mismatch, torn write,
 //       exhausted retries
@@ -1122,30 +1114,26 @@ int main(int argc, char** argv) {
     PrintUsage(stdout);
     return 0;
   }
+  const std::map<std::string, std::function<Status(Flags)>> verbs = {
+      {"mean", RunMean},
+      {"freq", RunFreq},
+      {"analyze", RunAnalyze},
+      {"variance", RunVariance},
+      {"generate", RunGenerate},
+      {"serve", [](Flags flags) { return RunServe(std::move(flags), false); }},
+      {"replay", [](Flags flags) { return RunServe(std::move(flags), true); }},
+  };
   auto flags_or = Flags::Parse(argc, argv, 2);
   if (!flags_or.ok()) {
     std::fprintf(stderr, "error: %s\n", flags_or.status().ToString().c_str());
     return 2;
   }
-  Status status;
-  if (command == "mean") {
-    status = RunMean(std::move(flags_or).value());
-  } else if (command == "freq") {
-    status = RunFreq(std::move(flags_or).value());
-  } else if (command == "analyze") {
-    status = RunAnalyze(std::move(flags_or).value());
-  } else if (command == "variance") {
-    status = RunVariance(std::move(flags_or).value());
-  } else if (command == "generate") {
-    status = RunGenerate(std::move(flags_or).value());
-  } else if (command == "serve") {
-    status = RunServe(std::move(flags_or).value(), /*replay=*/false);
-  } else if (command == "replay") {
-    status = RunServe(std::move(flags_or).value(), /*replay=*/true);
-  } else {
+  const auto verb = verbs.find(command);
+  if (verb == verbs.end()) {
     PrintUsage(stderr);
     return 2;
   }
+  const Status status = verb->second(std::move(flags_or).value());
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return ExitCodeFor(status);
