@@ -40,9 +40,9 @@ int main() {
 
   hdldp::Rng data_rng(0xAB5A);
   const auto data =
-      hdldp::data::GenerateUniform({.num_users = users, .num_dims = kDims},
-                                   &data_rng)
-          .value();
+      hdldp::data::Generate(
+          hdldp::data::UniformSpec{.num_users = users, .num_dims = kDims},
+          &data_rng).value();
   // Fit the value-distribution sample to the scaled population: at
   // HDLDP_BENCH_SCALE >= 100 the old fixed 2000-row read walked past the
   // dataset (the pre-PR 3 abort).

@@ -73,7 +73,7 @@ int main() {
   hdldp::data::GaussianSpec spec;
   spec.num_users = users;
   spec.num_dims = kDims;
-  const auto data = hdldp::data::GenerateGaussian(spec, &data_rng).value();
+  const auto data = hdldp::data::Generate(spec, &data_rng).value();
   const auto true_mean = data.TrueMean();
 
   // Per-dimension value distributions, shared by all mechanisms.

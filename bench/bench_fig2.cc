@@ -148,8 +148,9 @@ std::size_t Hadamard1ReportBytes(std::size_t dims, std::size_t entries) {
 void RunMeanPipeline(std::size_t users, hdldp::bench::JsonRecord* record) {
   hdldp::Rng data_rng(0xF16'2D00);
   const auto dataset =
-      hdldp::data::GenerateUniform(
-          {.num_users = users, .num_dims = kPipelineDims}, &data_rng)
+      hdldp::data::Generate(hdldp::data::UniformSpec{.num_users = users,
+                                                     .num_dims = kPipelineDims},
+                            &data_rng)
           .value();
   // Fill the dataset's TrueMean memo outside the timed cells so the
   // first cell is not charged for the shared one-time pass.

@@ -48,27 +48,27 @@ std::vector<DatasetConfig> Configs() {
          hdldp::data::GaussianSpec spec;
          spec.num_users = n;
          spec.num_dims = 100;
-         return hdldp::data::GenerateGaussian(spec, rng).value();
+         return hdldp::data::Generate(spec, rng).value();
        }},
       {"Poisson", "(d)-(f)", 150000, 300,
        [](std::size_t n, hdldp::Rng* rng) {
          hdldp::data::PoissonSpec spec;
          spec.num_users = n;
          spec.num_dims = 300;
-         return hdldp::data::GeneratePoisson(spec, rng).value();
+         return hdldp::data::Generate(spec, rng).value();
        }},
       {"Uniform", "(g)-(i)", 120000, 500,
        [](std::size_t n, hdldp::Rng* rng) {
-         return hdldp::data::GenerateUniform({.num_users = n, .num_dims = 500},
-                                             rng)
-             .value();
+         return hdldp::data::Generate(
+             hdldp::data::UniformSpec{.num_users = n, .num_dims = 500},
+             rng).value();
        }},
       {"COV-19*", "(j)-(l)", 150000, 750,
        [](std::size_t n, hdldp::Rng* rng) {
          hdldp::data::CorrelatedSpec spec;
          spec.num_users = n;
          spec.num_dims = 750;
-         return hdldp::data::GenerateCorrelated(spec, rng).value();
+         return hdldp::data::Generate(spec, rng).value();
        }},
   };
 }

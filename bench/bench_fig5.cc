@@ -153,7 +153,7 @@ int main() {
   hdldp::data::CorrelatedSpec spec;
   spec.num_users = users;
   spec.num_dims = kSourceDims;
-  const Dataset source = hdldp::data::GenerateCorrelated(spec, &data_rng).value();
+  const Dataset source = hdldp::data::Generate(spec, &data_rng).value();
   const std::size_t repeats = hdldp::bench::Repeats();
   RunMechanism("laplace", source, repeats);
   RunMechanism("piecewise", source, repeats);

@@ -22,9 +22,9 @@ int main() {
   // 1. A population: 50,000 users, 128 numerical dimensions in [-1, 1].
   hdldp::Rng rng(2024);
   const auto dataset =
-      hdldp::data::GenerateUniform({.num_users = 50000, .num_dims = 128},
-                                   &rng)
-          .value();
+      hdldp::data::Generate(
+          hdldp::data::UniformSpec{.num_users = 50000, .num_dims = 128},
+          &rng).value();
 
   // 2. The LDP protocol with the Piecewise mechanism and a tight budget.
   //    Each user reports all 128 dimensions, so each gets eps/128.

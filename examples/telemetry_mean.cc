@@ -35,7 +35,7 @@ int main() {
   hdldp::data::GaussianSpec spec;
   spec.num_users = kDevices;
   spec.num_dims = kSensors;
-  const auto fleet = hdldp::data::GenerateGaussian(spec, &rng).value();
+  const auto fleet = hdldp::data::Generate(spec, &rng).value();
 
   auto mechanism = hdldp::mech::MakeMechanism("piecewise").value();
   hdldp::protocol::PipelineOptions options;

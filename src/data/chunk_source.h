@@ -187,6 +187,29 @@ class TransformedChunkSource final : public ChunkSource {
   std::function<double(double)> transform_;
 };
 
+/// \brief Calls visit(rows) with the rows of each chunk of `source` outside
+/// `quarantined` (distinct chunk indices, sorted ascending), in chunk
+/// order, until visit returns false. The pass a ground truth or marginal
+/// takes over exactly the users an estimate covers.
+template <typename Visit>
+Status ForEachSurvivingChunk(const ChunkSource& source,
+                             const std::vector<std::size_t>& quarantined,
+                             Visit visit) {
+  ChunkBuffer buffer;
+  std::size_t next_quarantined = 0;
+  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
+    if (next_quarantined < quarantined.size() &&
+        quarantined[next_quarantined] == c) {
+      ++next_quarantined;
+      continue;
+    }
+    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                           source.Chunk(c, &buffer));
+    if (!visit(rows)) break;
+  }
+  return Status::OK();
+}
+
 /// \brief Copies rows [first_row, first_row + row_count) of `source` into
 /// a flat row-major vector (row_count * num_dims doubles). For small
 /// gathers — empirical-marginal sampling, debugging — not bulk reads.

@@ -1,25 +1,33 @@
 #include "data/dataset.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
-#include <limits>
+#include <utility>
 
 #include "common/math.h"
 
 namespace hdldp {
 namespace data {
 
-Dataset::Dataset(std::size_t num_users, std::size_t num_dims)
-    : num_users_(num_users),
-      num_dims_(num_dims),
-      values_(num_users * num_dims, 0.0) {}
+Dataset::Dataset(std::size_t num_users, std::size_t num_dims,
+                 std::vector<double> values)
+    : num_users_(num_users), num_dims_(num_dims), values_(std::move(values)) {}
 
 Result<Dataset> Dataset::Create(std::size_t num_users, std::size_t num_dims) {
+  return Adopt(num_users, num_dims,
+               std::vector<double>(num_users * num_dims, 0.0));
+}
+
+Result<Dataset> Dataset::Adopt(std::size_t num_users, std::size_t num_dims,
+                               std::vector<double> values) {
   if (num_users == 0 || num_dims == 0) {
     return Status::InvalidArgument("Dataset requires num_users, num_dims > 0");
   }
-  return Dataset(num_users, num_dims);
+  if (values.size() != num_users * num_dims) {
+    return Status::InvalidArgument(
+        "Dataset::Adopt requires num_users * num_dims values");
+  }
+  return Dataset(num_users, num_dims, std::move(values));
 }
 
 Status Dataset::FillRows(std::size_t first_row,
@@ -39,11 +47,6 @@ Status Dataset::FillRows(std::size_t first_row,
 }
 
 std::vector<double> Dataset::TrueMean() const {
-  // Debug poison for the MutableRow footgun: a memo taken now could be
-  // invalidated by later writes through an already-handed-out span.
-  assert(!mutable_row_outstanding_ &&
-         "TrueMean while a MutableRow span is outstanding; call "
-         "CommitMutableRows after writing");
   const std::shared_ptr<const MeanCache> cached =
       mean_cache_.load(std::memory_order_acquire);
   if (cached != nullptr && cached->version == version_) return cached->mean;
@@ -61,39 +64,6 @@ std::vector<double> Dataset::TrueMean() const {
   }
   mean_cache_.store(fresh, std::memory_order_release);
   return fresh->mean;
-}
-
-void Dataset::DimensionRange(std::size_t j, double* min_out,
-                             double* max_out) const {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < num_users_; ++i) {
-    const double v = At(i, j);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  *min_out = lo;
-  *max_out = hi;
-}
-
-void Dataset::NormalizeDimensions() {
-  for (std::size_t j = 0; j < num_dims_; ++j) {
-    double lo, hi;
-    DimensionRange(j, &lo, &hi);
-    const double width = hi - lo;
-    if (width <= 0.0) {
-      for (std::size_t i = 0; i < num_users_; ++i) Set(i, j, 0.0);
-      continue;
-    }
-    for (std::size_t i = 0; i < num_users_; ++i) {
-      Set(i, j, 2.0 * (At(i, j) - lo) / width - 1.0);
-    }
-  }
-}
-
-void Dataset::ClampValues(double lo, double hi) {
-  ++version_;  // Direct values_ mutation; invalidate the TrueMean memo.
-  for (double& v : values_) v = Clamp(v, lo, hi);
 }
 
 Result<Dataset> Dataset::ResampleDimensions(std::size_t new_num_dims,

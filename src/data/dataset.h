@@ -28,6 +28,10 @@ class Dataset {
   /// Creates a zero-filled dataset with `num_users` rows and
   /// `num_dims` columns. Both must be positive.
   static Result<Dataset> Create(std::size_t num_users, std::size_t num_dims);
+  /// Takes ownership of `values` (num_users * num_dims doubles,
+  /// row-major) without copying. Both dimensions must be positive.
+  static Result<Dataset> Adopt(std::size_t num_users, std::size_t num_dims,
+                               std::vector<double> values);
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_dims() const { return num_dims_; }
@@ -54,41 +58,14 @@ class Dataset {
   }
   /// \brief Bulk row store: copies `values` (a whole number of rows,
   /// row-major) over rows [first_row, first_row + values.size()/d). One
-  /// version bump per call, so bulk writers (generators, chunk
-  /// materialization) pay O(1) invalidation instead of O(values).
+  /// version bump per call, so bulk writers pay O(1) invalidation
+  /// instead of O(values).
   Status FillRows(std::size_t first_row, std::span<const double> values);
-
-  /// \brief Mutable view of user i's tuple. Invalidates the TrueMean
-  /// memo at handout — but writes through the span are invisible to the
-  /// version counter, so a TrueMean() memoized while a span is live can
-  /// go stale. Debug builds poison this: TrueMean() asserts no span is
-  /// outstanding; call CommitMutableRows() when writing is done. Prefer
-  /// FillRows for bulk writes.
-  std::span<double> MutableRow(std::size_t i) {
-    ++version_;
-#ifndef NDEBUG
-    mutable_row_outstanding_ = true;
-#endif
-    return {values_.data() + i * num_dims_, num_dims_};
-  }
-
-  /// \brief Declares every span handed out by MutableRow dead: writes
-  /// are finished and reads are safe again. Invalidates the memo (the
-  /// writes it covers bypassed the version counter).
-  void CommitMutableRows() {
-    ++version_;
-#ifndef NDEBUG
-    mutable_row_outstanding_ = false;
-#endif
-  }
 
   // The TrueMean memo below makes copies/moves non-trivial (an atomic
   // member has no implicit copy): copies duplicate the matrix and adopt
   // the source's cache snapshot, mutation replaces only this object's
   // snapshot.
-  // A copy never carries the poison flag: outstanding MutableRow spans
-  // point into the source's buffer, not the copy's. Moves carry it — the
-  // buffer (and any spans into it) moves along.
   Dataset(const Dataset& other)
       : num_users_(other.num_users_),
         num_dims_(other.num_dims_),
@@ -101,7 +78,6 @@ class Dataset {
       num_dims_ = other.num_dims_;
       values_ = other.values_;
       version_ = other.version_;
-      mutable_row_outstanding_ = false;
       mean_cache_.store(other.mean_cache_.load(std::memory_order_acquire),
                         std::memory_order_release);
     }
@@ -112,7 +88,6 @@ class Dataset {
         num_dims_(other.num_dims_),
         values_(std::move(other.values_)),
         version_(other.version_),
-        mutable_row_outstanding_(other.mutable_row_outstanding_),
         mean_cache_(other.mean_cache_.load(std::memory_order_acquire)) {}
   Dataset& operator=(Dataset&& other) noexcept {
     if (this != &other) {
@@ -120,7 +95,6 @@ class Dataset {
       num_dims_ = other.num_dims_;
       values_ = std::move(other.values_);
       version_ = other.version_;
-      mutable_row_outstanding_ = other.mutable_row_outstanding_;
       mean_cache_.store(other.mean_cache_.load(std::memory_order_acquire),
                         std::memory_order_release);
     }
@@ -140,17 +114,6 @@ class Dataset {
   /// version, never touching other copies.
   std::vector<double> TrueMean() const;
 
-  /// \brief Per-dimension [min, max].
-  void DimensionRange(std::size_t j, double* min_out, double* max_out) const;
-
-  /// \brief Min-max normalizes every dimension onto [-1, 1] (paper
-  /// Section VI: "each dimension is normalized into [-1, 1]").
-  /// Constant dimensions map to 0.
-  void NormalizeDimensions();
-
-  /// \brief Clamps every value into [lo, hi].
-  void ClampValues(double lo, double hi);
-
   /// \brief New dataset with `new_num_dims` columns sampled uniformly with
   /// replacement from this dataset's columns (the paper's Figure 5 recipe
   /// for dimensionalities larger than the source data).
@@ -161,7 +124,8 @@ class Dataset {
   Result<Dataset> TruncateUsers(std::size_t new_num_users) const;
 
  private:
-  Dataset(std::size_t num_users, std::size_t num_dims);
+  Dataset(std::size_t num_users, std::size_t num_dims,
+          std::vector<double> values);
 
   struct MeanCache {
     std::uint64_t version = 0;
@@ -172,11 +136,8 @@ class Dataset {
   std::size_t num_dims_;
   std::vector<double> values_;
   // Mutation counter backing the TrueMean memo: bumping it is all a hot
-  // mutator (Set runs once per generated value) pays for invalidation.
+  // mutator (Set runs once per written value) pays for invalidation.
   std::uint64_t version_ = 0;
-  // Debug poison (see MutableRow): true while a handed-out mutable span
-  // may still receive writes the version counter cannot see.
-  bool mutable_row_outstanding_ = false;
   mutable std::atomic<std::shared_ptr<const MeanCache>> mean_cache_{};
 };
 

@@ -1,41 +1,30 @@
 // Streaming synthetic data: chunk-keyed generation and the
 // GeneratorChunkSource that synthesizes each chunk on demand.
 //
-// The classic generators (data/generators.h) draw one sequential random
-// stream across the whole population, so producing chunk c requires
-// producing chunks 0..c-1 first — fine resident, useless for streaming.
-// Chunk-keyed generation re-keys the draws per chunk instead, and that
-// re-keying is a recorded, frozen contract (an opt-in mode, not a silent
-// change to the classic generators — their sequential streams are pinned
-// by existing goldens):
+// Every distribution has one body, data::PreparedGenerator
+// (data/generators.h). The classic contract feeds it one sequential
+// stream, so producing chunk c requires producing chunks 0..c-1 first —
+// fine resident, useless for streaming. The chunk-keyed contract is the
+// same body under a second, frozen keying of its streams:
 //
-//   * Population-level parameters (Poisson per-dimension expectations,
-//     correlated factor loadings) are drawn once from
-//     Rng(SplitMix64(seed ^ kGeneratorParamTag)), in the same order the
-//     classic generators draw them.
-//   * The rows of chunk c are drawn from a fresh
-//     Rng(ChunkSeed(seed ^ kGeneratorRowTag, c)), user-major then
-//     dimension-major, with exactly the per-value draw sequence of the
-//     classic generator for that spec.
-//   * Post-processing matches the Dataset methods bit-for-bit: Gaussian
-//     clamps each value into [-1, 1]; Poisson/Correlated min-max
-//     normalize per dimension with ranges computed over the whole
-//     population (a streaming prepass — min/max are order-independent,
-//     and the per-value map is the same expression
-//     2*(v - lo)/width - 1 that Dataset::NormalizeDimensions applies).
+//   * the population parameters come from
+//     Rng(SplitMix64(seed ^ kGeneratorParamTag));
+//   * the rows of chunk c come from Rng(ChunkSeed(seed ^ kGeneratorRowTag,
+//     c)), drawn by PreparedGenerator::DrawRows;
+//   * post-processing is PreparedGenerator::PostProcess, with min-max
+//     ranges taken over the whole population (a streaming prepass for
+//     GeneratorChunkSource; min/max commute, so any chunk order agrees).
 //
 // GenerateChunkKeyed (eager, returns a resident Dataset) and
-// GeneratorChunkSource (streaming, synthesizes chunks on demand) share
-// one chunk-fill core, so for the same (spec, seed) they are
-// bit-identical — the golden tests pin both the contract's draw bits and
-// resident-vs-streaming estimate equality.
+// GeneratorChunkSource (streaming) apply that keying to the same body, so
+// for the same (spec, seed) they deliver the same values; the golden
+// tests pin both the contract's draw bits and their equality.
 
 #ifndef HDLDP_DATA_GENERATOR_SOURCE_H_
 #define HDLDP_DATA_GENERATOR_SOURCE_H_
 
 #include <cstdint>
-#include <variant>
-#include <vector>
+#include <utility>
 
 #include "common/result.h"
 #include "data/chunk_source.h"
@@ -50,14 +39,10 @@ namespace data {
 inline constexpr std::uint64_t kGeneratorParamTag = 0x8f5c28f5c28f5c29ULL;
 inline constexpr std::uint64_t kGeneratorRowTag = 0x6b43a9b5e4f71c02ULL;
 
-/// Any synthetic dataset specification.
-using GeneratorSpec = std::variant<UniformSpec, GaussianSpec, PoissonSpec,
-                                   CorrelatedSpec, DiscreteSpec>;
-
-/// \brief Eager chunk-keyed generation: a resident Dataset whose values
-/// are bit-identical to what GeneratorChunkSource streams for the same
-/// (spec, seed). This is the reference twin for golden tests and for
-/// comparing in-memory runs against `generate`-then-`--input` runs.
+/// \brief Eager chunk-keyed generation: a resident Dataset holding the
+/// values GeneratorChunkSource streams for the same (spec, seed). This is
+/// the reference twin for golden tests and for comparing in-memory runs
+/// against `generate`-then-`--input` runs.
 Result<Dataset> GenerateChunkKeyed(const GeneratorSpec& spec,
                                    std::uint64_t seed);
 
@@ -71,31 +56,19 @@ class GeneratorChunkSource final : public ChunkSource {
   static Result<GeneratorChunkSource> Create(const GeneratorSpec& spec,
                                              std::uint64_t seed);
 
-  std::size_t num_users() const override { return num_users_; }
-  std::size_t num_dims() const override { return num_dims_; }
+  std::size_t num_users() const override { return generator_.num_users(); }
+  std::size_t num_dims() const override { return generator_.num_dims(); }
   Result<std::span<const double>> Chunk(std::size_t chunk,
                                         ChunkBuffer* buffer) const override;
 
  private:
-  /// How raw draws are mapped into [-1, 1] after filling.
-  enum class Post { kNone, kClamp, kMinMax };
+  GeneratorChunkSource(PreparedGenerator generator, std::uint64_t seed)
+      : generator_(std::move(generator)), seed_(seed) {}
 
-  GeneratorChunkSource() = default;
-
-  void FillRawChunk(std::size_t chunk, std::vector<double>* out) const;
-
-  GeneratorSpec spec_;
-  std::uint64_t seed_ = 0;
-  std::size_t num_users_ = 0;
-  std::size_t num_dims_ = 0;
-  Post post_ = Post::kNone;
-  // Population parameters drawn at Create (see the contract above).
-  std::vector<double> lambdas_;   // Poisson: per-dimension expectations.
-  std::vector<double> loadings_;  // Correlated: normalized factor loadings.
-  std::vector<double> cdf_;       // Discrete: cumulative probabilities.
-  // Min-max prepass results (Post::kMinMax only).
-  std::vector<double> range_lo_;
-  std::vector<double> range_width_;
+  PreparedGenerator generator_;
+  std::uint64_t seed_;
+  // Population-wide raw ranges (min-max specs only).
+  ColumnRanges ranges_;
 };
 
 }  // namespace data

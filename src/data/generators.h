@@ -14,11 +14,26 @@
 //  * Discrete - i.i.d. draws from an explicit (value, probability) list;
 //               used by the Section IV-C case study (values 0.1..1.0,
 //               p = 10% each).
+//
+// Each distribution has one body, PreparedGenerator: Prepare validates
+// the spec and draws its population parameters (Poisson expectations,
+// correlated loadings, discrete CDF), DrawRows draws the raw values of
+// any span of users from the Rng it is handed, and PostProcess maps raw
+// rows into [-1, 1]. Two stream contracts wire that body, and both are
+// frozen:
+//
+//   * classic (Generate below): parameters, then every row, from the
+//     caller's single sequential Rng;
+//   * chunk-keyed (data/generator_source.h): parameters and each chunk's
+//     rows from their own tagged streams, so chunk c is reproducible
+//     without generating chunks 0..c-1.
 
 #ifndef HDLDP_DATA_GENERATORS_H_
 #define HDLDP_DATA_GENERATORS_H_
 
 #include <cstddef>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -36,9 +51,6 @@ struct UniformSpec {
   double hi = 1.0;
 };
 
-/// \brief I.i.d. uniform values on [lo, hi].
-Result<Dataset> GenerateUniform(const UniformSpec& spec, Rng* rng);
-
 /// Parameters of the Gaussian dataset (paper Section VI, item 2).
 struct GaussianSpec {
   std::size_t num_users = 0;
@@ -54,9 +66,6 @@ struct GaussianSpec {
   double low_mean = 0.0;
 };
 
-/// \brief Gaussian dataset; values clamped into [-1, 1].
-Result<Dataset> GenerateGaussian(const GaussianSpec& spec, Rng* rng);
-
 /// Parameters of the Poisson dataset (paper Section VI, item 3).
 struct PoissonSpec {
   std::size_t num_users = 0;
@@ -66,9 +75,6 @@ struct PoissonSpec {
   double min_expectation = 1.0;
   double max_expectation = 99.0;
 };
-
-/// \brief Poisson dataset, min-max normalized into [-1, 1].
-Result<Dataset> GeneratePoisson(const PoissonSpec& spec, Rng* rng);
 
 /// Parameters of the correlated COV-19 surrogate.
 struct CorrelatedSpec {
@@ -82,9 +88,6 @@ struct CorrelatedSpec {
   double factor_weight = 0.85;
 };
 
-/// \brief Correlated factor-model dataset, min-max normalized into [-1, 1].
-Result<Dataset> GenerateCorrelated(const CorrelatedSpec& spec, Rng* rng);
-
 /// Parameters of a discrete-support dataset.
 struct DiscreteSpec {
   std::size_t num_users = 0;
@@ -95,9 +98,64 @@ struct DiscreteSpec {
   std::vector<double> probabilities;
 };
 
-/// \brief I.i.d. draws from a discrete distribution (Section IV-C case
-/// study).
-Result<Dataset> GenerateDiscrete(const DiscreteSpec& spec, Rng* rng);
+/// Any synthetic dataset specification.
+using GeneratorSpec = std::variant<UniformSpec, GaussianSpec, PoissonSpec,
+                                   CorrelatedSpec, DiscreteSpec>;
+
+/// \brief Per-dimension [lo, hi] of raw draws, accumulated block by block
+/// (min/max commute, so any block order yields the same ranges).
+struct ColumnRanges {
+  explicit ColumnRanges(std::size_t num_dims = 0);
+  /// Widens the ranges by a block of whole rows (row-major).
+  void Add(std::span<const double> rows);
+
+  std::vector<double> lo;
+  std::vector<double> hi;
+};
+
+/// \brief A validated spec with its population parameters drawn: the
+/// one body of each distribution, shared by both stream contracts.
+class PreparedGenerator {
+ public:
+  /// Validates `spec` and draws its parameters from `param_rng`.
+  static Result<PreparedGenerator> Prepare(const GeneratorSpec& spec,
+                                           Rng* param_rng);
+
+  std::size_t num_users() const { return num_users_; }
+  std::size_t num_dims() const { return num_dims_; }
+  /// Whether PostProcess min-max normalizes, i.e. needs the ranges of
+  /// the whole population's raw draws.
+  bool needs_ranges() const;
+
+  /// Draws the raw values of rows.size() / num_dims() users from `rng`,
+  /// user-major then dimension-major.
+  void DrawRows(Rng* rng, std::span<double> rows) const;
+
+  /// Maps raw rows into [-1, 1]: Gaussian clamps, Poisson and Correlated
+  /// min-max normalize against `ranges` (constant dimensions map to 0),
+  /// Uniform and Discrete are left as drawn.
+  void PostProcess(const ColumnRanges& ranges, std::span<double> rows) const;
+
+  /// \brief Post-processes a whole population of raw rows in place (the
+  /// ranges, when needed, come from the rows themselves) and adopts it
+  /// as a Dataset without copying.
+  Result<Dataset> Finish(std::vector<double> rows) const;
+
+ private:
+  PreparedGenerator() = default;
+
+  GeneratorSpec spec_;
+  std::size_t num_users_ = 0;
+  std::size_t num_dims_ = 0;
+  // The population parameters: Poisson per-dimension expectations,
+  // Correlated normalized loadings (d x num_factors), or Discrete
+  // cumulative probabilities; empty for Uniform and Gaussian.
+  std::vector<double> params_;
+};
+
+/// \brief The classic contract: `spec`'s parameters, then its rows, from
+/// one sequential stream `rng`.
+Result<Dataset> Generate(const GeneratorSpec& spec, Rng* rng);
 
 /// \brief Average absolute pairwise Pearson correlation over a column
 /// sample; diagnostic used to validate the COV-19 surrogate.

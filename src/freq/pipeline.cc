@@ -99,25 +99,16 @@ Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
   for (std::size_t j = 0; j < d; ++j) {
     freqs[j].assign(schema.Cardinality(j), 0.0);
   }
-  data::ChunkBuffer buffer;
-  std::size_t surviving = source.num_users();
-  std::size_t next_quarantined = 0;
-  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
-    if (next_quarantined < quarantined.size() &&
-        quarantined[next_quarantined] == c) {
-      ++next_quarantined;
-      surviving -= source.ChunkUsers(c);
-      continue;
-    }
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           source.Chunk(c, &buffer));
-    const std::size_t users = source.ChunkUsers(c);
-    for (std::size_t i = 0; i < users; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        freqs[j][static_cast<std::uint32_t>(rows[i * d + j])] += 1.0;
-      }
-    }
-  }
+  HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
+      source, quarantined, [&](std::span<const double> rows) {
+        for (std::size_t k = 0; k < rows.size(); k += d) {
+          for (std::size_t j = 0; j < d; ++j) {
+            freqs[j][static_cast<std::uint32_t>(rows[k + j])] += 1.0;
+          }
+        }
+        return true;
+      }));
+  const std::size_t surviving = source.SurvivingUsers(quarantined);
   if (surviving == 0) {
     return Status::FailedPrecondition(
         "every chunk was quarantined; no surviving users to estimate");

@@ -19,18 +19,28 @@ namespace hdr4me {
 namespace {
 
 // HDR4ME pass over one half's estimate, with per-dimension models built
-// from that half's empirical marginals (the first <= 2000 rows,
-// materialized from the half's source — a bounded gather regardless of
-// population size).
+// from that half's empirical marginals (its first <= 2000 surviving
+// rows — a bounded gather regardless of population size) and r_j
+// counting only the users whose reports were folded.
 Result<std::vector<double>> RecalibrateHalf(
-    const data::ChunkSource& half, const mech::Mechanism& mechanism,
-    const std::vector<double>& estimate, double per_dim_eps,
-    const mech::Interval& data_domain, const Hdr4meOptions& options,
-    double reports) {
-  const std::size_t rows = std::min<std::size_t>(half.num_users(), 2000);
+    const data::ChunkSource& half, const protocol::MeanEstimationResult& run,
+    const mech::Mechanism& mechanism, const std::vector<double>& estimate,
+    double report_dims, const mech::Interval& data_domain,
+    const Hdr4meOptions& options) {
   const std::size_t d = half.num_dims();
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<double> marginals,
-                         data::MaterializeRows(half, 0, rows));
+  const std::size_t rows = std::min<std::size_t>(run.surviving_users, 2000);
+  std::vector<double> marginals;
+  marginals.reserve(rows * d);
+  HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
+      half, run.quarantined_chunks, [&](std::span<const double> chunk) {
+        const std::size_t take =
+            std::min(chunk.size(), rows * d - marginals.size());
+        marginals.insert(marginals.end(), chunk.begin(),
+                         chunk.begin() + static_cast<std::ptrdiff_t>(take));
+        return marginals.size() < rows * d;
+      }));
+  const double reports = static_cast<double>(run.surviving_users) *
+                         report_dims / static_cast<double>(d);
   std::vector<framework::GaussianDeviation> deviations;
   deviations.reserve(d);
   std::vector<double> column(rows);
@@ -41,8 +51,8 @@ Result<std::vector<double>> RecalibrateHalf(
         framework::ValueDistribution::FromSamples(column, 16));
     HDLDP_ASSIGN_OR_RETURN(
         const framework::DeviationModel model,
-        framework::ModelDeviation(mechanism, per_dim_eps, values, reports,
-                                  data_domain));
+        framework::ModelDeviation(mechanism, run.per_dim_epsilon, values,
+                                  reports, data_domain));
     deviations.push_back(model.deviation);
   }
   HDLDP_ASSIGN_OR_RETURN(const RecalibrationResult result,
@@ -98,7 +108,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       const auto mean_run,
-      protocol::RunMeanEstimation(values_half, mechanism, mean_opts));
+      protocol::EstimateMean(values_half, mechanism, mean_opts));
 
   protocol::PipelineOptions square_opts = mean_opts;
   square_opts.seed = options.seed ^ 0x5ECC0ull;
@@ -107,7 +117,13 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       const auto square_run,
-      protocol::RunMeanEstimation(squares_embedded, mechanism, square_opts));
+      protocol::EstimateMean(squares_embedded, mechanism, square_opts));
+
+  if (mean_run.surviving_users == 0 || square_run.surviving_users == 0) {
+    return Status::FailedPrecondition(
+        "every chunk of a variance half was quarantined; no surviving "
+        "users to estimate it");
+  }
 
   VarianceEstimationResult result;
   result.quarantined_values_chunks = mean_run.quarantined_chunks;
@@ -128,21 +144,17 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
     const double m = options.report_dims == 0
                          ? static_cast<double>(d)
                          : static_cast<double>(options.report_dims);
-    const double eps_per_dim = options.total_epsilon / m;
-    const double reports_a = static_cast<double>(values_half.num_users()) *
-                             m / static_cast<double>(d);
-    const double reports_b = static_cast<double>(squares_half.num_users()) *
-                             m / static_cast<double>(d);
     HDLDP_ASSIGN_OR_RETURN(
         result.estimated_mean,
-        RecalibrateHalf(values_half, *mechanism, result.estimated_mean,
-                        eps_per_dim, {-1.0, 1.0}, options.hdr4me, reports_a));
+        RecalibrateHalf(values_half, mean_run, *mechanism,
+                        result.estimated_mean, m, {-1.0, 1.0},
+                        options.hdr4me));
     // The second moment lives in [0, 1]; re-calibrate in that domain.
     HDLDP_ASSIGN_OR_RETURN(
         result.estimated_second_moment,
-        RecalibrateHalf(squares_half, *mechanism,
-                        result.estimated_second_moment, eps_per_dim,
-                        {0.0, 1.0}, options.hdr4me, reports_b));
+        RecalibrateHalf(squares_half, square_run, *mechanism,
+                        result.estimated_second_moment, m, {0.0, 1.0},
+                        options.hdr4me));
   }
 
   // Combine and score.
@@ -152,26 +164,37 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
         std::max(0.0, result.estimated_second_moment[j] -
                           Sq(result.estimated_mean[j]));
   }
-  // True variance: one streaming pass, chunks in user order, so the
-  // per-dimension compensated sums match the resident-dataset loop bit
-  // for bit.
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<double> true_mean,
-                         source.TrueMean());
-  std::vector<NeumaierSum> acc(d);
-  data::ChunkBuffer buffer;
-  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           source.Chunk(c, &buffer));
-    const std::size_t users = source.ChunkUsers(c);
-    for (std::size_t i = 0; i < users; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        acc[j].Add(Sq(rows[i * d + j] - true_mean[j]));
+  // True variance over the users the estimates cover: the surviving
+  // chunks of both halves, in user order. With nothing quarantined that
+  // is every user in order, so the compensated sums match the
+  // resident-dataset loop (and Dataset::TrueMean) bit for bit.
+  const auto for_each_surviving_row = [&](auto add) -> Status {
+    const auto add_chunk = [&](std::span<const double> rows) {
+      for (std::size_t k = 0; k < rows.size(); k += d) {
+        for (std::size_t j = 0; j < d; ++j) add(j, rows[k + j]);
       }
-    }
+      return true;
+    };
+    HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
+        values_half, mean_run.quarantined_chunks, add_chunk));
+    return data::ForEachSurvivingChunk(
+        raw_half_b, square_run.quarantined_chunks, add_chunk);
+  };
+  const auto surviving = static_cast<double>(result.surviving_users);
+  std::vector<NeumaierSum> sums(d);
+  HDLDP_RETURN_NOT_OK(for_each_surviving_row(
+      [&](std::size_t j, double v) { sums[j].Add(v); }));
+  std::vector<double> true_mean(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    true_mean[j] = sums[j].Total() / surviving;
   }
+  std::vector<NeumaierSum> acc(d);
+  HDLDP_RETURN_NOT_OK(for_each_surviving_row([&](std::size_t j, double v) {
+    acc[j].Add(Sq(v - true_mean[j]));
+  }));
   result.true_variance.resize(d);
   for (std::size_t j = 0; j < d; ++j) {
-    result.true_variance[j] = acc[j].Total() / static_cast<double>(n);
+    result.true_variance[j] = acc[j].Total() / surviving;
   }
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, protocol::MeanSquaredError(result.estimated_variance,

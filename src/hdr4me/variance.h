@@ -51,7 +51,8 @@ struct VarianceOptions : engine::RunControl {
 struct VarianceEstimationResult {
   /// Estimated per-dimension variance (clamped to >= 0).
   std::vector<double> estimated_variance;
-  /// Ground-truth population variance of the dataset.
+  /// Ground-truth population variance over the users the estimates
+  /// cover: every user, minus those of quarantined chunks.
   std::vector<double> true_variance;
   /// The two intermediate estimates: mean (data domain [-1, 1]) and
   /// second moment (data domain [0, 1]).
@@ -74,7 +75,9 @@ struct VarianceEstimationResult {
 /// views are lazy slices/transforms of `source`, never materialized, so
 /// out-of-core populations (shard directories, streaming generators)
 /// run in O(chunk) data memory. Requires at least 2 users; source
-/// values must lie in [-1, 1].
+/// values must lie in [-1, 1]. Under allow_missing_chunks the ground
+/// truth, the HDR4ME marginals and r_j cover the surviving users only;
+/// a half with none left is a FailedPrecondition.
 Result<VarianceEstimationResult> RunVarianceEstimation(
     const data::ChunkSource& source, mech::MechanismPtr mechanism,
     const VarianceOptions& options);

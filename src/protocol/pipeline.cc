@@ -38,21 +38,18 @@ void SimulateChunkV1(std::span<const double> rows, std::size_t num_dims,
   }
 }
 
-// The result every mean path reports: the reduced aggregator's estimate
-// scored against the source's ground truth.
-Result<MeanEstimationResult> MeanResult(const data::ChunkSource& source,
-                                        MeanReduction reduced,
-                                        double per_dim_epsilon) {
+// The result every mean path reports, before scoring: the reduced
+// aggregator's estimate and what it covers.
+MeanEstimationResult MeanResult(const data::ChunkSource& source,
+                                MeanReduction reduced,
+                                double per_dim_epsilon) {
   MeanEstimationResult result;
   result.estimated_mean = reduced.aggregator.EstimatedMean();
-  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
   result.report_counts.reserve(source.num_dims());
   for (std::size_t j = 0; j < source.num_dims(); ++j) {
     result.report_counts.push_back(reduced.aggregator.ReportCount(j));
   }
   result.per_dim_epsilon = per_dim_epsilon;
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
   result.surviving_users = source.SurvivingUsers(reduced.quarantined_chunks);
   result.quarantined_chunks = std::move(reduced.quarantined_chunks);
   result.resumed_from_checkpoint = reduced.resumed_from_checkpoint;
@@ -126,9 +123,9 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
 
 }  // namespace
 
-Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
-                                               mech::MechanismPtr mechanism,
-                                               const PipelineOptions& options) {
+Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
+                                          mech::MechanismPtr mechanism,
+                                          const PipelineOptions& options) {
   HDLDP_RETURN_NOT_OK(
       ValidateRunControl(options, options.encoding, Workload::kMean));
   if (options.encoding == ReportEncoding::kHadamard1) {
@@ -201,6 +198,17 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                 });
           }));
   return MeanResult(source, std::move(reduced), client.PerDimensionEpsilon());
+}
+
+Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
+                                               mech::MechanismPtr mechanism,
+                                               const PipelineOptions& options) {
+  HDLDP_ASSIGN_OR_RETURN(MeanEstimationResult result,
+                         EstimateMean(source, std::move(mechanism), options));
+  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+  HDLDP_ASSIGN_OR_RETURN(
+      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
+  return result;
 }
 
 Result<MeanEstimationResult> RunMeanEstimation(const data::Dataset& dataset,

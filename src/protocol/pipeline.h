@@ -93,6 +93,14 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                mech::MechanismPtr mechanism,
                                                const PipelineOptions& options);
 
+/// \brief RunMeanEstimation without the scoring pass: `true_mean` stays
+/// empty and `mse` 0. For callers that score against their own ground
+/// truth (the variance halves), so no pass reads the data only to
+/// measure it.
+Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
+                                          mech::MechanismPtr mechanism,
+                                          const PipelineOptions& options);
+
 /// \brief Resident-dataset convenience wrapper: adapts `dataset` through
 /// data::ResidentChunkSource (zero-copy) and runs the source overload.
 Result<MeanEstimationResult> RunMeanEstimation(const data::Dataset& dataset,

@@ -64,7 +64,7 @@ void ExpectSourceMatchesDataset(const ChunkSource& source,
 TEST(ChunkSourceTest, ResidentChunkSourceIsZeroCopy) {
   Rng rng(31);
   const Dataset dataset =
-      GenerateUniform({.num_users = 5000, .num_dims = 3}, &rng).value();
+      Generate(UniformSpec{.num_users = 5000, .num_dims = 3}, &rng).value();
   const ResidentChunkSource source(&dataset);
   ChunkBuffer buffer;
   const auto rows = source.Chunk(1, &buffer);
@@ -79,9 +79,9 @@ TEST(ChunkSourceTest, ResidentChunkSourceIsZeroCopy) {
 TEST(ChunkSourceTest, DefaultStreamingTrueMeanMatchesDatasetBitwise) {
   Rng rng(32);
   const Dataset dataset =
-      GenerateUniform({.num_users = 2 * kUsersPerChunk + 123, .num_dims = 4},
-                      &rng)
-          .value();
+      Generate(
+          UniformSpec{.num_users = 2 * kUsersPerChunk + 123, .num_dims = 4},
+          &rng).value();
   const ResidentChunkSource resident(&dataset);
   // A full-range slice has no TrueMean override, so this exercises the
   // base class's streaming pass.
@@ -97,9 +97,9 @@ TEST(ChunkSourceTest, DefaultStreamingTrueMeanMatchesDatasetBitwise) {
 TEST(ChunkSourceTest, SlicedChunkSourceAlignedAndUnaligned) {
   Rng rng(33);
   const Dataset dataset =
-      GenerateUniform({.num_users = 3 * kUsersPerChunk + 500, .num_dims = 2},
-                      &rng)
-          .value();
+      Generate(
+          UniformSpec{.num_users = 3 * kUsersPerChunk + 500, .num_dims = 2},
+          &rng).value();
   const ResidentChunkSource resident(&dataset);
   for (const std::size_t first : {kUsersPerChunk, std::size_t{1000}}) {
     const std::size_t count = dataset.num_users() - first;
@@ -122,8 +122,8 @@ TEST(ChunkSourceTest, SlicedChunkSourceAlignedAndUnaligned) {
 TEST(ChunkSourceTest, TransformedChunkSourceAppliesPerValue) {
   Rng rng(34);
   const Dataset dataset =
-      GenerateUniform({.num_users = kUsersPerChunk + 77, .num_dims = 3}, &rng)
-          .value();
+      Generate(UniformSpec{.num_users = kUsersPerChunk + 77, .num_dims = 3},
+               &rng).value();
   const ResidentChunkSource resident(&dataset);
   const TransformedChunkSource doubled(&resident,
                                        [](double v) { return 2.0 * v; });
@@ -142,8 +142,8 @@ TEST(ChunkSourceTest, TransformedChunkSourceAppliesPerValue) {
 TEST(ChunkSourceTest, MaterializeRowsCrossesChunkBoundaries) {
   Rng rng(35);
   const Dataset dataset =
-      GenerateUniform({.num_users = 2 * kUsersPerChunk, .num_dims = 2}, &rng)
-          .value();
+      Generate(UniformSpec{.num_users = 2 * kUsersPerChunk, .num_dims = 2},
+               &rng).value();
   const ResidentChunkSource resident(&dataset);
   const std::size_t first = kUsersPerChunk - 6;
   const std::size_t count = 12;  // Straddles the chunk 0 / chunk 1 seam.
@@ -372,7 +372,7 @@ TEST(SourceBitIdentityTest, VarianceMatchesPreReworkGoldenBits) {
   spec.num_dims = 4;
   spec.stddev = 0.25;
   spec.high_fraction = 0.0;
-  const auto dataset = GenerateGaussian(spec, &rng);
+  const auto dataset = Generate(spec, &rng);
   ASSERT_TRUE(dataset.ok());
 
   struct Golden {
@@ -429,7 +429,7 @@ TEST(SourceBitIdentityTest, VarianceAcrossResidentAndShard) {
   spec.num_dims = 4;
   spec.stddev = 0.25;
   spec.high_fraction = 0.0;
-  const auto dataset = GenerateGaussian(spec, &rng);
+  const auto dataset = Generate(spec, &rng);
   ASSERT_TRUE(dataset.ok());
 
   const std::string dir = TempShardDir("variance_identity");

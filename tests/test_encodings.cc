@@ -602,7 +602,8 @@ TEST(PayloadCodecTest, DecodesHadamard1AtTheSampledDims) {
 TEST(EncodingPipelineTest, WorkloadEncodingMismatchesAreRejected) {
   Rng rng(1);
   const auto dataset =
-      data::GenerateUniform({.num_users = 100, .num_dims = 4}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 100, .num_dims = 4},
+                     &rng).value();
   protocol::PipelineOptions mean_opts;
   mean_opts.report_dims = 2;
   mean_opts.encoding = ReportEncoding::kOue;
@@ -675,8 +676,8 @@ TEST(EncodingPipelineTest, HadamardMeanRecoversTruthWithinCI) {
   for (const std::uint64_t seed : {4ull, 5ull, 6ull}) {
     Rng rng(seed);
     const auto dataset =
-        data::GenerateUniform({.num_users = 40000, .num_dims = 4}, &rng)
-            .value();
+        data::Generate(data::UniformSpec{.num_users = 40000, .num_dims = 4},
+                       &rng).value();
     protocol::PipelineOptions opts;
     opts.total_epsilon = 4.0;
     opts.report_dims = 2;

@@ -142,8 +142,8 @@ TEST(EngineReduceTest, PropagatesBodyAndFactoryFailures) {
 
 data::Dataset GoldenDataset(std::size_t users, std::size_t dims) {
   Rng rng(2);
-  return data::GenerateUniform({.num_users = users, .num_dims = dims}, &rng)
-      .value();
+  return data::Generate(data::UniformSpec{.num_users = users, .num_dims = dims},
+                        &rng).value();
 }
 
 struct MeanGolden {

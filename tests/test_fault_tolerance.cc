@@ -27,8 +27,8 @@ constexpr std::size_t kDims = 6;
 
 Dataset TestDataset() {
   Rng rng(77);
-  return GenerateUniform({.num_users = kUsers, .num_dims = kDims}, &rng)
-      .value();
+  return Generate(UniformSpec{.num_users = kUsers, .num_dims = kDims},
+                  &rng).value();
 }
 
 protocol::PipelineOptions BaseOptions() {

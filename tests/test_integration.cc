@@ -79,8 +79,8 @@ TEST(FrameworkVsExperimentTest, PredictedMseMatchesMeasured) {
   // model; a single run concentrates around it for moderate d.
   Rng rng(1);
   const auto dataset =
-      data::GenerateUniform({.num_users = 20000, .num_dims = 100}, &rng)
-          .value();
+      data::Generate(data::UniformSpec{.num_users = 20000, .num_dims = 100},
+                     &rng).value();
   for (const auto name : {"laplace", "piecewise", "duchi", "scdf"}) {
     auto mechanism = mech::MakeMechanism(name).value();
     protocol::PipelineOptions opts;
@@ -111,8 +111,8 @@ TEST(FrameworkVsExperimentTest, SamplingMoreDimsAtFixedBudgetIsAWash) {
   // doubles reports too; the framework captures the net effect.
   Rng rng(3);
   const auto dataset =
-      data::GenerateUniform({.num_users = 30000, .num_dims = 40}, &rng)
-          .value();
+      data::Generate(data::UniformSpec{.num_users = 30000, .num_dims = 40},
+                     &rng).value();
   auto mechanism = mech::MakeMechanism("laplace").value();
   const auto values = ValueDistribution::Point(0.0);
   for (const std::size_t m : {5u, 10u, 20u}) {
@@ -134,7 +134,7 @@ TEST(Hdr4meEndToEndTest, ImprovesLaplaceAndPiecewiseInHighDimensions) {
   data::GaussianSpec spec;
   spec.num_users = 20000;
   spec.num_dims = 100;
-  const auto dataset = data::GenerateGaussian(spec, &rng).value();
+  const auto dataset = data::Generate(spec, &rng).value();
   for (const auto name : {"laplace", "piecewise"}) {
     const auto mse = RunEndToEnd(dataset, name, 0.4, 5);
     EXPECT_LT(mse.l1, mse.naive) << name;
@@ -150,7 +150,7 @@ TEST(Hdr4meEndToEndTest, SquareWaveLowNoiseIsNotHelped) {
   data::GaussianSpec spec;
   spec.num_users = 20000;
   spec.num_dims = 100;
-  const auto dataset = data::GenerateGaussian(spec, &rng).value();
+  const auto dataset = data::Generate(spec, &rng).value();
   const auto mse = RunEndToEnd(dataset, "square_wave", 1000.0, 7);
   EXPECT_LT(mse.naive, 1e-3);          // Naive is already excellent.
   EXPECT_GE(mse.l2, mse.naive * 0.9);  // L2 brings no real gain.
@@ -160,8 +160,8 @@ TEST(Hdr4meEndToEndTest, MseShrinksAsBudgetGrows) {
   // The Fig. 4 x-axis trend, one mechanism, three budgets.
   Rng rng(8);
   const auto dataset =
-      data::GenerateUniform({.num_users = 15000, .num_dims = 60}, &rng)
-          .value();
+      data::Generate(data::UniformSpec{.num_users = 15000, .num_dims = 60},
+                     &rng).value();
   auto mechanism = mech::MakeMechanism("piecewise").value();
   double previous = 1e300;
   for (const double eps : {0.2, 0.8, 3.2}) {
@@ -182,7 +182,7 @@ TEST(Hdr4meEndToEndTest, DimensionalityTrendMatchesFig5) {
   data::CorrelatedSpec spec;
   spec.num_users = 10000;
   spec.num_dims = 50;
-  const auto base = data::GenerateCorrelated(spec, &rng).value();
+  const auto base = data::Generate(spec, &rng).value();
   double naive_small = 0.0;
   double naive_large = 0.0;
   for (const std::size_t d : {50u, 200u}) {
@@ -213,7 +213,8 @@ TEST(BerryEsseenIntegrationTest, BoundShrinksAlongTheProtocol) {
 TEST(RecalibrateUniformTest, WiresFrameworkAndSolverTogether) {
   Rng rng(12);
   const auto dataset =
-      data::GenerateUniform({.num_users = 8000, .num_dims = 50}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 8000, .num_dims = 50},
+                     &rng).value();
   auto mechanism = mech::MakeMechanism("laplace").value();
   protocol::PipelineOptions opts;
   opts.total_epsilon = 0.2;
@@ -239,7 +240,8 @@ TEST(RecalibrateUniformTest, WiresFrameworkAndSolverTogether) {
 TEST(DeterminismTest, WholeStackIsReproducible) {
   Rng rng(14);
   const auto dataset =
-      data::GenerateUniform({.num_users = 2000, .num_dims = 20}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 2000, .num_dims = 20},
+                     &rng).value();
   const auto a = RunEndToEnd(dataset, "piecewise", 0.5, 15);
   const auto b = RunEndToEnd(dataset, "piecewise", 0.5, 15);
   EXPECT_EQ(a.naive, b.naive);

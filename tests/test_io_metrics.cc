@@ -102,7 +102,8 @@ TEST(CsvTest, EnforcesRowCap) {
 TEST(CsvTest, SaveLoadRoundTripsExactly) {
   Rng rng(1);
   const auto original =
-      data::GenerateUniform({.num_users = 20, .num_dims = 5}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 20, .num_dims = 5},
+                     &rng).value();
   TempFile file("roundtrip.csv");
   ASSERT_TRUE(data::SaveCsv(original, file.path()).ok());
   const auto loaded = data::LoadCsv(file.path()).value();
@@ -199,8 +200,8 @@ TEST(PredictedMseTest, AgreesWithPipelineOnLaplace) {
   // Cross-check the prediction against a real run (statistical).
   Rng rng(2);
   const auto dataset =
-      data::GenerateUniform({.num_users = 30000, .num_dims = 64}, &rng)
-          .value();
+      data::Generate(data::UniformSpec{.num_users = 30000, .num_dims = 64},
+                     &rng).value();
   const auto mech = mech::MakeMechanism("laplace").value();
   protocol::PipelineOptions opts;
   opts.total_epsilon = 1.0;

@@ -46,8 +46,8 @@ class ParallelPipelineTest : public ::testing::Test {
   void SetUp() override {
     Rng rng(2);
     dataset_ = std::make_unique<data::Dataset>(
-        data::GenerateUniform({.num_users = 30000, .num_dims = 8}, &rng)
-            .value());
+        data::Generate(data::UniformSpec{.num_users = 30000, .num_dims = 8},
+                       &rng).value());
   }
   std::unique_ptr<data::Dataset> dataset_;
 };
@@ -112,7 +112,8 @@ TEST_F(ParallelPipelineTest, DenseAllDimsPathInvariantToThreadCount) {
 TEST_F(ParallelPipelineTest, ThreadCountsBeyondUsersClamp) {
   Rng rng(6);
   const auto tiny =
-      data::GenerateUniform({.num_users = 3, .num_dims = 2}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 3, .num_dims = 2},
+                     &rng).value();
   PipelineOptions opts;
   opts.total_epsilon = 1.0;
   opts.num_threads = 16;

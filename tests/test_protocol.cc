@@ -188,7 +188,8 @@ TEST(MetricsTest, Validates) {
 TEST(PipelineTest, ReportCountsMatchSampling) {
   Rng rng(20);
   const auto dataset =
-      data::GenerateUniform({.num_users = 5000, .num_dims = 10}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 5000, .num_dims = 10},
+                     &rng).value();
   PipelineOptions opts;
   opts.total_epsilon = 1.0;
   opts.report_dims = 3;
@@ -208,7 +209,8 @@ TEST(PipelineTest, ReportCountsMatchSampling) {
 TEST(PipelineTest, EstimateConvergesWithGenerousBudget) {
   Rng rng(21);
   const auto dataset =
-      data::GenerateUniform({.num_users = 60000, .num_dims = 2}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 60000, .num_dims = 2},
+                     &rng).value();
   PipelineOptions opts;
   opts.total_epsilon = 8.0;  // 4 per dimension: low noise.
   opts.seed = 6;
@@ -222,7 +224,8 @@ TEST(PipelineTest, EstimateConvergesWithGenerousBudget) {
 TEST(PipelineTest, DeterministicUnderSeed) {
   Rng rng(22);
   const auto dataset =
-      data::GenerateUniform({.num_users = 500, .num_dims = 4}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 500, .num_dims = 4},
+                     &rng).value();
   PipelineOptions opts;
   opts.total_epsilon = 1.0;
   opts.seed = 7;
@@ -242,10 +245,11 @@ TEST(PipelineTest, MseGrowsWithDimensionsAtFixedBudget) {
   opts.total_epsilon = 1.0;
   opts.seed = 9;
   const auto small =
-      data::GenerateUniform({.num_users = 20000, .num_dims = 2}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 20000, .num_dims = 2},
+                     &rng).value();
   const auto large =
-      data::GenerateUniform({.num_users = 20000, .num_dims = 64}, &rng)
-          .value();
+      data::Generate(data::UniformSpec{.num_users = 20000, .num_dims = 64},
+                     &rng).value();
   const double mse_small =
       RunMeanEstimation(small, Mech("piecewise"), opts).value().mse;
   const double mse_large =

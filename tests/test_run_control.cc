@@ -74,8 +74,8 @@ std::string HeaderDigestHex(const std::string& path) {
 
 data::Dataset NumericDataset() {
   Rng rng(17);
-  return data::GenerateUniform({.num_users = kUsers, .num_dims = 4}, &rng)
-      .value();
+  return data::Generate(data::UniformSpec{.num_users = kUsers, .num_dims = 4},
+                        &rng).value();
 }
 
 // Digest bytes recorded with the build before engine::RunControl: a

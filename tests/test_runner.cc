@@ -72,8 +72,8 @@ TEST(ExperimentRunnerTest, DrivesThePipelineDeterministically) {
   // shape) reduce to the same MSE sequence for any worker count.
   Rng data_rng(11);
   const auto dataset =
-      data::GenerateUniform({.num_users = 2000, .num_dims = 4}, &data_rng)
-          .value();
+      data::Generate(data::UniformSpec{.num_users = 2000, .num_dims = 4},
+                     &data_rng).value();
   const auto mechanism = mech::MakeMechanism("piecewise").value();
   auto run = [&](std::size_t max_workers) {
     ExperimentRunnerOptions options;

@@ -30,7 +30,8 @@ std::string TempShardDir(const std::string& name) {
 
 Dataset TestDataset(std::size_t users, std::size_t dims, std::uint64_t seed) {
   Rng rng(seed);
-  return GenerateUniform({.num_users = users, .num_dims = dims}, &rng).value();
+  return Generate(UniformSpec{.num_users = users, .num_dims = dims},
+                  &rng).value();
 }
 
 // Every chunk of `source` must hold exactly the dataset's rows, bitwise.

@@ -205,9 +205,9 @@ constexpr std::size_t kDims = 5;
 
 data::Dataset TestDataset() {
   Rng rng(31);
-  return data::GenerateUniform({.num_users = kUsers, .num_dims = kDims},
-                               &rng)
-      .value();
+  return data::Generate(
+      data::UniformSpec{.num_users = kUsers, .num_dims = kDims},
+      &rng).value();
 }
 
 mech::MechanismPtr Mech() { return mech::MakeMechanism("piecewise").value(); }

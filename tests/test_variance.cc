@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
+#include "data/chunk_source.h"
+#include "data/fault_injection.h"
 #include "data/generators.h"
 #include "hdr4me/variance.h"
 #include "mech/registry.h"
@@ -23,7 +26,7 @@ data::Dataset MakeGaussianData(std::size_t users, std::size_t dims,
   spec.num_dims = dims;
   spec.stddev = 0.25;
   spec.high_fraction = 0.0;  // All dimensions centered at 0.
-  return data::GenerateGaussian(spec, &rng).value();
+  return data::Generate(spec, &rng).value();
 }
 
 TEST(VarianceEstimationTest, Validates) {
@@ -32,7 +35,8 @@ TEST(VarianceEstimationTest, Validates) {
   EXPECT_FALSE(RunVarianceEstimation(data, nullptr, opts).ok());
   Rng rng(2);
   const auto one_user =
-      data::GenerateUniform({.num_users = 1, .num_dims = 2}, &rng).value();
+      data::Generate(data::UniformSpec{.num_users = 1, .num_dims = 2},
+                     &rng).value();
   EXPECT_FALSE(RunVarianceEstimation(
                    one_user, mech::MakeMechanism("laplace").value(), opts)
                    .ok());
@@ -128,6 +132,64 @@ TEST(VarianceEstimationTest, HalvesUseIndependentStreams) {
     prev_gap = gap;
   }
   EXPECT_TRUE(gap_varies);
+}
+
+// A persistent fault on base chunk 1 of a 3-chunk-plus population
+// quarantines half A's chunk 1 (users 4096..6193) and half B's chunk 0
+// (users 6194..10289, straddling base chunks 1 and 2). The ground truth
+// must cover exactly the surviving users 0..4095 and 10290..n-1.
+TEST(VarianceEstimationTest, QuarantineScoresAgainstSurvivingRows) {
+  const std::size_t n = 3 * data::kUsersPerChunk + 100;
+  const std::size_t d = 3;
+  const auto dataset = MakeGaussianData(n, d, 13);
+  const data::ResidentChunkSource resident(&dataset);
+  data::FaultSchedule schedule;
+  schedule.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 1});
+  const data::FaultInjectingChunkSource faulty(&resident, schedule);
+  VarianceOptions opts;
+  opts.total_epsilon = 4.0;
+  opts.seed = 14;
+  opts.allow_missing_chunks = true;
+  opts.recalibrate = true;
+  const auto mech = mech::MakeMechanism("piecewise").value();
+  const auto run = RunVarianceEstimation(faulty, mech, opts);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value().quarantined_values_chunks,
+            std::vector<std::size_t>{1});
+  EXPECT_EQ(run.value().quarantined_squares_chunks,
+            std::vector<std::size_t>{0});
+
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < data::kUsersPerChunk; ++i) rows.push_back(i);
+  for (std::size_t i = n / 2 + data::kUsersPerChunk; i < n; ++i) {
+    rows.push_back(i);
+  }
+  EXPECT_EQ(run.value().surviving_users, rows.size());
+  for (std::size_t j = 0; j < d; ++j) {
+    double mean = 0.0;
+    for (const std::size_t i : rows) mean += dataset.At(i, j);
+    mean /= static_cast<double>(rows.size());
+    double variance = 0.0;
+    for (const std::size_t i : rows) {
+      variance += (dataset.At(i, j) - mean) * (dataset.At(i, j) - mean);
+    }
+    variance /= static_cast<double>(rows.size());
+    EXPECT_NEAR(run.value().true_variance[j], variance, 1e-12) << j;
+  }
+}
+
+TEST(VarianceEstimationTest, WhollyQuarantinedHalfIsAPreconditionError) {
+  // Faults on every chunk of half B: its second moment has no reports.
+  const auto dataset = MakeGaussianData(2 * data::kUsersPerChunk, 2, 15);
+  const data::ResidentChunkSource resident(&dataset);
+  data::FaultSchedule schedule;
+  schedule.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 1});
+  const data::FaultInjectingChunkSource faulty(&resident, schedule);
+  VarianceOptions opts;
+  opts.allow_missing_chunks = true;
+  const auto run = RunVarianceEstimation(
+      faulty, mech::MakeMechanism("piecewise").value(), opts);
+  EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

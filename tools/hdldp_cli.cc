@@ -114,8 +114,9 @@
 //   --users=20000         in-memory population size; mean/variance also
 //       take --dataset=uniform|gaussian|poisson|correlated and --dims, and
 //   --chunk-keyed         generate it with the chunk-keyed contract
-//       (data/generator_source.h), so the run matches
-//       `generate --seed=<same seed>` + `--input` bit for bit.
+//       (data/generator_source.h) instead of the classic sequential
+//       stream, so mean and variance runs match `generate --seed=<same
+//       seed>` + `--input` bit for bit (the classic stream does not).
 //   --fault-seed=S --fault-transient-rate=P --fault-persistent-rate=P
 //   --fault-bitflip-rate=P --fault-failing-attempts=K
 //       wrap the source in a deterministic fault injector
@@ -346,6 +347,10 @@ Result<hdldp::WriteFaultSchedule> ReadWriteFaults(Flags* flags) {
   return hdldp::WriteFaultSchedule(seed, random);
 }
 
+// `generate`'s data tag: a numeric shard written by `generate --seed=S`
+// holds the chunk-keyed population of seed S ^ kGenerateDataTag.
+constexpr std::uint64_t kGenerateDataTag = 0xDA7Aull;
+
 Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
                                                      std::size_t users,
                                                      std::size_t dims) {
@@ -363,29 +368,6 @@ Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
         "' (want uniform|gaussian|poisson|correlated)");
   }
   return it->second;
-}
-
-// The classic sequential-stream population of `spec` (as opposed to the
-// chunk-keyed GeneratorChunkSource contract).
-Result<hdldp::data::Dataset> GenerateSequential(
-    const hdldp::data::GeneratorSpec& spec, hdldp::Rng* rng) {
-  namespace data = hdldp::data;
-  return std::visit(
-      [rng](const auto& s) -> Result<data::Dataset> {
-        using S = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<S, data::UniformSpec>) {
-          return data::GenerateUniform(s, rng);
-        } else if constexpr (std::is_same_v<S, data::GaussianSpec>) {
-          return data::GenerateGaussian(s, rng);
-        } else if constexpr (std::is_same_v<S, data::PoissonSpec>) {
-          return data::GeneratePoisson(s, rng);
-        } else if constexpr (std::is_same_v<S, data::CorrelatedSpec>) {
-          return data::GenerateCorrelated(s, rng);
-        } else {
-          return data::GenerateDiscrete(s, rng);
-        }
-      },
-      spec);
 }
 
 // The source group: where a mean/freq/variance population comes from,
@@ -456,16 +438,19 @@ class Population {
   Population(const Population&) = delete;
   Population& operator=(const Population&) = delete;
 
-  /// `data_seed` is the verb's tagged data seed (e.g. seed ^ 0xDA7A);
-  /// `generate` applies the same tag, so an in-memory run and a
-  /// `generate` + `--input` run of the same --seed see identical values.
-  Status Open(const SourceFlags& flags, std::uint64_t data_seed) {
+  /// `seed` is the run's --seed. In-memory classic populations draw from
+  /// Rng(seed ^ verb_tag), each verb's own recorded tag. Chunk-keyed
+  /// populations take `generate`'s kGenerateDataTag in every verb, so a
+  /// `--chunk-keyed` run and a `generate` + `--input` run of the same
+  /// --seed see identical values.
+  Status Open(const SourceFlags& flags, std::uint64_t seed,
+              std::uint64_t verb_tag) {
     if (!flags.input.empty()) {
       HDLDP_ASSIGN_OR_RETURN(shard_,
                              hdldp::data::ShardFileSource::Open(flags.input));
       base_ = &*shard_;
     } else if (flags.schema.has_value()) {
-      hdldp::Rng rng(data_seed);
+      hdldp::Rng rng(seed ^ verb_tag);
       HDLDP_ASSIGN_OR_RETURN(categorical_,
                              hdldp::freq::GenerateCategorical(
                                  flags.users, *flags.schema, flags.zipf, &rng));
@@ -475,13 +460,13 @@ class Population {
           const auto spec,
           MakeGeneratorSpec(flags.dataset, flags.users, flags.dims));
       if (flags.chunk_keyed) {
-        HDLDP_ASSIGN_OR_RETURN(
-            generated_,
-            hdldp::data::GeneratorChunkSource::Create(spec, data_seed));
+        HDLDP_ASSIGN_OR_RETURN(generated_,
+                               hdldp::data::GeneratorChunkSource::Create(
+                                   spec, seed ^ kGenerateDataTag));
         base_ = &*generated_;
       } else {
-        hdldp::Rng rng(data_seed);
-        HDLDP_ASSIGN_OR_RETURN(dataset_, GenerateSequential(spec, &rng));
+        hdldp::Rng rng(seed ^ verb_tag);
+        HDLDP_ASSIGN_OR_RETURN(dataset_, hdldp::data::Generate(spec, &rng));
         base_ = &resident_.emplace(&*dataset_);
       }
     }
@@ -546,7 +531,8 @@ Status RunMean(Flags flags) {
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   Population population;
-  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed ^ 0xDA7Aull));
+  HDLDP_RETURN_NOT_OK(
+      population.Open(source_flags, opts.seed, kGenerateDataTag));
   const hdldp::data::ChunkSource& source = population.source();
   const std::size_t users = source.num_users();
   const std::size_t dims = source.num_dims();
@@ -661,7 +647,7 @@ Status RunFreq(Flags flags) {
   // In memory, categories come from the Rng(seed ^ 0xF8E0) stream that
   // `generate --dataset=categorical` also draws.
   Population population;
-  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed ^ 0xF8E0ull));
+  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed, 0xF8E0ull));
   const hdldp::data::ChunkSource& source = population.source();
   HDLDP_ASSIGN_OR_RETURN(
       const auto result,
@@ -734,7 +720,7 @@ Status RunVariance(Flags flags) {
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   Population population;
-  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed ^ 0x5ECull));
+  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed, 0x5ECull));
   const hdldp::data::ChunkSource& source = population.source();
   const std::size_t dims = source.num_dims();
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
@@ -814,14 +800,15 @@ Status RunGenerate(Flags flags) {
   }
 
   // Numeric populations stream straight from the chunk-keyed generator —
-  // no resident n x d allocation. The 0xDA7A tag matches the mean
-  // subcommand's data seed, so `mean --chunk-keyed --seed=S` and
-  // `generate --seed=S` + `mean --input --seed=S` see identical values.
+  // no resident n x d allocation. Every verb's --chunk-keyed run keys its
+  // population with the same kGenerateDataTag, so `<verb> --chunk-keyed
+  // --seed=S` and `generate --seed=S` + `<verb> --input --seed=S` see
+  // identical values.
   HDLDP_ASSIGN_OR_RETURN(const auto spec,
                          MakeGeneratorSpec(dataset_name, users, dims));
   HDLDP_ASSIGN_OR_RETURN(
       const auto source,
-      hdldp::data::GeneratorChunkSource::Create(spec, seed ^ 0xDA7Aull));
+      hdldp::data::GeneratorChunkSource::Create(spec, seed ^ kGenerateDataTag));
   HDLDP_ASSIGN_OR_RETURN(const std::size_t rows,
                          hdldp::data::WriteShards(source, out, shard_opts));
   std::printf("wrote %zu users x %zu dims to %s\n", rows, dims, out.c_str());
