@@ -13,9 +13,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "data/generators.h"
-#include "framework/deviation_model.h"
 #include "framework/experiment_runner.h"
-#include "framework/value_distribution.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
 #include "protocol/metrics.h"
@@ -25,8 +23,7 @@ namespace {
 
 using hdldp::framework::GaussianDeviation;
 
-double RunOnce(const hdldp::data::Dataset& data,
-               const std::vector<GaussianDeviation>& deviations,
+double RunOnce(const std::vector<GaussianDeviation>& deviations,
                const std::vector<double>& estimate,
                const std::vector<double>& true_mean,
                hdldp::hdr4me::Regularizer reg, bool gated) {
@@ -35,7 +32,6 @@ double RunOnce(const hdldp::data::Dataset& data,
   h.lambda.gate_on_threshold = gated;
   const auto r =
       hdldp::hdr4me::Recalibrate(estimate, deviations, h).value();
-  (void)data;
   return hdldp::protocol::MeanSquaredError(r.enhanced_mean, true_mean)
       .value();
 }
@@ -43,9 +39,6 @@ double RunOnce(const hdldp::data::Dataset& data,
 }  // namespace
 
 int main() {
-  using hdldp::framework::ModelDeviation;
-  using hdldp::framework::ValueDistribution;
-
   hdldp::bench::PrintHeader(
       "Ablation A2: Lemma 4/5 threshold gating on Square wave",
       "Gaussian dataset n=100,000, d=100, m=d; Square wave eps grid");
@@ -63,21 +56,12 @@ int main() {
 
   std::printf("%10s %14s %14s %14s %14s %14s\n", "eps", "naive", "L1",
               "L1-gated", "L2", "L2-gated");
-  std::vector<double> column(std::min<std::size_t>(users, 2000));
+  const hdldp::data::ResidentChunkSource source(&data);
   for (const double eps : {0.1, 10.0, 100.0, 1000.0, 5000.0}) {
-    const double eps_per_dim = eps / static_cast<double>(kDims);
-    std::vector<GaussianDeviation> deviations;
-    for (std::size_t j = 0; j < kDims; ++j) {
-      for (std::size_t i = 0; i < column.size(); ++i) {
-        column[i] = data.At(i, j);
-      }
-      deviations.push_back(
-          ModelDeviation(*mechanism, eps_per_dim,
-                         ValueDistribution::FromSamples(column, 16).value(),
-                         static_cast<double>(users))
-              .value()
-              .deviation);
-    }
+    const auto deviations =
+        hdldp::hdr4me::MarginalDeviations(source, {}, 0, *mechanism,
+                                          eps / static_cast<double>(kDims))
+            .value();
     double naive = 0.0;
     double l1 = 0.0;
     double l1g = 0.0;
@@ -102,13 +86,13 @@ int main() {
                   .value();
           return RepMse{
               run.mse,
-              RunOnce(data, deviations, run.estimated_mean, true_mean,
+              RunOnce(deviations, run.estimated_mean, true_mean,
                       hdldp::hdr4me::Regularizer::kL1, false),
-              RunOnce(data, deviations, run.estimated_mean, true_mean,
+              RunOnce(deviations, run.estimated_mean, true_mean,
                       hdldp::hdr4me::Regularizer::kL1, true),
-              RunOnce(data, deviations, run.estimated_mean, true_mean,
+              RunOnce(deviations, run.estimated_mean, true_mean,
                       hdldp::hdr4me::Regularizer::kL2, false),
-              RunOnce(data, deviations, run.estimated_mean, true_mean,
+              RunOnce(deviations, run.estimated_mean, true_mean,
                       hdldp::hdr4me::Regularizer::kL2, true)};
         },
         [&](const RepMse& rep) {

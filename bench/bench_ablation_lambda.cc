@@ -13,19 +13,13 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "data/generators.h"
-#include "framework/deviation_model.h"
 #include "framework/experiment_runner.h"
-#include "framework/value_distribution.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
 #include "protocol/metrics.h"
 #include "protocol/pipeline.h"
 
 int main() {
-  using hdldp::framework::GaussianDeviation;
-  using hdldp::framework::ModelDeviation;
-  using hdldp::framework::ValueDistribution;
-
   hdldp::bench::PrintHeader(
       "Ablation A1: lambda* confidence multiplier sweep",
       "Gaussian dataset n=100,000, d=200, eps=0.4, m=d");
@@ -43,18 +37,11 @@ int main() {
   const auto mechanism = hdldp::mech::MakeMechanism("piecewise").value();
 
   // Shared per-dimension deviation models.
-  const double eps_per_dim = kEps / static_cast<double>(kDims);
-  std::vector<GaussianDeviation> deviations;
-  std::vector<double> column(std::min<std::size_t>(users, 2000));
-  for (std::size_t j = 0; j < kDims; ++j) {
-    for (std::size_t i = 0; i < column.size(); ++i) column[i] = data.At(i, j);
-    deviations.push_back(
-        ModelDeviation(*mechanism, eps_per_dim,
-                       ValueDistribution::FromSamples(column, 16).value(),
-                       static_cast<double>(users))
-            .value()
-            .deviation);
-  }
+  const auto deviations =
+      hdldp::hdr4me::MarginalDeviations(
+          hdldp::data::ResidentChunkSource(&data), {}, 0, *mechanism,
+          kEps / static_cast<double>(kDims))
+          .value();
 
   // Baseline runs (shared across z), trial-parallel and reduced in trial
   // order.

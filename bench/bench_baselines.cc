@@ -12,7 +12,6 @@
 #include "data/generators.h"
 #include "framework/experiment_runner.h"
 #include "framework/deviation_model.h"
-#include "framework/value_distribution.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
 #include "protocol/aggregator.h"
@@ -23,17 +22,17 @@
 namespace {
 
 using hdldp::framework::GaussianDeviation;
-using hdldp::framework::ModelDeviation;
-using hdldp::framework::ValueDistribution;
 
 constexpr std::size_t kPaperUsers = 100000;
 constexpr std::size_t kDims = 200;
 
 // Runs one calibrated pipeline: client reports -> aggregator with the
-// framework's expected-bias correction.
+// framework's expected-bias correction. A deviation model's mean is its
+// dimension's expected bias in the data domain; the aggregator debiases
+// in native space, hence the domain map's scale.
 double CalibratedMse(const hdldp::data::Dataset& data,
                      hdldp::mech::MechanismPtr mechanism, double epsilon,
-                     std::span<const ValueDistribution> dists,
+                     std::span<const GaussianDeviation> deviations,
                      std::uint64_t seed) {
   hdldp::protocol::ClientOptions copts;
   copts.total_epsilon = epsilon;
@@ -43,9 +42,10 @@ double CalibratedMse(const hdldp::data::Dataset& data,
   auto aggregator = hdldp::protocol::MeanAggregator::Create(
                         data.num_dims(), client.domain_map())
                         .value();
-  auto bias = hdldp::framework::ExpectedNativeBias(
-                  *mechanism, client.PerDimensionEpsilon(), dists)
-                  .value();
+  std::vector<double> bias;
+  for (const GaussianDeviation& deviation : deviations) {
+    bias.push_back(deviation.mean * client.domain_map().scale());
+  }
   const hdldp::Status bias_status =
       aggregator.SetBiasCorrection(std::move(bias));
   if (!bias_status.ok()) std::abort();
@@ -75,14 +75,7 @@ int main() {
   spec.num_dims = kDims;
   const auto data = hdldp::data::Generate(spec, &data_rng).value();
   const auto true_mean = data.TrueMean();
-
-  // Per-dimension value distributions, shared by all mechanisms.
-  std::vector<ValueDistribution> dists;
-  std::vector<double> column(std::min<std::size_t>(users, 2000));
-  for (std::size_t j = 0; j < kDims; ++j) {
-    for (std::size_t i = 0; i < column.size(); ++i) column[i] = data.At(i, j);
-    dists.push_back(ValueDistribution::FromSamples(column, 16).value());
-  }
+  const hdldp::data::ResidentChunkSource source(&data);
 
   for (const double eps : {0.4, 1.6}) {
     std::printf("--- eps = %g ---\n", eps);
@@ -90,15 +83,10 @@ int main() {
                 "calibrated", "L1-MSE", "predicted");
     for (const auto name : hdldp::mech::RegisteredMechanismNames()) {
       const auto mechanism = hdldp::mech::MakeMechanism(name).value();
-      const double eps_per_dim = eps / static_cast<double>(kDims);
-      std::vector<GaussianDeviation> deviations;
-      for (std::size_t j = 0; j < kDims; ++j) {
-        deviations.push_back(
-            ModelDeviation(*mechanism, eps_per_dim, dists[j],
-                           static_cast<double>(users))
-                .value()
-                .deviation);
-      }
+      const auto deviations =
+          hdldp::hdr4me::MarginalDeviations(source, {}, 0, *mechanism,
+                                            eps / static_cast<double>(kDims))
+              .value();
       const double predicted =
           hdldp::framework::PredictedMse(deviations).value();
       double naive = 0.0;
@@ -126,7 +114,7 @@ int main() {
             h.regularizer = hdldp::hdr4me::Regularizer::kL1;
             return RepMse{
                 run.mse,
-                CalibratedMse(data, mechanism, eps, dists, ctx.seed + 1),
+                CalibratedMse(data, mechanism, eps, deviations, ctx.seed + 1),
                 hdldp::protocol::MeanSquaredError(
                     hdldp::hdr4me::Recalibrate(run.estimated_mean,
                                                deviations, h)

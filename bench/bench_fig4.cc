@@ -18,9 +18,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "data/generators.h"
-#include "framework/deviation_model.h"
 #include "framework/experiment_runner.h"
-#include "framework/value_distribution.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
 #include "protocol/metrics.h"
@@ -29,9 +27,6 @@
 namespace {
 
 using hdldp::data::Dataset;
-using hdldp::framework::GaussianDeviation;
-using hdldp::framework::ModelDeviation;
-using hdldp::framework::ValueDistribution;
 
 struct DatasetConfig {
   const char* label;
@@ -73,22 +68,7 @@ std::vector<DatasetConfig> Configs() {
   };
 }
 
-// Per-dimension empirical value distributions (Lemma 3 inputs), from a
-// row subsample.
-std::vector<ValueDistribution> PerDimDistributions(const Dataset& data) {
-  const std::size_t rows = std::min<std::size_t>(data.num_users(), 2000);
-  std::vector<ValueDistribution> dists;
-  dists.reserve(data.num_dims());
-  std::vector<double> column(rows);
-  for (std::size_t j = 0; j < data.num_dims(); ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = data.At(i, j);
-    dists.push_back(ValueDistribution::FromSamples(column, 16).value());
-  }
-  return dists;
-}
-
 void RunMechanismOnDataset(const DatasetConfig& config, const Dataset& data,
-                           const std::vector<ValueDistribution>& dists,
                            const std::string& mech_name,
                            const std::vector<double>& eps_grid,
                            std::size_t repeats) {
@@ -101,15 +81,11 @@ void RunMechanismOnDataset(const DatasetConfig& config, const Dataset& data,
   for (const double eps : eps_grid) {
     const double eps_per_dim = eps / static_cast<double>(data.num_dims());
     // Deviation models are repeat-independent: r_j = n exactly when m = d.
-    std::vector<GaussianDeviation> deviations;
-    deviations.reserve(data.num_dims());
-    for (std::size_t j = 0; j < data.num_dims(); ++j) {
-      deviations.push_back(
-          ModelDeviation(*mechanism, eps_per_dim, dists[j],
-                         static_cast<double>(data.num_users()))
-              .value()
-              .deviation);
-    }
+    const auto deviations =
+        hdldp::hdr4me::MarginalDeviations(
+            hdldp::data::ResidentChunkSource(&data), {}, 0, *mechanism,
+            eps_per_dim)
+            .value();
     double naive = 0.0;
     double l1 = 0.0;
     double l2 = 0.0;
@@ -181,16 +157,12 @@ int main() {
     const std::size_t users = hdldp::bench::ScaledUsers(config.paper_users);
     hdldp::Rng data_rng(0xDA7A + config.dims);
     const Dataset data = config.make(users, &data_rng);
-    const auto dists = PerDimDistributions(data);
     std::printf("=== Fig. 4%s: %s dataset ===\n\n", config.subfigures,
                 config.label);
     hdldp::bench::Stopwatch watch;
-    RunMechanismOnDataset(config, data, dists, "laplace", standard_grid,
-                          repeats);
-    RunMechanismOnDataset(config, data, dists, "piecewise", standard_grid,
-                          repeats);
-    RunMechanismOnDataset(config, data, dists, "square_wave", square_grid,
-                          repeats);
+    RunMechanismOnDataset(config, data, "laplace", standard_grid, repeats);
+    RunMechanismOnDataset(config, data, "piecewise", standard_grid, repeats);
+    RunMechanismOnDataset(config, data, "square_wave", square_grid, repeats);
     std::printf("[%s done in %.1fs]\n\n", config.label, watch.Seconds());
   }
   return 0;

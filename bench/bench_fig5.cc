@@ -13,9 +13,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "data/generators.h"
-#include "framework/deviation_model.h"
 #include "framework/experiment_runner.h"
-#include "framework/value_distribution.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
 #include "protocol/metrics.h"
@@ -24,25 +22,10 @@
 namespace {
 
 using hdldp::data::Dataset;
-using hdldp::framework::GaussianDeviation;
-using hdldp::framework::ModelDeviation;
-using hdldp::framework::ValueDistribution;
 
 constexpr double kEpsilon = 0.8;
 constexpr std::size_t kPaperUsers = 150000;
 constexpr std::size_t kSourceDims = 750;
-
-std::vector<ValueDistribution> PerDimDistributions(const Dataset& data) {
-  const std::size_t rows = std::min<std::size_t>(data.num_users(), 2000);
-  std::vector<ValueDistribution> dists;
-  dists.reserve(data.num_dims());
-  std::vector<double> column(rows);
-  for (std::size_t j = 0; j < data.num_dims(); ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = data.At(i, j);
-    dists.push_back(ValueDistribution::FromSamples(column, 16).value());
-  }
-  return dists;
-}
 
 void RunMechanism(const std::string& mech_name, const Dataset& source,
                   std::size_t repeats) {
@@ -58,18 +41,12 @@ void RunMechanism(const std::string& mech_name, const Dataset& source,
   hdldp::Rng resample_rng(0xF16'5000 + mech_name.size());
   for (const std::size_t d : {50u, 100u, 200u, 400u, 800u, 1600u}) {
     const Dataset data = source.ResampleDimensions(d, &resample_rng).value();
-    const auto dists = PerDimDistributions(data);
     const auto true_mean = data.TrueMean();
-    const double eps_per_dim = kEpsilon / static_cast<double>(d);
-    std::vector<GaussianDeviation> deviations;
-    deviations.reserve(d);
-    for (std::size_t j = 0; j < d; ++j) {
-      deviations.push_back(
-          ModelDeviation(*mechanism, eps_per_dim, dists[j],
-                         static_cast<double>(data.num_users()))
-              .value()
-              .deviation);
-    }
+    const auto deviations =
+        hdldp::hdr4me::MarginalDeviations(
+            hdldp::data::ResidentChunkSource(&data), {}, 0, *mechanism,
+            kEpsilon / static_cast<double>(d))
+            .value();
     double naive = 0.0;
     double l1 = 0.0;
     double l2 = 0.0;

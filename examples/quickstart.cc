@@ -8,11 +8,10 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
-#include <vector>
 
 #include "common/rng.h"
 #include "data/generators.h"
-#include "framework/value_distribution.h"
+#include "framework/deviation_model.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
 #include "protocol/metrics.h"
@@ -36,31 +35,24 @@ int main() {
       hdldp::protocol::RunMeanEstimation(dataset, mechanism, options).value();
   std::printf("naive aggregation MSE : %.6f\n", run.mse);
 
-  // 3. The framework's per-dimension deviation model (Lemma 2/3): how far
-  //    theta-hat strays from theta-bar at this budget and report count.
-  std::vector<double> sample;
-  for (std::size_t i = 0; i < 2000; ++i) sample.push_back(dataset.At(i, 0));
-  const auto values =
-      hdldp::framework::ValueDistribution::FromSamples(sample, 32).value();
-  const auto model =
-      hdldp::framework::ModelDeviation(*mechanism, run.per_dim_epsilon,
-                                       values,
-                                       static_cast<double>(
-                                           dataset.num_users()))
+  // 3. The framework's per-dimension deviation models (Lemma 2/3): how far
+  //    theta-hat strays from theta-bar at this budget and report count,
+  //    from each dimension's empirical value distribution.
+  const auto deviations =
+      hdldp::hdr4me::MarginalDeviations(
+          hdldp::data::ResidentChunkSource(&dataset), {}, 0, *mechanism,
+          run.per_dim_epsilon)
           .value();
-  std::printf("predicted deviation   : N(%.4f, %.4f^2) per dimension\n",
-              model.deviation.mean, model.deviation.stddev);
+  std::printf("predicted deviation   : N(%.4f, %.4f^2) in dimension 0\n",
+              deviations[0].mean, deviations[0].stddev);
+  std::printf("predicted MSE         : %.6f\n",
+              hdldp::framework::PredictedMse(deviations).value());
 
   // 4. HDR4ME: one-off L1 re-calibration of the aggregated mean.
   hdldp::hdr4me::Hdr4meOptions hdr;
   hdr.regularizer = hdldp::hdr4me::Regularizer::kL1;
   const auto recalibrated =
-      hdldp::hdr4me::RecalibrateUniform(run.estimated_mean, *mechanism,
-                                        run.per_dim_epsilon, values,
-                                        static_cast<double>(
-                                            dataset.num_users()),
-                                        hdr)
-          .value();
+      hdldp::hdr4me::Recalibrate(run.estimated_mean, deviations, hdr).value();
   const double enhanced_mse =
       hdldp::protocol::MeanSquaredError(recalibrated.enhanced_mean,
                                         run.true_mean)

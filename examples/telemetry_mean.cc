@@ -16,8 +16,6 @@
 
 #include "common/rng.h"
 #include "data/generators.h"
-#include "framework/deviation_model.h"
-#include "framework/value_distribution.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
 #include "protocol/metrics.h"
@@ -50,22 +48,13 @@ int main() {
   std::printf("per-sensor  : eps/m = %.4f, ~%zu reports each\n\n",
               run.per_dim_epsilon, kDevices * kReported / kSensors);
 
-  // Per-sensor deviation models from per-sensor empirical marginals.
-  const double reports =
-      static_cast<double>(kDevices * kReported) / kSensors;
-  std::vector<hdldp::framework::GaussianDeviation> deviations;
-  std::vector<double> column(2000);
-  for (std::size_t j = 0; j < kSensors; ++j) {
-    for (std::size_t i = 0; i < column.size(); ++i) {
-      column[i] = fleet.At(i, j);
-    }
-    const auto dist =
-        hdldp::framework::ValueDistribution::FromSamples(column, 16).value();
-    deviations.push_back(hdldp::framework::ModelDeviation(
-                             *mechanism, run.per_dim_epsilon, dist, reports)
-                             .value()
-                             .deviation);
-  }
+  // Per-sensor deviation models from per-sensor empirical marginals, with
+  // r_j = devices * m / d reports each.
+  const auto deviations =
+      hdldp::hdr4me::MarginalDeviations(
+          hdldp::data::ResidentChunkSource(&fleet), {}, kReported,
+          *mechanism, run.per_dim_epsilon)
+          .value();
 
   hdldp::hdr4me::Hdr4meOptions hdr;
   hdr.regularizer = hdldp::hdr4me::Regularizer::kL1;

@@ -57,24 +57,28 @@ Status CheckChunkIndex(const ChunkSource& source, std::size_t chunk) {
 }  // namespace
 
 Result<std::vector<double>> ChunkSource::TrueMean() const {
-  const std::size_t d = num_dims();
-  const std::size_t n = num_users();
+  return SurvivingMean(*this, {});
+}
+
+Result<std::vector<double>> SurvivingMean(
+    const ChunkSource& source, const std::vector<std::size_t>& quarantined) {
+  const std::size_t d = source.num_dims();
+  const std::size_t n = source.SurvivingUsers(quarantined);
   if (n == 0 || d == 0) {
-    return Status::FailedPrecondition("TrueMean requires a non-empty source");
+    return Status::FailedPrecondition(
+        "a mean requires surviving users; the source is empty or every "
+        "chunk was quarantined");
   }
   // Chunks in order means every column's compensated sum sees users in
   // exactly the order Dataset::TrueMean visits them — same bits.
   std::vector<NeumaierSum> sums(d);
-  ChunkBuffer buffer;
-  for (std::size_t c = 0; c < num_chunks(); ++c) {
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           Chunk(c, &buffer));
-    const std::size_t users = ChunkUsers(c);
-    for (std::size_t i = 0; i < users; ++i) {
-      const double* row = rows.data() + i * d;
-      for (std::size_t j = 0; j < d; ++j) sums[j].Add(row[j]);
-    }
-  }
+  HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
+      source, quarantined, [&](std::span<const double> rows) {
+        for (std::size_t k = 0; k < rows.size(); k += d) {
+          for (std::size_t j = 0; j < d; ++j) sums[j].Add(rows[k + j]);
+        }
+        return true;
+      }));
   std::vector<double> mean(d);
   for (std::size_t j = 0; j < d; ++j) {
     mean[j] = sums[j].Total() / static_cast<double>(n);

@@ -210,6 +210,14 @@ Status ForEachSurvivingChunk(const ChunkSource& source,
   return Status::OK();
 }
 
+/// \brief Per-dimension mean of the users outside `quarantined` (as for
+/// ForEachSurvivingChunk), one compensated sum per column in user order:
+/// the ground truth of an estimate that skipped those chunks. With
+/// nothing quarantined this is ChunkSource::TrueMean's streaming pass.
+/// FailedPrecondition when no user survives.
+Result<std::vector<double>> SurvivingMean(
+    const ChunkSource& source, const std::vector<std::size_t>& quarantined);
+
 /// \brief Copies rows [first_row, first_row + row_count) of `source` into
 /// a flat row-major vector (row_count * num_dims doubles). For small
 /// gathers — empirical-marginal sampling, debugging — not bulk reads.

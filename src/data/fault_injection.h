@@ -26,9 +26,12 @@
 // with one SplitMix64 draw per chunk, so tests and CI can name an
 // entire fault pattern with a single integer.
 //
-// The wrapper's TrueMean() delegates to the base source unfaulted:
-// reference passes (diagnostics, recalibration baselines) measure the
-// data, not the injected failure model.
+// The wrapper's TrueMean() delegates to the base source unfaulted: the
+// ground truth of a run that covered every chunk measures the data, not
+// the injected failure model. A run that quarantined chunks instead takes
+// its ground truth and its HDR4ME marginals over the surviving chunks
+// only (data::ForEachSurvivingChunk), pulled through this wrapper, so no
+// reference pass reads a chunk the estimate skipped.
 
 #ifndef HDLDP_DATA_FAULT_INJECTION_H_
 #define HDLDP_DATA_FAULT_INJECTION_H_

@@ -1,11 +1,21 @@
 #include "hdr4me/recalibrate.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+
+#include "framework/value_distribution.h"
 
 namespace hdldp {
 namespace hdr4me {
 
 namespace {
+
+// MarginalDeviations' sample: rows per dimension, and the support points
+// of the empirical distribution built from them.
+constexpr std::size_t kMarginalRows = 2000;
+constexpr std::size_t kMarginalPoints = 16;
+
 Status ValidatePair(std::span<const double> theta_hat,
                     std::span<const double> lambda) {
   if (theta_hat.empty() || theta_hat.size() != lambda.size()) {
@@ -127,18 +137,49 @@ Result<double> ImprovementProbabilityL2(
   return ImprovementProbability(deviations, 2.0);  // Lemma 5 threshold.
 }
 
-Result<RecalibrationResult> RecalibrateUniform(
-    std::span<const double> theta_hat, const mech::Mechanism& mechanism,
-    double eps_per_dim, const framework::ValueDistribution& values,
-    double expected_reports, const Hdr4meOptions& options,
+Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
+    const data::ChunkSource& source,
+    const std::vector<std::size_t>& quarantined, std::size_t report_dims,
+    const mech::Mechanism& mechanism, double eps_per_dim,
     const mech::Interval& data_domain) {
-  HDLDP_ASSIGN_OR_RETURN(
-      const framework::DeviationModel model,
-      framework::ModelDeviation(mechanism, eps_per_dim, values,
-                                expected_reports, data_domain));
-  const std::vector<framework::GaussianDeviation> deviations(
-      theta_hat.size(), model.deviation);
-  return Recalibrate(theta_hat, deviations, options);
+  const std::size_t d = source.num_dims();
+  const std::size_t surviving = source.SurvivingUsers(quarantined);
+  if (surviving == 0 || d == 0) {
+    return Status::FailedPrecondition(
+        "HDR4ME marginals require surviving users; every chunk was "
+        "quarantined");
+  }
+  const std::size_t rows = std::min(surviving, kMarginalRows);
+  std::vector<double> marginals;
+  marginals.reserve(rows * d);
+  HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
+      source, quarantined, [&](std::span<const double> chunk) {
+        const std::size_t take =
+            std::min(chunk.size(), rows * d - marginals.size());
+        marginals.insert(marginals.end(), chunk.begin(),
+                         chunk.begin() + static_cast<std::ptrdiff_t>(take));
+        return marginals.size() < rows * d;
+      }));
+  // r_j counts the users whose reports were folded: quarantined chunks
+  // contributed none.
+  const double m = static_cast<double>(report_dims == 0 ? d : report_dims);
+  const double reports =
+      static_cast<double>(surviving) * m / static_cast<double>(d);
+  std::vector<framework::GaussianDeviation> deviations;
+  deviations.reserve(d);
+  std::vector<double> column(rows);
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t i = 0; i < rows; ++i) column[i] = marginals[i * d + j];
+    HDLDP_ASSIGN_OR_RETURN(
+        const framework::ValueDistribution values,
+        framework::ValueDistribution::FromSamples(column, kMarginalPoints));
+    HDLDP_ASSIGN_OR_RETURN(
+        const framework::DeviationModel model,
+        framework::ModelDeviation(mechanism, eps_per_dim, values, reports,
+                                  data_domain));
+    deviations.push_back(model.deviation);
+  }
+  return deviations;
 }
 
 }  // namespace hdr4me

@@ -16,6 +16,13 @@
 //
 // No change to any LDP mechanism is required — only the aggregation phase
 // is touched, which is what makes HDR4ME mechanism-agnostic.
+//
+// The per-dimension lambda*_j come from the framework's Lemma 3 deviation
+// models. MarginalDeviations is the one place a mean run's models are
+// estimated from its data: each dimension's value distribution from a
+// bounded sample of the rows the run folded, its report count from the
+// surviving users. The variance pipeline, the CLI's mean verb, the
+// HDR4ME paper-figure benches and the examples all go through it.
 
 #ifndef HDLDP_HDR4ME_RECALIBRATE_H_
 #define HDLDP_HDR4ME_RECALIBRATE_H_
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "data/chunk_source.h"
 #include "framework/deviation_model.h"
 #include "hdr4me/lambda.h"
 #include "mech/mechanism.h"
@@ -88,14 +96,17 @@ Result<RecalibrationResult> Recalibrate(
     std::span<const framework::GaussianDeviation> deviations,
     const Hdr4meOptions& options);
 
-/// \brief Convenience wrapper: builds one shared deviation model from
-/// (mechanism, eps_per_dim, values, reports) — appropriate when all
-/// dimensions share a value distribution, as in the paper's synthetic
-/// benchmarks — then re-calibrates.
-Result<RecalibrationResult> RecalibrateUniform(
-    std::span<const double> theta_hat, const mech::Mechanism& mechanism,
-    double eps_per_dim, const framework::ValueDistribution& values,
-    double expected_reports, const Hdr4meOptions& options,
+/// \brief Per-dimension Lemma 3 deviation models of a mean run over
+/// `source`: dimension j's value distribution is the 16-point empirical
+/// distribution of its first min(surviving, 2000) values outside the
+/// `quarantined` chunks (sorted ascending, as a run reports them), and
+/// r_j = surviving * report_dims / d (report_dims 0 = d). Gathers through
+/// data::ForEachSurvivingChunk and stops pulling once it has enough rows.
+/// FailedPrecondition when no user survives.
+Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
+    const data::ChunkSource& source,
+    const std::vector<std::size_t>& quarantined, std::size_t report_dims,
+    const mech::Mechanism& mechanism, double eps_per_dim,
     const mech::Interval& data_domain = {-1.0, 1.0});
 
 /// \brief Theorem 3's lower bound on the probability that HDR4ME-L1

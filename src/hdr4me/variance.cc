@@ -7,60 +7,12 @@
 #include <vector>
 
 #include "common/math.h"
-#include "framework/deviation_model.h"
-#include "framework/value_distribution.h"
 #include "protocol/metrics.h"
 #include "protocol/pipeline.h"
 #include "protocol/run_control.h"
 
 namespace hdldp {
 namespace hdr4me {
-
-namespace {
-
-// HDR4ME pass over one half's estimate, with per-dimension models built
-// from that half's empirical marginals (its first <= 2000 surviving
-// rows — a bounded gather regardless of population size) and r_j
-// counting only the users whose reports were folded.
-Result<std::vector<double>> RecalibrateHalf(
-    const data::ChunkSource& half, const protocol::MeanEstimationResult& run,
-    const mech::Mechanism& mechanism, const std::vector<double>& estimate,
-    double report_dims, const mech::Interval& data_domain,
-    const Hdr4meOptions& options) {
-  const std::size_t d = half.num_dims();
-  const std::size_t rows = std::min<std::size_t>(run.surviving_users, 2000);
-  std::vector<double> marginals;
-  marginals.reserve(rows * d);
-  HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-      half, run.quarantined_chunks, [&](std::span<const double> chunk) {
-        const std::size_t take =
-            std::min(chunk.size(), rows * d - marginals.size());
-        marginals.insert(marginals.end(), chunk.begin(),
-                         chunk.begin() + static_cast<std::ptrdiff_t>(take));
-        return marginals.size() < rows * d;
-      }));
-  const double reports = static_cast<double>(run.surviving_users) *
-                         report_dims / static_cast<double>(d);
-  std::vector<framework::GaussianDeviation> deviations;
-  deviations.reserve(d);
-  std::vector<double> column(rows);
-  for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = marginals[i * d + j];
-    HDLDP_ASSIGN_OR_RETURN(
-        const framework::ValueDistribution values,
-        framework::ValueDistribution::FromSamples(column, 16));
-    HDLDP_ASSIGN_OR_RETURN(
-        const framework::DeviationModel model,
-        framework::ModelDeviation(mechanism, run.per_dim_epsilon, values,
-                                  reports, data_domain));
-    deviations.push_back(model.deviation);
-  }
-  HDLDP_ASSIGN_OR_RETURN(const RecalibrationResult result,
-                         Recalibrate(estimate, deviations, options));
-  return result.enhanced_mean;
-}
-
-}  // namespace
 
 Result<VarianceEstimationResult> RunVarianceEstimation(
     const data::ChunkSource& source, mech::MechanismPtr mechanism,
@@ -141,20 +93,31 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   }
 
   if (options.recalibrate) {
-    const double m = options.report_dims == 0
-                         ? static_cast<double>(d)
-                         : static_cast<double>(options.report_dims);
+    // Each half is modelled from its own surviving rows; the second moment
+    // lives in [0, 1], so it is modelled in that domain.
+    const auto recalibrate_half =
+        [&](const data::ChunkSource& half,
+            const protocol::MeanEstimationResult& run,
+            const mech::Interval& domain, const std::vector<double>& estimate)
+        -> Result<std::vector<double>> {
+      HDLDP_ASSIGN_OR_RETURN(
+          const auto deviations,
+          MarginalDeviations(half, run.quarantined_chunks,
+                             options.report_dims, *mechanism,
+                             run.per_dim_epsilon, domain));
+      HDLDP_ASSIGN_OR_RETURN(
+          RecalibrationResult recalibrated,
+          Recalibrate(estimate, deviations, options.hdr4me));
+      return std::move(recalibrated.enhanced_mean);
+    };
     HDLDP_ASSIGN_OR_RETURN(
         result.estimated_mean,
-        RecalibrateHalf(values_half, mean_run, *mechanism,
-                        result.estimated_mean, m, {-1.0, 1.0},
-                        options.hdr4me));
-    // The second moment lives in [0, 1]; re-calibrate in that domain.
+        recalibrate_half(values_half, mean_run, {-1.0, 1.0},
+                         result.estimated_mean));
     HDLDP_ASSIGN_OR_RETURN(
         result.estimated_second_moment,
-        RecalibrateHalf(squares_half, square_run, *mechanism,
-                        result.estimated_second_moment, m, {0.0, 1.0},
-                        options.hdr4me));
+        recalibrate_half(squares_half, square_run, {0.0, 1.0},
+                         result.estimated_second_moment));
   }
 
   // Combine and score.

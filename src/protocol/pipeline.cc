@@ -205,7 +205,16 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                const PipelineOptions& options) {
   HDLDP_ASSIGN_OR_RETURN(MeanEstimationResult result,
                          EstimateMean(source, std::move(mechanism), options));
-  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+  // Score against the users the estimate covers. With nothing
+  // quarantined that is the whole population, and source.TrueMean() is
+  // the same bits through whatever memo the source keeps.
+  if (result.quarantined_chunks.empty()) {
+    HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+  } else {
+    HDLDP_ASSIGN_OR_RETURN(
+        result.true_mean,
+        data::SurvivingMean(source, result.quarantined_chunks));
+  }
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
   return result;

@@ -63,7 +63,8 @@ struct PipelineOptions : engine::RunControl {
 struct MeanEstimationResult {
   /// The collector's naive estimate theta-hat (data domain).
   std::vector<double> estimated_mean;
-  /// The ground-truth mean theta-bar of the dataset.
+  /// The ground-truth mean theta-bar of the users the estimate covers:
+  /// the whole population, or the surviving users after a quarantine.
   std::vector<double> true_mean;
   /// Reports received per dimension (the paper's r_j).
   std::vector<std::int64_t> report_counts;

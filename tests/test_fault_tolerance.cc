@@ -244,6 +244,9 @@ TEST(PipelineFaultTest, QuarantinedEstimateMatchesSurvivorsOnlyRun) {
   const auto direct =
       protocol::RunMeanEstimation(survivors, Mech(), BaseOptions()).value();
   EXPECT_EQ(quarantined.estimated_mean, direct.estimated_mean);
+  // ... and it is scored against those same users.
+  EXPECT_EQ(quarantined.true_mean, direct.true_mean);
+  EXPECT_EQ(quarantined.mse, direct.mse);
 }
 
 TEST(RetryPolicyTest, BackoffSequenceIsExponential) {

@@ -10,6 +10,8 @@
 
 #include "common/math.h"
 #include "common/rng.h"
+#include "data/chunk_source.h"
+#include "data/fault_injection.h"
 #include "data/generators.h"
 #include "framework/berry_esseen.h"
 #include "framework/deviation_model.h"
@@ -210,31 +212,99 @@ TEST(BerryEsseenIntegrationTest, BoundShrinksAlongTheProtocol) {
   EXPECT_NEAR(bound_small / bound_large, 10.0, 1e-6);
 }
 
-TEST(RecalibrateUniformTest, WiresFrameworkAndSolverTogether) {
-  Rng rng(12);
-  const auto dataset =
-      data::Generate(data::UniformSpec{.num_users = 8000, .num_dims = 50},
-                     &rng).value();
-  auto mechanism = mech::MakeMechanism("laplace").value();
-  protocol::PipelineOptions opts;
-  opts.total_epsilon = 0.2;
-  opts.seed = 13;
-  const auto run =
-      protocol::RunMeanEstimation(dataset, mechanism, opts).value();
-  std::vector<double> sample;
-  for (std::size_t i = 0; i < 1000; ++i) sample.push_back(dataset.At(i, 0));
-  const auto values = ValueDistribution::FromSamples(sample, 16).value();
-  hdr4me::Hdr4meOptions h;
-  h.regularizer = hdr4me::Regularizer::kL1;
-  const auto recal =
-      hdr4me::RecalibrateUniform(run.estimated_mean, *mechanism,
-                                 run.per_dim_epsilon, values,
-                                 static_cast<double>(dataset.num_users()), h)
-          .value();
-  ASSERT_EQ(recal.enhanced_mean.size(), dataset.num_dims());
-  const double mse_after =
-      protocol::MeanSquaredError(recal.enhanced_mean, run.true_mean).value();
-  EXPECT_LT(mse_after, run.mse);
+// The marginal -> deviation loop MarginalDeviations replaced: 16-point
+// marginals of rows [first, first + rows) read by Dataset::At, r_j =
+// `reports`.
+std::vector<framework::GaussianDeviation> HandDeviations(
+    const Dataset& data, std::size_t first, std::size_t rows, double reports,
+    const mech::Mechanism& mechanism, double eps_per_dim) {
+  std::vector<framework::GaussianDeviation> deviations;
+  std::vector<double> column(rows);
+  for (std::size_t j = 0; j < data.num_dims(); ++j) {
+    for (std::size_t i = 0; i < rows; ++i) column[i] = data.At(first + i, j);
+    deviations.push_back(
+        ModelDeviation(mechanism, eps_per_dim,
+                       ValueDistribution::FromSamples(column, 16).value(),
+                       reports)
+            .value()
+            .deviation);
+  }
+  return deviations;
+}
+
+void ExpectSameDeviations(
+    const std::vector<framework::GaussianDeviation>& got,
+    const std::vector<framework::GaussianDeviation>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(got[j].mean, want[j].mean) << j;
+    EXPECT_EQ(got[j].stddev, want[j].stddev) << j;
+  }
+}
+
+Dataset GaussianData(std::size_t users, std::size_t dims, std::uint64_t seed) {
+  Rng rng(seed);
+  return data::Generate(
+             data::GaussianSpec{.num_users = users, .num_dims = dims}, &rng)
+      .value();
+}
+
+TEST(MarginalDeviationsTest, MatchesTheHandLoopBelowTheRowCap) {
+  const Dataset dataset = GaussianData(1500, 6, 12);
+  const auto mechanism = mech::MakeMechanism("piecewise").value();
+  const auto got = hdr4me::MarginalDeviations(
+      data::ResidentChunkSource(&dataset), {}, 0, *mechanism, 0.05);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameDeviations(got.value(),
+                       HandDeviations(dataset, 0, 1500, 1500.0, *mechanism,
+                                      0.05));
+}
+
+TEST(MarginalDeviationsTest, MatchesTheHandLoopAcrossChunksAndStopsEarly) {
+  const Dataset dataset = GaussianData(2 * data::kUsersPerChunk + 333, 5, 13);
+  const data::ResidentChunkSource resident(&dataset);
+  // Chunk 2 fails every pull: the first 2000 rows all lie in chunk 0, so
+  // the gather must stop before reaching it.
+  data::FaultSchedule schedule;
+  schedule.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 2});
+  const data::FaultInjectingChunkSource faulty(&resident, schedule);
+  const auto mechanism = mech::MakeMechanism("laplace").value();
+  const auto got =
+      hdr4me::MarginalDeviations(faulty, {}, 0, *mechanism, 0.1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameDeviations(
+      got.value(),
+      HandDeviations(dataset, 0, 2000,
+                     static_cast<double>(dataset.num_users()), *mechanism,
+                     0.1));
+  EXPECT_EQ(faulty.attempts(1), 0u);
+  EXPECT_EQ(faulty.attempts(2), 0u);
+}
+
+TEST(MarginalDeviationsTest, QuarantinedChunksAreSkippedAndUncounted) {
+  const std::size_t users = 2 * data::kUsersPerChunk + 500;
+  const Dataset dataset = GaussianData(users, 4, 14);
+  const auto mechanism = mech::MakeMechanism("piecewise").value();
+  // Sampled m = 2 of d = 4: r_j = surviving * 2 / 4, and the rows come
+  // from chunk 1 onward.
+  const std::size_t surviving = users - data::kUsersPerChunk;
+  const auto got = hdr4me::MarginalDeviations(
+      data::ResidentChunkSource(&dataset), {0}, 2, *mechanism, 0.2);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameDeviations(
+      got.value(),
+      HandDeviations(dataset, data::kUsersPerChunk, 2000,
+                     static_cast<double>(surviving) * 2.0 / 4.0, *mechanism,
+                     0.2));
+}
+
+TEST(MarginalDeviationsTest, EveryChunkQuarantinedIsAPreconditionError) {
+  const Dataset dataset = GaussianData(data::kUsersPerChunk + 10, 3, 15);
+  const auto mechanism = mech::MakeMechanism("piecewise").value();
+  const auto got = hdr4me::MarginalDeviations(
+      data::ResidentChunkSource(&dataset), {0, 1}, 0, *mechanism, 0.2);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(DeterminismTest, WholeStackIsReproducible) {

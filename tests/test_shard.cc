@@ -11,11 +11,14 @@
 #include <vector>
 
 #include "common/file_writer.h"
+#include "common/math.h"
 #include "common/rng.h"
 #include "data/chunk_source.h"
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "data/shard.h"
+#include "mech/registry.h"
+#include "protocol/pipeline.h"
 
 namespace hdldp {
 namespace data {
@@ -242,6 +245,43 @@ TEST(ShardTest, PayloadBitFlipIsDataLossAtTheFlippedChunk) {
   const auto bad = opened.value().Chunk(1, &buffer);
   ASSERT_EQ(bad.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(bad.status().ToString().find("chunk 1"), std::string::npos);
+}
+
+TEST(ShardTest, CrcFailedChunkIsQuarantinedAndLeftOutOfTheTruth) {
+  // A mean run over a shard whose chunk 0 fails its CRC completes under
+  // allow_missing_chunks and scores against the surviving users: no pass
+  // (estimate or ground truth) may read the corrupt chunk again.
+  const std::string dir = TempShardDir("quarantine_truth");
+  const std::size_t users = 2 * kUsersPerChunk + 700;
+  const std::size_t dims = 3;
+  const Dataset dataset = TestDataset(users, dims, 31);
+  const ResidentChunkSource resident(&dataset);
+  ASSERT_TRUE(WriteShards(resident, dir).ok());
+  const char flipped = '\x5a';
+  PatchPartFile(dir, &flipped, 1, 4096 + 1000);
+
+  const auto opened = ShardFileSource::Open(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  protocol::PipelineOptions opts;
+  opts.total_epsilon = 1.0;
+  opts.seed = 5;
+  opts.allow_missing_chunks = true;
+  const auto run = protocol::RunMeanEstimation(
+      opened.value(), mech::MakeMechanism("piecewise").value(), opts);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value().quarantined_chunks, std::vector<std::size_t>{0});
+  EXPECT_EQ(run.value().surviving_users, users - kUsersPerChunk);
+
+  std::vector<NeumaierSum> sums(dims);
+  for (std::size_t i = kUsersPerChunk; i < users; ++i) {
+    for (std::size_t j = 0; j < dims; ++j) sums[j].Add(dataset.At(i, j));
+  }
+  ASSERT_EQ(run.value().true_mean.size(), dims);
+  for (std::size_t j = 0; j < dims; ++j) {
+    EXPECT_EQ(run.value().true_mean[j],
+              sums[j].Total() / static_cast<double>(users - kUsersPerChunk))
+        << j;
+  }
 }
 
 TEST(ShardTest, VersionOneFilesStayReadableWithoutChecksums) {

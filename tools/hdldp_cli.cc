@@ -99,6 +99,9 @@
 //   --allow-missing-chunks     quarantine chunks that still fail after
 //       retries instead of failing the run (the estimate then covers the
 //       surviving users, and the run reports the quarantined chunks).
+//       The ground truth the MSE lines score against and the marginals
+//       behind the HDR4ME deviation models are then taken over the
+//       surviving users too; no pass reads a quarantined chunk.
 //   --checkpoint=<file>        persist per-group progress; re-running the
 //       same command after a crash resumes with bit-identical final
 //       estimates (freq needs v2/v3 and a numeric encoding; variance
@@ -483,8 +486,6 @@ class Population {
 
   /// What the run reads (fault-injected when any --fault-* rate is set).
   const hdldp::data::ChunkSource& source() const { return *source_; }
-  /// The population itself, for reference passes that measure the data.
-  const hdldp::data::ChunkSource& base() const { return *base_; }
 
  private:
   std::optional<hdldp::data::ShardFileSource> shard_;
@@ -570,30 +571,12 @@ Status RunMean(Flags flags) {
     std::printf("recalibration skipped: hadamard1 has no value mechanism\n");
     return Status::OK();
   }
-  // Per-dimension deviation models from per-dimension empirical marginals.
-  std::vector<hdldp::framework::GaussianDeviation> deviations;
-  const std::size_t rows = std::min<std::size_t>(users, 2000);
+  // Per-dimension deviation models from the surviving users' marginals.
   HDLDP_ASSIGN_OR_RETURN(
-      const std::vector<double> marginals,
-      hdldp::data::MaterializeRows(population.base(), 0, rows));
-  std::vector<double> column(rows);
-  // r_j counts the users whose reports were folded: quarantined chunks
-  // contributed none.
-  const double reports = static_cast<double>(run.surviving_users) *
-                         static_cast<double>(report_dims == 0 ? dims
-                                                              : report_dims) /
-                         static_cast<double>(dims);
-  for (std::size_t j = 0; j < dims; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = marginals[i * dims + j];
-    HDLDP_ASSIGN_OR_RETURN(
-        const auto values,
-        hdldp::framework::ValueDistribution::FromSamples(column, 16));
-    HDLDP_ASSIGN_OR_RETURN(
-        const auto model,
-        hdldp::framework::ModelDeviation(*mechanism, run.per_dim_epsilon,
-                                         values, reports));
-    deviations.push_back(model.deviation);
-  }
+      const auto deviations,
+      hdldp::hdr4me::MarginalDeviations(source, run.quarantined_chunks,
+                                        report_dims, *mechanism,
+                                        run.per_dim_epsilon));
   HDLDP_ASSIGN_OR_RETURN(const double predicted,
                          hdldp::framework::PredictedMse(deviations));
   std::printf("%-24s %12.6g\n", "framework-predicted MSE", predicted);
