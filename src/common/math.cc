@@ -206,6 +206,35 @@ double StableSum(const double* data, std::size_t n) {
   return acc.Total();
 }
 
+void NeumaierColumns::AddRows(std::span<const double> rows) {
+  const std::size_t d = sums_.size();
+  double* __restrict sums = sums_.data();
+  double* __restrict compensations = compensations_.data();
+  for (std::size_t k = 0; k < rows.size(); k += d) {
+    const double* __restrict row = rows.data() + k;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double s = sums[j];
+      const double x = row[j];
+      const double t = s + x;
+      // Abs only feeds the comparison, where fabs and NeumaierSum's
+      // sign-preserving Abs agree (±0 compare equal, NaN compares false).
+      const bool sum_dominates = std::fabs(s) >= std::fabs(x);
+      const double hi = sum_dominates ? s : x;
+      const double lo = sum_dominates ? x : s;
+      compensations[j] += (hi - t) + lo;
+      sums[j] = t;
+    }
+  }
+}
+
+std::vector<double> NeumaierColumns::Mean(std::size_t count) const {
+  std::vector<double> mean(sums_.size());
+  for (std::size_t j = 0; j < mean.size(); ++j) {
+    mean[j] = (sums_[j] + compensations_[j]) / static_cast<double>(count);
+  }
+  return mean;
+}
+
 double RelativeDiff(double a, double b, double floor) {
   const double scale = std::max({std::abs(a), std::abs(b), floor});
   return std::abs(a - b) / scale;

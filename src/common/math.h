@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -165,6 +166,38 @@ class NeumaierSum {
 
   double sum_ = 0.0;
   double compensation_ = 0.0;
+};
+
+/// \brief One NeumaierSum per column of a row-major matrix, stored as a
+/// struct of arrays so the row fold vectorizes.
+///
+/// AddRows is NeumaierSum::Add per column with the branch turned into a
+/// select (`hi = |s| >= |x| ? s : x`, `lo` the other,
+/// `c += (hi - t) + lo`), applied in row order, so every column's
+/// RawSum() and Compensation() equal those of a NeumaierSum fed the same
+/// values bit for bit (pinned by tests/test_math.cc, NaN and ±inf
+/// included). This is the one ground-truth column fold: Dataset::TrueMean,
+/// data::SurvivingMean and the variance truth share it.
+class NeumaierColumns {
+ public:
+  explicit NeumaierColumns(std::size_t columns)
+      : sums_(columns, 0.0), compensations_(columns, 0.0) {}
+
+  /// Folds consecutive rows; `rows.size()` must be a multiple of the
+  /// column count.
+  void AddRows(std::span<const double> rows);
+
+  double RawSum(std::size_t column) const { return sums_[column]; }
+  double Compensation(std::size_t column) const {
+    return compensations_[column];
+  }
+
+  /// Per column, the compensated total divided by `count`.
+  std::vector<double> Mean(std::size_t count) const;
+
+ private:
+  std::vector<double> sums_;
+  std::vector<double> compensations_;
 };
 
 /// \brief Compensated sum of a range.

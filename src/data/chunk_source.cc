@@ -71,19 +71,13 @@ Result<std::vector<double>> SurvivingMean(
   }
   // Chunks in order means every column's compensated sum sees users in
   // exactly the order Dataset::TrueMean visits them — same bits.
-  std::vector<NeumaierSum> sums(d);
+  NeumaierColumns sums(d);
   HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
       source, quarantined, [&](std::span<const double> rows) {
-        for (std::size_t k = 0; k < rows.size(); k += d) {
-          for (std::size_t j = 0; j < d; ++j) sums[j].Add(rows[k + j]);
-        }
+        sums.AddRows(rows);
         return true;
       }));
-  std::vector<double> mean(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    mean[j] = sums[j].Total() / static_cast<double>(n);
-  }
-  return mean;
+  return sums.Mean(n);
 }
 
 Result<std::span<const double>> ResidentChunkSource::Chunk(

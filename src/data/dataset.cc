@@ -51,17 +51,11 @@ std::vector<double> Dataset::TrueMean() const {
       mean_cache_.load(std::memory_order_acquire);
   if (cached != nullptr && cached->version == version_) return cached->mean;
   // Column sums with compensated accumulation; one pass over the matrix.
-  std::vector<NeumaierSum> sums(num_dims_);
-  for (std::size_t i = 0; i < num_users_; ++i) {
-    const double* row = values_.data() + i * num_dims_;
-    for (std::size_t j = 0; j < num_dims_; ++j) sums[j].Add(row[j]);
-  }
+  NeumaierColumns sums(num_dims_);
+  sums.AddRows(values_);
   auto fresh = std::make_shared<MeanCache>();
   fresh->version = version_;
-  fresh->mean.resize(num_dims_);
-  for (std::size_t j = 0; j < num_dims_; ++j) {
-    fresh->mean[j] = sums[j].Total() / static_cast<double>(num_users_);
-  }
+  fresh->mean = sums.Mean(num_users_);
   mean_cache_.store(fresh, std::memory_order_release);
   return fresh->mean;
 }

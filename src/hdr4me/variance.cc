@@ -131,30 +131,30 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   // chunks of both halves, in user order. With nothing quarantined that
   // is every user in order, so the compensated sums match the
   // resident-dataset loop (and Dataset::TrueMean) bit for bit.
-  const auto for_each_surviving_row = [&](auto add) -> Status {
-    const auto add_chunk = [&](std::span<const double> rows) {
-      for (std::size_t k = 0; k < rows.size(); k += d) {
-        for (std::size_t j = 0; j < d; ++j) add(j, rows[k + j]);
-      }
-      return true;
-    };
+  const auto for_each_surviving_chunk = [&](const auto& visit) -> Status {
     HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-        values_half, mean_run.quarantined_chunks, add_chunk));
+        values_half, mean_run.quarantined_chunks, visit));
     return data::ForEachSurvivingChunk(
-        raw_half_b, square_run.quarantined_chunks, add_chunk);
+        raw_half_b, square_run.quarantined_chunks, visit);
   };
-  const auto surviving = static_cast<double>(result.surviving_users);
-  std::vector<NeumaierSum> sums(d);
-  HDLDP_RETURN_NOT_OK(for_each_surviving_row(
-      [&](std::size_t j, double v) { sums[j].Add(v); }));
-  std::vector<double> true_mean(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    true_mean[j] = sums[j].Total() / surviving;
-  }
+  NeumaierColumns sums(d);
+  HDLDP_RETURN_NOT_OK(
+      for_each_surviving_chunk([&](std::span<const double> rows) {
+        sums.AddRows(rows);
+        return true;
+      }));
+  const std::vector<double> true_mean = sums.Mean(result.surviving_users);
   std::vector<NeumaierSum> acc(d);
-  HDLDP_RETURN_NOT_OK(for_each_surviving_row([&](std::size_t j, double v) {
-    acc[j].Add(Sq(v - true_mean[j]));
-  }));
+  HDLDP_RETURN_NOT_OK(
+      for_each_surviving_chunk([&](std::span<const double> rows) {
+        for (std::size_t k = 0; k < rows.size(); k += d) {
+          for (std::size_t j = 0; j < d; ++j) {
+            acc[j].Add(Sq(rows[k + j] - true_mean[j]));
+          }
+        }
+        return true;
+      }));
+  const auto surviving = static_cast<double>(result.surviving_users);
   result.true_variance.resize(d);
   for (std::size_t j = 0; j < d; ++j) {
     result.true_variance[j] = acc[j].Total() / surviving;

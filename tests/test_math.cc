@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "common/math.h"
@@ -132,6 +136,68 @@ TEST(SummationTest, StableSumMatchesExact) {
   std::vector<double> xs;
   for (int i = 0; i < 1000; ++i) xs.push_back(0.1);
   EXPECT_NEAR(StableSum(xs.data(), xs.size()), 100.0, 1e-12);
+}
+
+// Column j of a rows x d matrix whose columns exercise the fold's edge
+// cases by j % 5: signed zeros and |s| == |x| ties, 1e300 next to 1e-300,
+// catastrophic cancellation, ±inf, and NaN.
+std::vector<double> EdgeCaseMatrix(std::size_t rows, std::size_t d) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> pools = {
+      {0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0},
+      {1e300, -1e300, 1e-300, -1e-300, 1.0, 4.9e-324, -4.9e-324},
+      {1e16, -1e16, 1.0, -1.0, 3.0, 1e-16, -1e-16, 0.1},
+      {1.0, -2.5, 7.0, kInf, -kInf, 1e308},
+      {0.25, -3.0, nan, 1e-300, -0.0, 9.0},
+  };
+  std::mt19937_64 gen(rows * 131 + d);
+  std::vector<double> values(rows * d);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto& pool = pools[j % pools.size()];
+      values[i * d + j] = pool[gen() % pool.size()];
+    }
+  }
+  return values;
+}
+
+TEST(SummationTest, ColumnFoldMatchesPerColumnNeumaierBitForBit) {
+  constexpr std::size_t kRows = 61;
+  for (const std::size_t d : {1u, 3u, 4u, 5u, 200u, 1024u}) {
+    const std::vector<double> values = EdgeCaseMatrix(kRows, d);
+    std::vector<NeumaierSum> reference(d);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t j = 0; j < d; ++j) reference[j].Add(values[i * d + j]);
+    }
+    // Uneven row batches, as a chunked pass feeds them.
+    NeumaierColumns columns(d);
+    const std::span<const double> all(values);
+    std::size_t row = 0;
+    for (const std::size_t batch : {1u, 7u, 0u, 20u, 33u}) {
+      columns.AddRows(all.subspan(row * d, batch * d));
+      row += batch;
+    }
+    ASSERT_EQ(row, kRows);
+    const std::vector<double> mean = columns.Mean(kRows);
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+      ASSERT_EQ(bits(columns.RawSum(j)), bits(reference[j].RawSum()))
+          << "d " << d << " column " << j;
+      ASSERT_EQ(bits(columns.Compensation(j)),
+                bits(reference[j].Compensation()))
+          << "d " << d << " column " << j;
+      ASSERT_EQ(bits(mean[j]), bits(reference[j].Total() / kRows))
+          << "d " << d << " column " << j;
+    }
+    // The pools reach every edge case: a finite cancellation column, an
+    // infinite one and a NaN one.
+    if (d >= 5) {
+      EXPECT_TRUE(std::isfinite(mean[2]));
+      EXPECT_FALSE(std::isfinite(mean[3]));
+      EXPECT_TRUE(std::isnan(mean[4]));
+    }
+  }
 }
 
 TEST(MathTest, ClampAndSq) {
