@@ -34,7 +34,14 @@ class ValueDistribution {
   /// If the sample has at most `max_support` distinct values the exact
   /// empirical law is returned; otherwise the sorted sample is split into
   /// `max_support` equal-count bins and each bin is represented by its
-  /// mean with mass (bin count / n).
+  /// mean (a compensated sum in ascending order) with mass (bin count / n).
+  /// Every sample must be finite: a NaN or infinity is InvalidArgument.
+  ///
+  /// The sort is an LSD radix sort over each double's order-preserving
+  /// 64-bit key (negatives with every bit flipped, non-negatives with the
+  /// sign bit flipped), one byte per pass, skipping passes whose byte
+  /// never varies. It yields the ascending array std::sort would, up to
+  /// the relative order of -0 and +0, which no bin mean can see.
   static Result<ValueDistribution> FromSamples(std::span<const double> samples,
                                                std::size_t max_support = 64);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 
+#include "common/thread_pool.h"
 #include "framework/value_distribution.h"
 
 namespace hdldp {
@@ -15,6 +16,10 @@ namespace {
 // of the empirical distribution built from them.
 constexpr std::size_t kMarginalRows = 2000;
 constexpr std::size_t kMarginalPoints = 16;
+// Columns gathered per MarginalDeviations task: each row contributes one
+// contiguous 128-byte segment to the block's transpose, where a column at
+// a time would pull a cache line per double.
+constexpr std::size_t kBlockColumns = 16;
 
 Status ValidatePair(std::span<const double> theta_hat,
                     std::span<const double> lambda) {
@@ -141,7 +146,7 @@ Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
     const data::ChunkSource& source,
     const std::vector<std::size_t>& quarantined, std::size_t report_dims,
     const mech::Mechanism& mechanism, double eps_per_dim,
-    const mech::Interval& data_domain) {
+    const mech::Interval& data_domain, std::size_t max_concurrency) {
   const std::size_t d = source.num_dims();
   const std::size_t surviving = source.SurvivingUsers(quarantined);
   if (surviving == 0 || d == 0) {
@@ -165,11 +170,8 @@ Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
   const double m = static_cast<double>(report_dims == 0 ? d : report_dims);
   const double reports =
       static_cast<double>(surviving) * m / static_cast<double>(d);
-  std::vector<framework::GaussianDeviation> deviations;
-  deviations.reserve(d);
-  std::vector<double> column(rows);
-  for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = marginals[i * d + j];
+  const auto model_column = [&](std::span<const double> column)
+      -> Result<framework::GaussianDeviation> {
     HDLDP_ASSIGN_OR_RETURN(
         const framework::ValueDistribution values,
         framework::ValueDistribution::FromSamples(column, kMarginalPoints));
@@ -177,8 +179,37 @@ Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
         const framework::DeviationModel model,
         framework::ModelDeviation(mechanism, eps_per_dim, values, reports,
                                   data_domain));
-    deviations.push_back(model.deviation);
-  }
+    return model.deviation;
+  };
+  // Each block transposes its columns out of the row-major sample and
+  // models them; dimension j writes only slot j, so neither the models
+  // nor the reported error depend on how blocks land on threads.
+  std::vector<framework::GaussianDeviation> deviations(d);
+  std::vector<Status> failures(d);
+  const auto model_block = [&](std::size_t block) {
+    const std::size_t first = block * kBlockColumns;
+    const std::size_t width = std::min(kBlockColumns, d - first);
+    std::vector<double> columns(width * rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double* segment = marginals.data() + i * d + first;
+      for (std::size_t k = 0; k < width; ++k) {
+        columns[k * rows + i] = segment[k];
+      }
+    }
+    for (std::size_t k = 0; k < width; ++k) {
+      Result<framework::GaussianDeviation> deviation =
+          model_column({columns.data() + k * rows, rows});
+      if (!deviation.ok()) {
+        failures[first + k] = deviation.status();
+        return;
+      }
+      deviations[first + k] = *deviation;
+    }
+  };
+  ThreadPool::Shared().ParallelFor(
+      0, (d + kBlockColumns - 1) / kBlockColumns, model_block,
+      max_concurrency);
+  for (const Status& failure : failures) HDLDP_RETURN_NOT_OK(failure);
   return deviations;
 }
 

@@ -102,12 +102,21 @@ Result<RecalibrationResult> Recalibrate(
 /// `quarantined` chunks (sorted ascending, as a run reports them), and
 /// r_j = surviving * report_dims / d (report_dims 0 = d). Gathers through
 /// data::ForEachSurvivingChunk and stops pulling once it has enough rows.
-/// FailedPrecondition when no user survives.
+///
+/// The dimensions are modelled in blocks of 16 columns on the shared
+/// ThreadPool, each block transposing its columns out of the row-major
+/// sample one 128-byte row segment at a time. `max_concurrency` bounds the threads,
+/// calling thread included, with ParallelFor's meaning (0 = the whole
+/// pool); a run passes its own thread count (the CLI's --threads).
+/// Dimension j writes only its own slot, so the models are bit-identical
+/// for every max_concurrency, and on failure the error returned is that
+/// of the lowest failing j. FailedPrecondition when no user survives.
 Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
     const data::ChunkSource& source,
     const std::vector<std::size_t>& quarantined, std::size_t report_dims,
     const mech::Mechanism& mechanism, double eps_per_dim,
-    const mech::Interval& data_domain = {-1.0, 1.0});
+    const mech::Interval& data_domain = {-1.0, 1.0},
+    std::size_t max_concurrency = 0);
 
 /// \brief Theorem 3's lower bound on the probability that HDR4ME-L1
 /// strictly improves the estimate: 1 - P(all |dev_j| <= 1) under the

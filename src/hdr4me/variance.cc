@@ -93,8 +93,9 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   }
 
   if (options.recalibrate) {
-    // Each half is modelled from its own surviving rows; the second moment
-    // lives in [0, 1], so it is modelled in that domain.
+    // Each half is modelled from its own surviving rows, on the threads
+    // its estimation ran with; the second moment lives in [0, 1], so it
+    // is modelled in that domain.
     const auto recalibrate_half =
         [&](const data::ChunkSource& half,
             const protocol::MeanEstimationResult& run,
@@ -104,7 +105,8 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
           const auto deviations,
           MarginalDeviations(half, run.quarantined_chunks,
                              options.report_dims, *mechanism,
-                             run.per_dim_epsilon, domain));
+                             run.per_dim_epsilon, domain,
+                             mean_opts.num_threads));
       HDLDP_ASSIGN_OR_RETURN(
           RecalibrationResult recalibrated,
           Recalibrate(estimate, deviations, options.hdr4me));

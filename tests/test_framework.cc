@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/math.h"
@@ -77,6 +85,152 @@ TEST(ValueDistributionTest, FromSamplesValidates) {
   EXPECT_FALSE(ValueDistribution::FromSamples({}, 8).ok());
   const std::vector<double> one = {1.0};
   EXPECT_FALSE(ValueDistribution::FromSamples(one, 0).ok());
+}
+
+TEST(ValueDistributionTest, FromSamplesRejectsNonFiniteSamples) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    // Small support (the exact path) and a continuous 2000-row column
+    // (the quantile-bin path): both are refused before either runs.
+    const std::vector<double> small = {0.25, bad, 0.25};
+    std::vector<double> large(2000);
+    Rng rng(3);
+    for (double& x : large) x = rng.Uniform(-1.0, 1.0);
+    large[1234] = bad;
+    for (const auto& samples : {small, large}) {
+      const auto got = ValueDistribution::FromSamples(samples, 16);
+      ASSERT_FALSE(got.ok()) << bad;
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << bad;
+    }
+  }
+}
+
+// FromSamples' body as it stood with a comparison sort: the exact
+// small-support law, else std::sort and one NeumaierSum per equal-count
+// bin. The radix sort must reproduce its bins bit for bit.
+std::pair<std::vector<double>, std::vector<double>> SortedBinsReference(
+    std::span<const double> samples, std::size_t max_support) {
+  std::map<double, std::size_t> counts;
+  bool small = true;
+  for (const double x : samples) {
+    if (++counts[x] == 1 && counts.size() > max_support) {
+      small = false;
+      break;
+    }
+  }
+  const auto n = static_cast<double>(samples.size());
+  std::vector<double> values;
+  std::vector<double> probs;
+  if (small) {
+    for (const auto& [value, count] : counts) {
+      values.push_back(value);
+      probs.push_back(static_cast<double>(count) / n);
+    }
+    double total = 0.0;
+    for (const double p : probs) total += p;
+    for (double& p : probs) p /= total;
+    return {values, probs};
+  }
+  std::vector<double> sorted(samples.begin(), samples.end());
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t total_n = sorted.size();
+  std::size_t start = 0;
+  for (std::size_t b = 0; b < max_support; ++b) {
+    const std::size_t end = (b + 1) * total_n / max_support;
+    if (end <= start) continue;
+    NeumaierSum sum;
+    for (std::size_t i = start; i < end; ++i) sum.Add(sorted[i]);
+    values.push_back(sum.Total() / static_cast<double>(end - start));
+    probs.push_back(static_cast<double>(end - start) / n);
+    start = end;
+  }
+  return {values, probs};
+}
+
+void ExpectBitwiseEqual(const std::vector<double>& got,
+                        const std::vector<double>& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t z = 0; z < want.size(); ++z) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[z]),
+              std::bit_cast<std::uint64_t>(want[z]))
+        << label << " z=" << z << " got " << got[z] << " want " << want[z];
+  }
+}
+
+void ExpectSameBinsAsSort(std::span<const double> samples,
+                          std::size_t max_support, const std::string& label) {
+  const auto got = ValueDistribution::FromSamples(samples, max_support);
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+  const auto [values, probs] = SortedBinsReference(samples, max_support);
+  ExpectBitwiseEqual(got->values(), values, label + " values");
+  ExpectBitwiseEqual(got->probabilities(), probs, label + " probabilities");
+}
+
+TEST(ValueDistributionTest, FromSamplesBinsMatchTheComparisonSortBitForBit) {
+  constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
+  Rng rng(20);
+  // Ties and long runs clamped at +-1, as a wide Gaussian column is.
+  std::vector<double> clamped(2000);
+  for (double& x : clamped) x = Clamp(rng.Gaussian(0.0, 0.9), -1.0, 1.0);
+  ExpectSameBinsAsSort(clamped, 16, "clamped");
+  // Heavy ties on a 1/64 grid (129 distinct values, runs of ~16).
+  std::vector<double> grid(2000);
+  for (double& x : grid) {
+    x = std::round(rng.Uniform(-1.0, 1.0) * 64.0) / 64.0;
+  }
+  ExpectSameBinsAsSort(grid, 16, "grid");
+  // Mixed -0/+0, denormals of both signs, and a few normals.
+  std::vector<double> zeros(2000);
+  for (std::size_t i = 0; i < zeros.size(); ++i) {
+    switch (i % 5) {
+      case 0: zeros[i] = 0.0; break;
+      case 1: zeros[i] = -0.0; break;
+      case 2: zeros[i] = kDenormal * static_cast<double>(i); break;
+      case 3: zeros[i] = -kDenormal * static_cast<double>(i); break;
+      default: zeros[i] = rng.Uniform(-1e-300, 1e-300); break;
+    }
+  }
+  ExpectSameBinsAsSort(zeros, 16, "signed zeros and denormals");
+  // Bins made only of signed zeros: two thirds of the column is -0/+0,
+  // the rest 17 distinct positives.
+  std::vector<double> only_zeros(2000);
+  for (std::size_t i = 0; i < only_zeros.size(); ++i) {
+    only_zeros[i] = i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : 0.5 + i % 17);
+  }
+  ExpectSameBinsAsSort(only_zeros, 16, "zero runs");
+  std::vector<double> negative(2000);
+  for (double& x : negative) x = -rng.Uniform(0.0, 1.0) - kDenormal;
+  ExpectSameBinsAsSort(negative, 16, "all negative");
+  // A constant column, and a support one past max_support.
+  ExpectSameBinsAsSort(std::vector<double>(2000, -0.375), 16, "constant");
+  std::vector<double> seventeen(2000);
+  for (std::size_t i = 0; i < seventeen.size(); ++i) {
+    seventeen[i] = static_cast<double>((i * 7) % 17) / 8.0 - 1.0;
+  }
+  ExpectSameBinsAsSort(seventeen, 16, "support 17");
+  // n below max_support, just above it, and not divisible by it.
+  for (const std::size_t n : {1u, 5u, 15u, 17u, 20u, 33u, 2003u}) {
+    std::vector<double> column(n);
+    for (double& x : column) x = rng.Uniform(-1.0, 1.0);
+    ExpectSameBinsAsSort(column, 16, "n=" + std::to_string(n));
+  }
+  // 50 seeded columns of the workload's shape: Gaussian (sd 1/16,
+  // clamped) and Poisson-like counts.
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    Rng column_rng(1000 + seed);
+    std::vector<double> gaussian(2000);
+    std::vector<double> poisson(2000);
+    for (double& x : gaussian) {
+      x = Clamp(column_rng.Gaussian(0.0, 1.0 / 16.0), -1.0, 1.0);
+    }
+    for (double& x : poisson) {
+      x = static_cast<double>(column_rng.Poisson(12.0)) / 32.0 - 0.5;
+    }
+    ExpectSameBinsAsSort(gaussian, 16, "gaussian seed " + std::to_string(seed));
+    ExpectSameBinsAsSort(poisson, 16, "poisson seed " + std::to_string(seed));
+  }
 }
 
 TEST(GaussianDeviationTest, BasicLawQueries) {

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/math.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/chunk_source.h"
 #include "data/fault_injection.h"
 #include "data/generators.h"
@@ -305,6 +307,61 @@ TEST(MarginalDeviationsTest, EveryChunkQuarantinedIsAPreconditionError) {
       data::ResidentChunkSource(&dataset), {0, 1}, 0, *mechanism, 0.2);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(MarginalDeviationsTest, BitIdenticalForEveryMaxConcurrency) {
+  // 37 dimensions: two full 16-column blocks and a partial one.
+  const std::size_t users = 2 * data::kUsersPerChunk + 500;
+  const Dataset dataset = GaussianData(users, 37, 16);
+  const data::ResidentChunkSource resident(&dataset);
+  const auto mechanism = mech::MakeMechanism("piecewise").value();
+  const std::size_t pool = ThreadPool::Shared().num_threads() + 1;
+  const auto whole = HandDeviations(dataset, 0, 2000,
+                                    static_cast<double>(users), *mechanism,
+                                    0.05);
+  const auto without_first = HandDeviations(
+      dataset, data::kUsersPerChunk, 2000,
+      static_cast<double>(users - data::kUsersPerChunk), *mechanism, 0.05);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, pool}) {
+    SCOPED_TRACE(threads);
+    const auto got = hdr4me::MarginalDeviations(
+        resident, {}, 0, *mechanism, 0.05, {-1.0, 1.0}, threads);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameDeviations(got.value(), whole);
+    const auto quarantined = hdr4me::MarginalDeviations(
+        resident, {0}, 0, *mechanism, 0.05, {-1.0, 1.0}, threads);
+    ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+    ExpectSameDeviations(quarantined.value(), without_first);
+  }
+}
+
+TEST(MarginalDeviationsTest, ReportsTheLowestFailingDimension) {
+  // Dimension 5 is out of the mechanism's domain (ModelDeviation fails),
+  // dimension 40 holds a NaN (FromSamples fails); they sit in different
+  // blocks. Swapping them swaps the error.
+  const auto mechanism = mech::MakeMechanism("piecewise").value();
+  const std::size_t pool = ThreadPool::Shared().num_threads() + 1;
+  for (const bool nan_first : {false, true}) {
+    Dataset dataset = GaussianData(2500, 48, 17);
+    const std::size_t low = 5;
+    const std::size_t high = 40;
+    for (std::size_t i = 0; i < dataset.num_users(); ++i) {
+      dataset.Set(i, nan_first ? high : low, 5.0);
+    }
+    dataset.Set(1999, nan_first ? low : high,
+                std::numeric_limits<double>::quiet_NaN());
+    const std::string want =
+        nan_first ? "non-finite sample" : "outside native domain";
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, pool}) {
+      const auto got =
+          hdr4me::MarginalDeviations(data::ResidentChunkSource(&dataset), {},
+                                     0, *mechanism, 0.05, {-1.0, 1.0},
+                                     threads);
+      ASSERT_FALSE(got.ok());
+      EXPECT_NE(got.status().ToString().find(want), std::string::npos)
+          << threads << ": " << got.status().ToString();
+    }
+  }
 }
 
 TEST(DeterminismTest, WholeStackIsReproducible) {

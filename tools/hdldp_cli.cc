@@ -576,7 +576,8 @@ Status RunMean(Flags flags) {
       const auto deviations,
       hdldp::hdr4me::MarginalDeviations(source, run.quarantined_chunks,
                                         report_dims, *mechanism,
-                                        run.per_dim_epsilon));
+                                        run.per_dim_epsilon, {-1.0, 1.0},
+                                        opts.num_threads));
   HDLDP_ASSIGN_OR_RETURN(const double predicted,
                          hdldp::framework::PredictedMse(deviations));
   std::printf("%-24s %12.6g\n", "framework-predicted MSE", predicted);
