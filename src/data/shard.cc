@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/bytes.h"
 #include "common/crc32c.h"
 
 namespace hdldp {
@@ -18,14 +19,7 @@ namespace data {
 namespace {
 
 constexpr std::size_t kHeaderBytes = 4096;
-constexpr char kMagic[8] = {'H', 'D', 'L', 'S', 'H', 'A', 'R', 'D'};
-
-constexpr std::size_t kOffVersion = 8;
-constexpr std::size_t kOffFlags = 12;
-constexpr std::size_t kOffNumDims = 16;
-constexpr std::size_t kOffUsersPerChunk = 24;
-constexpr std::size_t kOffNumUsers = 32;
-constexpr std::size_t kOffFirstUser = 40;
+constexpr unsigned char kMagic[8] = {'H', 'D', 'L', 'S', 'H', 'A', 'R', 'D'};
 
 struct ShardHeader {
   std::uint32_t version = kShardFormatVersion;
@@ -42,29 +36,35 @@ std::size_t ChunksInFile(std::uint64_t num_users) {
                                   kUsersPerChunk);
 }
 
-void EncodeHeader(const ShardHeader& h, unsigned char* block) {
-  std::memset(block, 0, kHeaderBytes);
-  std::memcpy(block, kMagic, sizeof(kMagic));
-  std::memcpy(block + kOffVersion, &h.version, 4);
-  std::memcpy(block + kOffFlags, &h.flags, 4);
-  std::memcpy(block + kOffNumDims, &h.num_dims, 8);
-  std::memcpy(block + kOffUsersPerChunk, &h.users_per_chunk, 8);
-  std::memcpy(block + kOffNumUsers, &h.num_users, 8);
-  std::memcpy(block + kOffFirstUser, &h.first_user, 8);
+// The magic and header fields in file order; the rest of the header
+// block is zero.
+std::vector<unsigned char> EncodeHeader(const ShardHeader& h) {
+  std::vector<unsigned char> out;
+  ByteWriter w(&out);
+  w.Bytes(kMagic);
+  w.U32(h.version);
+  w.U32(h.flags);
+  w.U64(h.num_dims);
+  w.U64(h.users_per_chunk);
+  w.U64(h.num_users);
+  w.U64(h.first_user);
+  return out;
 }
 
-Result<ShardHeader> DecodeHeader(const unsigned char* block,
+Result<ShardHeader> DecodeHeader(std::span<const unsigned char> block,
                                  const std::string& path) {
-  if (std::memcmp(block, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(block.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::DataLoss("corrupt shard header (bad magic): " + path);
   }
+  ByteReader in(block.subspan(sizeof(kMagic)), StatusCode::kDataLoss,
+                "truncated shard header");
   ShardHeader h;
-  std::memcpy(&h.version, block + kOffVersion, 4);
-  std::memcpy(&h.flags, block + kOffFlags, 4);
-  std::memcpy(&h.num_dims, block + kOffNumDims, 8);
-  std::memcpy(&h.users_per_chunk, block + kOffUsersPerChunk, 8);
-  std::memcpy(&h.num_users, block + kOffNumUsers, 8);
-  std::memcpy(&h.first_user, block + kOffFirstUser, 8);
+  HDLDP_ASSIGN_OR_RETURN(h.version, in.U32());
+  HDLDP_ASSIGN_OR_RETURN(h.flags, in.U32());
+  HDLDP_ASSIGN_OR_RETURN(h.num_dims, in.U64());
+  HDLDP_ASSIGN_OR_RETURN(h.users_per_chunk, in.U64());
+  HDLDP_ASSIGN_OR_RETURN(h.num_users, in.U64());
+  HDLDP_ASSIGN_OR_RETURN(h.first_user, in.U64());
   if (h.version == 0 || h.version > kShardFormatVersion) {
     return Status::InvalidArgument(
         "unsupported shard format version " + std::to_string(h.version) +
@@ -250,13 +250,11 @@ Status ShardWriter::OpenNextFile() {
                             std::strerror(errno));
   }
   // Placeholder header; num_users is patched on close.
-  ShardHeader header;
-  header.num_dims = num_dims_;
-  header.num_users = 0;
-  header.first_user = rows_written_;
-  unsigned char block[kHeaderBytes];
-  EncodeHeader(header, block);
-  HDLDP_RETURN_NOT_OK(writer_.WriteFully(fd_, block, kHeaderBytes, tmp));
+  std::vector<unsigned char> block = EncodeHeader(
+      {.num_dims = num_dims_, .num_users = 0, .first_user = rows_written_});
+  block.resize(kHeaderBytes);
+  HDLDP_RETURN_NOT_OK(
+      writer_.WriteFully(fd_, block.data(), block.size(), tmp));
   rows_in_file_ = 0;
   chunk_crcs_.clear();
   chunk_crc_ = 0;
@@ -277,8 +275,12 @@ Status ShardWriter::CloseCurrentFile() {
   HDLDP_RETURN_NOT_OK(writer_.WriteFully(
       fd_, chunk_crcs_.data(), chunk_crcs_.size() * sizeof(std::uint32_t),
       tmp));
-  const std::uint64_t users = rows_in_file_;
-  HDLDP_RETURN_NOT_OK(writer_.PWriteFully(fd_, &users, 8, kOffNumUsers, tmp));
+  const std::vector<unsigned char> header =
+      EncodeHeader({.num_dims = num_dims_,
+                    .num_users = rows_in_file_,
+                    .first_user = rows_written_ - rows_in_file_});
+  HDLDP_RETURN_NOT_OK(
+      writer_.PWriteFully(fd_, header.data(), header.size(), 0, tmp));
   // Seal crash-consistently: flush the complete .tmp, rename it into
   // place, then flush the directory entry. A crash (or injected fault)
   // at any point leaves either no final file (stray .tmp, detected by

@@ -3,7 +3,8 @@
 // A shard directory holds a population as one or more files named
 // part-00000.hds, part-00001.hds, ... Each file is:
 //
-//   [0, 4096)      header block (fixed 4096 bytes, zero padded):
+//   [0, 4096)      header block (fixed 4096 bytes, zero padded; fields
+//                  little-endian through common/bytes.h):
 //       offset 0   magic   "HDLSHARD"           (8 bytes)
 //       offset 8   u32     format version (currently 2)
 //       offset 12  u32     flags (reserved, must be 0)

@@ -1,10 +1,11 @@
 #include "protocol/aggregator.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <string>
 #include <utility>
 
+#include "common/bytes.h"
 #include "engine/reduce.h"
 
 namespace hdldp {
@@ -207,21 +208,20 @@ void MeanAggregator::Reset() {
 }
 
 void MeanAggregator::SerializeState(std::vector<unsigned char>* out) const {
+  // Every dimension's three fields are 8 bytes wide, so they move as one
+  // u64 array each way: the service serializes a pane on every seal and
+  // restores every pane of a window on every publish. An f64 field is
+  // its IEEE-754 bit pattern (common/bytes.h).
   const std::size_t d = num_dims();
-  out->reserve(out->size() + d * 24);
-  const auto append = [out](const void* data, std::size_t len) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    out->insert(out->end(), p, p + len);
-  };
+  std::vector<std::uint64_t> fields(3 * d);
   for (std::size_t j = 0; j < d; ++j) {
     // The raw (sum, compensation) pair, not Total(): collapsing the
     // compensation term would shift a resumed run's estimate by an ulp.
-    const double sum = sums_[j].RawSum();
-    const double compensation = sums_[j].Compensation();
-    append(&sum, sizeof(sum));
-    append(&compensation, sizeof(compensation));
-    append(&counts_[j], sizeof(counts_[j]));
+    fields[3 * j] = std::bit_cast<std::uint64_t>(sums_[j].RawSum());
+    fields[3 * j + 1] = std::bit_cast<std::uint64_t>(sums_[j].Compensation());
+    fields[3 * j + 2] = static_cast<std::uint64_t>(counts_[j]);
   }
+  ByteWriter(out).Write(std::span<const std::uint64_t>(fields));
 }
 
 Status MeanAggregator::RestoreState(std::span<const unsigned char> bytes) {
@@ -232,17 +232,14 @@ Status MeanAggregator::RestoreState(std::span<const unsigned char> bytes) {
         " bytes for " + std::to_string(d) + " dimensions, got " +
         std::to_string(bytes.size()) + ")");
   }
-  const unsigned char* p = bytes.data();
+  // One u64 array, as SerializeState writes it.
+  std::vector<std::uint64_t> fields(3 * d);
+  ByteReader in(bytes, StatusCode::kDataLoss, "aggregator state truncated");
+  HDLDP_RETURN_NOT_OK(in.Read(std::span(fields)));
   for (std::size_t j = 0; j < d; ++j) {
-    double sum = 0.0;
-    double compensation = 0.0;
-    std::int64_t count = 0;
-    std::memcpy(&sum, p, 8);
-    std::memcpy(&compensation, p + 8, 8);
-    std::memcpy(&count, p + 16, 8);
-    p += 24;
-    sums_[j].RestoreRaw(sum, compensation);
-    counts_[j] = count;
+    sums_[j].RestoreRaw(std::bit_cast<double>(fields[3 * j]),
+                        std::bit_cast<double>(fields[3 * j + 1]));
+    counts_[j] = static_cast<std::int64_t>(fields[3 * j + 2]);
   }
   return Status::OK();
 }

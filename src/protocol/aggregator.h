@@ -106,9 +106,10 @@ class MeanAggregator {
   void Reset();
 
   /// \brief Appends the exact aggregation state — per dimension the raw
-  /// Neumaier (sum, compensation) pair and the report count, little-
-  /// endian — to *out. Configuration (domain map, bias correction) is
-  /// NOT serialized; it is re-derived from the run options on resume.
+  /// Neumaier (sum, compensation) pair as f64 and the report count as
+  /// u64 (common/bytes.h) — to *out. Configuration (domain map, bias
+  /// correction) is NOT serialized; it is re-derived from the run
+  /// options on resume.
   /// Round-tripping through RestoreState reproduces the accumulator bit
   /// for bit, which is what makes checkpointed runs resume to
   /// bit-identical estimates (protocol/snapshot.h).

@@ -23,6 +23,23 @@ Status ValidateRunControl(const engine::RunControl& control,
         "oue/olh are frequency-oracle encodings; mean estimation supports "
         "dense|sampled|hadamard1");
   }
+  // The kV1Scalar frequency body pulls chunks in one serial loop with no
+  // retry or quarantine; the oracle encodings never take it.
+  if (workload == Workload::kFrequency && !oracle &&
+      control.seed_scheme == SeedScheme::kV1Scalar) {
+    if (control.retry.max_attempts > 1) {
+      return Status::InvalidArgument(
+          "--max-attempts needs an engine seed scheme (kV2Lanes or "
+          "kV3Batched) for frequency estimation; the kV1Scalar serial loop "
+          "does not retry");
+    }
+    if (control.allow_missing_chunks) {
+      return Status::InvalidArgument(
+          "--allow-missing-chunks needs an engine seed scheme (kV2Lanes or "
+          "kV3Batched) for frequency estimation; the kV1Scalar serial loop "
+          "does not quarantine");
+    }
+  }
   if (control.checkpoint_path.empty()) return Status::OK();
   if (oracle) {
     return Status::InvalidArgument(

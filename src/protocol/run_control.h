@@ -31,8 +31,9 @@ enum class Workload { kMean, kFrequency, kVariance };
 ///     dense|sampled|oue|olh;
 ///   * the frequency-oracle encodings (oue, olh) cannot checkpoint: their
 ///     integer accumulators have no snapshot codec;
-///   * frequency under kV1Scalar cannot checkpoint: its serial loop
-///     predates the reduction tree.
+///   * frequency under kV1Scalar cannot checkpoint, retry
+///     (max_attempts > 1) or quarantine (allow_missing_chunks): its
+///     serial loop predates the reduction tree.
 ///
 /// Every pipeline calls this first, so one configuration fails the same
 /// way whichever statistic it names.

@@ -8,52 +8,27 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/crc32c.h"
 
 namespace hdldp {
 namespace protocol {
 namespace {
 
-constexpr char kMagic[8] = {'H', 'D', 'L', 'S', 'N', 'A', 'P', '1'};
+constexpr unsigned char kMagic[8] = {'H', 'D', 'L', 'S', 'N', 'A', 'P', '1'};
 constexpr std::size_t kMagicBytes = 8;
-
-void AppendRaw(std::vector<unsigned char>* out, const void* data,
-               std::size_t len) {
-  if (len == 0) return;
-  const std::size_t base = out->size();
-  out->resize(base + len);
-  std::memcpy(out->data() + base, data, len);
-}
-
-void AppendU32(std::vector<unsigned char>* out, std::uint32_t v) {
-  AppendRaw(out, &v, sizeof(v));
-}
-
-void AppendU64(std::vector<unsigned char>* out, std::uint64_t v) {
-  AppendRaw(out, &v, sizeof(v));
-}
-
-// Reads a little-endian integer at `offset`, or fails if it would run
-// past the end. Advances *offset.
-template <typename T>
-bool ReadScalar(std::span<const unsigned char> bytes, std::size_t* offset,
-                T* out) {
-  if (*offset + sizeof(T) > bytes.size()) return false;
-  std::memcpy(out, bytes.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
 
 // The file header: magic, version, digest, all guarded by one CRC.
 std::vector<unsigned char> EncodeHeader(
     std::span<const unsigned char> digest) {
   std::vector<unsigned char> out;
   out.reserve(kMagicBytes + 8 + digest.size() + 4);
-  AppendRaw(&out, kMagic, kMagicBytes);
-  AppendU32(&out, kSnapshotFormatVersion);
-  AppendU32(&out, static_cast<std::uint32_t>(digest.size()));
-  AppendRaw(&out, digest.data(), digest.size());
-  AppendU32(&out, Crc32c(out.data(), out.size()));
+  ByteWriter w(&out);
+  w.Bytes(kMagic);
+  w.U32(kSnapshotFormatVersion);
+  w.U32(static_cast<std::uint32_t>(digest.size()));
+  w.Bytes(digest);
+  w.U32(Crc32c(out.data(), out.size()));
   return out;
 }
 
@@ -63,79 +38,72 @@ std::vector<unsigned char> EncodeRecord(
     std::span<const unsigned char> acc_state) {
   std::vector<unsigned char> payload;
   payload.reserve(32 + quarantined.size() * 8 + acc_state.size());
-  AppendU64(&payload, group);
-  AppendU64(&payload, chunks_done);
-  AppendU64(&payload, quarantined.size());
-  for (const std::size_t chunk : quarantined) AppendU64(&payload, chunk);
-  AppendU64(&payload, acc_state.size());
-  AppendRaw(&payload, acc_state.data(), acc_state.size());
+  ByteWriter p(&payload);
+  p.U64(group);
+  p.U64(chunks_done);
+  p.U64(quarantined.size());
+  for (const std::size_t chunk : quarantined) p.U64(chunk);
+  p.U64(acc_state.size());
+  p.Bytes(acc_state);
 
   std::vector<unsigned char> record;
   record.reserve(8 + payload.size());
-  AppendU32(&record, static_cast<std::uint32_t>(payload.size()));
-  AppendU32(&record, Crc32c(payload.data(), payload.size()));
-  AppendRaw(&record, payload.data(), payload.size());
+  ByteWriter r(&record);
+  r.U32(static_cast<std::uint32_t>(payload.size()));
+  r.U32(Crc32c(payload.data(), payload.size()));
+  r.Bytes(payload);
   return record;
 }
 
-// Parses one framed record starting at *offset. Returns false (without
-// touching *groups) on a torn or corrupt frame — the caller stops
-// parsing there, keeping everything before it.
-bool ParseRecord(std::span<const unsigned char> bytes, std::size_t* offset,
-                 std::unordered_map<std::size_t, SnapshotFile::GroupState>*
-                     groups) {
-  std::size_t at = *offset;
-  std::uint32_t payload_len = 0;
-  std::uint32_t payload_crc = 0;
-  if (!ReadScalar(bytes, &at, &payload_len)) return false;
-  if (!ReadScalar(bytes, &at, &payload_crc)) return false;
-  if (at + payload_len > bytes.size()) return false;
-  const std::span<const unsigned char> payload =
-      bytes.subspan(at, payload_len);
-  if (Crc32c(payload.data(), payload.size()) != payload_crc) return false;
+// Parses the framed record at the front of `bytes` into *groups and
+// returns its length. Fails (without touching *groups) on a torn or
+// corrupt frame; the caller stops parsing there, keeping everything
+// before it.
+Result<std::size_t> ParseRecord(
+    std::span<const unsigned char> bytes,
+    std::unordered_map<std::size_t, SnapshotFile::GroupState>* groups) {
+  ByteReader frame(bytes, StatusCode::kDataLoss, "torn checkpoint record");
+  HDLDP_ASSIGN_OR_RETURN(const std::uint32_t payload_len, frame.U32());
+  HDLDP_ASSIGN_OR_RETURN(const std::uint32_t payload_crc, frame.U32());
+  HDLDP_ASSIGN_OR_RETURN(const std::span<const unsigned char> payload,
+                         frame.Bytes(payload_len));
+  const Status corrupt = Status::DataLoss("corrupt checkpoint record");
+  if (Crc32c(payload.data(), payload.size()) != payload_crc) return corrupt;
 
-  std::size_t p = 0;
-  std::uint64_t group = 0;
-  std::uint64_t chunks_done = 0;
-  std::uint64_t num_quarantined = 0;
-  if (!ReadScalar(payload, &p, &group)) return false;
-  if (!ReadScalar(payload, &p, &chunks_done)) return false;
-  if (!ReadScalar(payload, &p, &num_quarantined)) return false;
+  ByteReader in(payload, StatusCode::kDataLoss, "torn checkpoint record");
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t group, in.U64());
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t chunks_done, in.U64());
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t num_quarantined, in.U64());
   // Divide instead of multiplying: num_quarantined * 8 can wrap, and the
   // reserve below must never trust a wrapped count.
-  if (num_quarantined > (payload.size() - p) / 8) return false;
+  if (num_quarantined > in.remaining() / 8) return corrupt;
   SnapshotFile::GroupState state;
   state.chunks_done = static_cast<std::size_t>(chunks_done);
   state.quarantined.reserve(static_cast<std::size_t>(num_quarantined));
   for (std::uint64_t i = 0; i < num_quarantined; ++i) {
-    std::uint64_t chunk = 0;
-    if (!ReadScalar(payload, &p, &chunk)) return false;
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t chunk, in.U64());
     state.quarantined.push_back(static_cast<std::size_t>(chunk));
   }
-  std::uint64_t state_len = 0;
-  if (!ReadScalar(payload, &p, &state_len)) return false;
-  if (p + state_len != payload.size()) return false;
-  state.acc_state.assign(payload.begin() + static_cast<std::ptrdiff_t>(p),
-                         payload.end());
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t state_len, in.U64());
+  if (state_len != in.remaining()) return corrupt;
+  HDLDP_ASSIGN_OR_RETURN(const std::span<const unsigned char> acc_state,
+                         in.Bytes(state_len));
+  state.acc_state.assign(acc_state.begin(), acc_state.end());
 
   (*groups)[static_cast<std::size_t>(group)] = std::move(state);
-  *offset = at + payload_len;
-  return true;
+  return bytes.size() - frame.remaining();
 }
 
 }  // namespace
 
-void RunDigest::AddU64(std::uint64_t v) { AppendU64(&bytes, v); }
+void RunDigest::AddU64(std::uint64_t v) { ByteWriter(&bytes).U64(v); }
 
-void RunDigest::AddF64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(&bytes, bits);
-}
+void RunDigest::AddF64(double v) { ByteWriter(&bytes).F64(v); }
 
 void RunDigest::AddString(std::string_view s) {
-  AppendU64(&bytes, s.size());
-  AppendRaw(&bytes, s.data(), s.size());
+  ByteWriter w(&bytes);
+  w.U64(s.size());
+  w.Bytes({reinterpret_cast<const unsigned char*>(s.data()), s.size()});
 }
 
 SnapshotFile::SnapshotFile(SnapshotFile&& other) noexcept
@@ -220,25 +188,26 @@ Result<SnapshotFile> SnapshotFile::Open(
       // Same magic but different version/digest bytes — either a future
       // format or another run's checkpoint. Check the stored CRC to
       // tell corruption apart from mismatch.
-      std::size_t at = kMagicBytes;
-      std::uint32_t version = 0;
-      std::uint32_t digest_len = 0;
-      const std::span<const unsigned char> all(contents);
-      if (!ReadScalar(all, &at, &version) ||
-          !ReadScalar(all, &at, &digest_len) ||
-          at + digest_len + 4 > contents.size()) {
-        return Status::DataLoss("corrupt checkpoint header: " + path);
+      const Status corrupt =
+          Status::DataLoss("corrupt checkpoint header: " + path);
+      ByteReader in(
+          std::span<const unsigned char>(contents).subspan(kMagicBytes),
+          StatusCode::kDataLoss, "corrupt checkpoint header");
+      const Result<std::uint32_t> version = in.U32();
+      const Result<std::uint32_t> digest_len = in.U32();
+      if (!version.ok() || !digest_len.ok() || !in.Bytes(*digest_len).ok()) {
+        return corrupt;
       }
-      std::uint32_t stored_crc = 0;
-      std::size_t crc_at = at + digest_len;
-      if (!ReadScalar(all, &crc_at, &stored_crc) ||
-          Crc32c(contents.data(), at + digest_len) != stored_crc) {
-        return Status::DataLoss("corrupt checkpoint header: " + path);
+      const std::size_t crc_covers = contents.size() - in.remaining();
+      const Result<std::uint32_t> stored_crc = in.U32();
+      if (!stored_crc.ok() ||
+          Crc32c(contents.data(), crc_covers) != *stored_crc) {
+        return corrupt;
       }
-      if (version != kSnapshotFormatVersion) {
+      if (*version != kSnapshotFormatVersion) {
         return Status::InvalidArgument(
             "unsupported checkpoint format version " +
-            std::to_string(version) + ": " + path);
+            std::to_string(*version) + ": " + path);
       }
       return Status::InvalidArgument(
           "checkpoint belongs to a different run configuration "
@@ -249,7 +218,11 @@ Result<SnapshotFile> SnapshotFile::Open(
     // mid-append) fails its CRC frame and parsing stops there.
     std::size_t offset = header.size();
     while (offset < contents.size()) {
-      if (!ParseRecord(contents, &offset, &file.groups_)) break;
+      const Result<std::size_t> record = ParseRecord(
+          std::span<const unsigned char>(contents).subspan(offset),
+          &file.groups_);
+      if (!record.ok()) break;
+      offset += *record;
     }
   }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/crc32c.h"
 
 namespace hdldp {
@@ -21,18 +21,19 @@ void PutVarint(std::uint64_t value, std::vector<std::uint8_t>* out) {
   out->push_back(static_cast<std::uint8_t>(value));
 }
 
-Result<std::uint64_t> GetVarint(std::span<const std::uint8_t> bytes,
-                                std::size_t* pos) {
+// Reads from the decoder's reader; a varint has its own truncation
+// message, distinct from the reader's fixed-width one.
+Result<std::uint64_t> GetVarint(ByteReader* in) {
   std::uint64_t value = 0;
   int shift = 0;
   while (true) {
-    if (*pos >= bytes.size()) {
+    if (in->remaining() == 0) {
       return Status::OutOfRange("wire: truncated varint");
     }
     if (shift >= 64) {
       return Status::InvalidArgument("wire: varint overflows 64 bits");
     }
-    const std::uint8_t byte = bytes[(*pos)++];
+    HDLDP_ASSIGN_OR_RETURN(const std::uint8_t byte, in->U8());
     value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
       // Reject non-canonical encodings (a trailing 0x00 continuation).
@@ -45,53 +46,10 @@ Result<std::uint64_t> GetVarint(std::span<const std::uint8_t> bytes,
   }
 }
 
-void PutDouble(double value, std::vector<std::uint8_t>* out) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  }
-}
-
-Result<double> GetDouble(std::span<const std::uint8_t> bytes,
-                         std::size_t* pos) {
-  if (*pos + 8 > bytes.size()) {
-    return Status::OutOfRange("wire: truncated value");
-  }
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(bytes[*pos + i]) << (8 * i);
-  }
-  *pos += 8;
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-void PutU32(std::uint32_t value, std::vector<std::uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-Result<std::uint32_t> GetU32(std::span<const std::uint8_t> bytes,
-                             std::size_t* pos) {
-  if (*pos + 4 > bytes.size()) {
-    return Status::OutOfRange("wire: truncated u32");
-  }
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(bytes[*pos + i]) << (8 * i);
-  }
-  *pos += 4;
-  return value;
-}
-
 // Shared varint-u32 read with a range check (dimensions, cardinalities
 // and hash parameters are all 32-bit on the wire).
-Result<std::uint32_t> GetVarint32(std::span<const std::uint8_t> bytes,
-                                  std::size_t* pos, const char* what) {
-  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t value, GetVarint(bytes, pos));
+Result<std::uint32_t> GetVarint32(ByteReader* in, const char* what) {
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t value, GetVarint(in));
   if (value > std::numeric_limits<std::uint32_t>::max()) {
     return Status::OutOfRange(std::string("wire: ") + what +
                               " exceeds 32 bits");
@@ -102,11 +60,10 @@ Result<std::uint32_t> GetVarint32(std::span<const std::uint8_t> bytes,
 // The compact payloads share their dimension framing: m ascending
 // delta-encoded dimensions below num_dims. Returns the absolute
 // dimension of entry i given the previous one.
-Result<std::uint32_t> NextDimension(std::span<const std::uint8_t> bytes,
-                                    std::size_t* pos, std::size_t i,
+Result<std::uint32_t> NextDimension(ByteReader* in, std::size_t i,
                                     std::uint64_t num_dims,
                                     std::uint64_t* previous) {
-  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t delta, GetVarint(bytes, pos));
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t delta, GetVarint(in));
   std::uint64_t dimension = delta;
   if (i != 0) {
     if (delta == 0) {
@@ -188,11 +145,12 @@ Result<std::vector<std::uint8_t>> EncodeReport(const UserReport& report) {
   out.reserve(2 + entries.size() * 10);
   out.push_back(kWireVersion);
   PutVarint(entries.size(), &out);
+  ByteWriter writer(&out);
   std::uint64_t previous = 0;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const std::uint64_t dim = entries[i].dimension;
     PutVarint(i == 0 ? dim : dim - previous, &out);
-    PutDouble(entries[i].value, &out);
+    writer.F64(entries[i].value);
     previous = dim;
   }
   return out;
@@ -202,23 +160,24 @@ Result<UserReport> DecodeReport(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) {
     return Status::OutOfRange("wire: empty buffer");
   }
-  std::size_t pos = 0;
-  const std::uint8_t version = bytes[pos++];
+  const std::uint8_t version = bytes[0];
   if (version != kWireVersion) {
     return Status::InvalidArgument("wire: unsupported version " +
                                    std::to_string(version));
   }
-  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t count, GetVarint(bytes, &pos));
+  ByteReader in(bytes.subspan(1), StatusCode::kOutOfRange,
+                "wire: truncated value");
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t count, GetVarint(&in));
   // Each entry needs at least 9 bytes; reject absurd counts before
   // reserving memory.
-  if (count > (bytes.size() - pos) / 9 + 1) {
+  if (count > in.remaining() / 9 + 1) {
     return Status::InvalidArgument("wire: entry count exceeds buffer");
   }
   UserReport report;
   report.entries.reserve(count);
   std::uint64_t dimension = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t delta, GetVarint(bytes, &pos));
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t delta, GetVarint(&in));
     if (i == 0) {
       dimension = delta;
     } else {
@@ -230,14 +189,14 @@ Result<UserReport> DecodeReport(std::span<const std::uint8_t> bytes) {
     if (dimension > std::numeric_limits<std::uint32_t>::max()) {
       return Status::OutOfRange("wire: dimension exceeds 32 bits");
     }
-    HDLDP_ASSIGN_OR_RETURN(const double value, GetDouble(bytes, &pos));
+    HDLDP_ASSIGN_OR_RETURN(const double value, in.F64());
     if (std::isnan(value)) {
       return Status::InvalidArgument("wire: NaN report value");
     }
     report.entries.push_back(
         DimensionReport{static_cast<std::uint32_t>(dimension), value});
   }
-  if (pos != bytes.size()) {
+  if (in.remaining() != 0) {
     return Status::InvalidArgument("wire: trailing bytes after report");
   }
   return report;
@@ -276,34 +235,30 @@ Result<OuePayload> DecodeOuePayload(std::span<const std::uint8_t> bytes) {
   if (bytes.empty() || bytes[0] != kWireVersionOue) {
     return Status::InvalidArgument("wire: not an OUE payload");
   }
-  std::size_t pos = 1;
+  ByteReader in(bytes.subspan(1), StatusCode::kOutOfRange,
+                "wire: truncated OUE bit vector");
   OuePayload payload;
-  HDLDP_ASSIGN_OR_RETURN(payload.num_dims, GetVarint(bytes, &pos));
-  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t count, GetVarint(bytes, &pos));
+  HDLDP_ASSIGN_OR_RETURN(payload.num_dims, GetVarint(&in));
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t count, GetVarint(&in));
   // Each carried dimension needs at least 3 bytes (delta, cardinality,
   // one bit byte); reject absurd counts before reserving memory.
-  if (count > payload.num_dims || count > (bytes.size() - pos) / 3 + 1) {
+  if (count > payload.num_dims || count > in.remaining() / 3 + 1) {
     return Status::InvalidArgument("wire: OUE entry count exceeds buffer");
   }
   payload.dims.reserve(count);
   std::uint64_t previous = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     OuePayloadDim dim;
-    HDLDP_ASSIGN_OR_RETURN(
-        dim.dimension,
-        NextDimension(bytes, &pos, i, payload.num_dims, &previous));
+    HDLDP_ASSIGN_OR_RETURN(dim.dimension,
+                           NextDimension(&in, i, payload.num_dims, &previous));
     HDLDP_ASSIGN_OR_RETURN(dim.cardinality,
-                           GetVarint32(bytes, &pos, "OUE cardinality"));
+                           GetVarint32(&in, "OUE cardinality"));
     if (dim.cardinality < 2) {
       return Status::InvalidArgument("wire: OUE cardinality below 2");
     }
-    const std::size_t bit_bytes = (dim.cardinality + 7u) / 8u;
-    if (pos + bit_bytes > bytes.size()) {
-      return Status::OutOfRange("wire: truncated OUE bit vector");
-    }
-    dim.bits.assign(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                    bytes.begin() + static_cast<std::ptrdiff_t>(pos + bit_bytes));
-    pos += bit_bytes;
+    HDLDP_ASSIGN_OR_RETURN(const std::span<const std::uint8_t> bits,
+                           in.Bytes((dim.cardinality + 7u) / 8u));
+    dim.bits.assign(bits.begin(), bits.end());
     // Bits past the cardinality must be zero so a payload has exactly one
     // encoding.
     if ((dim.cardinality & 7u) != 0 &&
@@ -312,7 +267,7 @@ Result<OuePayload> DecodeOuePayload(std::span<const std::uint8_t> bytes) {
     }
     payload.dims.push_back(std::move(dim));
   }
-  if (pos != bytes.size()) {
+  if (in.remaining() != 0) {
     return Status::InvalidArgument("wire: trailing bytes after OUE payload");
   }
   return payload;
@@ -324,6 +279,7 @@ Result<std::vector<std::uint8_t>> EncodeOlhPayload(const OlhPayload& payload) {
   out.push_back(kWireVersionOlh);
   PutVarint(payload.num_dims, &out);
   PutVarint(payload.dims.size(), &out);
+  ByteWriter writer(&out);
   std::uint64_t previous = 0;
   for (std::size_t i = 0; i < payload.dims.size(); ++i) {
     const OlhPayloadDim& dim = payload.dims[i];
@@ -338,7 +294,7 @@ Result<std::vector<std::uint8_t>> EncodeOlhPayload(const OlhPayload& payload) {
     }
     PutVarint(i == 0 ? dim.dimension : dim.dimension - previous, &out);
     PutVarint(dim.g, &out);
-    PutU32(dim.hash_seed, &out);
+    writer.U32(dim.hash_seed);
     PutVarint(dim.value, &out);
     previous = dim.dimension;
   }
@@ -349,30 +305,30 @@ Result<OlhPayload> DecodeOlhPayload(std::span<const std::uint8_t> bytes) {
   if (bytes.empty() || bytes[0] != kWireVersionOlh) {
     return Status::InvalidArgument("wire: not an OLH payload");
   }
-  std::size_t pos = 1;
+  ByteReader in(bytes.subspan(1), StatusCode::kOutOfRange,
+                "wire: truncated u32");
   OlhPayload payload;
-  HDLDP_ASSIGN_OR_RETURN(payload.num_dims, GetVarint(bytes, &pos));
-  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t count, GetVarint(bytes, &pos));
+  HDLDP_ASSIGN_OR_RETURN(payload.num_dims, GetVarint(&in));
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t count, GetVarint(&in));
   // Each carried dimension needs at least 7 bytes (delta, g, seed, value).
-  if (count > payload.num_dims || count > (bytes.size() - pos) / 7 + 1) {
+  if (count > payload.num_dims || count > in.remaining() / 7 + 1) {
     return Status::InvalidArgument("wire: OLH entry count exceeds buffer");
   }
   payload.dims.reserve(count);
   std::uint64_t previous = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     OlhPayloadDim dim;
-    HDLDP_ASSIGN_OR_RETURN(
-        dim.dimension,
-        NextDimension(bytes, &pos, i, payload.num_dims, &previous));
-    HDLDP_ASSIGN_OR_RETURN(dim.g, GetVarint32(bytes, &pos, "OLH domain"));
-    HDLDP_ASSIGN_OR_RETURN(dim.hash_seed, GetU32(bytes, &pos));
-    HDLDP_ASSIGN_OR_RETURN(dim.value, GetVarint32(bytes, &pos, "OLH bucket"));
+    HDLDP_ASSIGN_OR_RETURN(dim.dimension,
+                           NextDimension(&in, i, payload.num_dims, &previous));
+    HDLDP_ASSIGN_OR_RETURN(dim.g, GetVarint32(&in, "OLH domain"));
+    HDLDP_ASSIGN_OR_RETURN(dim.hash_seed, in.U32());
+    HDLDP_ASSIGN_OR_RETURN(dim.value, GetVarint32(&in, "OLH bucket"));
     if (dim.g < 2 || dim.value >= dim.g) {
       return Status::InvalidArgument("wire: OLH bucket out of range");
     }
     payload.dims.push_back(dim);
   }
-  if (pos != bytes.size()) {
+  if (in.remaining() != 0) {
     return Status::InvalidArgument("wire: trailing bytes after OLH payload");
   }
   return payload;
@@ -389,7 +345,7 @@ Result<std::vector<std::uint8_t>> EncodeHadamard1Payload(
   out.push_back(kWireVersionHadamard1);
   PutVarint(payload.num_dims, &out);
   PutVarint(payload.report_dims, &out);
-  PutU32(payload.sample_seed, &out);
+  ByteWriter(&out).U32(payload.sample_seed);
   PutVarint((static_cast<std::uint64_t>(payload.index) << 1) |
                 (payload.positive ? 1 : 0),
             &out);
@@ -401,24 +357,25 @@ Result<Hadamard1Payload> DecodeHadamard1Payload(
   if (bytes.empty() || bytes[0] != kWireVersionHadamard1) {
     return Status::InvalidArgument("wire: not a Hadamard payload");
   }
-  std::size_t pos = 1;
+  ByteReader in(bytes.subspan(1), StatusCode::kOutOfRange,
+                "wire: truncated u32");
   Hadamard1Payload payload;
   HDLDP_ASSIGN_OR_RETURN(payload.num_dims,
-                         GetVarint32(bytes, &pos, "Hadamard width"));
+                         GetVarint32(&in, "Hadamard width"));
   HDLDP_ASSIGN_OR_RETURN(payload.report_dims,
-                         GetVarint32(bytes, &pos, "Hadamard report_dims"));
+                         GetVarint32(&in, "Hadamard report_dims"));
   if (payload.report_dims == 0 || payload.report_dims > payload.num_dims) {
     return Status::InvalidArgument(
         "wire: Hadamard report_dims out of range");
   }
-  HDLDP_ASSIGN_OR_RETURN(payload.sample_seed, GetU32(bytes, &pos));
-  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t packed, GetVarint(bytes, &pos));
+  HDLDP_ASSIGN_OR_RETURN(payload.sample_seed, in.U32());
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t packed, GetVarint(&in));
   if ((packed >> 1) > std::numeric_limits<std::uint32_t>::max()) {
     return Status::OutOfRange("wire: Hadamard index exceeds 32 bits");
   }
   payload.index = static_cast<std::uint32_t>(packed >> 1);
   payload.positive = (packed & 1) != 0;
-  if (pos != bytes.size()) {
+  if (in.remaining() != 0) {
     return Status::InvalidArgument(
         "wire: trailing bytes after Hadamard payload");
   }
@@ -434,10 +391,7 @@ std::vector<std::uint8_t> EncodeEnvelope(const ReportEnvelope& envelope) {
   PutVarint(envelope.tick, &out);
   PutVarint(envelope.payload.size(), &out);
   out.insert(out.end(), envelope.payload.begin(), envelope.payload.end());
-  const std::uint32_t crc = Crc32c(out.data(), out.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
+  ByteWriter(&out).U32(Crc32c(out.data(), out.size()));
   return out;
 }
 
@@ -445,24 +399,24 @@ Result<ReportEnvelope> DecodeEnvelope(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < 1 + 4 + 4) {
     return Status::DataLoss("wire: envelope shorter than its framing");
   }
-  const std::size_t body_size = bytes.size() - 4;
-  std::uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<std::uint32_t>(bytes[body_size + i]) << (8 * i);
-  }
-  if (Crc32c(bytes.data(), body_size) != stored_crc) {
+  const std::span<const std::uint8_t> body = bytes.first(bytes.size() - 4);
+  ByteReader trailer(bytes.subspan(body.size()), StatusCode::kDataLoss,
+                     "wire: envelope shorter than its framing");
+  HDLDP_ASSIGN_OR_RETURN(const std::uint32_t stored_crc, trailer.U32());
+  if (Crc32c(body.data(), body.size()) != stored_crc) {
     return Status::DataLoss("wire: envelope checksum mismatch");
   }
   // Past the CRC, framing errors can only come from an encoder bug, but
   // the checks stay: DataLoss here is still better than UB there.
-  std::size_t pos = 0;
-  const std::uint8_t version = bytes[pos++];
+  const std::uint8_t version = body[0];
   if (version != kEnvelopeVersion) {
     return Status::DataLoss("wire: unsupported envelope version " +
                             std::to_string(version));
   }
-  const auto get_field = [&](std::uint64_t* field) -> Status {
-    auto value = GetVarint(bytes.first(body_size), &pos);
+  ByteReader in(body.subspan(1), StatusCode::kDataLoss,
+                "wire: torn envelope header");
+  const auto get_field = [&in](std::uint64_t* field) -> Status {
+    auto value = GetVarint(&in);
     if (!value.ok()) return Status::DataLoss("wire: torn envelope header");
     *field = value.value();
     return Status::OK();
@@ -473,11 +427,12 @@ Result<ReportEnvelope> DecodeEnvelope(std::span<const std::uint8_t> bytes) {
   HDLDP_RETURN_NOT_OK(get_field(&envelope.tick));
   std::uint64_t payload_size = 0;
   HDLDP_RETURN_NOT_OK(get_field(&payload_size));
-  if (payload_size != body_size - pos) {
+  if (payload_size != in.remaining()) {
     return Status::DataLoss("wire: envelope payload length mismatch");
   }
-  envelope.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                          bytes.begin() + static_cast<std::ptrdiff_t>(body_size));
+  HDLDP_ASSIGN_OR_RETURN(const std::span<const std::uint8_t> payload,
+                         in.Bytes(payload_size));
+  envelope.payload.assign(payload.begin(), payload.end());
   return envelope;
 }
 

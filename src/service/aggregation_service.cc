@@ -1,10 +1,10 @@
 #include "service/aggregation_service.h"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "engine/reduce.h"
 #include "protocol/aggregator.h"
@@ -20,57 +20,6 @@ namespace {
 // Older blobs are rejected — checkpoints are same-version artifacts,
 // not archival data.
 constexpr std::uint32_t kSnapshotBlobVersion = 3;
-
-// Little-endian fixed-width snapshot blob codec. The blob rides inside
-// one SnapshotFile record, which supplies the CRC frame and torn-tail
-// tolerance; this layer only has to be unambiguous.
-struct BlobWriter {
-  std::vector<unsigned char> bytes;
-
-  void U32(std::uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Span(std::span<const unsigned char> s) {
-    U64(s.size());
-    bytes.insert(bytes.end(), s.begin(), s.end());
-  }
-
- private:
-  void Raw(const void* data, std::size_t len) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    bytes.insert(bytes.end(), p, p + len);
-  }
-};
-
-struct BlobReader {
-  std::span<const unsigned char> bytes;
-  std::size_t pos = 0;
-
-  Status U32(std::uint32_t* v) { return Raw(v, sizeof(*v)); }
-  Status U64(std::uint64_t* v) { return Raw(v, sizeof(*v)); }
-  Status F64(double* v) { return Raw(v, sizeof(*v)); }
-  Status Span(std::vector<unsigned char>* out) {
-    std::uint64_t len = 0;
-    HDLDP_RETURN_NOT_OK(U64(&len));
-    if (len > bytes.size() - pos) {
-      return Status::DataLoss("service snapshot: truncated byte span");
-    }
-    out->assign(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                bytes.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-    return Status::OK();
-  }
-
- private:
-  Status Raw(void* out, std::size_t len) {
-    if (len > bytes.size() - pos) {
-      return Status::DataLoss("service snapshot: truncated field");
-    }
-    std::memcpy(out, bytes.data() + pos, len);
-    pos += len;
-    return Status::OK();
-  }
-};
 
 // Pane-seal accumulator: a MeanAggregator reduced with the state-exact
 // merge plus the report count the published window reconciles against.
@@ -603,7 +552,8 @@ std::vector<PublishedWindow> AggregationService::PublishedWindows() const {
 
 std::vector<unsigned char> AggregationService::SerializeSnapshot(
     std::uint64_t resume_cursor) const {
-  BlobWriter w;
+  std::vector<unsigned char> blob;
+  ByteWriter w(&blob);
   w.U32(kSnapshotBlobVersion);
   w.U64(resume_cursor);
   w.U64(watermark_);
@@ -636,13 +586,14 @@ std::vector<unsigned char> AggregationService::SerializeSnapshot(
       w.U64(window.index);
       w.U64(window.report_count);
       w.U64(window.estimate.size());
-      for (const double v : window.estimate) w.F64(v);
+      w.Write(std::span<const double>(window.estimate));
     }
     w.U64(pane_aggregates_.size());
     for (const auto& [pane, aggregate] : pane_aggregates_) {
       w.U64(pane);
       w.U64(aggregate.report_count);
-      w.Span(aggregate.state);
+      w.U64(aggregate.state.size());
+      w.Bytes(aggregate.state);
     }
   }
   w.U64(groups_.size());
@@ -676,35 +627,34 @@ std::vector<unsigned char> AggregationService::SerializeSnapshot(
       }
     }
   }
-  return w.bytes;
+  return blob;
 }
 
 Status AggregationService::RestoreSnapshot(
     std::span<const unsigned char> blob) {
-  BlobReader r{blob};
-  std::uint32_t version = 0;
-  HDLDP_RETURN_NOT_OK(r.U32(&version));
+  // The blob rides inside one SnapshotFile record, which supplies the
+  // CRC frame and torn-tail tolerance; this layer only has to be
+  // unambiguous.
+  ByteReader r(blob, StatusCode::kDataLoss,
+               "service snapshot: truncated field");
+  HDLDP_ASSIGN_OR_RETURN(const std::uint32_t version, r.U32());
   if (version != kSnapshotBlobVersion) {
     return Status::DataLoss("service snapshot: unsupported blob version " +
                             std::to_string(version));
   }
-  HDLDP_RETURN_NOT_OK(r.U64(&resume_cursor_));
-  HDLDP_RETURN_NOT_OK(r.U64(&watermark_));
-  std::uint64_t sealed = 0;
-  HDLDP_RETURN_NOT_OK(r.U64(&sealed));
+  HDLDP_ASSIGN_OR_RETURN(resume_cursor_, r.U64());
+  HDLDP_ASSIGN_OR_RETURN(watermark_, r.U64());
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t sealed, r.U64());
   sealed_before_.store(sealed, std::memory_order_release);
-  HDLDP_RETURN_NOT_OK(r.U64(&next_window_));
-  std::uint64_t max_pane = 0;
-  HDLDP_RETURN_NOT_OK(r.U64(&max_pane));
+  HDLDP_ASSIGN_OR_RETURN(next_window_, r.U64());
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t max_pane, r.U64());
   max_pane_seen_.store(max_pane, std::memory_order_release);
-  std::uint64_t any = 0;
-  HDLDP_RETURN_NOT_OK(r.U64(&any));
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t any, r.U64());
   any_accepted_.store(any != 0, std::memory_order_release);
   const auto restore_counter = [&r](std::atomic<std::uint64_t>* c) {
-    std::uint64_t v = 0;
-    const Status status = r.U64(&v);
-    if (status.ok()) c->store(v, std::memory_order_release);
-    return status;
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t v, r.U64());
+    c->store(v, std::memory_order_release);
+    return Status::OK();
   };
   HDLDP_RETURN_NOT_OK(restore_counter(&stats_.submitted));
   HDLDP_RETURN_NOT_OK(restore_counter(&stats_.accepted));
@@ -720,65 +670,58 @@ Status AggregationService::RestoreSnapshot(
   HDLDP_RETURN_NOT_OK(restore_counter(&stats_.failed_snapshots));
   HDLDP_RETURN_NOT_OK(restore_counter(&stats_.published_windows));
   HDLDP_RETURN_NOT_OK(restore_counter(&stats_.published_reports));
-  std::uint64_t published_count = 0;
-  HDLDP_RETURN_NOT_OK(r.U64(&published_count));
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t published_count, r.U64());
   published_.clear();
   // Counts come from the blob; reserve only what the remaining bytes
   // could possibly encode so a corrupt count cannot force a wild
   // allocation (each window needs >= 24 bytes).
   published_.reserve(std::min<std::uint64_t>(
-      published_count, (blob.size() - r.pos) / 24));
+      published_count, r.remaining() / 24));
   for (std::uint64_t i = 0; i < published_count; ++i) {
     PublishedWindow window;
-    HDLDP_RETURN_NOT_OK(r.U64(&window.index));
-    HDLDP_RETURN_NOT_OK(r.U64(&window.report_count));
-    std::uint64_t dims = 0;
-    HDLDP_RETURN_NOT_OK(r.U64(&dims));
-    if (dims > (blob.size() - r.pos) / 8) {
+    HDLDP_ASSIGN_OR_RETURN(window.index, r.U64());
+    HDLDP_ASSIGN_OR_RETURN(window.report_count, r.U64());
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t dims, r.U64());
+    if (dims > r.remaining() / 8) {
       return Status::DataLoss("service snapshot: estimate dims exceed blob");
     }
     window.estimate.resize(dims);
-    for (std::uint64_t j = 0; j < dims; ++j) {
-      HDLDP_RETURN_NOT_OK(r.F64(&window.estimate[j]));
-    }
+    HDLDP_RETURN_NOT_OK(r.Read(std::span(window.estimate)));
     published_.push_back(std::move(window));
   }
-  std::uint64_t pane_count = 0;
-  HDLDP_RETURN_NOT_OK(r.U64(&pane_count));
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t pane_count, r.U64());
   pane_aggregates_.clear();
   for (std::uint64_t i = 0; i < pane_count; ++i) {
-    std::uint64_t pane = 0;
     PaneAggregate aggregate;
-    HDLDP_RETURN_NOT_OK(r.U64(&pane));
-    HDLDP_RETURN_NOT_OK(r.U64(&aggregate.report_count));
-    HDLDP_RETURN_NOT_OK(r.Span(&aggregate.state));
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t pane, r.U64());
+    HDLDP_ASSIGN_OR_RETURN(aggregate.report_count, r.U64());
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t state_len, r.U64());
+    if (state_len > r.remaining()) {
+      return Status::DataLoss("service snapshot: truncated byte span");
+    }
+    HDLDP_ASSIGN_OR_RETURN(const std::span<const unsigned char> state,
+                           r.Bytes(state_len));
+    aggregate.state.assign(state.begin(), state.end());
     pane_aggregates_.emplace(pane, std::move(aggregate));
   }
-  std::uint64_t group_count = 0;
-  HDLDP_RETURN_NOT_OK(r.U64(&group_count));
+  HDLDP_ASSIGN_OR_RETURN(const std::uint64_t group_count, r.U64());
   if (group_count != groups_.size()) {
     return Status::DataLoss("service snapshot: shard group count mismatch");
   }
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     GroupState& group = *groups_[g];
-    std::uint64_t tenant_count = 0;
-    HDLDP_RETURN_NOT_OK(r.U64(&tenant_count));
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t tenant_count, r.U64());
     for (std::uint64_t t = 0; t < tenant_count; ++t) {
-      std::uint64_t tenant_id = 0;
-      HDLDP_RETURN_NOT_OK(r.U64(&tenant_id));
+      HDLDP_ASSIGN_OR_RETURN(const std::uint64_t tenant_id, r.U64());
       TenantState& tenant = group.tenants[tenant_id];
-      HDLDP_RETURN_NOT_OK(r.U64(&tenant.accepted));
-      HDLDP_RETURN_NOT_OK(r.U64(&tenant.invalid_streak));
-      std::uint64_t quarantined = 0;
-      HDLDP_RETURN_NOT_OK(r.U64(&quarantined));
+      HDLDP_ASSIGN_OR_RETURN(tenant.accepted, r.U64());
+      HDLDP_ASSIGN_OR_RETURN(tenant.invalid_streak, r.U64());
+      HDLDP_ASSIGN_OR_RETURN(const std::uint64_t quarantined, r.U64());
       tenant.quarantined = quarantined != 0;
-      std::uint64_t interval_count = 0;
-      HDLDP_RETURN_NOT_OK(r.U64(&interval_count));
+      HDLDP_ASSIGN_OR_RETURN(const std::uint64_t interval_count, r.U64());
       for (std::uint64_t i = 0; i < interval_count; ++i) {
-        std::uint64_t lo = 0;
-        std::uint64_t hi = 0;
-        HDLDP_RETURN_NOT_OK(r.U64(&lo));
-        HDLDP_RETURN_NOT_OK(r.U64(&hi));
+        HDLDP_ASSIGN_OR_RETURN(const std::uint64_t lo, r.U64());
+        HDLDP_ASSIGN_OR_RETURN(const std::uint64_t hi, r.U64());
         if (hi <= lo) {
           return Status::DataLoss("service snapshot: bad dedup interval");
         }
@@ -796,29 +739,23 @@ Status AggregationService::RestoreSnapshot(
         tenant.ledger.emplace(std::move(ledger));
       }
     }
-    std::uint64_t pane_buffer_count = 0;
-    HDLDP_RETURN_NOT_OK(r.U64(&pane_buffer_count));
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t pane_buffer_count, r.U64());
     for (std::uint64_t i = 0; i < pane_buffer_count; ++i) {
-      std::uint64_t pane = 0;
-      HDLDP_RETURN_NOT_OK(r.U64(&pane));
-      std::uint64_t report_count = 0;
-      HDLDP_RETURN_NOT_OK(r.U64(&report_count));
+      HDLDP_ASSIGN_OR_RETURN(const std::uint64_t pane, r.U64());
+      HDLDP_ASSIGN_OR_RETURN(const std::uint64_t report_count, r.U64());
       std::vector<BufferedReport>& buffer = group.panes[pane];
       buffer.reserve(std::min<std::uint64_t>(
-          report_count, (blob.size() - r.pos) / 24));
+          report_count, r.remaining() / 24));
       for (std::uint64_t j = 0; j < report_count; ++j) {
         BufferedReport report;
-        HDLDP_RETURN_NOT_OK(r.U64(&report.tenant));
-        HDLDP_RETURN_NOT_OK(r.U64(&report.sequence));
-        std::uint64_t entries = 0;
-        HDLDP_RETURN_NOT_OK(r.U64(&entries));
+        HDLDP_ASSIGN_OR_RETURN(report.tenant, r.U64());
+        HDLDP_ASSIGN_OR_RETURN(report.sequence, r.U64());
+        HDLDP_ASSIGN_OR_RETURN(const std::uint64_t entries, r.U64());
         report.report.entries.reserve(std::min<std::uint64_t>(
-            entries, (blob.size() - r.pos) / 16));
+            entries, r.remaining() / 16));
         for (std::uint64_t e = 0; e < entries; ++e) {
-          std::uint64_t dim = 0;
-          double value = 0.0;
-          HDLDP_RETURN_NOT_OK(r.U64(&dim));
-          HDLDP_RETURN_NOT_OK(r.F64(&value));
+          HDLDP_ASSIGN_OR_RETURN(const std::uint64_t dim, r.U64());
+          HDLDP_ASSIGN_OR_RETURN(const double value, r.F64());
           report.report.entries.push_back(protocol::DimensionReport{
               static_cast<std::uint32_t>(dim), value});
         }
@@ -826,7 +763,7 @@ Status AggregationService::RestoreSnapshot(
       }
     }
   }
-  if (r.pos != blob.size()) {
+  if (r.remaining() != 0) {
     return Status::DataLoss("service snapshot: trailing bytes");
   }
   return Status::OK();

@@ -346,6 +346,26 @@ TEST(MeanMergeStateTest, SerializeRestoreMergeMatchesLiveMergeBitwise) {
   EXPECT_EQ(StateBytes(exact_single), StateBytes(via_bytes));
 }
 
+// FNV-1a-64 over a byte string.
+std::uint64_t Fnv1a64(const std::vector<unsigned char>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(MeanMergeStateTest, SerializedStateBytesArePinned) {
+  // Checkpoints and service snapshots store these bytes; a build that
+  // reads an older build's checkpoint needs them unchanged. Nonzero
+  // compensation terms and counts exercise every field.
+  const auto reports = MechanismReports("piecewise", 700, 8, 3, 26);
+  const std::vector<unsigned char> bytes = StateBytes(FoldAll(reports, 8));
+  ASSERT_EQ(bytes.size(), 8u * 24u);
+  EXPECT_EQ(Fnv1a64(bytes), 0xaa6ae44581919eadULL);
+}
+
 TEST(BudgetCapacityTest, CapacityMatchesActualSpendCount) {
   for (const double total : {1.0, 2.0, 0.5}) {
     for (const double eps : {1.0, 0.25, 0.3, 0.07}) {

@@ -180,6 +180,8 @@ struct CarveOut {
   StatusCode mean;
   StatusCode freq;
   StatusCode variance;
+  int max_attempts = 1;
+  bool allow_missing_chunks = false;
 };
 
 constexpr StatusCode kOk = StatusCode::kOk;
@@ -202,6 +204,14 @@ const CarveOut kCarveOuts[] = {
      SeedScheme::kV1Scalar, true, kInvalid, kInvalid, kInvalid},
     {"hadamard1 checkpoint", protocol::ReportEncoding::kHadamard1,
      SeedScheme::kV3Batched, true, kOk, kInvalid, kOk},
+    {"dense v1 retry", protocol::ReportEncoding::kDense,
+     SeedScheme::kV1Scalar, false, kOk, kInvalid, kOk, 3},
+    {"sampled v1 quarantine", protocol::ReportEncoding::kSampled,
+     SeedScheme::kV1Scalar, false, kOk, kInvalid, kOk, 1, true},
+    {"dense v3 retry quarantine", protocol::ReportEncoding::kDense,
+     SeedScheme::kV3Batched, false, kOk, kOk, kOk, 3, true},
+    {"olh v1 retry quarantine", protocol::ReportEncoding::kOlh,
+     SeedScheme::kV1Scalar, false, kInvalid, kOk, kInvalid, 3, true},
 };
 
 TEST(RunControlTest, CarveOutsAreOneRuleForEveryStatistic) {
@@ -217,6 +227,8 @@ TEST(RunControlTest, CarveOutsAreOneRuleForEveryStatistic) {
     engine::RunControl control;
     control.seed_scheme = row.scheme;
     if (row.checkpoint) control.checkpoint_path = TempPath("carve_out");
+    control.retry.max_attempts = row.max_attempts;
+    control.allow_missing_chunks = row.allow_missing_chunks;
 
     protocol::PipelineOptions mean;
     static_cast<engine::RunControl&>(mean) = control;
@@ -260,6 +272,25 @@ TEST(RunControlTest, CarveOutsAreOneRuleForEveryStatistic) {
                   .code(),
               row.variance);
   }
+}
+
+TEST(RunControlTest, FreqV1RejectionsNameTheFlag) {
+  constexpr auto kDense = protocol::ReportEncoding::kDense;
+  constexpr auto kFrequency = protocol::Workload::kFrequency;
+  engine::RunControl control;
+  control.seed_scheme = SeedScheme::kV1Scalar;
+  control.retry.max_attempts = 2;
+  const Status retry =
+      protocol::ValidateRunControl(control, kDense, kFrequency);
+  EXPECT_NE(retry.message().find("--max-attempts"), std::string::npos)
+      << retry.ToString();
+  control.retry.max_attempts = 1;
+  control.allow_missing_chunks = true;
+  const Status quarantine =
+      protocol::ValidateRunControl(control, kDense, kFrequency);
+  EXPECT_NE(quarantine.message().find("--allow-missing-chunks"),
+            std::string::npos)
+      << quarantine.ToString();
 }
 
 }  // namespace

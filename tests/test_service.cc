@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -530,6 +531,61 @@ TEST(ServiceTest, CheckpointRefusesAMismatchedRun) {
   auto restored = AggregationService::Create(options).value();
   EXPECT_TRUE(restored->resumed());
   ASSERT_TRUE(restored->Finish().ok());
+}
+
+// FNV-1a-64 of a file's bytes.
+std::uint64_t FileFnv1a64(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c; in.get(c);) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ServiceTest, CheckpointFileBytesArePinned) {
+  // The checkpoint a restarted service resumes from: header digest,
+  // record frame, and a blob holding published windows, pane aggregate
+  // states, tenant ledgers, dedup intervals and buffered reports. A
+  // build must keep reading an older build's file, so its bytes are
+  // pinned.
+  ReportStreamOptions stream_options;
+  stream_options.num_reports = 400;
+  stream_options.num_dims = 4;
+  stream_options.report_dims = 2;
+  stream_options.num_tenants = 3;
+  stream_options.seed = 31;
+  stream_options.reports_per_tick = 50;
+  stream_options.faults.duplicate_rate = 0.05;
+  auto stream = ReportStream::Create(stream_options).value();
+  ServiceOptions options = OptionsFor(stream, stream_options);
+  options.window.width = 2;
+  options.window.lateness = 1;
+  options.num_workers = 1;
+  options.overload = OverloadPolicy::kBlock;
+  options.tenant_epsilon = 400.0;
+  options.per_report_epsilon = 1.0;
+  options.checkpoint_path = TempPath("pinned_bytes");
+  options.digest_tag = "test-pinned-bytes";
+  auto service = AggregationService::Create(options).value();
+  std::vector<std::uint8_t> envelope;
+  std::uint64_t last_tick = 0;
+  while (stream.position() < 275) {
+    bool done = false;
+    ASSERT_TRUE(stream.Next(&envelope, &done).ok());
+    ASSERT_FALSE(done);
+    ASSERT_TRUE(service->Submit(envelope).ok());
+    const std::uint64_t tick = stream.position() / 50;
+    if (tick > last_tick) {
+      last_tick = tick;
+      ASSERT_TRUE(service->AdvanceWatermark(tick).ok());
+    }
+  }
+  ASSERT_TRUE(service->SaveSnapshot(stream.position()).ok());
+  ASSERT_GT(service->Stats().published_windows, 0u);
+  EXPECT_EQ(FileFnv1a64(options.checkpoint_path), 0x92f819c8def4302cULL);
+  ASSERT_TRUE(service->Finish().ok());
 }
 
 TEST(ServiceTest, FaultedDeliveryMatchesCleanEstimatesWhenLossless) {

@@ -353,6 +353,9 @@ Result<hdldp::WriteFaultSchedule> ReadWriteFaults(Flags* flags) {
 // `generate`'s data tag: a numeric shard written by `generate --seed=S`
 // holds the chunk-keyed population of seed S ^ kGenerateDataTag.
 constexpr std::uint64_t kGenerateDataTag = 0xDA7Aull;
+// freq's data tag: `freq --seed=S` and `generate --dataset=categorical
+// --seed=S` draw categories from Rng(S ^ kFreqDataTag).
+constexpr std::uint64_t kFreqDataTag = 0xF8E0ull;
 
 Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
                                                      std::size_t users,
@@ -628,10 +631,8 @@ Status RunFreq(Flags flags) {
                              std::vector<std::size_t>(questions, categories)));
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-  // In memory, categories come from the Rng(seed ^ 0xF8E0) stream that
-  // `generate --dataset=categorical` also draws.
   Population population;
-  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed, 0xF8E0ull));
+  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed, kFreqDataTag));
   const hdldp::data::ChunkSource& source = population.source();
   HDLDP_ASSIGN_OR_RETURN(
       const auto result,
@@ -736,24 +737,24 @@ Status RunVariance(Flags flags) {
 
 Status RunGenerate(Flags flags) {
   std::string out;
-  std::string dataset_name = "uniform";
-  std::size_t users = 20000;
-  std::size_t dims = 16;
   std::uint64_t seed = 1;
   std::size_t questions = 16;
   std::size_t categories = 8;
-  double zipf = 1.0;
+  SourceFlags source_flags;
+  source_flags.chunk_keyed = true;
+  source_flags.dataset = "uniform";
+  source_flags.dims = 16;
   hdldp::data::ShardWriterOptions shard_opts;
   HDLDP_RETURN_NOT_OK(
       flags.Read({{"out", &out},
-                  {"dataset", &dataset_name},
-                  {"users", &users},
-                  {"dims", &dims},
+                  {"dataset", &source_flags.dataset},
+                  {"users", &source_flags.users},
+                  {"dims", &source_flags.dims},
                   {"seed", &seed},
                   {"chunks-per-file", &shard_opts.chunks_per_file},
                   {"questions", &questions},
                   {"categories", &categories},
-                  {"zipf", &zipf}}));
+                  {"zipf", &source_flags.zipf}}));
   HDLDP_ASSIGN_OR_RETURN(shard_opts.write_faults, ReadWriteFaults(&flags));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
   if (out.empty()) {
@@ -762,40 +763,24 @@ Status RunGenerate(Flags flags) {
   if (shard_opts.chunks_per_file == 0) {
     return Status::InvalidArgument("--chunks-per-file must be >= 1");
   }
-
-  if (dataset_name == "categorical") {
-    // Category indices for the freq pipeline, drawn from the same
-    // Rng(seed ^ 0xF8E0) stream the freq subcommand uses in memory — so
-    // `freq --input=<out> --seed=S` reproduces `freq --seed=S` bit for
-    // bit.
+  const bool categorical = source_flags.dataset == "categorical";
+  if (categorical) {
     HDLDP_ASSIGN_OR_RETURN(
-        auto schema, hdldp::freq::CategoricalSchema::Create(
-                         std::vector<std::size_t>(questions, categories)));
-    hdldp::Rng rng(seed ^ 0xF8E0ull);
-    HDLDP_ASSIGN_OR_RETURN(
-        const auto dataset,
-        hdldp::freq::GenerateCategorical(users, schema, zipf, &rng));
-    const hdldp::freq::CategoricalChunkSource source(&dataset);
-    HDLDP_ASSIGN_OR_RETURN(const std::size_t rows,
-                           hdldp::data::WriteShards(source, out, shard_opts));
-    std::printf("wrote %zu users x %zu categorical dims to %s\n", rows,
-                questions, out.c_str());
-    return Status::OK();
+        source_flags.schema,
+        hdldp::freq::CategoricalSchema::Create(
+            std::vector<std::size_t>(questions, categories)));
   }
 
-  // Numeric populations stream straight from the chunk-keyed generator —
-  // no resident n x d allocation. Every verb's --chunk-keyed run keys its
-  // population with the same kGenerateDataTag, so `<verb> --chunk-keyed
-  // --seed=S` and `generate --seed=S` + `<verb> --input --seed=S` see
-  // identical values.
-  HDLDP_ASSIGN_OR_RETURN(const auto spec,
-                         MakeGeneratorSpec(dataset_name, users, dims));
-  HDLDP_ASSIGN_OR_RETURN(
-      const auto source,
-      hdldp::data::GeneratorChunkSource::Create(spec, seed ^ kGenerateDataTag));
+  // The population `freq --seed=S` (categorical) or `<verb> --chunk-keyed
+  // --seed=S` (numeric, streamed with no resident n x d allocation) reads,
+  // so a run over `--input=<out> --seed=S` reproduces it bit for bit.
+  Population population;
+  HDLDP_RETURN_NOT_OK(population.Open(source_flags, seed, kFreqDataTag));
+  const hdldp::data::ChunkSource& source = population.source();
   HDLDP_ASSIGN_OR_RETURN(const std::size_t rows,
                          hdldp::data::WriteShards(source, out, shard_opts));
-  std::printf("wrote %zu users x %zu dims to %s\n", rows, dims, out.c_str());
+  std::printf("wrote %zu users x %zu %sdims to %s\n", rows, source.num_dims(),
+              categorical ? "categorical " : "", out.c_str());
   return Status::OK();
 }
 
