@@ -65,7 +65,7 @@ ReportStreamOptions StreamOptions(std::uint64_t reports,
   // sampling rate as the mean workload, 4 categories per question.
   if (encoding == hdldp::protocol::ReportEncoding::kOue ||
       encoding == hdldp::protocol::ReportEncoding::kOlh) {
-    options.workload = hdldp::service::StreamWorkload::kFreq;
+    options.workload = hdldp::protocol::Workload::kFrequency;
     options.num_categories = 4;
   }
   return options;
@@ -77,22 +77,12 @@ Status RunMode(const ReportStreamOptions& stream_options,
                const std::string& checkpoint, ModeResult* result) {
   HDLDP_ASSIGN_OR_RETURN(ReportStream stream,
                          ReportStream::Create(stream_options));
-  ServiceOptions options;
-  options.num_dims = stream.service_dims();
-  options.domain_map = stream.domain_map();
-  options.expected_entries = stream.expected_entries();
-  options.output_lo = stream.output_lo();
-  options.output_hi = stream.output_hi();
+  ServiceOptions options = stream.MakeServiceOptions();
   options.window.width = 2;
   options.num_workers = workers;
   options.overload = overload;
   options.queue_capacity = queue_capacity;
   options.checkpoint_path = checkpoint;
-  options.digest_tag = "bench_service";
-  // No-op for the numeric payloads; configures the matching decoder for
-  // the compact encodings (the stream already reports the decoded
-  // data-domain geometry through service_dims/output_lo/output_hi).
-  options.codec = stream.CodecOptions();
   HDLDP_ASSIGN_OR_RETURN(std::unique_ptr<AggregationService> service,
                          AggregationService::Create(options));
 

@@ -43,7 +43,7 @@ bool CopyFileBytes(const fs::path& from, const fs::path& to) {
 
 struct StreamSpec {
   const char* name;
-  hdldp::service::StreamWorkload workload;
+  hdldp::protocol::Workload workload;
   hdldp::protocol::ReportEncoding encoding;
   std::size_t num_dims;
   std::size_t num_categories;
@@ -55,15 +55,15 @@ struct StreamSpec {
 
 int GenerateWireAndPayloads(const fs::path& root) {
   using hdldp::protocol::ReportEncoding;
-  using hdldp::service::StreamWorkload;
+  using hdldp::protocol::Workload;
   const StreamSpec specs[] = {
-      {"dense", StreamWorkload::kMean, ReportEncoding::kDense, 4, 2, 0,
+      {"dense", Workload::kMean, ReportEncoding::kDense, 4, 2, 0,
        false},
-      {"sampled", StreamWorkload::kMean, ReportEncoding::kSampled, 4, 2, 2,
+      {"sampled", Workload::kMean, ReportEncoding::kSampled, 4, 2, 2,
        false},
-      {"oue", StreamWorkload::kFreq, ReportEncoding::kOue, 4, 3, 2, true},
-      {"olh", StreamWorkload::kFreq, ReportEncoding::kOlh, 4, 3, 2, true},
-      {"hadamard1", StreamWorkload::kMean, ReportEncoding::kHadamard1, 16, 2,
+      {"oue", Workload::kFrequency, ReportEncoding::kOue, 4, 3, 2, true},
+      {"olh", Workload::kFrequency, ReportEncoding::kOlh, 4, 3, 2, true},
+      {"hadamard1", Workload::kMean, ReportEncoding::kHadamard1, 16, 2,
        2, true},
   };
   for (const StreamSpec& spec : specs) {

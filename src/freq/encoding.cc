@@ -165,6 +165,17 @@ Result<OueParams> OueParams::FromEpsilon(double epsilon) {
   return params;
 }
 
+namespace {
+
+// 16-bit lane threshold of bit position k: 32768 (= p * 65536) for the
+// true category, params.q16 otherwise.
+std::uint32_t OueLaneThreshold(const OueParams& params,
+                               std::uint32_t category, std::uint32_t k) {
+  return k == category ? 32768u : params.q16;
+}
+
+}  // namespace
+
 void OueEncodeDim(const OueParams& params, std::uint32_t category,
                   std::size_t cardinality, Rng* rng,
                   std::vector<std::uint8_t>* bits) {

@@ -153,21 +153,14 @@ struct OueParams {
   }
 };
 
-/// \brief 16-bit lane threshold of bit position k: 32768 (= p * 65536)
-/// for the true category, params.q16 otherwise.
-inline std::uint32_t OueLaneThreshold(const OueParams& params,
-                                      std::uint32_t category,
-                                      std::uint32_t k) {
-  return k == category ? 32768u : params.q16;
-}
-
 /// \brief Encodes one categorical answer as a perturbed unary bit vector.
 ///
 /// Draw layout (frozen; see common/rng_lanes.h, "compact encodings"):
 /// exactly ceil(cardinality/4) raw Next() draws per dimension; draw D's
 /// four 16-bit lanes, least-significant first, decide bit positions
 /// k = 4D .. 4D+3 (excess lanes of the last draw are discarded).
-/// Position k flips on iff its lane value is < OueLaneThreshold — a
+/// Position k flips on iff its lane value is below its threshold (32768
+/// = p * 65536 for the true category, params.q16 otherwise) — a
 /// branch-free integer compare, no transcendentals, four bits per draw.
 /// `bits` receives ceil(cardinality/8) bytes, LSB-first.
 void OueEncodeDim(const OueParams& params, std::uint32_t category,

@@ -237,10 +237,10 @@ struct OracleAccumulator {
 // The frequency-oracle (OUE / OLH) ingestion + decode + recalibration
 // path. Draw layout (the "compact encodings" stream contract in
 // common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
-// m-of-d sample walked in draw order, then per sampled dimension the
-// encoder draws of freq/encoding.h — inlined here as direct support-count
-// updates, draw for draw identical to OueEncodeDim / OlhEncodeDim, so
-// the wire encoders and this simulation share one frozen layout.
+// m-of-d sample walked in draw order, then per sampled dimension one
+// OueEncodeDim / OlhEncodeDim call (freq/encoding.h) whose report is
+// folded into the support counts, so the wire encoders and this
+// simulation share one frozen layout.
 Result<FrequencyEstimationResult> RunOracleEstimation(
     const data::ChunkSource& source, const CategoricalSchema& schema,
     const FrequencyOptions& options, std::size_t m) {
@@ -284,6 +284,7 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
                 ValidateCategoricalChunk(rows, schema, range.chunk));
             Rng rng(range.chunk_seed);
             std::vector<std::uint32_t> sampled;
+            std::vector<std::uint8_t> bits;
             for (std::size_t i = range.begin; i < range.end; ++i) {
               const double* row = rows.data() + (i - range.begin) * d;
               sampled.clear();
@@ -294,16 +295,9 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
                 const std::size_t v = schema.Cardinality(j);
                 const auto category = static_cast<std::uint32_t>(row[j]);
                 if (use_oue) {
-                  // The OueEncodeDim lane layout, folded straight into
-                  // the support counts: ceil(v/4) raw draws, four 16-bit
-                  // lanes each, bit k on iff lane < threshold.
-                  std::uint64_t word = 0;
-                  for (std::uint32_t k = 0; k < v; ++k) {
-                    if ((k & 3u) == 0) word = rng.Next();
-                    const auto lane = static_cast<std::uint32_t>(
-                        (word >> ((k & 3u) * 16)) & 0xFFFFu);
-                    scratch->counts[off + k] +=
-                        lane < OueLaneThreshold(oue, category, k);
+                  OueEncodeDim(oue, category, v, &rng, &bits);
+                  for (std::size_t k = 0; k < v; ++k) {
+                    scratch->counts[off + k] += (bits[k >> 3] >> (k & 7)) & 1;
                   }
                 } else {
                   const OlhDimReport report = OlhEncodeDim(olh, category, &rng);

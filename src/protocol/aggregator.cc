@@ -38,30 +38,6 @@ Status MeanAggregator::ConsumeReport(const UserReport& report) {
   return Status::OK();
 }
 
-Status MeanAggregator::ConsumeHadamard1(const Hadamard1Params& params,
-                                        std::span<const std::uint32_t> dims,
-                                        std::uint32_t index, bool positive) {
-  if (dims.size() != params.report_dims) {
-    return Status::InvalidArgument(
-        "Hadamard report carries " + std::to_string(dims.size()) +
-        " dimensions, params expect " + std::to_string(params.report_dims));
-  }
-  if (index >= params.padded) {
-    return Status::OutOfRange("Hadamard row index out of range");
-  }
-  for (const std::uint32_t dim : dims) {
-    if (dim >= counts_.size()) {
-      return Status::OutOfRange("Hadamard report dimension out of range");
-    }
-  }
-  for (std::size_t pos = 0; pos < dims.size(); ++pos) {
-    Consume(dims[pos],
-            Hadamard1EntryValue(params, index,
-                                static_cast<std::uint32_t>(pos), positive));
-  }
-  return Status::OK();
-}
-
 namespace {
 
 // Dimensions per ConsumeScattered bucket: 512 NeumaierSums (16 bytes

@@ -19,7 +19,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "mech/mechanism.h"
-#include "protocol/hadamard.h"
 #include "protocol/report.h"
 
 namespace hdldp {
@@ -42,16 +41,6 @@ class MeanAggregator {
 
   /// \brief Folds every entry of a report.
   Status ConsumeReport(const UserReport& report);
-
-  /// \brief Exact unbiased decoder of one Hadamard 1-bit report
-  /// (protocol/hadamard.h): folds the report_dims decoded entries
-  /// bit * bound * (1/c) * H(index, pos) into `dims` (the report's
-  /// sampled dimensions, ascending — e.g. from Hadamard1SampleDims).
-  /// Requires an identity domain map (decoded values are already in the
-  /// data domain). Validates shape without mutating state on failure.
-  Status ConsumeHadamard1(const Hadamard1Params& params,
-                          std::span<const std::uint32_t> dims,
-                          std::uint32_t index, bool positive);
 
   /// \brief Folds a flat block of scattered entries: `dimensions[k]`
   /// receives `values[k]`. Validates sizes and dimension bounds up front

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/math.h"
 
@@ -58,6 +59,28 @@ Hadamard1Report Hadamard1Encode(const Hadamard1Params& params,
   report.positive =
       rng->UniformDouble() < 0.5 + params.c * s / (2.0 * params.bound);
   return report;
+}
+
+Status Hadamard1Decode(const Hadamard1Params& params,
+                       std::span<const std::uint32_t> dims,
+                       std::uint32_t index, bool positive, UserReport* out) {
+  if (dims.size() != params.report_dims) {
+    return Status::InvalidArgument(
+        "Hadamard report carries " + std::to_string(dims.size()) +
+        " dimensions, params expect " + std::to_string(params.report_dims));
+  }
+  if (index >= params.padded) {
+    return Status::InvalidArgument(
+        "Hadamard row index exceeds the padded order");
+  }
+  out->entries.clear();
+  for (std::size_t pos = 0; pos < dims.size(); ++pos) {
+    out->entries.push_back(DimensionReport{
+        dims[pos], Hadamard1EntryValue(params, index,
+                                       static_cast<std::uint32_t>(pos),
+                                       positive)});
+  }
+  return Status::OK();
 }
 
 }  // namespace protocol

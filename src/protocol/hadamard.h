@@ -18,10 +18,10 @@
 // Unbiasedness is exact because `padded` is a power of two:
 // E_index[H(index, p) * H(index, q)] = delta_pq (row orthogonality of the
 // Hadamard matrix), so E[x_hat_p] = (1/c) * E[c/bound * s * bound *
-// H(index, p)] = x_p. Each report contributes m decoded entries to
-// MeanAggregator::ConsumeHadamard1, whose per-dimension averages divide
-// by the usual report counts — dimension sampling needs no extra
-// correction. Per-entry variance is bound^2 / c^2, i.e. a per-dimension
+// H(index, p)] = x_p. Hadamard1Decode turns each report into m such
+// entries, and the aggregator's per-dimension averages divide by the
+// usual report counts — dimension sampling needs no extra correction.
+// Per-entry variance is bound^2 / c^2, i.e. a per-dimension
 // mean variance of about m * d / (n * c^2) — the same 1/eps^2 scaling as
 // the paper's numeric mechanisms at small eps, for ~8 bytes on the wire
 // instead of 8 * m.
@@ -36,6 +36,7 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "protocol/report.h"
 
 namespace hdldp {
 namespace protocol {
@@ -107,6 +108,15 @@ inline double Hadamard1EntryValue(const Hadamard1Params& params,
   const double bit = positive ? 1.0 : -1.0;
   return bit * params.bound * params.c_inv * HadamardSign(index, pos);
 }
+
+/// \brief Decodes one report: `dims` are its sampled dimensions
+/// (ascending, report_dims of them) and `index` its row, which must lie
+/// below the padded order. Replaces out->entries with the report_dims
+/// data-domain entries (dims[pos], Hadamard1EntryValue(pos)).
+/// InvalidArgument on a shape mismatch.
+Status Hadamard1Decode(const Hadamard1Params& params,
+                       std::span<const std::uint32_t> dims,
+                       std::uint32_t index, bool positive, UserReport* out);
 
 }  // namespace protocol
 }  // namespace hdldp

@@ -8,6 +8,7 @@
 #include "common/math.h"
 #include "engine/chunked_estimation.h"
 #include "protocol/aggregator.h"
+#include "protocol/hadamard.h"
 #include "protocol/metrics.h"
 #include "protocol/run_control.h"
 
@@ -75,7 +76,8 @@ RunDigest MeanDigest(std::string_view variant, const PipelineOptions& options,
 }
 
 // The Hadamard 1-bit mean path: one randomized sign bit per user at the
-// full eps, decoded unbiasedly by MeanAggregator::ConsumeHadamard1.
+// full eps, decoded unbiasedly by Hadamard1Decode (the service codec's
+// decode) and folded through ConsumeReport.
 // Draw layout (the "compact encodings" stream contract in
 // common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
 // m-of-d sample sorted ascending, then the Hadamard1Encode draws (row
@@ -101,6 +103,7 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
             Rng rng(range.chunk_seed);
             std::vector<std::uint32_t> sampled;
             std::vector<double> values(m);
+            UserReport decoded;
             for (std::size_t i = range.begin; i < range.end; ++i) {
               const double* row = rows.data() + (i - range.begin) * d;
               sampled.clear();
@@ -111,8 +114,9 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
               }
               const Hadamard1Report report =
                   Hadamard1Encode(params, values, &rng);
-              HDLDP_RETURN_NOT_OK(scratch->ConsumeHadamard1(
-                  params, sampled, report.index, report.positive));
+              HDLDP_RETURN_NOT_OK(Hadamard1Decode(
+                  params, sampled, report.index, report.positive, &decoded));
+              HDLDP_RETURN_NOT_OK(scratch->ConsumeReport(decoded));
             }
             return Status::OK();
           }));

@@ -50,7 +50,7 @@ struct PipelineOptions : engine::RunControl {
   /// reported value perturbed by `mechanism` at eps/m); kHadamard1 runs
   /// the 1-bit path (protocol/hadamard.h): each user's m sampled values
   /// collapse into one randomized sign bit at the full eps, decoded
-  /// unbiasedly by MeanAggregator::ConsumeHadamard1. Hadamard draws
+  /// unbiasedly by Hadamard1Decode. Hadamard draws
   /// follow their own frozen scalar per-chunk stream contract
   /// (common/rng_lanes.h, "compact encodings"); seed_scheme does not
   /// alter them, checkpointing works as usual, and estimates remain

@@ -10,19 +10,9 @@ namespace protocol {
 
 Status ValidateRunControl(const engine::RunControl& control,
                           ReportEncoding encoding, Workload workload) {
+  HDLDP_RETURN_NOT_OK(CheckEncoding(workload, encoding));
   const bool oracle =
       encoding == ReportEncoding::kOue || encoding == ReportEncoding::kOlh;
-  if (workload == Workload::kFrequency) {
-    if (encoding == ReportEncoding::kHadamard1) {
-      return Status::InvalidArgument(
-          "hadamard1 is a mean encoding; frequency estimation supports "
-          "dense|sampled|oue|olh");
-    }
-  } else if (oracle) {
-    return Status::InvalidArgument(
-        "oue/olh are frequency-oracle encodings; mean estimation supports "
-        "dense|sampled|hadamard1");
-  }
   // The kV1Scalar frequency body pulls chunks in one serial loop with no
   // retry or quarantine; the oracle encodings never take it.
   if (workload == Workload::kFrequency && !oracle &&

@@ -20,15 +20,10 @@
 namespace hdldp {
 namespace protocol {
 
-/// The statistic a run estimates.
-enum class Workload { kMean, kFrequency, kVariance };
-
 /// \brief Owns every run-control carve-out. InvalidArgument when
 /// `encoding` under `control` is not a valid `workload` run:
 ///
-///   * each statistic accepts only its own encodings — mean and variance
-///     (whose halves are mean runs) dense|sampled|hadamard1, frequency
-///     dense|sampled|oue|olh;
+///   * each statistic accepts only its own encodings (CheckEncoding);
 ///   * the frequency-oracle encodings (oue, olh) cannot checkpoint: their
 ///     integer accumulators have no snapshot codec;
 ///   * frequency under kV1Scalar cannot checkpoint, retry

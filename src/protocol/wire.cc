@@ -96,6 +96,22 @@ const char* ReportEncodingName(ReportEncoding encoding) {
   return "unknown";
 }
 
+Status CheckEncoding(Workload workload, ReportEncoding encoding) {
+  if (workload == Workload::kFrequency) {
+    if (encoding == ReportEncoding::kHadamard1) {
+      return Status::InvalidArgument(
+          "hadamard1 is a mean encoding; frequency estimation supports "
+          "dense|sampled|oue|olh");
+    }
+  } else if (encoding == ReportEncoding::kOue ||
+             encoding == ReportEncoding::kOlh) {
+    return Status::InvalidArgument(
+        "oue/olh are frequency-oracle encodings; mean estimation supports "
+        "dense|sampled|hadamard1");
+  }
+  return Status::OK();
+}
+
 Result<ReportEncoding> ParseReportEncoding(const std::string& name) {
   if (name == "dense") return ReportEncoding::kDense;
   if (name == "sampled") return ReportEncoding::kSampled;

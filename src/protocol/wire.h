@@ -58,6 +58,15 @@ enum class ReportEncoding {
   kHadamard1 = 4,
 };
 
+/// The statistic a run or a report stream estimates.
+enum class Workload { kMean, kFrequency, kVariance };
+
+/// \brief The one encoding rule: each statistic accepts only its own
+/// encodings — mean and variance (whose halves are mean runs)
+/// dense|sampled|hadamard1, frequency dense|sampled|oue|olh.
+/// InvalidArgument otherwise.
+Status CheckEncoding(Workload workload, ReportEncoding encoding);
+
 /// \brief Human-readable encoding name (CLI flag spelling).
 const char* ReportEncodingName(ReportEncoding encoding);
 

@@ -135,8 +135,7 @@ struct ServiceOptions {
   /// Wire encoding of ingested payloads. kDense/kSampled run the
   /// version-1 numeric decode; oue|olh|hadamard1 decode through a
   /// PayloadCodec whose unbiased entry values land in the data domain
-  /// (use an identity domain_map and the codec's output_lo/hi —
-  /// ReportStream::CodecOptions() hands this struct back pre-filled).
+  /// (use an identity domain_map and the codec's output_lo/hi).
   /// Create() rejects a codec whose service_dims() differ from num_dims.
   PayloadCodecOptions codec;
 

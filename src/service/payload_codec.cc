@@ -132,21 +132,11 @@ Result<protocol::UserReport> PayloadCodec::Decode(
         return Status::InvalidArgument(
             "Hadamard payload geometry mismatch (d / m)");
       }
-      if (decoded.index >= hadamard_.padded) {
-        return Status::InvalidArgument(
-            "Hadamard payload index exceeds the padded order");
-      }
       std::vector<std::uint32_t> dims;
       protocol::Hadamard1SampleDims(decoded.sample_seed, hadamard_.num_dims,
                                     hadamard_.report_dims, &dims);
-      report.entries.reserve(dims.size());
-      for (std::size_t pos = 0; pos < dims.size(); ++pos) {
-        report.entries.push_back(protocol::DimensionReport{
-            dims[pos],
-            protocol::Hadamard1EntryValue(hadamard_, decoded.index,
-                                          static_cast<std::uint32_t>(pos),
-                                          decoded.positive)});
-      }
+      HDLDP_RETURN_NOT_OK(protocol::Hadamard1Decode(
+          hadamard_, dims, decoded.index, decoded.positive, &report));
       return report;
     }
     default:

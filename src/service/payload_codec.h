@@ -71,6 +71,13 @@ class PayloadCodec {
   double output_lo() const { return output_lo_; }
   double output_hi() const { return output_hi_; }
 
+  /// The encoder parameters the configured budget and geometry derive
+  /// (only the one matching encoding() is meaningful) — what a client
+  /// producing this codec's payloads encodes with.
+  const freq::OueParams& oue() const { return oue_; }
+  const freq::OlhParams& olh() const { return olh_; }
+  const protocol::Hadamard1Params& hadamard() const { return hadamard_; }
+
   /// \brief Decodes one wire payload into unbiased report entries.
   /// InvalidArgument/DataLoss on malformed bytes or geometry mismatch.
   Result<protocol::UserReport> Decode(

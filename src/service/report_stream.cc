@@ -1,7 +1,7 @@
 #include "service/report_stream.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "mech/registry.h"
@@ -35,66 +35,40 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
   }
   HDLDP_ASSIGN_OR_RETURN(mech::MechanismPtr mechanism,
                          mech::MakeMechanism(options.mechanism));
+  if (options.workload == protocol::Workload::kVariance) {
+    return Status::InvalidArgument(
+        "report streams generate mean or frequency reports, not variance");
+  }
+  HDLDP_RETURN_NOT_OK(
+      protocol::CheckEncoding(options.workload, options.encoding));
+  const bool freq = options.workload == protocol::Workload::kFrequency;
+  if (freq && options.num_categories < 2) {
+    return Status::InvalidArgument("freq stream requires num_categories >= 2");
+  }
   ReportStream stream(options);
-  const std::size_t m = options.report_dims == 0 ? options.num_dims
-                                                 : options.report_dims;
-  if (m > options.num_dims) {
+  stream.report_dims_ =
+      options.report_dims == 0 ? options.num_dims : options.report_dims;
+  if (stream.report_dims_ > options.num_dims) {
     return Status::InvalidArgument(
         "report_dims exceeds the stream dimensionality");
   }
-  const bool compact =
-      options.encoding == protocol::ReportEncoding::kOue ||
+  const std::uint64_t fault_seed =
+      options.fault_seed != 0 ? options.fault_seed : options.seed;
+  stream.fault_schedule_ =
+      data::ReportFaultSchedule(fault_seed, options.faults);
+  if (options.encoding == protocol::ReportEncoding::kOue ||
       options.encoding == protocol::ReportEncoding::kOlh ||
-      options.encoding == protocol::ReportEncoding::kHadamard1;
-  if (compact) {
-    // Compact payloads decode straight into the data domain, so the
-    // service runs with an identity map and the codec's value range.
-    if (options.workload == StreamWorkload::kMean) {
-      if (options.encoding != protocol::ReportEncoding::kHadamard1) {
-        return Status::InvalidArgument(
-            "mean streams support dense|sampled|hadamard1 encodings");
-      }
-      HDLDP_ASSIGN_OR_RETURN(
-          const protocol::Hadamard1Params hadamard,
-          protocol::Hadamard1Params::Create(options.num_dims, m,
-                                            options.epsilon));
-      stream.hadamard_.emplace(hadamard);
-      stream.service_dims_ = options.num_dims;
-      stream.expected_entries_ = m;
-      stream.output_hi_ = hadamard.bound * hadamard.c_inv;
-      stream.output_lo_ = -stream.output_hi_;
-    } else {
-      if (options.encoding == protocol::ReportEncoding::kHadamard1) {
-        return Status::InvalidArgument(
-            "freq streams support dense|sampled|oue|olh encodings");
-      }
-      if (options.num_categories < 2) {
-        return Status::InvalidArgument(
-            "freq stream requires num_categories >= 2");
-      }
-      const double per_dim = options.epsilon / static_cast<double>(m);
-      if (options.encoding == protocol::ReportEncoding::kOue) {
-        HDLDP_ASSIGN_OR_RETURN(stream.oue_,
-                               freq::OueParams::FromEpsilon(per_dim));
-        stream.output_lo_ = stream.oue_.EntryValue(false);
-        stream.output_hi_ = stream.oue_.EntryValue(true);
-      } else {
-        HDLDP_ASSIGN_OR_RETURN(stream.olh_,
-                               freq::OlhParams::FromEpsilon(per_dim));
-        stream.output_lo_ = stream.olh_.EntryValue(false);
-        stream.output_hi_ = stream.olh_.EntryValue(true);
-      }
-      stream.per_entry_epsilon_ = per_dim;
-      stream.service_dims_ = options.num_dims * options.num_categories;
-      stream.expected_entries_ = m * options.num_categories;
-    }
-    const std::uint64_t fault_seed =
-        options.fault_seed != 0 ? options.fault_seed : options.seed;
-    stream.fault_schedule_ =
-        data::ReportFaultSchedule(fault_seed, options.faults);
+      options.encoding == protocol::ReportEncoding::kHadamard1) {
+    // Compact payloads decode straight into the data domain (identity
+    // map); their geometry, encoder parameters and value range are the
+    // codec's.
+    HDLDP_ASSIGN_OR_RETURN(PayloadCodec codec,
+                           PayloadCodec::Create(stream.CodecOptions()));
+    stream.codec_.emplace(std::move(codec));
     return stream;
   }
-  if (options.workload == StreamWorkload::kMean) {
+  double per_entry_epsilon = 0.0;
+  if (!freq) {
     protocol::ClientOptions client_options;
     client_options.total_epsilon = options.epsilon;
     client_options.report_dims = options.report_dims;
@@ -103,37 +77,23 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
         protocol::Client::Create(mechanism, options.num_dims,
                                  client_options));
     stream.domain_map_ = client.domain_map();
-    stream.service_dims_ = options.num_dims;
-    stream.expected_entries_ = m;
-    stream.per_entry_epsilon_ = client.PerDimensionEpsilon();
+    per_entry_epsilon = client.PerDimensionEpsilon();
     stream.client_.emplace(std::move(client));
   } else {
-    if (options.num_categories < 2) {
-      return Status::InvalidArgument(
-          "freq stream requires num_categories >= 2");
-    }
-    HDLDP_ASSIGN_OR_RETURN(
-        stream.per_entry_epsilon_,
-        protocol::BudgetAccountant::PerEntryBudget(options.epsilon, m));
-    HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(stream.per_entry_epsilon_));
-    stream.plan_ = mechanism->MakePlan(stream.per_entry_epsilon_);
+    HDLDP_ASSIGN_OR_RETURN(per_entry_epsilon,
+                           protocol::BudgetAccountant::PerEntryBudget(
+                               options.epsilon, stream.report_dims_));
+    HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(per_entry_epsilon));
+    stream.plan_ = mechanism->MakePlan(per_entry_epsilon);
     // One-hot entries live in {0, 1}; map that onto the mechanism's
     // native input domain, exactly like the freq pipeline does.
     HDLDP_ASSIGN_OR_RETURN(
         stream.domain_map_,
         mech::DomainMap::Between(mech::Interval{0.0, 1.0},
                                  mechanism->InputDomain()));
-    stream.service_dims_ = options.num_dims * options.num_categories;
-    stream.expected_entries_ = m * options.num_categories;
   }
-  HDLDP_ASSIGN_OR_RETURN(const mech::Interval output,
-                         mechanism->OutputDomain(stream.per_entry_epsilon_));
-  stream.output_lo_ = output.lo;
-  stream.output_hi_ = output.hi;
-  const std::uint64_t fault_seed =
-      options.fault_seed != 0 ? options.fault_seed : options.seed;
-  stream.fault_schedule_ =
-      data::ReportFaultSchedule(fault_seed, options.faults);
+  HDLDP_ASSIGN_OR_RETURN(stream.output_,
+                         mechanism->OutputDomain(per_entry_epsilon));
   return stream;
 }
 
@@ -141,12 +101,48 @@ PayloadCodecOptions ReportStream::CodecOptions() const {
   PayloadCodecOptions codec;
   codec.encoding = options_.encoding;
   codec.epsilon = options_.epsilon;
-  codec.report_dims = options_.report_dims == 0 ? options_.num_dims
-                                                : options_.report_dims;
+  codec.report_dims = report_dims_;
   codec.num_questions = options_.num_dims;
   codec.num_categories = options_.num_categories;
   codec.num_dims = options_.num_dims;
   return codec;
+}
+
+ServiceOptions ReportStream::MakeServiceOptions(ServiceOptions base) const {
+  base.domain_map = domain_map_;
+  base.codec = CodecOptions();
+  if (codec_.has_value()) {
+    base.num_dims = codec_->service_dims();
+    base.expected_entries = codec_->expected_entries();
+    base.output_lo = codec_->output_lo();
+    base.output_hi = codec_->output_hi();
+  } else {
+    const std::size_t c = options_.workload == protocol::Workload::kFrequency
+                              ? options_.num_categories
+                              : 1;
+    base.num_dims = options_.num_dims * c;
+    base.expected_entries = report_dims_ * c;
+    base.output_lo = output_.lo;
+    base.output_hi = output_.hi;
+  }
+  char tag[256];
+  std::snprintf(
+      tag, sizeof(tag),
+      "stream %s enc=%s %s n=%llu eps=%.17g m=%zu seed=%llu t=%llu "
+      "rpt=%llu drop=%.17g dup=%.17g reord=%.17g delay=%zu fseed=%llu",
+      options_.workload == protocol::Workload::kMean ? "mean" : "freq",
+      protocol::ReportEncodingName(options_.encoding),
+      options_.mechanism.c_str(),
+      static_cast<unsigned long long>(options_.num_reports),
+      options_.epsilon, options_.report_dims,
+      static_cast<unsigned long long>(options_.seed),
+      static_cast<unsigned long long>(options_.num_tenants),
+      static_cast<unsigned long long>(options_.reports_per_tick),
+      options_.faults.drop_rate, options_.faults.duplicate_rate,
+      options_.faults.reorder_rate, options_.faults.reorder_delay,
+      static_cast<unsigned long long>(options_.fault_seed));
+  base.digest_tag = tag;
+  return base;
 }
 
 // Compact-payload report bytes. Draw layout per report stream (frozen,
@@ -161,124 +157,106 @@ PayloadCodecOptions ReportStream::CodecOptions() const {
 //   that question's OueEncodeDim / OlhEncodeDim draws; the payload dims
 //   are sorted ascending only after all draws (wire framing order never
 //   feeds back into the stream).
-Status ReportStream::GenerateCompact(std::uint64_t index,
-                                     std::vector<std::uint8_t>* out) {
-  Rng rng(ReportSeed(options_.seed, index));
-  std::vector<std::uint8_t> payload;
+Result<std::vector<std::uint8_t>> ReportStream::CompactPayload(Rng* rng) {
   if (options_.encoding == protocol::ReportEncoding::kHadamard1) {
+    const protocol::Hadamard1Params& hadamard = codec_->hadamard();
     tuple_.resize(options_.num_dims);
-    for (double& v : tuple_) v = rng.Uniform(-1.0, 1.0);
+    for (double& v : tuple_) v = rng->Uniform(-1.0, 1.0);
     const std::uint32_t sample_seed =
-        static_cast<std::uint32_t>(rng.Next() >> 32);
-    protocol::Hadamard1SampleDims(sample_seed, hadamard_->num_dims,
-                                  hadamard_->report_dims, &sampled_);
+        static_cast<std::uint32_t>(rng->Next() >> 32);
+    protocol::Hadamard1SampleDims(sample_seed, hadamard.num_dims,
+                                  hadamard.report_dims, &sampled_);
     gathered_.clear();
     for (const std::uint32_t dim : sampled_) gathered_.push_back(tuple_[dim]);
     const protocol::Hadamard1Report encoded =
-        protocol::Hadamard1Encode(*hadamard_, gathered_, &rng);
+        protocol::Hadamard1Encode(hadamard, gathered_, rng);
     protocol::Hadamard1Payload wire;
     wire.num_dims = static_cast<std::uint32_t>(options_.num_dims);
-    wire.report_dims = static_cast<std::uint32_t>(hadamard_->report_dims);
+    wire.report_dims = static_cast<std::uint32_t>(hadamard.report_dims);
     wire.sample_seed = sample_seed;
     wire.index = encoded.index;
     wire.positive = encoded.positive;
-    HDLDP_ASSIGN_OR_RETURN(payload, protocol::EncodeHadamard1Payload(wire));
-  } else {
-    const std::size_t m = options_.report_dims == 0 ? options_.num_dims
-                                                    : options_.report_dims;
-    const std::size_t c = options_.num_categories;
-    sampled_.clear();
-    rng.SampleWithoutReplacement(options_.num_dims, m, &sampled_);
-    if (options_.encoding == protocol::ReportEncoding::kOue) {
-      protocol::OuePayload wire;
-      wire.num_dims = options_.num_dims;
-      wire.dims.reserve(m);
-      for (const std::uint32_t question : sampled_) {
-        const auto answer = static_cast<std::uint32_t>(rng.UniformInt(c));
-        protocol::OuePayloadDim dim;
-        dim.dimension = question;
-        dim.cardinality = static_cast<std::uint32_t>(c);
-        freq::OueEncodeDim(oue_, answer, c, &rng, &dim.bits);
-        wire.dims.push_back(std::move(dim));
-      }
-      std::sort(wire.dims.begin(), wire.dims.end(),
-                [](const protocol::OuePayloadDim& a,
-                   const protocol::OuePayloadDim& b) {
-                  return a.dimension < b.dimension;
-                });
-      HDLDP_ASSIGN_OR_RETURN(payload, protocol::EncodeOuePayload(wire));
-    } else {
-      protocol::OlhPayload wire;
-      wire.num_dims = options_.num_dims;
-      wire.dims.reserve(m);
-      for (const std::uint32_t question : sampled_) {
-        const auto answer = static_cast<std::uint32_t>(rng.UniformInt(c));
-        const freq::OlhDimReport encoded =
-            freq::OlhEncodeDim(olh_, answer, &rng);
-        wire.dims.push_back(protocol::OlhPayloadDim{
-            question, static_cast<std::uint32_t>(olh_.g), encoded.hash_seed,
-            encoded.value});
-      }
-      std::sort(wire.dims.begin(), wire.dims.end(),
-                [](const protocol::OlhPayloadDim& a,
-                   const protocol::OlhPayloadDim& b) {
-                  return a.dimension < b.dimension;
-                });
-      HDLDP_ASSIGN_OR_RETURN(payload, protocol::EncodeOlhPayload(wire));
-    }
+    return protocol::EncodeHadamard1Payload(wire);
   }
-  protocol::ReportEnvelope envelope;
-  envelope.tenant = index % options_.num_tenants;
-  envelope.sequence = index / options_.num_tenants;
-  envelope.tick = options_.reports_per_tick == 0
-                      ? 0
-                      : index / options_.reports_per_tick;
-  envelope.payload = std::move(payload);
-  *out = protocol::EncodeEnvelope(envelope);
-  return Status::OK();
+  const std::size_t c = options_.num_categories;
+  sampled_.clear();
+  rng->SampleWithoutReplacement(options_.num_dims, report_dims_, &sampled_);
+  if (options_.encoding == protocol::ReportEncoding::kOue) {
+    protocol::OuePayload wire;
+    wire.num_dims = options_.num_dims;
+    wire.dims.reserve(report_dims_);
+    for (const std::uint32_t question : sampled_) {
+      const auto answer = static_cast<std::uint32_t>(rng->UniformInt(c));
+      protocol::OuePayloadDim dim;
+      dim.dimension = question;
+      dim.cardinality = static_cast<std::uint32_t>(c);
+      freq::OueEncodeDim(codec_->oue(), answer, c, rng, &dim.bits);
+      wire.dims.push_back(std::move(dim));
+    }
+    std::sort(wire.dims.begin(), wire.dims.end(),
+              [](const protocol::OuePayloadDim& a,
+                 const protocol::OuePayloadDim& b) {
+                return a.dimension < b.dimension;
+              });
+    return protocol::EncodeOuePayload(wire);
+  }
+  const freq::OlhParams& olh = codec_->olh();
+  protocol::OlhPayload wire;
+  wire.num_dims = options_.num_dims;
+  wire.dims.reserve(report_dims_);
+  for (const std::uint32_t question : sampled_) {
+    const auto answer = static_cast<std::uint32_t>(rng->UniformInt(c));
+    const freq::OlhDimReport encoded = freq::OlhEncodeDim(olh, answer, rng);
+    wire.dims.push_back(protocol::OlhPayloadDim{
+        question, static_cast<std::uint32_t>(olh.g), encoded.hash_seed,
+        encoded.value});
+  }
+  std::sort(wire.dims.begin(), wire.dims.end(),
+            [](const protocol::OlhPayloadDim& a,
+               const protocol::OlhPayloadDim& b) {
+              return a.dimension < b.dimension;
+            });
+  return protocol::EncodeOlhPayload(wire);
 }
 
-Status ReportStream::Generate(std::uint64_t index,
-                              std::vector<std::uint8_t>* out) {
-  if (options_.encoding == protocol::ReportEncoding::kOue ||
-      options_.encoding == protocol::ReportEncoding::kOlh ||
-      options_.encoding == protocol::ReportEncoding::kHadamard1) {
-    return GenerateCompact(index, out);
-  }
-  Rng rng(ReportSeed(options_.seed, index));
+Result<std::vector<std::uint8_t>> ReportStream::NumericPayload(Rng* rng) {
   protocol::UserReport report;
-  if (options_.workload == StreamWorkload::kMean) {
+  if (options_.workload == protocol::Workload::kMean) {
     tuple_.resize(options_.num_dims);
-    for (double& v : tuple_) v = rng.Uniform(-1.0, 1.0);
-    HDLDP_ASSIGN_OR_RETURN(report, client_->Report(tuple_, &rng));
+    for (double& v : tuple_) v = rng->Uniform(-1.0, 1.0);
+    HDLDP_ASSIGN_OR_RETURN(report, client_->Report(tuple_, rng));
   } else {
-    const std::size_t m = options_.report_dims == 0 ? options_.num_dims
-                                                    : options_.report_dims;
     const std::size_t c = options_.num_categories;
     sampled_.clear();
-    rng.SampleWithoutReplacement(options_.num_dims, m, &sampled_);
-    report.entries.reserve(m * c);
+    rng->SampleWithoutReplacement(options_.num_dims, report_dims_, &sampled_);
+    report.entries.reserve(report_dims_ * c);
     for (const std::uint32_t question : sampled_) {
       const std::size_t answer =
-          static_cast<std::size_t>(rng.UniformInt(c));
+          static_cast<std::size_t>(rng->UniformInt(c));
       for (std::size_t k = 0; k < c; ++k) {
         const double native =
             domain_map_.Forward(k == answer ? 1.0 : 0.0);
         report.entries.push_back(protocol::DimensionReport{
             static_cast<std::uint32_t>(question * c + k),
-            mech::PerturbOne(plan_, native, &rng)});
+            mech::PerturbOne(plan_, native, rng)});
       }
     }
   }
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
-                         protocol::EncodeReport(report));
+  return protocol::EncodeReport(report);
+}
+
+Status ReportStream::Generate(std::uint64_t index,
+                              std::vector<std::uint8_t>* out) {
+  Rng rng(ReportSeed(options_.seed, index));
   protocol::ReportEnvelope envelope;
+  HDLDP_ASSIGN_OR_RETURN(envelope.payload, codec_.has_value()
+                                               ? CompactPayload(&rng)
+                                               : NumericPayload(&rng));
   envelope.tenant = index % options_.num_tenants;
   envelope.sequence = index / options_.num_tenants;
   envelope.tick = options_.reports_per_tick == 0
                       ? 0
                       : index / options_.reports_per_tick;
-  envelope.payload = payload;
   *out = protocol::EncodeEnvelope(envelope);
   return Status::OK();
 }

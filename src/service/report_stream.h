@@ -33,30 +33,26 @@
 #include "data/fault_injection.h"
 #include "mech/mechanism.h"
 #include "protocol/client.h"
-#include "protocol/hadamard.h"
 #include "protocol/wire.h"
+#include "service/aggregation_service.h"
 #include "service/payload_codec.h"
 
 namespace hdldp {
 namespace service {
 
-/// Which protocol the generated reports speak.
-enum class StreamWorkload {
-  /// Mean estimation: m of d sampled dimensions at eps/m each, tuples
-  /// uniform in [-1, 1].
-  kMean,
-  /// Frequency estimation: m of q sampled questions, each one-hot
-  /// encoded over c categories and perturbed entry-wise at eps/(2m).
-  kFreq,
-};
-
 /// \brief Configuration of one deterministic report stream.
 struct ReportStreamOptions {
-  StreamWorkload workload = StreamWorkload::kMean;
-  /// Wire encoding of the generated reports. kDense/kSampled emit the
-  /// numeric version-1 payloads (m decides which); kHadamard1 (kMean
-  /// only) and kOue/kOlh (kFreq only) emit the compact payload kinds,
-  /// which the service decodes through a matching PayloadCodec.
+  /// Which protocol the generated reports speak. kMean: m of d sampled
+  /// dimensions at eps/m each, tuples uniform in [-1, 1]. kFrequency: m
+  /// of q sampled questions, each one-hot encoded over c categories and
+  /// perturbed entry-wise at eps/(2m). kVariance is rejected (a variance
+  /// run is two mean runs, not a report kind).
+  protocol::Workload workload = protocol::Workload::kMean;
+  /// Wire encoding of the generated reports, accepted per workload by
+  /// protocol::CheckEncoding. kDense/kSampled emit the numeric version-1
+  /// payloads (m decides which); kHadamard1 and kOue/kOlh emit the
+  /// compact payload kinds, whose geometry, encoder parameters and value
+  /// range the stream's PayloadCodec owns.
   protocol::ReportEncoding encoding = protocol::ReportEncoding::kDense;
   /// Registered mechanism name (mech::MakeMechanism). Unused by the
   /// compact encodings (their randomized response needs no value
@@ -64,9 +60,9 @@ struct ReportStreamOptions {
   std::string mechanism = "duchi";
   /// Logical reports in the stream (before drops/duplicates).
   std::uint64_t num_reports = 0;
-  /// d for kMean; the question count q for kFreq.
+  /// d for kMean; the question count q for kFrequency.
   std::size_t num_dims = 1;
-  /// Categories per question (kFreq only).
+  /// Categories per question (kFrequency only).
   std::size_t num_categories = 2;
   /// Total per-report privacy budget eps.
   double epsilon = 1.0;
@@ -107,22 +103,20 @@ class ReportStream {
   /// Reports emitted out of their send order so far.
   std::uint64_t reordered() const { return reordered_; }
 
-  /// Aggregated dimensionality the service must be created with: d for
-  /// kMean, q * c for kFreq.
-  std::size_t service_dims() const { return service_dims_; }
-  /// Native-space map matching the generated reports.
-  const mech::DomainMap& domain_map() const { return domain_map_; }
-  /// Entries per report (m for kMean, m * c for kFreq).
-  std::size_t expected_entries() const { return expected_entries_; }
-  /// Admissible native-space value range (mechanism output domain at the
-  /// per-entry budget; infinite for unbounded mechanisms).
-  double output_lo() const { return output_lo_; }
-  double output_hi() const { return output_hi_; }
   /// Budget one report spends against its tenant: the total eps.
   double per_report_epsilon() const { return options_.epsilon; }
-  /// Codec configuration a service ingesting this stream needs
-  /// (meaningful for the compact encodings only).
-  PayloadCodecOptions CodecOptions() const;
+
+  /// \brief `base` with the fields a service ingesting this stream
+  /// needs filled in: the aggregated dimensionality (d for kMean, q * c
+  /// for kFrequency), native-space domain map, entries per report,
+  /// admissible value range, the codec configuration (every encoding;
+  /// the numeric ones ignore it) and the checkpoint digest tag. The tag
+  /// names everything that defines the stream and hence the estimates;
+  /// worker count, queue capacity and overload policy are deliberately
+  /// absent — estimates are invariant to them, so a serve checkpoint
+  /// restores under replay and vice versa. Every other field (budget,
+  /// windows, workers, checkpoint path) keeps its `base` value.
+  ServiceOptions MakeServiceOptions(ServiceOptions base = {}) const;
 
  private:
   struct PendingEnvelope {
@@ -142,26 +136,23 @@ class ReportStream {
 
   explicit ReportStream(ReportStreamOptions options);
 
+  PayloadCodecOptions CodecOptions() const;
+
   /// Envelope bytes of logical report `index` — pure in (options, index).
   Status Generate(std::uint64_t index, std::vector<std::uint8_t>* out);
-  /// The compact-encoding arm of Generate (draw layout documented at the
-  /// definition; frozen).
-  Status GenerateCompact(std::uint64_t index, std::vector<std::uint8_t>* out);
+  /// The payload arms of Generate, drawing from the report's Rng (the
+  /// compact draw layouts are documented at the definition; frozen).
+  Result<std::vector<std::uint8_t>> NumericPayload(Rng* rng);
+  Result<std::vector<std::uint8_t>> CompactPayload(Rng* rng);
 
   ReportStreamOptions options_;
-  std::optional<protocol::Client> client_;  // kMean only
-  mech::SamplerPlan plan_;  // kFreq numeric perturbation at per_entry_epsilon_
-  // Compact-encoding parameters (one of them, matching options_.encoding).
-  std::optional<protocol::Hadamard1Params> hadamard_;
-  freq::OueParams oue_;
-  freq::OlhParams olh_;
+  std::size_t report_dims_ = 0;  // m, resolved from options_.report_dims
+  std::optional<protocol::Client> client_;  // numeric kMean only
+  mech::SamplerPlan plan_;  // numeric kFrequency per-entry perturbation
+  std::optional<PayloadCodec> codec_;  // compact encodings only
   mech::DomainMap domain_map_;
+  mech::Interval output_;  // numeric admissible value range
   data::ReportFaultSchedule fault_schedule_;
-  std::size_t service_dims_ = 0;
-  std::size_t expected_entries_ = 0;
-  double per_entry_epsilon_ = 0.0;  // kFreq perturbation budget
-  double output_lo_ = 0.0;
-  double output_hi_ = 0.0;
 
   std::uint64_t next_index_ = 0;  // next logical report to generate
   std::uint64_t emitted_ = 0;

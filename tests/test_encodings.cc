@@ -761,6 +761,54 @@ TEST(EncodingPipelineTest, GoldenEstimateBitsAndThreadInvariance) {
       }
     }
   }
+  {
+    // Mixed cardinalities: OUE draws ceil(v/4) words per dimension, so a
+    // 2-, 5-, 9- and 4-category schema covers a partial last word, an
+    // exact one and a multi-word vector. Every raw entry is pinned.
+    const auto schema =
+        freq::CategoricalSchema::Create({2, 5, 9, 4}).value();
+    Rng rng(93);
+    const auto dataset =
+        freq::GenerateCategorical(6000, schema, 1.0, &rng).value();
+    const std::uint64_t kGoldenOue[] = {
+        0x3fe42aa4770c6424ULL, 0x3fd7aab711e737b8ULL, 0x3fdcf96bf6facd3fULL,
+        0x3fcd27d81dd36d0dULL, 0x3fc287016ba102f0ULL, 0x3fbbc77603e2d31fULL,
+        0x3fb0f5270d4917f3ULL, 0x3fdadc30fd8d4bcaULL, 0x3fc30f6882c11cb4ULL,
+        0x3fbf3038ba3d20d5ULL, 0x3fb3ec813fecd8ebULL, 0x3fa073c081d07ee1ULL,
+        0x3fa76258cd159775ULL, 0x3fb61710d7727096ULL, 0x3f9bb48ecb2d2b4aULL,
+        0x3fa4c8dfb0dbae38ULL, 0x3fdcfdaecd022868ULL, 0x3fd0997e38b93510ULL,
+        0x3fc2cf2720157097ULL, 0x3fc2027ed473d47aULL};
+    const std::uint64_t kGoldenOlh[] = {
+        0x3fe4c7e493ef6703ULL, 0x3fd67036d82131f9ULL, 0x3fdac9b74e83daddULL,
+        0x3fc162f84a4449a4ULL, 0x3fc66bf043f913abULL, 0x3fbeaea719a5af24ULL,
+        0x3fc3465547e81563ULL, 0x3fd4f39950ce0026ULL, 0x3fc35003ca9aa891ULL,
+        0x3fb4ee8b2d42963dULL, 0x3fb95aea473f44f7ULL, 0x3fb0d30e4bfc864cULL,
+        0x3fad39bd7dfc5ddfULL, 0x3f9d622e9a57ad27ULL, 0x3fae7d4660d6d8e3ULL,
+        0x3fc0a080e88a630fULL, 0x3fda8b28b28b28b1ULL, 0x3fcc4ec4ec4ec4ecULL,
+        0x3fcbfabfabfabfadULL, 0x3fc2a02a02a02a03ULL};
+    for (const ReportEncoding encoding :
+         {ReportEncoding::kOue, ReportEncoding::kOlh}) {
+      freq::FrequencyOptions opts;
+      opts.total_epsilon = 2.0;
+      opts.report_dims = 2;
+      opts.seed = 8;
+      opts.encoding = encoding;
+      const std::uint64_t* golden =
+          encoding == ReportEncoding::kOue ? kGoldenOue : kGoldenOlh;
+      for (const std::size_t threads : {1u, 4u}) {
+        opts.num_threads = threads;
+        const auto run =
+            freq::RunFrequencyEstimation(dataset, nullptr, opts).value();
+        for (std::size_t j = 0; j < 4; ++j) {
+          for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
+            EXPECT_EQ(Bits(run.raw[j][k]), golden[schema.EntryOffset(j) + k])
+                << protocol::ReportEncodingName(encoding) << " threads "
+                << threads << " " << j << ":" << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 std::string TempShardDir(const std::string& name) {
@@ -871,17 +919,6 @@ std::string TempPath(const std::string& name) {
   return path;
 }
 
-service::ServiceOptions CompactOptionsFor(const service::ReportStream& stream) {
-  service::ServiceOptions options;
-  options.num_dims = stream.service_dims();
-  options.domain_map = stream.domain_map();
-  options.expected_entries = stream.expected_entries();
-  options.output_lo = stream.output_lo();
-  options.output_hi = stream.output_hi();
-  options.codec = stream.CodecOptions();
-  return options;
-}
-
 service::ReportStreamOptions CompactStreamOptions(ReportEncoding encoding) {
   service::ReportStreamOptions options;
   options.encoding = encoding;
@@ -890,12 +927,12 @@ service::ReportStreamOptions CompactStreamOptions(ReportEncoding encoding) {
   options.reports_per_tick = 150;
   options.epsilon = 2.0;
   if (encoding == ReportEncoding::kHadamard1) {
-    options.workload = service::StreamWorkload::kMean;
+    options.workload = protocol::Workload::kMean;
     options.num_dims = 8;
     options.report_dims = 3;
     options.seed = 21;
   } else {
-    options.workload = service::StreamWorkload::kFreq;
+    options.workload = protocol::Workload::kFrequency;
     options.num_dims = 4;  // questions
     options.num_categories = 3;
     options.report_dims = 2;
@@ -955,7 +992,7 @@ TEST(ServiceEncodingTest, CompactStreamsIngestWorkerCountInvariant) {
         ReportEncoding::kOlh}) {
     const auto stream_options = CompactStreamOptions(encoding);
     auto replay_stream = service::ReportStream::Create(stream_options).value();
-    service::ServiceOptions replay_options = CompactOptionsFor(replay_stream);
+    service::ServiceOptions replay_options = replay_stream.MakeServiceOptions();
     replay_options.window.width = 2;
     replay_options.num_workers = 1;
     replay_options.overload = service::OverloadPolicy::kBlock;
@@ -974,7 +1011,7 @@ TEST(ServiceEncodingTest, CompactStreamsIngestWorkerCountInvariant) {
     EXPECT_GT(replay->PublishedWindows().size(), 0u);
 
     auto serve_stream = service::ReportStream::Create(stream_options).value();
-    service::ServiceOptions serve_options = CompactOptionsFor(serve_stream);
+    service::ServiceOptions serve_options = serve_stream.MakeServiceOptions();
     serve_options.window.width = 2;
     serve_options.num_workers = 4;
     serve_options.overload = service::OverloadPolicy::kBlock;
@@ -991,7 +1028,7 @@ TEST(ServiceEncodingTest, MismatchedPayloadKindIsRejectedInvalid) {
       CompactStreamOptions(ReportEncoding::kHadamard1);
   auto stream = service::ReportStream::Create(stream_options).value();
   auto service =
-      service::AggregationService::Create(CompactOptionsFor(stream)).value();
+      service::AggregationService::Create(stream.MakeServiceOptions()).value();
   // A numeric version-1 payload reaching a hadamard1-configured service
   // is a typed rejection, never a silently biased estimate.
   protocol::UserReport numeric;
@@ -1012,7 +1049,7 @@ TEST(ServiceEncodingTest, MismatchedPayloadKindIsRejectedInvalid) {
 TEST(ServiceEncodingTest, CodecGeometryMismatchIsRejectedAtCreate) {
   const auto stream_options = CompactStreamOptions(ReportEncoding::kOue);
   auto stream = service::ReportStream::Create(stream_options).value();
-  service::ServiceOptions options = CompactOptionsFor(stream);
+  service::ServiceOptions options = stream.MakeServiceOptions();
   options.num_dims += 1;  // codec says q * c, service says otherwise
   EXPECT_FALSE(service::AggregationService::Create(options).ok());
 }
@@ -1022,7 +1059,7 @@ TEST(ServiceEncodingTest, CompactSnapshotRestoreIsBitIdentical) {
 
   // Reference: the uninterrupted run.
   auto ref_stream = service::ReportStream::Create(stream_options).value();
-  service::ServiceOptions base = CompactOptionsFor(ref_stream);
+  service::ServiceOptions base = ref_stream.MakeServiceOptions();
   base.window.width = 2;
   base.overload = service::OverloadPolicy::kBlock;
   auto reference = service::AggregationService::Create(base).value();
@@ -1069,10 +1106,13 @@ TEST(ServiceEncodingTest, CompactSnapshotRestoreIsBitIdentical) {
 
 TEST(ServiceEncodingTest, StreamRejectsWorkloadEncodingMismatch) {
   auto options = CompactStreamOptions(ReportEncoding::kOue);
-  options.workload = service::StreamWorkload::kMean;
+  options.workload = protocol::Workload::kMean;
   EXPECT_FALSE(service::ReportStream::Create(options).ok());
   options = CompactStreamOptions(ReportEncoding::kHadamard1);
-  options.workload = service::StreamWorkload::kFreq;
+  options.workload = protocol::Workload::kFrequency;
+  EXPECT_FALSE(service::ReportStream::Create(options).ok());
+  // A variance run is two mean runs; no stream speaks it.
+  options.workload = protocol::Workload::kVariance;
   EXPECT_FALSE(service::ReportStream::Create(options).ok());
 }
 

@@ -17,6 +17,7 @@
 
 #include "common/mpmc_queue.h"
 #include "data/fault_injection.h"
+#include "freq/encoding.h"
 #include "protocol/wire.h"
 #include "service/aggregation_service.h"
 #include "service/report_stream.h"
@@ -55,20 +56,6 @@ std::vector<std::uint8_t> MakeEnvelope(std::uint64_t tenant,
 ServiceOptions ManualOptions(std::size_t num_dims = 2) {
   ServiceOptions options;
   options.num_dims = num_dims;
-  return options;
-}
-
-// Service options matching a generated stream, the same wiring the CLI
-// verbs use.
-ServiceOptions OptionsFor(const ReportStream& stream,
-                          const ReportStreamOptions& stream_options) {
-  ServiceOptions options;
-  options.num_dims = stream.service_dims();
-  options.domain_map = stream.domain_map();
-  options.expected_entries = stream.expected_entries();
-  options.output_lo = stream.output_lo();
-  options.output_hi = stream.output_hi();
-  (void)stream_options;
   return options;
 }
 
@@ -250,6 +237,46 @@ TEST(ReportStreamTest, SkipToReplaysTheExactSuffix) {
   EXPECT_EQ(resumed.SkipTo(0).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ReportStreamTest, MakeServiceOptionsWiresGeometryCodecAndDigestTag) {
+  ReportStreamOptions options;
+  options.workload = protocol::Workload::kFrequency;
+  options.encoding = protocol::ReportEncoding::kOlh;
+  options.num_reports = 1000;
+  options.num_dims = 4;
+  options.num_categories = 3;
+  options.epsilon = 2.5;
+  options.report_dims = 2;
+  options.seed = 5;
+  options.num_tenants = 3;
+  options.reports_per_tick = 100;
+  options.faults.drop_rate = 0.01;
+  options.faults.duplicate_rate = 0.02;
+  options.faults.reorder_rate = 0.1;
+  options.faults.reorder_delay = 3;
+  options.fault_seed = 9;
+  const auto stream = ReportStream::Create(options).value();
+  ServiceOptions base;
+  base.num_workers = 3;
+  base.checkpoint_path = "kept";
+  const ServiceOptions wired = stream.MakeServiceOptions(base);
+  // Checkpoints written before the stream owned this wiring carry this
+  // exact tag; it must not drift.
+  EXPECT_EQ(wired.digest_tag,
+            "stream freq enc=olh duchi n=1000 eps=2.5 m=2 seed=5 t=3 rpt=100 "
+            "drop=0.01 dup=0.02 reord=0.10000000000000001 delay=3 fseed=9");
+  EXPECT_EQ(wired.num_dims, 12u);  // q * c one-hot entries
+  EXPECT_EQ(wired.expected_entries, 6u);
+  const auto olh = freq::OlhParams::FromEpsilon(2.5 / 2).value();
+  EXPECT_EQ(wired.output_lo, olh.EntryValue(false));
+  EXPECT_EQ(wired.output_hi, olh.EntryValue(true));
+  EXPECT_EQ(wired.codec.encoding, protocol::ReportEncoding::kOlh);
+  EXPECT_EQ(wired.codec.report_dims, 2u);
+  EXPECT_EQ(wired.codec.num_questions, 4u);
+  EXPECT_EQ(wired.codec.num_categories, 3u);
+  EXPECT_EQ(wired.num_workers, 3u);
+  EXPECT_EQ(wired.checkpoint_path, "kept");
+}
+
 TEST(ServiceTest, ReplayPublishesRollingWindowsAndReconciles) {
   ReportStreamOptions stream_options;
   stream_options.num_reports = 600;
@@ -259,7 +286,7 @@ TEST(ServiceTest, ReplayPublishesRollingWindowsAndReconciles) {
   stream_options.seed = 5;
   stream_options.reports_per_tick = 100;
   auto stream = ReportStream::Create(stream_options).value();
-  ServiceOptions options = OptionsFor(stream, stream_options);
+  ServiceOptions options = stream.MakeServiceOptions();
   options.window.width = 2;
   auto service = AggregationService::Create(options).value();
   ASSERT_TRUE(Drive(service.get(), &stream, 100).ok());
@@ -279,7 +306,7 @@ TEST(ServiceTest, ReplayPublishesRollingWindowsAndReconciles) {
 
 TEST(ServiceTest, ConcurrentBlockingIngestMatchesReplayBitForBit) {
   ReportStreamOptions stream_options;
-  stream_options.workload = StreamWorkload::kFreq;
+  stream_options.workload = protocol::Workload::kFrequency;
   stream_options.mechanism = "piecewise";
   stream_options.num_reports = 800;
   stream_options.num_dims = 4;  // questions
@@ -291,7 +318,7 @@ TEST(ServiceTest, ConcurrentBlockingIngestMatchesReplayBitForBit) {
   stream_options.reports_per_tick = 200;
 
   auto replay_stream = ReportStream::Create(stream_options).value();
-  ServiceOptions replay_options = OptionsFor(replay_stream, stream_options);
+  ServiceOptions replay_options = replay_stream.MakeServiceOptions();
   replay_options.window.width = 1;
   replay_options.num_workers = 1;
   replay_options.overload = OverloadPolicy::kBlock;
@@ -299,7 +326,7 @@ TEST(ServiceTest, ConcurrentBlockingIngestMatchesReplayBitForBit) {
   ASSERT_TRUE(Drive(replay.get(), &replay_stream, 200).ok());
 
   auto serve_stream = ReportStream::Create(stream_options).value();
-  ServiceOptions serve_options = OptionsFor(serve_stream, stream_options);
+  ServiceOptions serve_options = serve_stream.MakeServiceOptions();
   serve_options.window.width = 1;
   serve_options.num_workers = 4;
   serve_options.overload = OverloadPolicy::kBlock;
@@ -457,7 +484,7 @@ TEST(ServiceTest, KillAndRestoreRepublishesBitIdenticalEstimates) {
 
     // Reference: the uninterrupted run.
     auto ref_stream = ReportStream::Create(stream_options).value();
-    ServiceOptions base = OptionsFor(ref_stream, stream_options);
+    ServiceOptions base = ref_stream.MakeServiceOptions();
     base.window.width = 2;
     base.window.lateness = 1;
     base.num_workers = workers;
@@ -559,7 +586,10 @@ TEST(ServiceTest, CheckpointFileBytesArePinned) {
   stream_options.reports_per_tick = 50;
   stream_options.faults.duplicate_rate = 0.05;
   auto stream = ReportStream::Create(stream_options).value();
-  ServiceOptions options = OptionsFor(stream, stream_options);
+  ServiceOptions options = stream.MakeServiceOptions();
+  // Recorded with a default (codec-less) codec configuration, which the
+  // digest hashes; the numeric payloads ignore it either way.
+  options.codec = PayloadCodecOptions();
   options.window.width = 2;
   options.window.lateness = 1;
   options.num_workers = 1;
@@ -605,7 +635,7 @@ TEST(ServiceTest, FaultedDeliveryMatchesCleanEstimatesWhenLossless) {
 
   auto clean_stream = ReportStream::Create(clean_options).value();
   auto faulty_stream = ReportStream::Create(faulty_options).value();
-  ServiceOptions options = OptionsFor(clean_stream, clean_options);
+  ServiceOptions options = clean_stream.MakeServiceOptions();
   options.window.width = 1;
   // The driver advances the watermark by emitted position, and
   // duplicates inflate the faulty stream's position ~20% past event
@@ -714,7 +744,7 @@ TEST(ServiceTest, QuarantineIsWorkerCountInvariantAndSurvivesRestore) {
   ServiceStats baseline_stats;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     auto ref_stream = ReportStream::Create(stream_options).value();
-    ServiceOptions base = OptionsFor(ref_stream, stream_options);
+    ServiceOptions base = ref_stream.MakeServiceOptions();
     base.window.width = 2;
     base.window.lateness = 1;
     base.num_workers = workers;
@@ -791,7 +821,7 @@ TEST(ServiceTest, FailedSnapshotDegradesWithoutTouchingEstimates) {
 
   // Reference: same stream, no snapshotting at all.
   auto clean_stream = ReportStream::Create(stream_options).value();
-  ServiceOptions clean_options = OptionsFor(clean_stream, stream_options);
+  ServiceOptions clean_options = clean_stream.MakeServiceOptions();
   clean_options.window.width = 2;
   auto clean = AggregationService::Create(clean_options).value();
   ASSERT_TRUE(Drive(clean.get(), &clean_stream, 100).ok());

@@ -317,6 +317,21 @@ Status CheckRates(std::initializer_list<double> rates, const char* family) {
   return Status::OK();
 }
 
+// The compact encodings carry no value mechanism: an explicit
+// --mechanism beside one would be silently ignored, so it is refused.
+Status CheckMechanismFlag(const Flags& flags,
+                          hdldp::protocol::ReportEncoding encoding) {
+  using hdldp::protocol::ReportEncoding;
+  if (flags.Has("mechanism") && encoding != ReportEncoding::kDense &&
+      encoding != ReportEncoding::kSampled) {
+    return Status::InvalidArgument(
+        std::string("--mechanism does not apply to --encoding=") +
+        hdldp::protocol::ReportEncodingName(encoding) +
+        " (compact encodings carry no value mechanism)");
+  }
+  return Status::OK();
+}
+
 // The run-control group, straight into the options' engine::RunControl.
 Status ReadRunControl(Flags* flags, hdldp::engine::RunControl* control) {
   HDLDP_RETURN_NOT_OK(flags->Read(
@@ -532,6 +547,7 @@ Status RunMean(Flags flags) {
                                   {"gate", &gate},
                                   {"print-estimate", &print_estimate},
                                   {"encoding", &opts.encoding}}));
+  HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, opts.encoding));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   Population population;
@@ -624,6 +640,7 @@ Status RunFreq(Flags flags) {
                                   {"sampled", &opts.report_dims},
                                   {"threads", &opts.num_threads},
                                   {"encoding", &opts.encoding}}));
+  HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, opts.encoding));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   HDLDP_ASSIGN_OR_RETURN(source_flags.schema,
@@ -823,6 +840,7 @@ Status RunServe(Flags flags, bool replay) {
        {"window-slide", &service_options.window.slide},
        {"window-lateness", &service_options.window.lateness},
        {"max-invalid-per-tenant", &service_options.max_invalid_per_tenant}}));
+  HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, stream_options.encoding));
   // The stream generator emits per-report scalar Rng streams — the v1
   // contract. v2/v3 name the engine's lane/batched contracts, which have
   // no per-report envelope form; refusing them loudly mirrors the freq
@@ -834,11 +852,11 @@ Status RunServe(Flags flags, bool replay) {
         "with no per-report envelope form)");
   }
   if (workload_name == "mean") {
-    stream_options.workload = hdldp::service::StreamWorkload::kMean;
+    stream_options.workload = hdldp::protocol::Workload::kMean;
     stream_options.num_dims = 8;
     HDLDP_RETURN_NOT_OK(flags.Read({{"dims", &stream_options.num_dims}}));
   } else if (workload_name == "freq") {
-    stream_options.workload = hdldp::service::StreamWorkload::kFreq;
+    stream_options.workload = hdldp::protocol::Workload::kFrequency;
     stream_options.num_dims = 4;
     stream_options.num_categories = 4;
     HDLDP_RETURN_NOT_OK(
@@ -877,40 +895,9 @@ Status RunServe(Flags flags, bool replay) {
   HDLDP_ASSIGN_OR_RETURN(
       hdldp::service::ReportStream stream,
       hdldp::service::ReportStream::Create(stream_options));
-  service_options.num_dims = stream.service_dims();
-  service_options.domain_map = stream.domain_map();
-  service_options.expected_entries = stream.expected_entries();
-  service_options.output_lo = stream.output_lo();
-  service_options.output_hi = stream.output_hi();
-  service_options.per_report_epsilon = service_options.tenant_epsilon > 0.0
-                                           ? stream.per_report_epsilon()
-                                           : 0.0;
-  service_options.codec = stream.CodecOptions();
-  // Everything that defines the stream (and hence the estimates) is in
-  // the digest tag; worker count / queue capacity / overload policy are
-  // deliberately absent — estimates are invariant to them, so a serve
-  // checkpoint restores under replay and vice versa.
-  {
-    char tag[256];
-    std::snprintf(tag, sizeof(tag),
-                  "stream %s enc=%s %s n=%llu eps=%.17g m=%zu seed=%llu "
-                  "t=%llu rpt=%llu drop=%.17g dup=%.17g reord=%.17g "
-                  "delay=%zu fseed=%llu",
-                  workload_name.c_str(),
-                  hdldp::protocol::ReportEncodingName(stream_options.encoding),
-                  stream_options.mechanism.c_str(),
-                  static_cast<unsigned long long>(stream_options.num_reports),
-                  stream_options.epsilon, stream_options.report_dims,
-                  static_cast<unsigned long long>(stream_options.seed),
-                  static_cast<unsigned long long>(stream_options.num_tenants),
-                  static_cast<unsigned long long>(
-                      stream_options.reports_per_tick),
-                  stream_options.faults.drop_rate,
-                  stream_options.faults.duplicate_rate,
-                  stream_options.faults.reorder_rate,
-                  stream_options.faults.reorder_delay,
-                  static_cast<unsigned long long>(stream_options.fault_seed));
-    service_options.digest_tag = tag;
+  service_options = stream.MakeServiceOptions(std::move(service_options));
+  if (service_options.tenant_epsilon > 0.0) {
+    service_options.per_report_epsilon = stream.per_report_epsilon();
   }
 
   const hdldp::service::WindowConfig window = service_options.window;
@@ -971,28 +958,24 @@ Status RunServe(Flags flags, bool replay) {
   HDLDP_RETURN_NOT_OK(service->VerifyReconciliation());
 
   const hdldp::service::ServiceStats s = service->Stats();
-  std::printf(
-      "stats submitted=%llu accepted=%llu accepted_payload_bytes=%llu "
-      "deduped=%llu shed_queue_full=%llu "
-      "shed_late=%llu shed_quarantined=%llu rejected_malformed=%llu "
-      "rejected_invalid=%llu rejected_budget=%llu quarantined_tenants=%llu "
-      "failed_snapshots=%llu degraded=%d published_windows=%llu "
-      "published_reports=%llu\n",
-      static_cast<unsigned long long>(s.submitted),
-      static_cast<unsigned long long>(s.accepted),
-      static_cast<unsigned long long>(s.accepted_payload_bytes),
-      static_cast<unsigned long long>(s.deduped),
-      static_cast<unsigned long long>(s.shed_queue_full),
-      static_cast<unsigned long long>(s.shed_late),
-      static_cast<unsigned long long>(s.shed_quarantined),
-      static_cast<unsigned long long>(s.rejected_malformed),
-      static_cast<unsigned long long>(s.rejected_invalid),
-      static_cast<unsigned long long>(s.rejected_budget),
-      static_cast<unsigned long long>(s.quarantined_tenants),
-      static_cast<unsigned long long>(s.failed_snapshots),
-      s.degraded ? 1 : 0,
-      static_cast<unsigned long long>(s.published_windows),
-      static_cast<unsigned long long>(s.published_reports));
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"submitted", s.submitted}, {"accepted", s.accepted},
+      {"accepted_payload_bytes", s.accepted_payload_bytes},
+      {"deduped", s.deduped}, {"shed_queue_full", s.shed_queue_full},
+      {"shed_late", s.shed_late}, {"shed_quarantined", s.shed_quarantined},
+      {"rejected_malformed", s.rejected_malformed},
+      {"rejected_invalid", s.rejected_invalid},
+      {"rejected_budget", s.rejected_budget},
+      {"quarantined_tenants", s.quarantined_tenants},
+      {"failed_snapshots", s.failed_snapshots},
+      {"degraded", s.degraded ? 1u : 0u},
+      {"published_windows", s.published_windows},
+      {"published_reports", s.published_reports}};
+  std::printf("stats");
+  for (const auto& [name, value] : counters) {
+    std::printf(" %s=%llu", name, static_cast<unsigned long long>(value));
+  }
+  std::printf("\n");
   std::printf("stream dropped=%llu duplicated=%llu reordered=%llu\n",
               static_cast<unsigned long long>(stream.dropped()),
               static_cast<unsigned long long>(stream.duplicated()),
