@@ -30,8 +30,8 @@ enum class StatusCode : int {
   /// The operation is recognized but not implemented.
   kNotImplemented = 6,
   /// A transient failure (I/O hiccup, injected fault): retrying the same
-  /// operation may succeed. The engine's RetryPolicy retries exactly this
-  /// code.
+  /// operation may succeed. data::PullChunk's RetryPolicy retries exactly
+  /// this code.
   kUnavailable = 7,
   /// Stored data is corrupt or unrecoverable (checksum mismatch,
   /// truncated payload, interrupted write). Retrying will not help;

@@ -3,7 +3,10 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <optional>
+#include <thread>
 
 #include "common/math.h"
 
@@ -57,11 +60,51 @@ Status CheckChunkIndex(const ChunkSource& source, std::size_t chunk) {
 }  // namespace
 
 Result<std::vector<double>> ChunkSource::TrueMean() const {
-  return SurvivingMean(*this, {});
+  return SurvivingMean(*this, {}, RetryPolicy{});
+}
+
+Result<std::span<const double>> PullChunk(const ChunkSource& source,
+                                          std::size_t chunk,
+                                          ChunkBuffer* buffer,
+                                          const RetryPolicy& retry) {
+  const auto clock_now_ms = [&]() -> std::uint64_t {
+    if (retry.now_ms) return retry.now_ms();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  };
+  const int max_attempts = std::max(1, retry.max_attempts);
+  std::optional<std::uint64_t> retry_epoch_ms;
+  for (int attempt = 1;; ++attempt) {
+    Result<std::span<const double>> rows = source.Chunk(chunk, buffer);
+    if (rows.ok() || rows.status().code() != StatusCode::kUnavailable ||
+        attempt == max_attempts) {
+      return rows;
+    }
+    if (retry.max_total_backoff_ms > 0) {
+      const std::uint64_t now = clock_now_ms();
+      if (!retry_epoch_ms.has_value()) {
+        retry_epoch_ms = now;  // Deadline arms at the first failure.
+      } else if (now - *retry_epoch_ms >= retry.max_total_backoff_ms) {
+        return rows;  // Out of wall-clock budget: fail as-is, no retry.
+      }
+    }
+    const std::uint64_t backoff_ms =
+        retry.initial_backoff_ms == 0
+            ? 0
+            : retry.initial_backoff_ms << (static_cast<unsigned>(attempt) - 1);
+    if (retry.sleep) {
+      retry.sleep(backoff_ms);
+    } else if (backoff_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    }
+  }
 }
 
 Result<std::vector<double>> SurvivingMean(
-    const ChunkSource& source, const std::vector<std::size_t>& quarantined) {
+    const ChunkSource& source, const std::vector<std::size_t>& quarantined,
+    const RetryPolicy& retry) {
   const std::size_t d = source.num_dims();
   const std::size_t n = source.SurvivingUsers(quarantined);
   if (n == 0 || d == 0) {
@@ -73,7 +116,7 @@ Result<std::vector<double>> SurvivingMean(
   // exactly the order Dataset::TrueMean visits them — same bits.
   NeumaierColumns sums(d);
   HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
-      source, quarantined, [&](std::span<const double> rows) {
+      source, quarantined, retry, [&](std::span<const double> rows) {
         sums.AddRows(rows);
         return true;
       }));

@@ -31,6 +31,7 @@
 #define HDLDP_DATA_CHUNK_SOURCE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -187,14 +188,56 @@ class TransformedChunkSource final : public ChunkSource {
   std::function<double(double)> transform_;
 };
 
+/// \brief Retry behaviour for transient chunk faults.
+///
+/// A chunk pull that fails with StatusCode::kUnavailable — an I/O
+/// hiccup, an injected transient fault — is re-pulled up to max_attempts
+/// total attempts with exponential backoff (PullChunk). Retries are
+/// invisible to estimates: a pull touches no random stream, so a run with
+/// recovered transient faults is bit-identical to a fault-free run. Any
+/// other error code fails (or, in the engine, quarantines) immediately.
+struct RetryPolicy {
+  /// Total attempts per chunk pull; 1 means no retry.
+  int max_attempts = 1;
+  /// Backoff before retry k (1-based count of failures so far):
+  /// initial_backoff_ms << (k - 1) milliseconds. 0 retries immediately.
+  std::uint64_t initial_backoff_ms = 0;
+  /// Overall wall-clock retry deadline per pull in milliseconds; 0 means
+  /// unlimited. The deadline arms at the pull's first failure; once that
+  /// much time has elapsed no further retries are scheduled (the pull
+  /// fails as if the last attempt had just run), so a persistent outage
+  /// cannot hold a run hostage for the full exponential ladder. Retries
+  /// that do run stay bit-identical — the deadline only cuts the ladder
+  /// short, never alters an attempt.
+  std::uint64_t max_total_backoff_ms = 0;
+  /// Injectable sleep, so tests assert the backoff sequence without
+  /// wall-clock waits. Defaults (nullptr) to std::this_thread sleep.
+  std::function<void(std::uint64_t backoff_ms)> sleep;
+  /// Injectable monotonic clock in milliseconds for the
+  /// max_total_backoff_ms deadline. Defaults (nullptr) to
+  /// std::chrono::steady_clock.
+  std::function<std::uint64_t()> now_ms;
+};
+
+/// \brief source.Chunk(chunk, buffer) under `retry`: the one chunk pull
+/// of a run. The estimate pass (engine::ChunkedEstimation::ChunkRows)
+/// and every reference pass (ForEachSurvivingChunk) pull through it, so
+/// a chunk a reference pass reads first — e.g. one a resumed run took
+/// from its checkpoint — recovers exactly as the estimate pass would.
+/// Safe to call concurrently with distinct buffers, like Chunk().
+Result<std::span<const double>> PullChunk(const ChunkSource& source,
+                                          std::size_t chunk,
+                                          ChunkBuffer* buffer,
+                                          const RetryPolicy& retry);
+
 /// \brief Calls visit(rows) with the rows of each chunk of `source` outside
-/// `quarantined` (distinct chunk indices, sorted ascending), in chunk
-/// order, until visit returns false. The pass a ground truth or marginal
-/// takes over exactly the users an estimate covers.
+/// `quarantined` (distinct chunk indices, sorted ascending), pulled under
+/// `retry`, in chunk order, until visit returns false. The pass a ground
+/// truth or marginal takes over exactly the users an estimate covers.
 template <typename Visit>
 Status ForEachSurvivingChunk(const ChunkSource& source,
                              const std::vector<std::size_t>& quarantined,
-                             Visit visit) {
+                             const RetryPolicy& retry, Visit visit) {
   ChunkBuffer buffer;
   std::size_t next_quarantined = 0;
   for (std::size_t c = 0; c < source.num_chunks(); ++c) {
@@ -204,19 +247,20 @@ Status ForEachSurvivingChunk(const ChunkSource& source,
       continue;
     }
     HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           source.Chunk(c, &buffer));
+                           PullChunk(source, c, &buffer, retry));
     if (!visit(rows)) break;
   }
   return Status::OK();
 }
 
 /// \brief Per-dimension mean of the users outside `quarantined` (as for
-/// ForEachSurvivingChunk), one compensated sum per column in user order:
-/// the ground truth of an estimate that skipped those chunks. With
-/// nothing quarantined this is ChunkSource::TrueMean's streaming pass.
-/// FailedPrecondition when no user survives.
+/// ForEachSurvivingChunk, pulled under `retry`), one compensated sum per
+/// column in user order: the ground truth of an estimate that skipped
+/// those chunks. With nothing quarantined this is ChunkSource::TrueMean's
+/// streaming pass. FailedPrecondition when no user survives.
 Result<std::vector<double>> SurvivingMean(
-    const ChunkSource& source, const std::vector<std::size_t>& quarantined);
+    const ChunkSource& source, const std::vector<std::size_t>& quarantined,
+    const RetryPolicy& retry);
 
 /// \brief Copies rows [first_row, first_row + row_count) of `source` into
 /// a flat row-major vector (row_count * num_dims doubles). For small

@@ -5,10 +5,13 @@
 // injected fault:
 //
 //   * kTransient  — the chunk's first `failing_attempts` pulls return
-//     Unavailable; later pulls succeed. Models an I/O hiccup; the
-//     engine's RetryPolicy (engine/run_control.h) recovers these
-//     and the run's estimate is bit-identical to a fault-free run,
-//     because retries re-pull the chunk but never touch its RNG stream.
+//     Unavailable; later pulls succeed. Models an I/O hiccup; every pull
+//     of a run goes through data::PullChunk under the run's RetryPolicy,
+//     which recovers these wherever they surface — in the estimate pass
+//     or in a reference pass that reads the chunk first (e.g. after a
+//     resume) — and the run's estimate and scores are bit-identical to a
+//     fault-free run's, because a retry re-pulls the chunk but never
+//     touches its RNG stream.
 //   * kPersistent — every pull returns DataLoss. Models an
 //     unrecoverable bad sector; without the engine's explicit
 //     allow-missing-chunks opt-in the run fails cleanly naming the
@@ -20,9 +23,9 @@
 //
 // Determinism: faults are keyed by (chunk, attempt) only. Attempt
 // counters are per-chunk atomics, so the schedule replays identically
-// at any thread count — the engine pulls each chunk the same number of
-// times in the same per-chunk order regardless of how chunks interleave
-// across workers. FaultSchedule::Random derives a schedule from a seed
+// at any thread count — each pull retries the same number of times in
+// the same per-chunk order regardless of how chunks interleave across
+// workers. FaultSchedule::Random derives a schedule from a seed
 // with one SplitMix64 draw per chunk, so tests and CI can name an
 // entire fault pattern with a single integer.
 //
@@ -30,8 +33,9 @@
 // ground truth of a run that covered every chunk measures the data, not
 // the injected failure model. A run that quarantined chunks instead takes
 // its ground truth and its HDR4ME marginals over the surviving chunks
-// only (data::ForEachSurvivingChunk), pulled through this wrapper, so no
-// reference pass reads a chunk the estimate skipped.
+// only (data::ForEachSurvivingChunk), pulled through this wrapper under
+// the same retry policy, so no reference pass reads a chunk the estimate
+// skipped.
 
 #ifndef HDLDP_DATA_FAULT_INJECTION_H_
 #define HDLDP_DATA_FAULT_INJECTION_H_

@@ -33,7 +33,7 @@ Result<std::span<const double>> ChunkedEstimation::ChunkRows(
   // the same thread, and a body is done with the previous span before
   // its next pull.
   static thread_local data::ChunkBuffer buffer;
-  return source_->Chunk(range.chunk, &buffer);
+  return data::PullChunk(*source_, range.chunk, &buffer, control_.retry);
 }
 
 ChunkRange ChunkedEstimation::Range(std::size_t c) const {

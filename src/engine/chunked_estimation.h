@@ -135,10 +135,12 @@ class ChunkedEstimation {
   ChunkRange Range(std::size_t c) const;
 
   /// \brief The bound source's rows for `range` (row-major,
-  /// range.num_users() x d), pulled through the calling worker's
-  /// thread-local buffer — valid until that worker's next ChunkRows
-  /// call, i.e. for the current chunk body. Requires the source-bound
-  /// constructor. Index the span by (user - range.begin).
+  /// range.num_users() x d), pulled under control().retry
+  /// (data::PullChunk) through the calling worker's thread-local buffer —
+  /// valid until that worker's next ChunkRows call, i.e. for the current
+  /// chunk body. Requires the source-bound constructor. Index the span by
+  /// (user - range.begin). A retried pull touches no random stream, so
+  /// each chunk body runs once.
   Result<std::span<const double>> ChunkRows(const ChunkRange& range) const;
 
   /// \brief The chunk's four perturbation lane streams (kV2Lanes): lane l
@@ -161,8 +163,8 @@ class ChunkedEstimation {
   /// \brief Runs `body(range, scratch)` for every chunk and reduces the
   /// scratches through the deterministic two-level tree (engine/
   /// reduce.h), bounded by the run's num_threads workers and honouring
-  /// control().retry and control().allow_missing_chunks (the quarantined
-  /// chunk indices land in *quarantined, sorted, when non-null).
+  /// control().allow_missing_chunks (the quarantined chunk indices land
+  /// in *quarantined, sorted, when non-null).
   /// `make_acc` is `() -> Result<Acc>`; `body` is `(const ChunkRange&,
   /// Acc*) -> Status` and may run concurrently across chunks (scratches
   /// are per-worker). `hooks` drive checkpoint/resume (engine/reduce.h).

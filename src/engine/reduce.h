@@ -15,12 +15,9 @@
 #define HDLDP_ENGINE_REDUCE_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -110,12 +107,15 @@ inline ReductionGeometry GroupGeometry(std::size_t num_chunks) {
 /// chunk's Status is returned (by lowest group; later chunks of a failed
 /// group are skipped).
 ///
-/// `control` adds fault tolerance: kUnavailable chunk failures retry
-/// per `control.retry`, and under `control.allow_missing_chunks` chunks
-/// that still fail (kUnavailable / kDataLoss) are quarantined — skipped,
-/// collected into *quarantined_out sorted ascending — instead of failing
-/// the run. `hooks` adds checkpoint/resume at group granularity (see
-/// CheckpointHooks); the caller binds them to control.checkpoint_path.
+/// `control` adds fault tolerance: under `control.allow_missing_chunks`
+/// a chunk whose body fails with kUnavailable / kDataLoss is quarantined
+/// — skipped, collected into *quarantined_out sorted ascending — instead
+/// of failing the run. The reduction never retries a body: retrying is a
+/// property of the pull (data::PullChunk under `control.retry`, which
+/// ChunkedEstimation::ChunkRows applies), so a body sees a transient
+/// fault only once its pull has exhausted the retry ladder. `hooks` adds
+/// checkpoint/resume at group granularity (see CheckpointHooks); the
+/// caller binds them to control.checkpoint_path.
 template <typename Acc, typename MakeAcc, typename Body>
 Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
                                   std::size_t max_concurrency,
@@ -135,7 +135,6 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
     HDLDP_ASSIGN_OR_RETURN(Acc local, make_acc());
     group_locals.push_back(std::move(local));
   }
-  const int max_attempts = std::max(1, control.retry.max_attempts);
   ThreadPool::Shared().ParallelFor(
       0, geometry.num_groups,
       [&](std::size_t g) {
@@ -161,54 +160,17 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
             done = checkpoint.chunks_done;
           }
         }
-        // One scratch per group task, reset between chunks (and between
-        // retry attempts): the live footprint is num_groups + in-flight
-        // scratches, not num_chunks.
+        // One scratch per group task, reset between chunks: the live
+        // footprint is num_groups + in-flight scratches, not num_chunks.
         auto scratch_or = make_acc();
         if (!scratch_or.ok()) {
           statuses[g] = scratch_or.status();
           return;
         }
         Acc scratch = std::move(scratch_or).value();
-        const auto clock_now_ms = [&]() -> std::uint64_t {
-          if (control.retry.now_ms) return control.retry.now_ms();
-          return static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now().time_since_epoch())
-                  .count());
-        };
         for (std::size_t c = begin + done; c < end; ++c) {
-          Status status;
-          std::optional<std::uint64_t> retry_epoch_ms;
-          for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-            scratch.Reset();
-            status = body(c, &scratch);
-            if (status.ok() ||
-                status.code() != StatusCode::kUnavailable ||
-                attempt == max_attempts) {
-              break;
-            }
-            if (control.retry.max_total_backoff_ms > 0) {
-              const std::uint64_t now = clock_now_ms();
-              if (!retry_epoch_ms.has_value()) {
-                retry_epoch_ms = now;  // Deadline arms at the first failure.
-              } else if (now - *retry_epoch_ms >=
-                         control.retry.max_total_backoff_ms) {
-                break;  // Out of wall-clock budget: fail as-is, no retry.
-              }
-            }
-            const std::uint64_t backoff_ms =
-                control.retry.initial_backoff_ms == 0
-                    ? 0
-                    : control.retry.initial_backoff_ms
-                          << (static_cast<unsigned>(attempt) - 1);
-            if (control.retry.sleep) {
-              control.retry.sleep(backoff_ms);
-            } else if (backoff_ms > 0) {
-              std::this_thread::sleep_for(
-                  std::chrono::milliseconds(backoff_ms));
-            }
-          }
+          scratch.Reset();
+          const Status status = body(c, &scratch);
           if (!status.ok()) {
             const bool quarantinable =
                 status.code() == StatusCode::kUnavailable ||
@@ -248,9 +210,9 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
   return global;
 }
 
-/// \brief The plain reduction: no retries, no quarantine, no
-/// checkpointing. Kept as the default entry point so workloads that
-/// need none of the fault-tolerance machinery pay none of it.
+/// \brief The plain reduction: no quarantine, no checkpointing. Kept as
+/// the default entry point so workloads that need none of the
+/// fault-tolerance machinery pay none of it.
 template <typename Acc, typename MakeAcc, typename Body>
 Result<Acc> ReduceChunks(std::size_t num_chunks, std::size_t max_concurrency,
                          MakeAcc&& make_acc, Body&& body) {

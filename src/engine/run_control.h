@@ -5,53 +5,26 @@
 // quarantined or checkpointed. Those controls are declared once here,
 // inherited by each statistic's options struct (protocol::
 // PipelineOptions, freq::FrequencyOptions, hdr4me::VarianceOptions) and
-// handed unchanged down to engine::ReduceChunksResumable. The carve-outs
-// (which statistic/encoding/scheme combinations may checkpoint) live in
-// one place too: protocol::ValidateRunControl.
+// handed unchanged to engine::ChunkedEstimation. The retry policy is a
+// property of pulling a chunk, not of reducing one: every pull of a run
+// — the estimate pass's and each reference pass's (ground truth, HDR4ME
+// marginals) — retries through data::PullChunk under `retry`, while the
+// reduction (engine::ReduceChunksResumable) only quarantines and
+// checkpoints. The carve-outs (which statistic/encoding/scheme
+// combinations may checkpoint) live in one place too:
+// protocol::ValidateRunControl.
 
 #ifndef HDLDP_ENGINE_RUN_CONTROL_H_
 #define HDLDP_ENGINE_RUN_CONTROL_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/rng.h"
+#include "data/chunk_source.h"
 
 namespace hdldp {
 namespace engine {
-
-/// \brief Retry behaviour for transient chunk faults.
-///
-/// A chunk body that fails with StatusCode::kUnavailable — an I/O
-/// hiccup, an injected transient fault — is retried up to max_attempts
-/// total attempts with exponential backoff. Retries are invisible to
-/// estimates: the scratch accumulator is Reset() before every attempt
-/// and the body re-derives all random streams from the chunk seed, so a
-/// run with recovered transient faults is bit-identical to a fault-free
-/// run. Any other error code fails (or quarantines) immediately.
-struct RetryPolicy {
-  /// Total attempts per chunk; 1 means no retry.
-  int max_attempts = 1;
-  /// Backoff before retry k (1-based count of failures so far):
-  /// initial_backoff_ms << (k - 1) milliseconds. 0 retries immediately.
-  std::uint64_t initial_backoff_ms = 0;
-  /// Overall wall-clock retry deadline per chunk in milliseconds; 0
-  /// means unlimited. The deadline arms at the chunk's first failure;
-  /// once that much time has elapsed no further retries are scheduled
-  /// (the chunk fails as if the last attempt had just run), so a
-  /// persistent outage cannot hold a run hostage for the full
-  /// exponential ladder. Retries that do run stay bit-identical — the
-  /// deadline only cuts the ladder short, never alters an attempt.
-  std::uint64_t max_total_backoff_ms = 0;
-  /// Injectable sleep, so tests assert the backoff sequence without
-  /// wall-clock waits. Defaults (nullptr) to std::this_thread sleep.
-  std::function<void(std::uint64_t backoff_ms)> sleep;
-  /// Injectable monotonic clock in milliseconds for the
-  /// max_total_backoff_ms deadline. Defaults (nullptr) to
-  /// std::chrono::steady_clock.
-  std::function<std::uint64_t()> now_ms;
-};
 
 /// \brief The statistic-independent controls of one estimation run.
 ///
@@ -75,10 +48,11 @@ struct RunControl {
   /// The compact encodings (oue, olh, hadamard1) follow their own frozen
   /// scalar contract and ignore this field.
   SeedScheme seed_scheme = SeedScheme::kV3Batched;
-  /// Retry policy for transient (kUnavailable) chunk faults.
-  RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// (kUnavailable / kDataLoss) instead of failing the run. Estimates
+  /// Retry policy of every chunk pull of the run (data::PullChunk), for
+  /// transient (kUnavailable) faults.
+  data::RetryPolicy retry;
+  /// Explicit opt-in: quarantine chunks that still fail after their pull's
+  /// retries (kUnavailable / kDataLoss) instead of failing the run. Estimates
   /// then cover the surviving users only — per-dimension averages
   /// already divide by received report counts and ground truths are
   /// recomputed over the same users — and the result names every

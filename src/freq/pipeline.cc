@@ -90,17 +90,19 @@ Status ValidateCategoricalChunk(std::span<const double> rows,
 // bits CategoricalDataset::TrueFrequencies computes resident. Chunks
 // quarantined by the ingestion phase (sorted ascending) are skipped and
 // the mass renormalized over surviving users, so the ground truth covers
-// exactly the population the estimates cover.
+// exactly the population the estimates cover; the rest are pulled under
+// the run's retry policy.
 Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
     const data::ChunkSource& source, const CategoricalSchema& schema,
-    const std::vector<std::size_t>& quarantined) {
+    const std::vector<std::size_t>& quarantined,
+    const data::RetryPolicy& retry) {
   const std::size_t d = schema.num_dims();
   std::vector<std::vector<double>> freqs(d);
   for (std::size_t j = 0; j < d; ++j) {
     freqs[j].assign(schema.Cardinality(j), 0.0);
   }
   HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-      source, quarantined, [&](std::span<const double> rows) {
+      source, quarantined, retry, [&](std::span<const double> rows) {
         for (std::size_t k = 0; k < rows.size(); k += d) {
           for (std::size_t j = 0; j < d; ++j) {
             freqs[j][static_cast<std::uint32_t>(rows[k + j])] += 1.0;
@@ -150,7 +152,8 @@ Result<FrequencyEstimationResult> FrequencyResult(
   FrequencyEstimationResult result;
   HDLDP_ASSIGN_OR_RETURN(
       result.true_frequencies,
-      SourceTrueFrequencies(source, schema, quarantined_chunks));
+      SourceTrueFrequencies(source, schema, quarantined_chunks,
+                            options.retry));
   result.surviving_users = source.SurvivingUsers(quarantined_chunks);
   result.quarantined_chunks = std::move(quarantined_chunks);
   result.raw = Unflatten(raw_flat, schema);

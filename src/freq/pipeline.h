@@ -35,7 +35,7 @@ namespace freq {
 /// Configuration of a frequency-estimation run. The run controls (seed,
 /// seed_scheme, retry, allow_missing_chunks, checkpoint_path) are
 /// engine::RunControl's, documented there; under kV1Scalar the serial
-/// loop fails on the first chunk fault regardless of retry/quarantine.
+/// loop retries pulls like every run but cannot quarantine or checkpoint.
 struct FrequencyOptions : engine::RunControl {
   /// Collective per-user privacy budget.
   double total_epsilon = 1.0;

@@ -146,7 +146,8 @@ Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
     const data::ChunkSource& source,
     const std::vector<std::size_t>& quarantined, std::size_t report_dims,
     const mech::Mechanism& mechanism, double eps_per_dim,
-    const mech::Interval& data_domain, std::size_t max_concurrency) {
+    const mech::Interval& data_domain, std::size_t max_concurrency,
+    const data::RetryPolicy& retry) {
   const std::size_t d = source.num_dims();
   const std::size_t surviving = source.SurvivingUsers(quarantined);
   if (surviving == 0 || d == 0) {
@@ -158,7 +159,7 @@ Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
   std::vector<double> marginals;
   marginals.reserve(rows * d);
   HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-      source, quarantined, [&](std::span<const double> chunk) {
+      source, quarantined, retry, [&](std::span<const double> chunk) {
         const std::size_t take =
             std::min(chunk.size(), rows * d - marginals.size());
         marginals.insert(marginals.end(), chunk.begin(),

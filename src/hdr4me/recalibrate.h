@@ -101,7 +101,8 @@ Result<RecalibrationResult> Recalibrate(
 /// distribution of its first min(surviving, 2000) values outside the
 /// `quarantined` chunks (sorted ascending, as a run reports them), and
 /// r_j = surviving * report_dims / d (report_dims 0 = d). Gathers through
-/// data::ForEachSurvivingChunk and stops pulling once it has enough rows.
+/// data::ForEachSurvivingChunk, pulling under `retry` (a run passes its
+/// own policy), and stops pulling once it has enough rows.
 ///
 /// The dimensions are modelled in blocks of 16 columns on the shared
 /// ThreadPool, each block transposing its columns out of the row-major
@@ -116,7 +117,7 @@ Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
     const std::vector<std::size_t>& quarantined, std::size_t report_dims,
     const mech::Mechanism& mechanism, double eps_per_dim,
     const mech::Interval& data_domain = {-1.0, 1.0},
-    std::size_t max_concurrency = 0);
+    std::size_t max_concurrency = 0, const data::RetryPolicy& retry = {});
 
 /// \brief Theorem 3's lower bound on the probability that HDR4ME-L1
 /// strictly improves the estimate: 1 - P(all |dev_j| <= 1) under the

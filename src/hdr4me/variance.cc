@@ -106,7 +106,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
           MarginalDeviations(half, run.quarantined_chunks,
                              options.report_dims, *mechanism,
                              run.per_dim_epsilon, domain,
-                             mean_opts.num_threads));
+                             mean_opts.num_threads, options.retry));
       HDLDP_ASSIGN_OR_RETURN(
           RecalibrationResult recalibrated,
           Recalibrate(estimate, deviations, options.hdr4me));
@@ -135,9 +135,9 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   // resident-dataset loop (and Dataset::TrueMean) bit for bit.
   const auto for_each_surviving_chunk = [&](const auto& visit) -> Status {
     HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-        values_half, mean_run.quarantined_chunks, visit));
+        values_half, mean_run.quarantined_chunks, options.retry, visit));
     return data::ForEachSurvivingChunk(
-        raw_half_b, square_run.quarantined_chunks, visit);
+        raw_half_b, square_run.quarantined_chunks, options.retry, visit);
   };
   NeumaierColumns sums(d);
   HDLDP_RETURN_NOT_OK(

@@ -217,7 +217,8 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
   } else {
     HDLDP_ASSIGN_OR_RETURN(
         result.true_mean,
-        data::SurvivingMean(source, result.quarantined_chunks));
+        data::SurvivingMean(source, result.quarantined_chunks,
+                            options.retry));
   }
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));

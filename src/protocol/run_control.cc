@@ -14,21 +14,15 @@ Status ValidateRunControl(const engine::RunControl& control,
   const bool oracle =
       encoding == ReportEncoding::kOue || encoding == ReportEncoding::kOlh;
   // The kV1Scalar frequency body pulls chunks in one serial loop with no
-  // retry or quarantine; the oracle encodings never take it.
+  // quarantine (its pulls retry like any run's); the oracle encodings
+  // never take it.
   if (workload == Workload::kFrequency && !oracle &&
-      control.seed_scheme == SeedScheme::kV1Scalar) {
-    if (control.retry.max_attempts > 1) {
-      return Status::InvalidArgument(
-          "--max-attempts needs an engine seed scheme (kV2Lanes or "
-          "kV3Batched) for frequency estimation; the kV1Scalar serial loop "
-          "does not retry");
-    }
-    if (control.allow_missing_chunks) {
-      return Status::InvalidArgument(
-          "--allow-missing-chunks needs an engine seed scheme (kV2Lanes or "
-          "kV3Batched) for frequency estimation; the kV1Scalar serial loop "
-          "does not quarantine");
-    }
+      control.seed_scheme == SeedScheme::kV1Scalar &&
+      control.allow_missing_chunks) {
+    return Status::InvalidArgument(
+        "--allow-missing-chunks needs an engine seed scheme (kV2Lanes or "
+        "kV3Batched) for frequency estimation; the kV1Scalar serial loop "
+        "does not quarantine");
   }
   if (control.checkpoint_path.empty()) return Status::OK();
   if (oracle) {

@@ -26,9 +26,9 @@ namespace protocol {
 ///   * each statistic accepts only its own encodings (CheckEncoding);
 ///   * the frequency-oracle encodings (oue, olh) cannot checkpoint: their
 ///     integer accumulators have no snapshot codec;
-///   * frequency under kV1Scalar cannot checkpoint, retry
-///     (max_attempts > 1) or quarantine (allow_missing_chunks): its
-///     serial loop predates the reduction tree.
+///   * frequency under kV1Scalar cannot checkpoint or quarantine
+///     (allow_missing_chunks): its serial loop predates the reduction
+///     tree. Its pulls retry like every run's (data::PullChunk).
 ///
 /// Every pipeline calls this first, so one configuration fails the same
 /// way whichever statistic it names.

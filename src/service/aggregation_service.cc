@@ -51,8 +51,7 @@ std::vector<unsigned char> BuildDigest(const ServiceOptions& options) {
   digest.AddF64(options.output_hi);
   digest.AddF64(options.domain_map.scale());
   digest.AddF64(options.domain_map.Forward(0.0));
-  digest.AddU64(options.native_bias.size());
-  for (const double b : options.native_bias) digest.AddF64(b);
+  digest.AddU64(0);  // Retired bias-vector length: keeps checkpoints valid.
   // The payload encoding and codec geometry: a checkpoint taken while
   // ingesting OUE payloads must never resume a run decoding OLH ones.
   digest.AddU64(static_cast<std::uint64_t>(options.codec.encoding));
@@ -91,11 +90,6 @@ Result<std::unique_ptr<AggregationService>> AggregationService::Create(
     return Status::InvalidArgument("service requires num_dims > 0");
   }
   HDLDP_RETURN_NOT_OK(options.window.Validate());
-  if (!options.native_bias.empty() &&
-      options.native_bias.size() != options.num_dims) {
-    return Status::InvalidArgument(
-        "native_bias must be empty or have num_dims entries");
-  }
   std::uint64_t budget_capacity = 0;
   if (options.tenant_epsilon > 0.0) {
     if (!(options.per_report_epsilon > 0.0)) {
@@ -419,9 +413,6 @@ Status AggregationService::PublishWindow(std::uint64_t window) {
       protocol::MeanAggregator acc,
       protocol::MeanAggregator::Create(options_.num_dims,
                                        options_.domain_map));
-  if (!options_.native_bias.empty()) {
-    HDLDP_RETURN_NOT_OK(acc.SetBiasCorrection(options_.native_bias));
-  }
   PublishedWindow published;
   published.index = window;
   std::uint64_t report_count = 0;

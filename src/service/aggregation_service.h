@@ -123,8 +123,6 @@ struct ServiceOptions {
   /// Map from the mechanism's native output space back to the data
   /// domain, applied when publishing estimates.
   mech::DomainMap domain_map;
-  /// Optional per-dimension additive bias correction (empty = none).
-  std::vector<double> native_bias;
 
   /// Report validation: entries per report (0 = don't check) and the
   /// admissible native-space value range (infinities = unbounded).

@@ -1,7 +1,7 @@
 // Tests of the fault-tolerance stack: deterministic fault injection
-// (data/fault_injection.h), the engine's retry/backoff and quarantine
-// controls (engine/reduce.h), and their end-to-end contract — a run
-// whose transient faults are all recovered is bit-identical to a
+// (data/fault_injection.h), the retry/backoff of data::PullChunk, the
+// engine's quarantine (engine/reduce.h), and their end-to-end contract —
+// a run whose transient faults are all recovered is bit-identical to a
 // fault-free run, at every thread count.
 
 #include <gtest/gtest.h>

@@ -205,7 +205,7 @@ const CarveOut kCarveOuts[] = {
     {"hadamard1 checkpoint", protocol::ReportEncoding::kHadamard1,
      SeedScheme::kV3Batched, true, kOk, kInvalid, kOk},
     {"dense v1 retry", protocol::ReportEncoding::kDense,
-     SeedScheme::kV1Scalar, false, kOk, kInvalid, kOk, 3},
+     SeedScheme::kV1Scalar, false, kOk, kOk, kOk, 3},
     {"sampled v1 quarantine", protocol::ReportEncoding::kSampled,
      SeedScheme::kV1Scalar, false, kOk, kInvalid, kOk, 1, true},
     {"dense v3 retry quarantine", protocol::ReportEncoding::kDense,
@@ -279,12 +279,6 @@ TEST(RunControlTest, FreqV1RejectionsNameTheFlag) {
   constexpr auto kFrequency = protocol::Workload::kFrequency;
   engine::RunControl control;
   control.seed_scheme = SeedScheme::kV1Scalar;
-  control.retry.max_attempts = 2;
-  const Status retry =
-      protocol::ValidateRunControl(control, kDense, kFrequency);
-  EXPECT_NE(retry.message().find("--max-attempts"), std::string::npos)
-      << retry.ToString();
-  control.retry.max_attempts = 1;
   control.allow_missing_chunks = true;
   const Status quarantine =
       protocol::ValidateRunControl(control, kDense, kFrequency);

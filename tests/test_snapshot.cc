@@ -1,7 +1,9 @@
 // Tests of the checkpoint codec (protocol/snapshot.h) and of
-// checkpoint/resume through the mean pipeline: torn tails are
-// tolerated, digest mismatches are refused, and a run resumed after a
-// mid-run failure finishes bit-identical to an uninterrupted run.
+// checkpoint/resume through the pipelines: torn tails are tolerated,
+// digest mismatches are refused, and a run resumed after a mid-run
+// failure finishes bit-identical to an uninterrupted run — even when a
+// chunk the resumed estimate pass never pulls needs a retry in a
+// reference pass.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "data/generators.h"
 #include "freq/encoding.h"
 #include "freq/pipeline.h"
+#include "hdr4me/variance.h"
 #include "mech/registry.h"
 #include "protocol/pipeline.h"
 #include "protocol/snapshot.h"
@@ -329,6 +332,90 @@ TEST(CheckpointResumeTest, FreqInterruptedRunResumesBitIdentically) {
   EXPECT_TRUE(resumed.resumed_from_checkpoint);
   EXPECT_EQ(resumed.raw, clean.raw);
   EXPECT_EQ(resumed.recalibrated, clean.recalibrated);
+}
+
+// A transient fault on chunk 0 only: one failed pull, then clean ones.
+data::FaultSchedule TransientChunkZero() {
+  data::FaultSchedule schedule;
+  schedule.Add({.kind = data::FaultSpec::Kind::kTransient,
+                .chunk = 0,
+                .failing_attempts = 1});
+  return schedule;
+}
+
+TEST(CheckpointResumeTest, FreqResumeRetriesReferencePasses) {
+  // The resumed run takes chunk 0 from its checkpoint, so the first pull
+  // of chunk 0 — the one the transient fault fails — is the ground-truth
+  // pass's. It must retry under the run's policy like the estimate pass.
+  const auto schema =
+      freq::CategoricalSchema::Create(std::vector<std::size_t>(3, 4)).value();
+  Rng rng(23);
+  const auto dataset =
+      freq::GenerateCategorical(kUsers, schema, 1.0, &rng).value();
+  const freq::CategoricalChunkSource base(&dataset);
+  const std::string path = TempPath("freq_resume_retry");
+
+  freq::FrequencyOptions opts;
+  opts.total_epsilon = 2.0;
+  opts.seed = 6;
+  opts.num_threads = 2;
+  const auto clean =
+      freq::RunFrequencyEstimation(base, schema, Mech(), opts).value();
+
+  data::FaultSchedule crash;
+  crash.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 2});
+  const data::FaultInjectingChunkSource crashing(&base, crash);
+  freq::FrequencyOptions ck_opts = opts;
+  ck_opts.checkpoint_path = path;
+  ASSERT_FALSE(
+      freq::RunFrequencyEstimation(crashing, schema, Mech(), ck_opts).ok());
+
+  const data::FaultInjectingChunkSource flaky(&base, TransientChunkZero());
+  ck_opts.retry.max_attempts = 2;
+  const auto resumed =
+      freq::RunFrequencyEstimation(flaky, schema, Mech(), ck_opts);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed.value().resumed_from_checkpoint);
+  EXPECT_EQ(flaky.attempts(0), 2u);
+  EXPECT_EQ(resumed.value().raw, clean.raw);
+  EXPECT_EQ(resumed.value().recalibrated, clean.recalibrated);
+  EXPECT_EQ(resumed.value().true_frequencies, clean.true_frequencies);
+}
+
+TEST(CheckpointResumeTest, VarianceResumeRetriesReferencePasses) {
+  // Five chunks: the values half holds base chunks 0-2, the squares half
+  // base chunks 2-4. Run 1 dies on base chunk 2 in the values half after
+  // checkpointing its chunks 0 and 1, so in the resumed run chunk 0 is
+  // first pulled by the HDR4ME marginal pass, then by the truth pass.
+  Rng rng(32);
+  const data::Dataset dataset =
+      data::Generate(data::UniformSpec{.num_users = 5 * 4096, .num_dims = 4},
+                     &rng)
+          .value();
+  const data::ResidentChunkSource base(&dataset);
+  const std::string path = TempPath("variance_resume_retry");
+
+  hdr4me::VarianceOptions opts;
+  opts.total_epsilon = 1.0;
+  opts.seed = 8;
+  opts.recalibrate = true;
+  const auto clean = hdr4me::RunVarianceEstimation(base, Mech(), opts).value();
+
+  data::FaultSchedule crash;
+  crash.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 2});
+  const data::FaultInjectingChunkSource crashing(&base, crash);
+  hdr4me::VarianceOptions ck_opts = opts;
+  ck_opts.checkpoint_path = path;
+  ASSERT_FALSE(hdr4me::RunVarianceEstimation(crashing, Mech(), ck_opts).ok());
+
+  const data::FaultInjectingChunkSource flaky(&base, TransientChunkZero());
+  ck_opts.retry.max_attempts = 2;
+  const auto resumed = hdr4me::RunVarianceEstimation(flaky, Mech(), ck_opts);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed.value().resumed_from_checkpoint);
+  EXPECT_EQ(flaky.attempts(0), 4u);  // Marginals: 2 pulls; truth: 2 passes.
+  EXPECT_EQ(resumed.value().estimated_variance, clean.estimated_variance);
+  EXPECT_EQ(resumed.value().true_variance, clean.true_variance);
 }
 
 }  // namespace

@@ -90,11 +90,14 @@
 //       batching, "v2" replays the per-user sampled lane spans and "v1"
 //       the legacy scalar streams, so recorded runs of every era stay
 //       reproducible without recompiling.
-//   --max-attempts=1           total attempts per chunk on transient
-//       (Unavailable) faults; 1 = no retry.
+//   --max-attempts=1           total attempts per chunk pull on transient
+//       (Unavailable) faults; 1 = no retry. Every pull retries alike: the
+//       estimate pass's and each reference pass's (ground truth, HDR4ME
+//       marginals), so a resumed run recovers a faulted chunk it took
+//       from its checkpoint too.
 //   --backoff-ms=0             exponential backoff base: B << (k-1) ms
 //       before retry k.
-//   --max-total-backoff-ms=0   wall-clock retry budget per chunk from its
+//   --max-total-backoff-ms=0   wall-clock retry budget per pull from its
 //       first failure (0 = unlimited).
 //   --allow-missing-chunks     quarantine chunks that still fail after
 //       retries instead of failing the run (the estimate then covers the
@@ -596,7 +599,7 @@ Status RunMean(Flags flags) {
       hdldp::hdr4me::MarginalDeviations(source, run.quarantined_chunks,
                                         report_dims, *mechanism,
                                         run.per_dim_epsilon, {-1.0, 1.0},
-                                        opts.num_threads));
+                                        opts.num_threads, opts.retry));
   HDLDP_ASSIGN_OR_RETURN(const double predicted,
                          hdldp::framework::PredictedMse(deviations));
   std::printf("%-24s %12.6g\n", "framework-predicted MSE", predicted);
