@@ -26,13 +26,14 @@ Result<MeanAggregator> MeanAggregator::Create(
   return MeanAggregator(num_dims, domain_map);
 }
 
-Status MeanAggregator::ConsumeReport(const UserReport& report) {
-  for (const DimensionReport& entry : report.entries) {
+Status MeanAggregator::ConsumeReport(
+    std::span<const DimensionReport> entries) {
+  for (const DimensionReport& entry : entries) {
     if (entry.dimension >= counts_.size()) {
       return Status::OutOfRange("report dimension out of range");
     }
   }
-  for (const DimensionReport& entry : report.entries) {
+  for (const DimensionReport& entry : entries) {
     Consume(entry.dimension, entry.value);
   }
   return Status::OK();

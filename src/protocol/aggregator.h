@@ -39,8 +39,12 @@ class MeanAggregator {
     ++counts_[dimension];
   }
 
-  /// \brief Folds every entry of a report.
-  Status ConsumeReport(const UserReport& report);
+  /// \brief Folds every entry of a report, in entry order; rejects the
+  /// whole report (mutating nothing) if any dimension is out of range.
+  Status ConsumeReport(std::span<const DimensionReport> entries);
+  Status ConsumeReport(const UserReport& report) {
+    return ConsumeReport(std::span<const DimensionReport>(report.entries));
+  }
 
   /// \brief Folds a flat block of scattered entries: `dimensions[k]`
   /// receives `values[k]`. Validates sizes and dimension bounds up front

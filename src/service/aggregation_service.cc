@@ -198,37 +198,61 @@ Status AggregationService::Submit(std::span<const std::uint8_t> bytes) {
     stats_.rejected_malformed.fetch_add(1, std::memory_order_relaxed);
     return envelope.status();
   }
-  const std::size_t worker = GroupOf(envelope.value().tenant) % workers_;
+  BoundedQueue<protocol::ReportEnvelope>& queue =
+      *queues_[GroupOf(envelope.value().tenant) % workers_];
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  bool queued = false;
-  if (options_.overload == OverloadPolicy::kShed) {
-    queued = queues_[worker]->TryPush(std::move(envelope).value());
-    if (!queued) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      stats_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("ingestion queue full: report shed");
-    }
-  } else {
-    queued = queues_[worker]->Push(std::move(envelope).value());
-    if (!queued) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return Status::Unavailable("aggregation service is stopped");
-    }
+  const bool queued = options_.overload == OverloadPolicy::kShed
+                          ? queue.TryPush(std::move(envelope).value())
+                          : queue.Push(std::move(envelope).value());
+  if (queued) return Status::OK();
+  Retire(1);
+  // Either policy's refusal lands in one bucket. A queue refuses an
+  // item for being full (kShed only) or for being closed, and stopped_
+  // is raised before any queue closes.
+  stats_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
+  if (stopped_.load(std::memory_order_acquire)) {
+    return Status::Unavailable("aggregation service is stopped");
   }
-  return Status::OK();
+  return Status::Unavailable("ingestion queue full: report shed");
 }
 
 void AggregationService::WorkerLoop(std::size_t worker) {
-  while (auto item = queues_[worker]->Pop()) {
-    Process(std::move(*item));
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(quiesce_mu_);
-      quiesce_cv_.notify_all();
+  BoundedQueue<protocol::ReportEnvelope>& queue = *queues_[worker];
+  std::vector<protocol::ReportEnvelope> batch;
+  while (queue.PopAll(&batch)) {
+    Accepted accepted;
+    for (const protocol::ReportEnvelope& envelope : batch) {
+      Process(envelope, &accepted);
     }
+    // Published per batch: per-report adds would bounce these shared
+    // cache lines between the workers and the producer.
+    if (accepted.reports > 0) {
+      stats_.accepted.fetch_add(accepted.reports, std::memory_order_relaxed);
+      stats_.accepted_payload_bytes.fetch_add(accepted.payload_bytes,
+                                              std::memory_order_relaxed);
+      any_accepted_.store(true, std::memory_order_release);
+      std::uint64_t seen = max_pane_seen_.load(std::memory_order_relaxed);
+      while (accepted.max_pane > seen &&
+             !max_pane_seen_.compare_exchange_weak(
+                 seen, accepted.max_pane, std::memory_order_acq_rel)) {
+      }
+    }
+    const std::size_t count = batch.size();
+    batch.clear();  // free the payloads outside the queue lock
+    queue.Release(count);
+    Retire(count);
   }
 }
 
-void AggregationService::Process(protocol::ReportEnvelope envelope) {
+void AggregationService::Retire(std::uint64_t count) {
+  if (pending_.fetch_sub(count, std::memory_order_acq_rel) == count) {
+    std::lock_guard<std::mutex> lock(quiesce_mu_);
+    quiesce_cv_.notify_all();
+  }
+}
+
+void AggregationService::Process(const protocol::ReportEnvelope& envelope,
+                                 Accepted* accepted) {
   const std::size_t g = GroupOf(envelope.tenant);
   const std::uint64_t pane = options_.window.PaneOf(envelope.tick);
   GroupState& group = *groups_[g];
@@ -300,17 +324,11 @@ void AggregationService::Process(protocol::ReportEnvelope envelope) {
     ++tenant.accepted;
   }
   tenant.invalid_streak = 0;
-  const std::size_t payload_bytes = envelope.payload.size();
-  group.panes[pane].push_back(BufferedReport{
-      envelope.tenant, envelope.sequence, std::move(report).value()});
-  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-  stats_.accepted_payload_bytes.fetch_add(payload_bytes,
-                                          std::memory_order_relaxed);
-  any_accepted_.store(true, std::memory_order_release);
-  std::uint64_t seen = max_pane_seen_.load(std::memory_order_relaxed);
-  while (pane > seen && !max_pane_seen_.compare_exchange_weak(
-                            seen, pane, std::memory_order_acq_rel)) {
-  }
+  group.panes[pane].Append(envelope.tenant, envelope.sequence,
+                           report.value().entries);
+  ++accepted->reports;
+  accepted->payload_bytes += envelope.payload.size();
+  accepted->max_pane = std::max(accepted->max_pane, pane);
 }
 
 void AggregationService::Quiesce() {
@@ -353,7 +371,7 @@ Status AggregationService::SealAndPublish(std::uint64_t pane_limit) {
       };
       auto body = [this, p](std::size_t g,
                             PaneAccumulator* scratch) -> Status {
-        std::vector<BufferedReport> buffer;
+        PaneBuffer buffer;
         {
           std::lock_guard<std::mutex> lock(groups_[g]->mu);
           auto it = groups_[g]->panes.find(p);
@@ -363,16 +381,20 @@ Status AggregationService::SealAndPublish(std::uint64_t pane_limit) {
           }
         }
         // Processing order across workers is scheduling noise; the fold
-        // order inside a group is pinned here instead.
-        std::sort(buffer.begin(), buffer.end(),
+        // order inside a group is pinned here instead. Dedup makes
+        // (tenant, sequence) unique within a group, so the order is total.
+        std::sort(buffer.reports.begin(), buffer.reports.end(),
                   [](const BufferedReport& a, const BufferedReport& b) {
                     return a.tenant != b.tenant ? a.tenant < b.tenant
                                                 : a.sequence < b.sequence;
                   });
-        for (const BufferedReport& r : buffer) {
-          HDLDP_RETURN_NOT_OK(scratch->agg.ConsumeReport(r.report));
-          ++scratch->reports;
+        const std::span<const protocol::DimensionReport> entries(
+            buffer.entries);
+        for (const BufferedReport& r : buffer.reports) {
+          HDLDP_RETURN_NOT_OK(scratch->agg.ConsumeReport(
+              entries.subspan(r.offset, r.count)));
         }
+        scratch->reports += buffer.reports.size();
         return Status::OK();
       };
       // 64 groups <= kMaxReductionGroups, so the tree degenerates to a
@@ -606,14 +628,14 @@ std::vector<unsigned char> AggregationService::SerializeSnapshot(
     w.U64(group.panes.size());
     for (const auto& [pane, buffer] : group.panes) {
       w.U64(pane);
-      w.U64(buffer.size());
-      for (const BufferedReport& r : buffer) {
+      w.U64(buffer.reports.size());
+      for (const BufferedReport& r : buffer.reports) {
         w.U64(r.tenant);
         w.U64(r.sequence);
-        w.U64(r.report.entries.size());
-        for (const protocol::DimensionReport& entry : r.report.entries) {
-          w.U64(entry.dimension);
-          w.F64(entry.value);
+        w.U64(r.count);
+        for (std::size_t e = r.offset; e < r.offset + r.count; ++e) {
+          w.U64(buffer.entries[e].dimension);
+          w.F64(buffer.entries[e].value);
         }
       }
     }
@@ -734,23 +756,23 @@ Status AggregationService::RestoreSnapshot(
     for (std::uint64_t i = 0; i < pane_buffer_count; ++i) {
       HDLDP_ASSIGN_OR_RETURN(const std::uint64_t pane, r.U64());
       HDLDP_ASSIGN_OR_RETURN(const std::uint64_t report_count, r.U64());
-      std::vector<BufferedReport>& buffer = group.panes[pane];
-      buffer.reserve(std::min<std::uint64_t>(
+      PaneBuffer& buffer = group.panes[pane];
+      buffer.reports.reserve(std::min<std::uint64_t>(
           report_count, r.remaining() / 24));
       for (std::uint64_t j = 0; j < report_count; ++j) {
         BufferedReport report;
         HDLDP_ASSIGN_OR_RETURN(report.tenant, r.U64());
         HDLDP_ASSIGN_OR_RETURN(report.sequence, r.U64());
         HDLDP_ASSIGN_OR_RETURN(const std::uint64_t entries, r.U64());
-        report.report.entries.reserve(std::min<std::uint64_t>(
-            entries, r.remaining() / 16));
+        report.offset = buffer.entries.size();
+        report.count = entries;
         for (std::uint64_t e = 0; e < entries; ++e) {
           HDLDP_ASSIGN_OR_RETURN(const std::uint64_t dim, r.U64());
           HDLDP_ASSIGN_OR_RETURN(const double value, r.F64());
-          report.report.entries.push_back(protocol::DimensionReport{
+          buffer.entries.push_back(protocol::DimensionReport{
               static_cast<std::uint32_t>(dim), value});
         }
-        buffer.push_back(std::move(report));
+        buffer.reports.push_back(report);
       }
     }
   }

@@ -6,14 +6,19 @@
 // Architecture (one box per layer, data flowing left to right):
 //
 //   Submit(bytes) --> per-worker BoundedQueue --> worker threads
-//        |                (backpressure or        (decode, dedup,
-//        |                 accounted shedding)     budget, buffer)
-//        v                                              |
-//   typed Status                                  shard groups
+//        |                (backpressure or        (PopAll a batch, then
+//        |                 accounted shedding;     per report: decode,
+//        |                 capacity counts the     dedup, budget, buffer;
+//        |                 worker's unreleased     Release the batch)
+//        v                 batch)                       |
+//   typed Status                                  shard groups: flat
+//                                                 pane buffers (entry
+//                                                 array + report records)
 //                                                       |
-//   AdvanceWatermark --> seal panes: sort + fold each group's buffer,
-//                        reduce the 64 group partials through
-//                        engine::ReduceChunks with MergeState
+//   AdvanceWatermark --> seal panes: sort each group's report records,
+//                        fold their entries from the array, reduce the
+//                        64 group partials through engine::ReduceChunks
+//                        with MergeState
 //                             |
 //                             v
 //                   pane aggregates --> publish windows (MergeState of
@@ -140,7 +145,9 @@ struct ServiceOptions {
   /// Ingestion workers (0 = one per hardware thread). Published
   /// estimates never depend on this.
   std::size_t num_workers = 1;
-  /// Capacity of each worker's ingestion queue.
+  /// Reports each worker may have in flight: queued plus drained into
+  /// the batch the worker is processing. Submit() sheds (kShed) or
+  /// blocks (kBlock) while a worker is at capacity.
   std::size_t queue_capacity = 1024;
   OverloadPolicy overload = OverloadPolicy::kShed;
 
@@ -184,6 +191,8 @@ struct ServiceStats {
   /// accepted_payload_bytes / accepted = bytes per accepted user).
   std::uint64_t accepted_payload_bytes = 0;
   std::uint64_t deduped = 0;
+  /// Refused by a full queue (kShed), or by a queue that Finish() or the
+  /// destructor closed while the report was being submitted (any mode).
   std::uint64_t shed_queue_full = 0;
   std::uint64_t shed_late = 0;
   /// Reports shed because their tenant is quarantined.
@@ -239,9 +248,12 @@ class AggregationService {
   /// ingestion. Returns OK once the report is queued; DataLoss for a
   /// corrupt envelope (counted rejected_malformed); Unavailable when the
   /// target queue is full under OverloadPolicy::kShed (counted
-  /// shed_queue_full) or the service is stopped. Payload decoding,
-  /// dedup, budget and validation run on the worker — their outcomes
-  /// surface in Stats(), not here.
+  /// shed_queue_full) or the service is stopped. A report refused because
+  /// Finish() or the destructor closed the queues while it was being
+  /// submitted is counted shed_queue_full too, under either policy, and
+  /// says "stopped"; one refused before that is not counted at all.
+  /// Payload decoding, dedup, budget and validation run on the worker —
+  /// their outcomes surface in Stats(), not here.
   Status Submit(std::span<const std::uint8_t> envelope_bytes);
 
   /// \brief Advances the event-time watermark: waits for all queued
@@ -299,10 +311,26 @@ class AggregationService {
     std::optional<protocol::BudgetAccountant> ledger;
   };
 
+  // One buffered report: its identity and its entries'
+  // [offset, offset + count) slice of the pane's entry array.
   struct BufferedReport {
     std::uint64_t tenant = 0;
     std::uint64_t sequence = 0;
-    protocol::UserReport report;
+    std::size_t offset = 0;
+    std::size_t count = 0;
+  };
+
+  // The accepted reports of one pane in one group, in buffering order:
+  // every entry in one contiguous array instead of one heap report each.
+  struct PaneBuffer {
+    std::vector<protocol::DimensionReport> entries;
+    std::vector<BufferedReport> reports;
+
+    void Append(std::uint64_t tenant, std::uint64_t sequence,
+                std::span<const protocol::DimensionReport> report) {
+      reports.push_back({tenant, sequence, entries.size(), report.size()});
+      entries.insert(entries.end(), report.begin(), report.end());
+    }
   };
 
   // All mutable per-report state of one shard group, guarded by `mu`.
@@ -311,7 +339,7 @@ class AggregationService {
   struct GroupState {
     std::mutex mu;
     std::map<std::uint64_t, TenantState> tenants;
-    std::map<std::uint64_t, std::vector<BufferedReport>> panes;
+    std::map<std::uint64_t, PaneBuffer> panes;
   };
 
   struct PaneAggregate {
@@ -324,7 +352,18 @@ class AggregationService {
   static std::size_t GroupOf(std::uint64_t tenant);
 
   void WorkerLoop(std::size_t worker);
-  void Process(protocol::ReportEnvelope envelope);
+  // What a batch's accepted reports add to the shared counters. The
+  // worker publishes it once per batch, before retiring the batch, so a
+  // quiesced Stats() stays exact; rarer outcomes bump their bucket
+  // directly.
+  struct Accepted {
+    std::uint64_t reports = 0;
+    std::uint64_t payload_bytes = 0;
+    std::uint64_t max_pane = 0;
+  };
+  void Process(const protocol::ReportEnvelope& envelope, Accepted* accepted);
+  // Retires `count` reports from pending_, waking Quiesce() at zero.
+  void Retire(std::uint64_t count);
   void Quiesce();
   // Seals panes [sealed_before_, pane_limit) and publishes completed
   // windows. Driver thread only, after Quiesce().
@@ -348,7 +387,8 @@ class AggregationService {
 
   std::vector<std::unique_ptr<GroupState>> groups_;
 
-  // Quiescence: +1 per queued report, -1 once fully processed.
+  // Quiescence: +1 per report Submit() tries to queue, -1 once it is
+  // processed (a batch at a time) or refused.
   std::atomic<std::uint64_t> pending_{0};
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;

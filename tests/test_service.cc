@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -114,16 +116,23 @@ void ExpectSameStats(const ServiceStats& a, const ServiceStats& b) {
   EXPECT_EQ(a.published_reports, b.published_reports);
 }
 
+// Drains everything queued, releases it at once, and returns it.
+std::vector<int> DrainAndRelease(BoundedQueue<int>* queue) {
+  std::vector<int> batch;
+  EXPECT_TRUE(queue->PopAll(&batch));
+  queue->Release(batch.size());
+  return batch;
+}
+
 TEST(BoundedQueueTest, TryPushShedsWhenFullAndRecoversAfterPop) {
   BoundedQueue<int> queue(2);
   EXPECT_TRUE(queue.TryPush(1));
   EXPECT_TRUE(queue.TryPush(2));
   int shed = 3;
   EXPECT_FALSE(queue.TryPush(std::move(shed)));
-  EXPECT_EQ(queue.Pop().value(), 1);
+  EXPECT_EQ(DrainAndRelease(&queue), (std::vector<int>{1, 2}));
   EXPECT_TRUE(queue.TryPush(3));
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_EQ(queue.Pop().value(), 3);
+  EXPECT_EQ(DrainAndRelease(&queue), (std::vector<int>{3}));
 }
 
 TEST(BoundedQueueTest, CloseIsFlushBarrierNotAbort) {
@@ -134,21 +143,71 @@ TEST(BoundedQueueTest, CloseIsFlushBarrierNotAbort) {
   int late = 3;
   EXPECT_FALSE(queue.TryPush(std::move(late)));
   EXPECT_FALSE(queue.Push(std::move(late)));
-  // The backlog drains before nullopt.
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_FALSE(queue.Pop().has_value());
+  // The backlog drains before the closed, empty queue reports false.
+  EXPECT_EQ(DrainAndRelease(&queue), (std::vector<int>{1, 2}));
+  std::vector<int> batch;
+  EXPECT_FALSE(queue.PopAll(&batch));
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(BoundedQueueTest, BlockingPushWaitsForConsumer) {
   BoundedQueue<int> queue(1);
   EXPECT_TRUE(queue.TryPush(1));
   std::thread producer([&queue] {
-    EXPECT_TRUE(queue.Push(2));  // blocks until the pop below
+    EXPECT_TRUE(queue.Push(2));  // blocks until the release below
   });
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
+  EXPECT_EQ(DrainAndRelease(&queue), (std::vector<int>{1}));
+  EXPECT_EQ(DrainAndRelease(&queue), (std::vector<int>{2}));
   producer.join();
+}
+
+TEST(BoundedQueueTest, HeldBatchCountsAgainstCapacityUntilReleased) {
+  BoundedQueue<int> queue(2);
+  EXPECT_TRUE(queue.TryPush(1));
+  EXPECT_TRUE(queue.TryPush(2));
+  std::vector<int> batch;
+  ASSERT_TRUE(queue.PopAll(&batch));
+  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
+  EXPECT_EQ(queue.size(), 0u);
+  // Nothing is queued, but the held batch still fills the capacity: a
+  // batch drain must not double what the queue admits.
+  int shed = 3;
+  EXPECT_FALSE(queue.TryPush(std::move(shed)));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&queue, &pushed] {
+    EXPECT_TRUE(queue.Push(3));  // blocks until the release below
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());
+  queue.Release(1);  // one slot opens: the blocked push lands
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  int over = 4;
+  EXPECT_FALSE(queue.TryPush(std::move(over)));  // 1 held + 1 queued
+  queue.Release(1);
+  EXPECT_TRUE(queue.TryPush(4));
+  EXPECT_EQ(DrainAndRelease(&queue), (std::vector<int>{3, 4}));
+}
+
+TEST(BoundedQueueTest, CloseFlushesItemsQueuedBehindAHeldBatch) {
+  BoundedQueue<int> queue(8);
+  EXPECT_TRUE(queue.TryPush(1));
+  EXPECT_TRUE(queue.TryPush(2));
+  std::vector<int> held;
+  ASSERT_TRUE(queue.PopAll(&held));
+  EXPECT_TRUE(queue.TryPush(3));
+  EXPECT_TRUE(queue.TryPush(4));
+  queue.Close();
+  int late = 5;
+  EXPECT_FALSE(queue.TryPush(std::move(late)));
+  // The held batch is still unreleased; the items behind it drain anyway.
+  std::vector<int> rest;
+  ASSERT_TRUE(queue.PopAll(&rest));
+  EXPECT_EQ(rest, (std::vector<int>{3, 4}));
+  queue.Release(held.size() + rest.size());
+  rest.clear();
+  EXPECT_FALSE(queue.PopAll(&rest));
 }
 
 TEST(ReportFaultScheduleTest, FateIsPureAndPullOrderInvariant) {
@@ -468,6 +527,49 @@ TEST(ServiceTest, OverloadShedsWithExactReconciliationUnderConcurrency) {
   ASSERT_TRUE(service->VerifyReconciliation().ok());
   // Everything accepted was published exactly once (tumbling windows).
   EXPECT_EQ(stats.published_reports, stats.accepted);
+}
+
+TEST(ServiceTest, FinishRacingProducersReconcilesInBothPolicies) {
+  // Producers keep submitting while Finish() closes the queues under
+  // them. A report refused by a closed queue was already counted
+  // submitted, so it must land in a bucket — in block mode (a producer
+  // parked in Push) exactly as in shed mode — and say "stopped".
+  for (const OverloadPolicy policy :
+       {OverloadPolicy::kBlock, OverloadPolicy::kShed}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      ServiceOptions options = ManualOptions();
+      options.num_workers = 2;
+      options.queue_capacity = 1;
+      options.overload = policy;
+      auto service = AggregationService::Create(options).value();
+      constexpr std::uint64_t kProducers = 4;
+      std::vector<std::thread> producers;
+      for (std::uint64_t p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&service, p, policy] {
+          for (std::uint64_t i = 0;; ++i) {
+            const Status status = service->Submit(
+                MakeEnvelope(p * 1000000 + i, 0, 0, 0.001 * i));
+            if (status.ok()) continue;
+            ASSERT_EQ(status.code(), StatusCode::kUnavailable);
+            if (status.message().find("stopped") != std::string::npos) {
+              return;
+            }
+            // Only shed mode refuses a live queue.
+            ASSERT_EQ(policy, OverloadPolicy::kShed) << status.ToString();
+          }
+        });
+      }
+      while (service->Stats().submitted < 300) std::this_thread::yield();
+      ASSERT_TRUE(service->Finish().ok());
+      for (std::thread& t : producers) t.join();
+      const ServiceStats stats = service->Stats();
+      EXPECT_GE(stats.submitted, 300u);
+      EXPECT_GT(stats.accepted, 0u);
+      ASSERT_TRUE(service->VerifyReconciliation().ok())
+          << "trial " << trial << ": "
+          << service->VerifyReconciliation().ToString();
+    }
+  }
 }
 
 TEST(ServiceTest, KillAndRestoreRepublishesBitIdenticalEstimates) {
