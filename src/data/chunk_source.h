@@ -220,10 +220,11 @@ struct RetryPolicy {
 };
 
 /// \brief source.Chunk(chunk, buffer) under `retry`: the one chunk pull
-/// of a run. The estimate pass (engine::ChunkedEstimation::ChunkRows)
-/// and every reference pass (ForEachSurvivingChunk) pull through it, so
-/// a chunk a reference pass reads first — e.g. one a resumed run took
-/// from its checkpoint — recovers exactly as the estimate pass would.
+/// of a run. The estimate pass and the freq truth pull through it via
+/// engine::ChunkedEstimation::ChunkRows, the other reference passes via
+/// ForEachSurvivingChunk, so a chunk a reference pass reads first — e.g.
+/// one a resumed run took from its checkpoint — recovers exactly as the
+/// estimate pass would.
 /// Safe to call concurrently with distinct buffers, like Chunk().
 Result<std::span<const double>> PullChunk(const ChunkSource& source,
                                           std::size_t chunk,

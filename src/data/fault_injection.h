@@ -33,9 +33,10 @@
 // ground truth of a run that covered every chunk measures the data, not
 // the injected failure model. A run that quarantined chunks instead takes
 // its ground truth and its HDR4ME marginals over the surviving chunks
-// only (data::ForEachSurvivingChunk), pulled through this wrapper under
-// the same retry policy, so no reference pass reads a chunk the estimate
-// skipped.
+// only (data::ForEachSurvivingChunk; the freq truth is a chunk-parallel
+// engine::ReduceChunks pass that skips the same chunks), pulled through
+// this wrapper under the same retry policy, so no reference pass reads a
+// chunk the estimate skipped.
 
 #ifndef HDLDP_DATA_FAULT_INJECTION_H_
 #define HDLDP_DATA_FAULT_INJECTION_H_

@@ -64,12 +64,13 @@ inline constexpr std::size_t kUsersPerChunk = data::kUsersPerChunk;
 inline constexpr std::size_t kEntriesPerBlock = 16384;
 
 /// Flush threshold of the v3 batched sampled driver. Smaller than the
-/// dense block budget: the sampled path streams four parallel arrays
-/// (dims, natives, perturbed, plus the scatter fold) per block, and a
-/// budget this size keeps them L1/L2-resident while still amortizing
-/// the per-block variant visit over thousands of entries. Part of the
-/// kV3Batched stream layout (see common/rng_lanes.h) — changing it
-/// re-aligns sampled entries to lanes, so it is frozen with the scheme.
+/// dense block budget: the sampled path streams three parallel arrays
+/// (entry indices, natives, perturbed) per block into the in-place
+/// scattered fold, and a budget this size keeps them L1/L2-resident
+/// while still amortizing the per-block variant visit over thousands of
+/// entries. Part of the kV3Batched stream layout (see
+/// common/rng_lanes.h) — changing it re-aligns sampled entries to
+/// lanes, so it is frozen with the scheme.
 inline constexpr std::size_t kSampledEntriesPerBlock = 4096;
 
 /// \brief Reusable scratch of the sampled chunk drivers: the sampled
@@ -229,7 +230,7 @@ class ChunkedEstimation {
   ///               cross-user blocks of >= kSampledEntriesPerBlock
   ///               entries —
   ///               one PerturbLanes call and one `agg->ConsumeScattered`
-  ///               per block, so lane utilization and scatter locality
+  ///               per block, so lane utilization and per-call overhead
   ///               no longer die at small m.
   ///   kV2Lanes    the frozen legacy layout: per user, draw m dimensions
   ///               (Floyd draw order), expand, perturb the user's

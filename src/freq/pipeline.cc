@@ -61,13 +61,16 @@ void ClipAndNormalize(const CategoricalSchema& schema,
   }
 }
 
-// Checks one chunk's worth of source rows against the schema: every
-// value must be an exact non-negative integer below its dimension's
-// cardinality. Streaming sources (shards, generators) deliver doubles,
-// and a bad value would otherwise index out of the one-hot layout.
-Status ValidateCategoricalChunk(std::span<const double> rows,
-                                const CategoricalSchema& schema,
-                                std::size_t chunk) {
+// Calls visit(j, category) for every value of one chunk's source rows,
+// in row order, after checking it against the schema: every value must
+// be an exact non-negative integer below its dimension's cardinality.
+// Streaming sources (shards, generators) deliver doubles, and a bad
+// value would otherwise index out of the one-hot layout or a count
+// table; a re-pull is checked again, never trusted to match the first.
+template <typename Visit>
+Status ForEachCategory(std::span<const double> rows,
+                       const CategoricalSchema& schema, std::size_t chunk,
+                       Visit visit) {
   const std::size_t d = schema.num_dims();
   const std::size_t users = rows.size() / d;
   for (std::size_t i = 0; i < users; ++i) {
@@ -80,46 +83,90 @@ Status ValidateCategoricalChunk(std::span<const double> rows,
             " holds an invalid category index in dimension " +
             std::to_string(j));
       }
+      visit(j, static_cast<std::uint32_t>(v));
     }
   }
   return Status::OK();
 }
 
-// Ground-truth frequencies in one streaming pass: per-category counts
-// are order-independent integer adds, so any source kind yields the
-// bits CategoricalDataset::TrueFrequencies computes resident. Chunks
-// quarantined by the ingestion phase (sorted ascending) are skipped and
-// the mass renormalized over surviving users, so the ground truth covers
-// exactly the population the estimates cover; the rest are pulled under
-// the run's retry policy.
-Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
-    const data::ChunkSource& source, const CategoricalSchema& schema,
-    const std::vector<std::size_t>& quarantined,
-    const data::RetryPolicy& retry) {
-  const std::size_t d = schema.num_dims();
-  std::vector<std::vector<double>> freqs(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    freqs[j].assign(schema.Cardinality(j), 0.0);
+Status ValidateCategoricalChunk(std::span<const double> rows,
+                                const CategoricalSchema& schema,
+                                std::size_t chunk) {
+  return ForEachCategory(rows, schema, chunk,
+                         [](std::size_t, std::uint32_t) {});
+}
+
+// Exact integer accumulator: per-entry counts plus per-dimension report
+// counts. The frequency-oracle path folds support counts into it; the
+// ground-truth pass folds category counts (and no reports). Every fold
+// and merge is an integer add, so the totals are invariant to thread
+// count, chunk source and merge association.
+struct CountAccumulator {
+  std::vector<std::int64_t> counts;
+  std::vector<std::int64_t> dim_reports;
+
+  void Reset() {
+    std::fill(counts.begin(), counts.end(), 0);
+    std::fill(dim_reports.begin(), dim_reports.end(), 0);
   }
-  HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-      source, quarantined, retry, [&](std::span<const double> rows) {
-        for (std::size_t k = 0; k < rows.size(); k += d) {
-          for (std::size_t j = 0; j < d; ++j) {
-            freqs[j][static_cast<std::uint32_t>(rows[k + j])] += 1.0;
-          }
-        }
-        return true;
-      }));
-  const std::size_t surviving = source.SurvivingUsers(quarantined);
+  Status Merge(const CountAccumulator& other) {
+    if (other.counts.size() != counts.size() ||
+        other.dim_reports.size() != dim_reports.size()) {
+      return Status::InvalidArgument("count accumulator shape mismatch");
+    }
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+      counts[k] += other.counts[k];
+    }
+    for (std::size_t j = 0; j < dim_reports.size(); ++j) {
+      dim_reports[j] += other.dim_reports[j];
+    }
+    return Status::OK();
+  }
+};
+
+// Ground-truth frequencies over the users the estimate covers: a
+// chunk-parallel reduction (engine::ReduceChunks, at most `num_threads`
+// workers) of exact per-entry category counts over every chunk outside
+// `quarantined` (sorted ascending), each pulled through core.ChunkRows —
+// data::PullChunk under the run's retry policy, into the worker's own
+// buffer. Counts are exact integers in every merge order, as are
+// CategoricalDataset::TrueFrequencies' `+= 1.0` sums below 2^53, so
+// count / n reproduces its bits from any source at any thread count.
+Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
+    const engine::ChunkedEstimation& core, const CategoricalSchema& schema,
+    const std::vector<std::size_t>& quarantined, std::size_t num_threads,
+    std::size_t surviving) {
   if (surviving == 0) {
     return Status::FailedPrecondition(
         "every chunk was quarantined; no surviving users to estimate");
   }
+  HDLDP_ASSIGN_OR_RETURN(
+      const CountAccumulator truth,
+      engine::ReduceChunks<CountAccumulator>(
+          core.num_chunks(), num_threads,
+          [&]() -> Result<CountAccumulator> {
+            CountAccumulator acc;
+            acc.counts.assign(schema.total_entries(), 0);
+            return acc;
+          },
+          [&](std::size_t c, CountAccumulator* acc) -> Status {
+            if (std::binary_search(quarantined.begin(), quarantined.end(),
+                                   c)) {
+              return Status::OK();
+            }
+            HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                                   core.ChunkRows(core.Range(c)));
+            return ForEachCategory(
+                rows, schema, c, [&](std::size_t j, std::uint32_t category) {
+                  ++acc->counts[schema.EntryOffset(j) + category];
+                });
+          }));
   const auto n = static_cast<double>(surviving);
-  for (auto& f : freqs) {
-    for (double& v : f) v /= n;
+  std::vector<double> flat(truth.counts.size());
+  for (std::size_t k = 0; k < flat.size(); ++k) {
+    flat[k] = static_cast<double>(truth.counts[k]) / n;
   }
-  return freqs;
+  return Unflatten(flat, schema);
 }
 
 // Every HDR4ME deviation model below divides by r_j; `model` names the
@@ -142,19 +189,20 @@ Status RequireReports(std::span<const std::int64_t> dim_reports,
 // (and clipped and renormalized if asked) and their MSEs against the
 // truth. The caller fills in its per-entry budget and resume flag.
 Result<FrequencyEstimationResult> FrequencyResult(
-    const data::ChunkSource& source, const CategoricalSchema& schema,
-    const FrequencyOptions& options, const std::vector<double>& raw_flat,
+    const data::ChunkSource& source, const engine::ChunkedEstimation& core,
+    const CategoricalSchema& schema, const FrequencyOptions& options,
+    const std::vector<double>& raw_flat,
     const std::vector<framework::GaussianDeviation>& deviations,
     std::vector<std::size_t> quarantined_chunks) {
   HDLDP_ASSIGN_OR_RETURN(
       const hdr4me::RecalibrationResult recal,
       hdr4me::Recalibrate(raw_flat, deviations, options.hdr4me));
   FrequencyEstimationResult result;
+  result.surviving_users = source.SurvivingUsers(quarantined_chunks);
   HDLDP_ASSIGN_OR_RETURN(
       result.true_frequencies,
-      SourceTrueFrequencies(source, schema, quarantined_chunks,
-                            options.retry));
-  result.surviving_users = source.SurvivingUsers(quarantined_chunks);
+      SourceTrueFrequencies(core, schema, quarantined_chunks,
+                            options.num_threads, result.surviving_users));
   result.quarantined_chunks = std::move(quarantined_chunks);
   result.raw = Unflatten(raw_flat, schema);
   result.recalibrated = Unflatten(recal.enhanced_mean, schema);
@@ -210,33 +258,6 @@ Status IngestV1Scalar(const engine::ChunkedEstimation& core,
   return Status::OK();
 }
 
-// Exact integer accumulator of the frequency-oracle path: per-entry
-// support counts plus per-dimension report counts. Every fold and merge
-// is an integer add, so estimates are trivially invariant to thread
-// count, chunk source and merge association.
-struct OracleAccumulator {
-  std::vector<std::int64_t> counts;
-  std::vector<std::int64_t> dim_reports;
-
-  void Reset() {
-    std::fill(counts.begin(), counts.end(), 0);
-    std::fill(dim_reports.begin(), dim_reports.end(), 0);
-  }
-  Status Merge(const OracleAccumulator& other) {
-    if (other.counts.size() != counts.size() ||
-        other.dim_reports.size() != dim_reports.size()) {
-      return Status::InvalidArgument("oracle accumulator shape mismatch");
-    }
-    for (std::size_t k = 0; k < counts.size(); ++k) {
-      counts[k] += other.counts[k];
-    }
-    for (std::size_t j = 0; j < dim_reports.size(); ++j) {
-      dim_reports[j] += other.dim_reports[j];
-    }
-    return Status::OK();
-  }
-};
-
 // The frequency-oracle (OUE / OLH) ingestion + decode + recalibration
 // path. Draw layout (the "compact encodings" stream contract in
 // common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
@@ -271,16 +292,16 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
 
   std::vector<std::size_t> quarantined_chunks;
   HDLDP_ASSIGN_OR_RETURN(
-      const OracleAccumulator acc,
-      core.ReduceResumable<OracleAccumulator>(
-          [&]() -> Result<OracleAccumulator> {
-            OracleAccumulator scratch;
+      const CountAccumulator acc,
+      core.ReduceResumable<CountAccumulator>(
+          [&]() -> Result<CountAccumulator> {
+            CountAccumulator scratch;
             scratch.counts.assign(total_entries, 0);
             scratch.dim_reports.assign(d, 0);
             return scratch;
           },
           [&](const engine::ChunkRange& range,
-              OracleAccumulator* scratch) -> Status {
+              CountAccumulator* scratch) -> Status {
             HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
                                    core.ChunkRows(range));
             HDLDP_RETURN_NOT_OK(
@@ -315,7 +336,7 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
             }
             return Status::OK();
           },
-          engine::CheckpointHooks<OracleAccumulator>{}, &quarantined_chunks));
+          engine::CheckpointHooks<CountAccumulator>{}, &quarantined_chunks));
 
   HDLDP_RETURN_NOT_OK(
       RequireReports(acc.dim_reports, "the oracle estimator is"));
@@ -345,7 +366,7 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       FrequencyEstimationResult result,
-      FrequencyResult(source, schema, options, raw_flat, deviations,
+      FrequencyResult(source, core, schema, options, raw_flat, deviations,
                       std::move(quarantined_chunks)));
   result.per_entry_epsilon = per_dim_eps;
   return result;
@@ -543,7 +564,7 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       FrequencyEstimationResult result,
-      FrequencyResult(source, schema, options, raw_flat, deviations,
+      FrequencyResult(source, core, schema, options, raw_flat, deviations,
                       std::move(quarantined_chunks)));
   result.per_entry_epsilon = per_entry_eps;
   result.resumed_from_checkpoint = resumed;

@@ -43,8 +43,9 @@ struct FrequencyOptions : engine::RunControl {
   std::size_t report_dims = 0;
   /// Maximum worker threads simulating chunks concurrently (on the shared
   /// ThreadPool). 1 = serial, 0 = one per hardware thread. Affects
-  /// wall-clock time only, never the estimates. Ignored under kV1Scalar,
-  /// which is single-stream by definition.
+  /// wall-clock time only, never the estimates. Under kV1Scalar only the
+  /// ground-truth pass uses them: that ingestion is single-stream by
+  /// definition.
   std::size_t num_threads = 1;
   /// HDR4ME configuration for the re-calibrated estimate.
   hdr4me::Hdr4meOptions hdr4me;

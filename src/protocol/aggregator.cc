@@ -39,15 +39,6 @@ Status MeanAggregator::ConsumeReport(
   return Status::OK();
 }
 
-namespace {
-
-// Dimensions per ConsumeScattered bucket: 512 NeumaierSums (16 bytes
-// each) keep a bucket's sums_ slice within 8 KiB, comfortably
-// L1-resident next to the reordered entry arrays streaming through.
-constexpr std::size_t kScatterBucketShift = 9;
-
-}  // namespace
-
 Status MeanAggregator::ConsumeScattered(
     std::span<const std::uint32_t> dimensions,
     std::span<const double> values) {
@@ -67,44 +58,9 @@ Status MeanAggregator::ConsumeScattered(
   if (max_dim >= d) {
     return Status::OutOfRange("scattered dimension out of range");
   }
-  const std::size_t num_buckets =
-      ((d - 1) >> kScatterBucketShift) + 1;  // d > 0 by construction.
-  if (num_buckets <= 1 || dimensions.size() < (d >> 2)) {
-    // Everything is cache-resident (or the block is too small to pay the
-    // reorder pass): fold in place.
-    for (std::size_t k = 0; k < dimensions.size(); ++k) {
-      sums_[dimensions[k]].Add(values[k]);
-      ++counts_[dimensions[k]];
-    }
-    return Status::OK();
-  }
-  // Stable counting sort by dimension bucket, so the compensated adds of
-  // each pass touch one cache-resident slice of sums_: per-dimension
-  // entry order is preserved, so the folded sums are bit-identical to
-  // the in-place fold above.
-  scatter_begin_.assign(num_buckets + 1, 0);
-  for (const std::uint32_t dimension : dimensions) {
-    ++scatter_begin_[(dimension >> kScatterBucketShift) + 1];
-  }
-  for (std::size_t b = 1; b <= num_buckets; ++b) {
-    scatter_begin_[b] += scatter_begin_[b - 1];
-  }
-  scatter_cursor_.assign(scatter_begin_.begin(),
-                         scatter_begin_.end() - 1);
-  scatter_dims_.resize(dimensions.size());
-  scatter_values_.resize(dimensions.size());
   for (std::size_t k = 0; k < dimensions.size(); ++k) {
-    const std::size_t pos =
-        scatter_cursor_[dimensions[k] >> kScatterBucketShift]++;
-    scatter_dims_[pos] = dimensions[k];
-    scatter_values_[pos] = values[k];
-  }
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    const std::size_t end = scatter_begin_[b + 1];
-    for (std::size_t k = scatter_begin_[b]; k < end; ++k) {
-      sums_[scatter_dims_[k]].Add(scatter_values_[k]);
-      ++counts_[scatter_dims_[k]];
-    }
+    sums_[dimensions[k]].Add(values[k]);
+    ++counts_[dimensions[k]];
   }
   return Status::OK();
 }

@@ -50,14 +50,12 @@ class MeanAggregator {
   /// receives `values[k]`. Validates sizes and dimension bounds up front
   /// (rejecting the whole block without mutating state on failure).
   /// Per-dimension accumulation order equals entry-order Consume() calls,
-  /// so estimates are bit-identical to them. Built for the large
-  /// cross-user blocks of the v3 batched sampled driver: when the
-  /// accumulator arrays exceed the L1-resident range, entries are first
-  /// bucketed by dimension group (stable counting sort into internal
-  /// scratch) so the compensated adds of each pass touch one
-  /// cache-resident slice of `sums_` instead of scattering across all of
-  /// it. Small dimensionalities and small blocks (v2's per-user spans)
-  /// take the plain in-place fold.
+  /// so estimates are bit-identical to them. One in-place pass serves
+  /// both the large cross-user blocks of the v3 batched sampled driver
+  /// and v2's per-user spans. There is deliberately no reordering pass:
+  /// bucketing a block by dimension group first, to keep each pass's
+  /// sums L1-resident, measured slower than this fold at every d from
+  /// 1024 to 2^20 (4-vCPU x86 VM).
   Status ConsumeScattered(std::span<const std::uint32_t> dimensions,
                           std::span<const double> values);
 
@@ -139,14 +137,6 @@ class MeanAggregator {
   std::vector<NeumaierSum> sums_;
   std::vector<std::int64_t> counts_;
   std::vector<double> native_bias_;
-
-  // ConsumeScattered's bucket-pass scratch. Not aggregation state:
-  // Reset() and Merge() ignore it, and its contents never outlive one
-  // ConsumeScattered call.
-  std::vector<std::uint32_t> scatter_dims_;
-  std::vector<double> scatter_values_;
-  std::vector<std::size_t> scatter_begin_;
-  std::vector<std::size_t> scatter_cursor_;
 };
 
 }  // namespace protocol

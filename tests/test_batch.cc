@@ -75,8 +75,9 @@ TEST(ConsumeScatteredTest, MatchesScalarConsumePlusMergeBitExactly) {
 
 TEST(ConsumeScatteredTest, BitIdenticalToScalarConsume) {
   Rng rng(77);
-  // Both fold regimes: single-bucket (d <= 512) and multi-bucket, plus
-  // small v2-style per-user spans that skip the bucket pass.
+  // The one in-place fold, over a small d (100) and a d wider than an
+  // L1-resident slice of sums (3000), each as one large v3-style block
+  // and as small v2-style per-user spans.
   for (const std::size_t dims_count : {std::size_t{100}, std::size_t{3000}}) {
     SCOPED_TRACE(dims_count);
     constexpr std::size_t kEntries = 40000;

@@ -1,13 +1,21 @@
 // Tests for the frequency-estimation extension (Section V-C): histogram
-// encoding, the eps/(2m) composition, naive aggregation, and HDR4ME
-// re-calibration over the expanded space.
+// encoding, the eps/(2m) composition, naive aggregation, HDR4ME
+// re-calibration over the expanded space, and the chunk-parallel ground
+// truth across thread counts, faults and untrustworthy re-pulls.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "data/fault_injection.h"
 #include "freq/encoding.h"
 #include "freq/pipeline.h"
 #include "mech/registry.h"
@@ -232,6 +240,229 @@ TEST(FrequencyPipelineTest, Validates) {
   EXPECT_FALSE(
       RunFrequencyEstimation(ds, mech::MakeMechanism("laplace").value(), opts)
           .ok());
+}
+
+// The ground truth of every frequency path is one chunk-parallel count
+// over the chunks the estimate covered. These runs span 21 chunks (20
+// full plus a tail), so the reduction really splits across workers.
+constexpr std::size_t kTruthUsers = 20 * 4096 + 777;
+
+CategoricalDataset TruthDataset() {
+  Rng rng(31);
+  return GenerateCategorical(kTruthUsers,
+                             CategoricalSchema::Create({3, 5, 2, 7}).value(),
+                             0.9, &rng)
+      .value();
+}
+
+// One frequency path under test: the v3 numeric path (piecewise, m = 2)
+// or the OUE oracle path.
+struct TruthPath {
+  const char* name;
+  bool oue;
+};
+constexpr TruthPath kTruthPaths[] = {{"v3-numeric", false}, {"oue", true}};
+
+Result<FrequencyEstimationResult> RunTruthPath(
+    const data::ChunkSource& source, const CategoricalSchema& schema,
+    const TruthPath& path, FrequencyOptions opts) {
+  opts.total_epsilon = 2.0;
+  opts.report_dims = 2;
+  opts.seed = 12;
+  if (path.oue) {
+    opts.encoding = protocol::ReportEncoding::kOue;
+    return RunFrequencyEstimation(source, schema, nullptr, opts);
+  }
+  opts.seed_scheme = SeedScheme::kV3Batched;
+  return RunFrequencyEstimation(source, schema,
+                                mech::MakeMechanism("piecewise").value(),
+                                opts);
+}
+
+// Wraps a source and tampers with the second pull of selected chunks —
+// the ground-truth pass's pull, after the estimate pass read the chunk
+// once: either a transient Unavailable, or the true rows with the first
+// user's dimension-0 category replaced by `out_of_range`.
+class SecondPullSource final : public data::ChunkSource {
+ public:
+  enum class Tamper { kUnavailable, kOutOfRange };
+
+  SecondPullSource(const data::ChunkSource* base, Tamper tamper,
+                   std::vector<std::size_t> chunks, double out_of_range)
+      : base_(base),
+        tamper_(tamper),
+        chunks_(std::move(chunks)),
+        out_of_range_(out_of_range),
+        pulls_(base->num_chunks()) {}
+
+  std::size_t num_users() const override { return base_->num_users(); }
+  std::size_t num_dims() const override { return base_->num_dims(); }
+  Result<std::span<const double>> Chunk(
+      std::size_t chunk, data::ChunkBuffer* buffer) const override {
+    const bool tampered =
+        std::find(chunks_.begin(), chunks_.end(), chunk) != chunks_.end();
+    if (!tampered || ++pulls_[chunk] != 2) {
+      return base_->Chunk(chunk, buffer);
+    }
+    if (tamper_ == Tamper::kUnavailable) {
+      return Status::Unavailable("second pull of chunk " +
+                                 std::to_string(chunk) + " stalls");
+    }
+    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                           base_->Chunk(chunk, buffer));
+    std::vector<double> copy(rows.begin(), rows.end());
+    copy[0] = out_of_range_;
+    buffer->storage() = std::move(copy);
+    return std::span<const double>(buffer->storage());
+  }
+
+ private:
+  const data::ChunkSource* base_;
+  Tamper tamper_;
+  std::vector<std::size_t> chunks_;
+  double out_of_range_;
+  mutable std::vector<std::atomic<int>> pulls_;
+};
+
+TEST(FreqTruthTest, MatchesResidentTruthAtEveryThreadCount) {
+  const CategoricalDataset dataset = TruthDataset();
+  const CategoricalChunkSource source(&dataset);
+  ASSERT_GE(source.num_chunks(), 20u);
+  const auto expected = dataset.TrueFrequencies();
+  for (const TruthPath& path : kTruthPaths) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(path.name) + " threads=" +
+                   std::to_string(threads));
+      FrequencyOptions opts;
+      opts.num_threads = threads;
+      const auto run = RunTruthPath(source, dataset.schema(), path, opts);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run.value().true_frequencies, expected);
+      EXPECT_EQ(run.value().surviving_users, kTruthUsers);
+    }
+  }
+  // The serial v1 ingestion scores against the same parallel truth.
+  FrequencyOptions v1;
+  v1.seed_scheme = SeedScheme::kV1Scalar;
+  v1.report_dims = 2;
+  v1.num_threads = 4;
+  const auto run = RunFrequencyEstimation(
+      source, dataset.schema(), mech::MakeMechanism("piecewise").value(), v1);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value().true_frequencies, expected);
+}
+
+TEST(FreqTruthTest, PersistentFaultsCountOnlySurvivingChunks) {
+  const CategoricalDataset dataset = TruthDataset();
+  const CategoricalSchema& schema = dataset.schema();
+  const CategoricalChunkSource base(&dataset);
+  const std::vector<std::size_t> lost{0, 7, 8, base.num_chunks() - 1};
+  data::FaultSchedule schedule;
+  for (const std::size_t c : lost) {
+    schedule.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = c});
+  }
+  const data::FaultInjectingChunkSource faulty(&base, schedule);
+
+  // The test's own count over the users of the surviving chunks.
+  std::vector<std::vector<std::int64_t>> counts(schema.num_dims());
+  for (std::size_t j = 0; j < schema.num_dims(); ++j) {
+    counts[j].assign(schema.Cardinality(j), 0);
+  }
+  std::size_t survivors = 0;
+  for (std::size_t i = 0; i < kTruthUsers; ++i) {
+    if (std::find(lost.begin(), lost.end(), i / 4096) != lost.end()) continue;
+    ++survivors;
+    for (std::size_t j = 0; j < schema.num_dims(); ++j) {
+      ++counts[j][dataset.At(i, j)];
+    }
+  }
+  std::vector<std::vector<double>> expected(schema.num_dims());
+  for (std::size_t j = 0; j < schema.num_dims(); ++j) {
+    for (const std::int64_t count : counts[j]) {
+      expected[j].push_back(static_cast<double>(count) /
+                            static_cast<double>(survivors));
+    }
+  }
+
+  for (const TruthPath& path : kTruthPaths) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(path.name) + " threads=" +
+                   std::to_string(threads));
+      FrequencyOptions opts;
+      opts.num_threads = threads;
+      opts.allow_missing_chunks = true;
+      const auto run = RunTruthPath(faulty, schema, path, opts);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run.value().quarantined_chunks, lost);
+      EXPECT_EQ(run.value().surviving_users, survivors);
+      EXPECT_EQ(run.value().true_frequencies, expected);
+    }
+  }
+}
+
+TEST(FreqTruthTest, TransientFaultsRecoverToTheFaultFreeTruth) {
+  const CategoricalDataset dataset = TruthDataset();
+  const CategoricalChunkSource base(&dataset);
+  const auto expected = dataset.TrueFrequencies();
+  data::FaultSchedule::RandomOptions random;
+  random.transient_rate = 0.6;
+  random.failing_attempts = 2;
+  const data::FaultSchedule schedule =
+      data::FaultSchedule::Random(3, base.num_chunks(), random);
+  ASSERT_FALSE(schedule.empty());
+  // Every chunk's truth pull stalls once, so the truth pass itself must
+  // retry, not just inherit the estimate pass's recovery.
+  std::vector<std::size_t> all(base.num_chunks());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  for (const TruthPath& path : kTruthPaths) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(path.name) + " threads=" +
+                   std::to_string(threads));
+      FrequencyOptions opts;
+      opts.num_threads = threads;
+      opts.retry.max_attempts = 3;
+      const data::FaultInjectingChunkSource faulty(&base, schedule);
+      const auto run = RunTruthPath(faulty, dataset.schema(), path, opts);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run.value().true_frequencies, expected);
+
+      const SecondPullSource stalls(
+          &base, SecondPullSource::Tamper::kUnavailable, all, 0.0);
+      opts.retry.max_attempts = 2;
+      const auto retried = RunTruthPath(stalls, dataset.schema(), path, opts);
+      ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+      EXPECT_EQ(retried.value().true_frequencies, expected);
+    }
+  }
+}
+
+TEST(FreqTruthTest, OutOfRangeCategoryOnRepullIsInvalidArgument) {
+  const CategoricalDataset dataset = TruthDataset();
+  const CategoricalChunkSource base(&dataset);
+  // The estimate pass validates chunk 5 and folds it; its re-pull then
+  // claims category 3 in a 3-category dimension.
+  const double out_of_range =
+      static_cast<double>(dataset.schema().Cardinality(0));
+  for (const TruthPath& path : kTruthPaths) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(path.name) + " threads=" +
+                   std::to_string(threads));
+      const SecondPullSource source(
+          &base, SecondPullSource::Tamper::kOutOfRange, {5}, out_of_range);
+      FrequencyOptions opts;
+      opts.num_threads = threads;
+      opts.allow_missing_chunks = true;  // Never quarantines a bad value.
+      const auto run = RunTruthPath(source, dataset.schema(), path, opts);
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(run.status().message().find("chunk 5"), std::string::npos)
+          << run.status().message();
+    }
+  }
 }
 
 }  // namespace
