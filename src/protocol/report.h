@@ -34,7 +34,10 @@ struct UserReport {
 /// \brief Validates a report against the protocol shape: entry count m,
 /// strictly valid dimension indices, no duplicate dimensions, finite
 /// values within `output_lo`..`output_hi` (pass infinities for unbounded
-/// mechanisms).
+/// mechanisms; ±inf values are still rejected). Entries are checked in
+/// order and the first bad one decides the Status. Allocates only for
+/// an error message; ascending entries (every decoded wire report) take
+/// one comparison each.
 Status ValidateReport(const UserReport& report, std::size_t num_dims,
                       std::size_t expected_entries, double output_lo,
                       double output_hi);

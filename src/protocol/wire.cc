@@ -173,6 +173,12 @@ Result<std::vector<std::uint8_t>> EncodeReport(const UserReport& report) {
 }
 
 Result<UserReport> DecodeReport(std::span<const std::uint8_t> bytes) {
+  UserReport report;
+  HDLDP_RETURN_NOT_OK(DecodeReport(bytes, &report));
+  return report;
+}
+
+Status DecodeReport(std::span<const std::uint8_t> bytes, UserReport* out) {
   if (bytes.empty()) {
     return Status::OutOfRange("wire: empty buffer");
   }
@@ -189,8 +195,9 @@ Result<UserReport> DecodeReport(std::span<const std::uint8_t> bytes) {
   if (count > in.remaining() / 9 + 1) {
     return Status::InvalidArgument("wire: entry count exceeds buffer");
   }
-  UserReport report;
-  report.entries.reserve(count);
+  std::vector<DimensionReport>& entries = out->entries;
+  entries.clear();
+  entries.reserve(count);
   std::uint64_t dimension = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     HDLDP_ASSIGN_OR_RETURN(const std::uint64_t delta, GetVarint(&in));
@@ -209,13 +216,13 @@ Result<UserReport> DecodeReport(std::span<const std::uint8_t> bytes) {
     if (std::isnan(value)) {
       return Status::InvalidArgument("wire: NaN report value");
     }
-    report.entries.push_back(
+    entries.push_back(
         DimensionReport{static_cast<std::uint32_t>(dimension), value});
   }
   if (in.remaining() != 0) {
     return Status::InvalidArgument("wire: trailing bytes after report");
   }
-  return report;
+  return Status::OK();
 }
 
 Result<std::vector<std::uint8_t>> EncodeOuePayload(const OuePayload& payload) {
@@ -411,7 +418,7 @@ std::vector<std::uint8_t> EncodeEnvelope(const ReportEnvelope& envelope) {
   return out;
 }
 
-Result<ReportEnvelope> DecodeEnvelope(std::span<const std::uint8_t> bytes) {
+Result<EnvelopeView> ParseEnvelope(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < 1 + 4 + 4) {
     return Status::DataLoss("wire: envelope shorter than its framing");
   }
@@ -437,7 +444,7 @@ Result<ReportEnvelope> DecodeEnvelope(std::span<const std::uint8_t> bytes) {
     *field = value.value();
     return Status::OK();
   };
-  ReportEnvelope envelope;
+  EnvelopeView envelope;
   HDLDP_RETURN_NOT_OK(get_field(&envelope.tenant));
   HDLDP_RETURN_NOT_OK(get_field(&envelope.sequence));
   HDLDP_RETURN_NOT_OK(get_field(&envelope.tick));
@@ -446,9 +453,17 @@ Result<ReportEnvelope> DecodeEnvelope(std::span<const std::uint8_t> bytes) {
   if (payload_size != in.remaining()) {
     return Status::DataLoss("wire: envelope payload length mismatch");
   }
-  HDLDP_ASSIGN_OR_RETURN(const std::span<const std::uint8_t> payload,
-                         in.Bytes(payload_size));
-  envelope.payload.assign(payload.begin(), payload.end());
+  HDLDP_ASSIGN_OR_RETURN(envelope.payload, in.Bytes(payload_size));
+  return envelope;
+}
+
+Result<ReportEnvelope> DecodeEnvelope(std::span<const std::uint8_t> bytes) {
+  HDLDP_ASSIGN_OR_RETURN(const EnvelopeView view, ParseEnvelope(bytes));
+  ReportEnvelope envelope;
+  envelope.tenant = view.tenant;
+  envelope.sequence = view.sequence;
+  envelope.tick = view.tick;
+  envelope.payload.assign(view.payload.begin(), view.payload.end());
   return envelope;
 }
 

@@ -21,8 +21,9 @@
 // (index, sign) pair for the whole report (Hadamard). Dimensions are
 // delta-encoded in ascending order (reports are sorted on encode), which
 // keeps the varints small. Decoding validates shape strictly — truncated
-// buffers, non-canonical varints, descending dimensions and non-finite
-// values are all errors, never UB.
+// buffers, non-canonical varints, descending dimensions and NaN values
+// are all errors, never UB. (Infinite values decode; whether they are
+// admissible is protocol::ValidateReport's call.)
 
 #ifndef HDLDP_PROTOCOL_WIRE_H_
 #define HDLDP_PROTOCOL_WIRE_H_
@@ -85,6 +86,12 @@ Result<std::vector<std::uint8_t>> EncodeReport(const UserReport& report);
 /// \brief Parses a buffer produced by EncodeReport. The whole buffer must
 /// be consumed (no trailing bytes).
 Result<UserReport> DecodeReport(std::span<const std::uint8_t> bytes);
+
+/// \brief DecodeReport into a caller-owned report: replaces out->entries,
+/// reusing their storage, so a loop decoding into one report allocates
+/// only when a report outgrows every earlier one. Same checks and
+/// Status as above; *out is unspecified after an error.
+Status DecodeReport(std::span<const std::uint8_t> bytes, UserReport* out);
 
 /// \brief One carried dimension of an OUE payload: the perturbed unary
 /// encoding of one categorical answer, bit k = "category k reported 1".
@@ -171,12 +178,26 @@ struct ReportEnvelope {
   std::vector<std::uint8_t> payload;
 };
 
+/// \brief An envelope parsed in place: the header fields plus a view of
+/// the payload bytes inside the parsed buffer (valid while that buffer
+/// is).
+struct EnvelopeView {
+  std::uint64_t tenant = 0;
+  std::uint64_t sequence = 0;
+  std::uint64_t tick = 0;
+  std::span<const std::uint8_t> payload;
+};
+
 /// \brief Serializes an envelope (payload is framed as-is).
 std::vector<std::uint8_t> EncodeEnvelope(const ReportEnvelope& envelope);
 
-/// \brief Parses a buffer produced by EncodeEnvelope. Truncation and any
-/// checksum mismatch are DataLoss; the payload is NOT decoded (call
-/// DecodeReport on envelope.payload).
+/// \brief Parses a buffer produced by EncodeEnvelope without copying the
+/// payload. Truncation and any checksum mismatch are DataLoss; the
+/// payload is NOT decoded.
+Result<EnvelopeView> ParseEnvelope(std::span<const std::uint8_t> bytes);
+
+/// \brief ParseEnvelope with the payload copied out: the same checks and
+/// Status (call DecodeReport on envelope.payload).
 Result<ReportEnvelope> DecodeEnvelope(std::span<const std::uint8_t> bytes);
 
 }  // namespace protocol

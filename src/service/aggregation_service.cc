@@ -164,8 +164,7 @@ Result<std::unique_ptr<AggregationService>> AggregationService::Create(
   svc->queues_.reserve(svc->workers_);
   for (std::size_t w = 0; w < svc->workers_; ++w) {
     svc->queues_.push_back(
-        std::make_unique<BoundedQueue<protocol::ReportEnvelope>>(
-            svc->options_.queue_capacity));
+        std::make_unique<IngestQueue>(svc->options_.queue_capacity));
   }
   svc->pool_ = std::make_unique<ThreadPool>(svc->workers_);
   AggregationService* raw = svc.get();
@@ -193,13 +192,14 @@ Status AggregationService::Submit(std::span<const std::uint8_t> bytes) {
     return Status::Unavailable("aggregation service is stopped");
   }
   stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  auto envelope = protocol::DecodeEnvelope(bytes);
+  auto envelope = protocol::ParseEnvelope(bytes);
   if (!envelope.ok()) {
     stats_.rejected_malformed.fetch_add(1, std::memory_order_relaxed);
     return envelope.status();
   }
-  BoundedQueue<protocol::ReportEnvelope>& queue =
-      *queues_[GroupOf(envelope.value().tenant) % workers_];
+  // The push copies the payload into the queue's byte arena while
+  // `bytes` is still the caller's.
+  IngestQueue& queue = *queues_[GroupOf(envelope.value().tenant) % workers_];
   pending_.fetch_add(1, std::memory_order_acq_rel);
   const bool queued = options_.overload == OverloadPolicy::kShed
                           ? queue.TryPush(std::move(envelope).value())
@@ -217,12 +217,15 @@ Status AggregationService::Submit(std::span<const std::uint8_t> bytes) {
 }
 
 void AggregationService::WorkerLoop(std::size_t worker) {
-  BoundedQueue<protocol::ReportEnvelope>& queue = *queues_[worker];
-  std::vector<protocol::ReportEnvelope> batch;
+  IngestQueue& queue = *queues_[worker];
+  IngestBatch batch;
+  // Every report of every batch decodes into this one buffer; it is
+  // copied into its pane before the next decode.
+  protocol::UserReport report;
   while (queue.PopAll(&batch)) {
     Accepted accepted;
-    for (const protocol::ReportEnvelope& envelope : batch) {
-      Process(envelope, &accepted);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Process(batch[i], &report, &accepted);
     }
     // Published per batch: per-report adds would bounce these shared
     // cache lines between the workers and the producer.
@@ -238,7 +241,7 @@ void AggregationService::WorkerLoop(std::size_t worker) {
       }
     }
     const std::size_t count = batch.size();
-    batch.clear();  // free the payloads outside the queue lock
+    batch.clear();  // keeps its storage for the next swap
     queue.Release(count);
     Retire(count);
   }
@@ -251,7 +254,8 @@ void AggregationService::Retire(std::uint64_t count) {
   }
 }
 
-void AggregationService::Process(const protocol::ReportEnvelope& envelope,
+void AggregationService::Process(const protocol::EnvelopeView& envelope,
+                                 protocol::UserReport* report,
                                  Accepted* accepted) {
   const std::size_t g = GroupOf(envelope.tenant);
   const std::uint64_t pane = options_.window.PaneOf(envelope.tick);
@@ -288,16 +292,17 @@ void AggregationService::Process(const protocol::ReportEnvelope& envelope,
     stats_.deduped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  auto report = codec_.has_value() ? codec_->Decode(envelope.payload)
-                                   : protocol::DecodeReport(envelope.payload);
-  if (!report.ok()) {
+  const Status decoded =
+      codec_.has_value() ? codec_->Decode(envelope.payload, report)
+                         : protocol::DecodeReport(envelope.payload, report);
+  if (!decoded.ok()) {
     reject(stats_.rejected_malformed);
     return;
   }
   const std::size_t expected = options_.expected_entries > 0
                                    ? options_.expected_entries
-                                   : report.value().entries.size();
-  if (!protocol::ValidateReport(report.value(), options_.num_dims, expected,
+                                   : report->entries.size();
+  if (!protocol::ValidateReport(*report, options_.num_dims, expected,
                                 options_.output_lo, options_.output_hi)
            .ok()) {
     reject(stats_.rejected_invalid);
@@ -325,7 +330,7 @@ void AggregationService::Process(const protocol::ReportEnvelope& envelope,
   }
   tenant.invalid_streak = 0;
   group.panes[pane].Append(envelope.tenant, envelope.sequence,
-                           report.value().entries);
+                           report->entries);
   ++accepted->reports;
   accepted->payload_bytes += envelope.payload.size();
   accepted->max_pane = std::max(accepted->max_pane, pane);

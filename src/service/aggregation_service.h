@@ -7,11 +7,13 @@
 //
 //   Submit(bytes) --> per-worker BoundedQueue --> worker threads
 //        |                (backpressure or        (PopAll a batch, then
-//        |                 accounted shedding;     per report: decode,
-//        |                 capacity counts the     dedup, budget, buffer;
-//        |                 worker's unreleased     Release the batch)
-//        v                 batch)                       |
-//   typed Status                                  shard groups: flat
+//        |                 accounted shedding;     per report: dedup,
+//        |                 capacity counts the     decode into one reused
+//        |                 worker's unreleased     buffer, validate,
+//        |                 batch; payload bytes    budget, buffer;
+//        v                 ride in a byte arena)   Release the batch)
+//   typed Status                                        |
+//                                                 shard groups: flat
 //                                                 pane buffers (entry
 //                                                 array + report records)
 //                                                       |
@@ -227,6 +229,51 @@ struct PublishedWindow {
   std::vector<double> estimate;
 };
 
+/// \brief The batch a service worker queue stores and PopAll hands over
+/// (the `Batch` of common/mpmc_queue.h): each queued report's header
+/// plus its payload's slice of one byte arena. A push copies the payload
+/// bytes in; PopAll swaps the queue's batch with the worker's, so both
+/// arenas keep their storage and a steady stream queues reports without
+/// a heap allocation each.
+class IngestBatch {
+ public:
+  void push_back(const protocol::EnvelopeView& envelope) {
+    headers_.push_back({envelope.tenant, envelope.sequence, envelope.tick,
+                        bytes_.size(), envelope.payload.size()});
+    bytes_.insert(bytes_.end(), envelope.payload.begin(),
+                  envelope.payload.end());
+  }
+  std::size_t size() const { return headers_.size(); }
+  bool empty() const { return headers_.empty(); }
+  void swap(IngestBatch& other) {
+    headers_.swap(other.headers_);
+    bytes_.swap(other.bytes_);
+  }
+  void clear() {
+    headers_.clear();
+    bytes_.clear();
+  }
+  /// Report i, its payload viewing this batch's arena (valid until the
+  /// next push, swap or clear).
+  protocol::EnvelopeView operator[](std::size_t i) const {
+    const Header& h = headers_[i];
+    return {h.tenant, h.sequence, h.tick,
+            std::span<const std::uint8_t>(bytes_).subspan(h.offset,
+                                                          h.size)};
+  }
+
+ private:
+  struct Header {
+    std::uint64_t tenant = 0;
+    std::uint64_t sequence = 0;
+    std::uint64_t tick = 0;
+    std::size_t offset = 0;  // into bytes_
+    std::size_t size = 0;
+  };
+  std::vector<Header> headers_;
+  std::vector<std::uint8_t> bytes_;
+};
+
 /// \brief The online aggregation service. Thread-safe: Submit() may be
 /// called from any number of producer threads; AdvanceWatermark(),
 /// Drain(), SaveSnapshot() and Finish() must be externally sequenced
@@ -333,6 +380,8 @@ class AggregationService {
     }
   };
 
+  using IngestQueue = BoundedQueue<protocol::EnvelopeView, IngestBatch>;
+
   // All mutable per-report state of one shard group, guarded by `mu`.
   // A group is touched by the one worker its reports route to, plus the
   // driver thread during seal/snapshot — contention is the exception.
@@ -361,7 +410,10 @@ class AggregationService {
     std::uint64_t payload_bytes = 0;
     std::uint64_t max_pane = 0;
   };
-  void Process(const protocol::ReportEnvelope& envelope, Accepted* accepted);
+  // Ingests one queued report, decoding its payload into `report` (the
+  // worker's reused buffer).
+  void Process(const protocol::EnvelopeView& envelope,
+               protocol::UserReport* report, Accepted* accepted);
   // Retires `count` reports from pending_, waking Quiesce() at zero.
   void Retire(std::uint64_t count);
   void Quiesce();
@@ -381,8 +433,7 @@ class AggregationService {
   // shared by all workers without locking.
   std::optional<PayloadCodec> codec_;
 
-  std::vector<std::unique_ptr<BoundedQueue<protocol::ReportEnvelope>>>
-      queues_;
+  std::vector<std::unique_ptr<IngestQueue>> queues_;
   std::unique_ptr<ThreadPool> pool_;
 
   std::vector<std::unique_ptr<GroupState>> groups_;

@@ -65,6 +65,13 @@ Result<PayloadCodec> PayloadCodec::Create(const PayloadCodecOptions& options) {
 
 Result<protocol::UserReport> PayloadCodec::Decode(
     std::span<const std::uint8_t> payload) const {
+  protocol::UserReport report;
+  HDLDP_RETURN_NOT_OK(Decode(payload, &report));
+  return report;
+}
+
+Status PayloadCodec::Decode(std::span<const std::uint8_t> payload,
+                            protocol::UserReport* out) const {
   using protocol::ReportEncoding;
   HDLDP_ASSIGN_OR_RETURN(const ReportEncoding kind,
                          protocol::PayloadEncoding(payload));
@@ -72,7 +79,8 @@ Result<protocol::UserReport> PayloadCodec::Decode(
     return Status::InvalidArgument(
         "payload kind does not match the configured service encoding");
   }
-  protocol::UserReport report;
+  std::vector<protocol::DimensionReport>& entries = out->entries;
+  entries.clear();
   switch (options_.encoding) {
     case ReportEncoding::kOue: {
       HDLDP_ASSIGN_OR_RETURN(const protocol::OuePayload decoded,
@@ -82,7 +90,7 @@ Result<protocol::UserReport> PayloadCodec::Decode(
         return Status::InvalidArgument(
             "OUE payload geometry mismatch (questions / sampled count)");
       }
-      report.entries.reserve(expected_entries_);
+      entries.reserve(expected_entries_);
       for (const protocol::OuePayloadDim& dim : decoded.dims) {
         if (dim.cardinality != options_.num_categories) {
           return Status::InvalidArgument(
@@ -90,12 +98,12 @@ Result<protocol::UserReport> PayloadCodec::Decode(
         }
         const std::size_t base = dim.dimension * options_.num_categories;
         for (std::size_t k = 0; k < options_.num_categories; ++k) {
-          report.entries.push_back(protocol::DimensionReport{
+          entries.push_back(protocol::DimensionReport{
               static_cast<std::uint32_t>(base + k),
               oue_.EntryValue(dim.Bit(k))});
         }
       }
-      return report;
+      return Status::OK();
     }
     case ReportEncoding::kOlh: {
       HDLDP_ASSIGN_OR_RETURN(const protocol::OlhPayload decoded,
@@ -105,7 +113,7 @@ Result<protocol::UserReport> PayloadCodec::Decode(
         return Status::InvalidArgument(
             "OLH payload geometry mismatch (questions / sampled count)");
       }
-      report.entries.reserve(expected_entries_);
+      entries.reserve(expected_entries_);
       for (const protocol::OlhPayloadDim& dim : decoded.dims) {
         if (dim.g != olh_.g) {
           return Status::InvalidArgument(
@@ -117,12 +125,12 @@ Result<protocol::UserReport> PayloadCodec::Decode(
           const bool supports =
               hasher.Bucket(static_cast<std::uint32_t>(k), olh_.g) ==
               dim.value;
-          report.entries.push_back(protocol::DimensionReport{
+          entries.push_back(protocol::DimensionReport{
               static_cast<std::uint32_t>(base + k),
               olh_.EntryValue(supports)});
         }
       }
-      return report;
+      return Status::OK();
     }
     case ReportEncoding::kHadamard1: {
       HDLDP_ASSIGN_OR_RETURN(const protocol::Hadamard1Payload decoded,
@@ -135,9 +143,8 @@ Result<protocol::UserReport> PayloadCodec::Decode(
       std::vector<std::uint32_t> dims;
       protocol::Hadamard1SampleDims(decoded.sample_seed, hadamard_.num_dims,
                                     hadamard_.report_dims, &dims);
-      HDLDP_RETURN_NOT_OK(protocol::Hadamard1Decode(
-          hadamard_, dims, decoded.index, decoded.positive, &report));
-      return report;
+      return protocol::Hadamard1Decode(hadamard_, dims, decoded.index,
+                                       decoded.positive, out);
     }
     default:
       return Status::Internal("payload codec holds a numeric encoding");

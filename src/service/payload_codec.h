@@ -83,6 +83,12 @@ class PayloadCodec {
   Result<protocol::UserReport> Decode(
       std::span<const std::uint8_t> payload) const;
 
+  /// \brief Decode into a caller-owned report: replaces out->entries,
+  /// reusing their storage (the service keeps one per worker). Same
+  /// checks and Status; *out is unspecified after an error.
+  Status Decode(std::span<const std::uint8_t> payload,
+                protocol::UserReport* out) const;
+
  private:
   explicit PayloadCodec(PayloadCodecOptions options);
 

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/generators.h"
@@ -41,6 +46,169 @@ TEST(ReportTest, ValidateRejectsMalformed) {
   EXPECT_FALSE(ValidateReport(r, 5, 2, -1.0, 1.0).ok());  // Out of domain.
   r.entries = {{0, std::nan("")}, {1, 0.0}};
   EXPECT_FALSE(ValidateReport(r, 5, 2, -1.0, 1.0).ok());  // NaN.
+}
+
+// ValidateReport's body as it stood with a hash set for duplicates: one
+// pass in entry order, index then repeat then value per entry. The
+// allocation-free validator must return its code and message on every
+// input. The one intended difference is the finite-value rule the
+// header always promised: `reject_infinity` false is the old body,
+// which let ±inf through whenever the admissible range was unbounded.
+Status HashSetValidateReference(const UserReport& report,
+                                std::size_t num_dims,
+                                std::size_t expected_entries,
+                                double output_lo, double output_hi,
+                                bool reject_infinity) {
+  if (report.entries.size() != expected_entries) {
+    return Status::InvalidArgument(
+        "report carries " + std::to_string(report.entries.size()) +
+        " entries, expected " + std::to_string(expected_entries));
+  }
+  std::unordered_set<std::uint32_t> seen;
+  seen.reserve(report.entries.size());
+  for (const DimensionReport& entry : report.entries) {
+    if (entry.dimension >= num_dims) {
+      return Status::OutOfRange("report dimension index out of range");
+    }
+    if (!seen.insert(entry.dimension).second) {
+      return Status::InvalidArgument("report repeats a dimension");
+    }
+    if (std::isnan(entry.value) ||
+        (reject_infinity && std::isinf(entry.value)) ||
+        entry.value < output_lo || entry.value > output_hi) {
+      return Status::OutOfRange("report value outside mechanism output domain");
+    }
+  }
+  return Status::OK();
+}
+
+bool HasInfinity(const UserReport& report) {
+  for (const DimensionReport& entry : report.entries) {
+    if (std::isinf(entry.value)) return true;
+  }
+  return false;
+}
+
+// Checks one input against the reference: same code and message always,
+// and the old (infinity-admitting) body agrees too unless the report
+// carries an infinity. Returns whether the two references disagreed.
+bool ExpectMatchesReference(const UserReport& report, std::size_t num_dims,
+                            std::size_t expected, double lo, double hi) {
+  const Status got = ValidateReport(report, num_dims, expected, lo, hi);
+  const Status want =
+      HashSetValidateReference(report, num_dims, expected, lo, hi, true);
+  const Status old =
+      HashSetValidateReference(report, num_dims, expected, lo, hi, false);
+  std::string dims;
+  for (const DimensionReport& e : report.entries) {
+    dims += std::to_string(e.dimension) + ":" + std::to_string(e.value) + " ";
+  }
+  EXPECT_EQ(got.code(), want.code()) << dims;
+  EXPECT_EQ(got.message(), want.message()) << dims;
+  const bool diverged =
+      old.code() != want.code() || old.message() != want.message();
+  if (diverged) {
+    EXPECT_TRUE(HasInfinity(report)) << dims;
+  }
+  return diverged;
+}
+
+UserReport Entries(std::initializer_list<DimensionReport> entries) {
+  UserReport report;
+  report.entries = entries;
+  return report;
+}
+
+TEST(ReportTest, ValidateMatchesTheHashSetReferenceOnAdversarialReports) {
+  const double nan = std::nan("");
+  const std::vector<UserReport> cases = {
+      Entries({}),
+      Entries({{4, 0.1}}),
+      Entries({{1, 0.1}, {2, 0.2}, {3, 0.3}, {4, 0.4}}),
+      // Unordered without repeats: every fallback lookup misses.
+      Entries({{4, 0.1}, {3, 0.2}, {2, 0.3}, {1, 0.4}}),
+      Entries({{2, 0.1}, {5, 0.2}, {0, 0.3}, {7, 0.4}, {6, 0.5}}),
+      // Repeats at the front, the middle and the end.
+      Entries({{2, 0.1}, {2, 0.2}, {3, 0.3}, {5, 0.4}}),
+      Entries({{1, 0.1}, {3, 0.2}, {3, 0.3}, {5, 0.4}}),
+      Entries({{1, 0.1}, {3, 0.2}, {5, 0.3}, {5, 0.4}}),
+      Entries({{1, 0.1}, {3, 0.2}, {5, 0.3}, {1, 0.4}}),
+      // After the first descent: a repeat of the ascending prefix (binary
+      // search) and a repeat inside the unordered tail (scan).
+      Entries({{1, 0.1}, {4, 0.2}, {6, 0.3}, {2, 0.4}, {4, 0.5}}),
+      Entries({{1, 0.1}, {4, 0.2}, {6, 0.3}, {2, 0.4}, {3, 0.5}, {2, 0.6}}),
+      Entries({{6, 0.1}, {5, 0.2}, {6, 0.3}}),
+      // A bad index before and after a repeat: the first one in entry
+      // order decides.
+      Entries({{9, 0.1}, {2, 0.2}, {2, 0.3}}),
+      Entries({{2, 0.1}, {2, 0.2}, {9, 0.3}}),
+      Entries({{3, 0.1}, {1, 0.2}, {9, 0.3}, {1, 0.4}}),
+      // Out-of-domain and NaN values before and after a repeat.
+      Entries({{1, nan}, {2, 0.2}, {2, 0.3}}),
+      Entries({{1, 0.1}, {1, nan}}),
+      Entries({{1, 0.1}, {1, 0.2}, {2, nan}}),
+      Entries({{3, 0.1}, {2, 7.5}, {3, 0.3}}),
+      Entries({{3, 0.1}, {3, 7.5}}),
+  };
+  for (const UserReport& report : cases) {
+    for (const std::size_t expected :
+         {report.entries.size(), report.entries.size() + 1}) {
+      ExpectMatchesReference(report, 8, expected, -1.0, 1.0);
+      ExpectMatchesReference(report, 8, expected,
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::infinity());
+    }
+  }
+}
+
+TEST(ReportTest, ValidateMatchesTheHashSetReferenceOnRandomReports) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(2024);
+  std::size_t diverged = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t num_dims = 1 + rng.UniformInt(24);
+    const std::size_t m = rng.UniformInt(12);
+    UserReport report;
+    for (std::size_t i = 0; i < m; ++i) {
+      // A few indices past num_dims; small domains force repeats.
+      const auto dim =
+          static_cast<std::uint32_t>(rng.UniformInt(num_dims + 2));
+      double value = rng.Uniform(-1.2, 1.2);
+      const std::uint64_t special = rng.UniformInt(40);
+      if (special == 0) value = std::nan("");
+      if (special == 1) value = kInf;
+      if (special == 2) value = -kInf;
+      report.entries.push_back({dim, value});
+    }
+    // Half the reports ascend, the shape every decoded payload has.
+    if (rng.UniformInt(2) == 0) {
+      std::sort(report.entries.begin(), report.entries.end(),
+                [](const DimensionReport& a, const DimensionReport& b) {
+                  return a.dimension < b.dimension;
+                });
+    }
+    const std::size_t expected = rng.UniformInt(8) == 0 ? m + 1 : m;
+    const bool bounded = rng.UniformInt(2) == 0;
+    diverged += ExpectMatchesReference(report, num_dims, expected,
+                                       bounded ? -1.0 : -kInf,
+                                       bounded ? 1.0 : kInf);
+  }
+  // The infinity rule does change outcomes on unbounded ranges.
+  EXPECT_GT(diverged, 0u);
+}
+
+TEST(ReportTest, ValidateRejectsInfinityEvenOnAnUnboundedRange) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The one place the hash-set validator and this one disagree: it
+  // admitted ±inf whenever the range was unbounded (Laplace).
+  for (const double value : {kInf, -kInf}) {
+    const UserReport report = Entries({{0, 0.5}, {1, value}});
+    EXPECT_TRUE(
+        HashSetValidateReference(report, 2, 2, -kInf, kInf, false).ok());
+    const Status status = ValidateReport(report, 2, 2, -kInf, kInf);
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(status.message(), "report value outside mechanism output domain");
+  }
 }
 
 TEST(ClientTest, CreateValidates) {

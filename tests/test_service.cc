@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "common/mpmc_queue.h"
 #include "data/fault_injection.h"
 #include "freq/encoding.h"
+#include "mech/registry.h"
 #include "protocol/wire.h"
 #include "service/aggregation_service.h"
 #include "service/report_stream.h"
@@ -825,6 +828,42 @@ TEST(ServiceTest, QuarantineTripsOnConsecutiveInvalidAndAcceptResets) {
   EXPECT_EQ(lenient->Stats().shed_quarantined, 0u);
   EXPECT_EQ(lenient->Stats().accepted, 2u);
   EXPECT_EQ(lenient->Stats().rejected_invalid, 5u);
+}
+
+TEST(ServiceTest, InfiniteValuesAreRejectedInvalidAndWindowsStayFinite) {
+  // A Laplace service: the admissible output range is unbounded, so only
+  // the finite-value rule keeps an infinite entry out of the sums.
+  const auto laplace = mech::MakeMechanism("laplace").value();
+  const mech::Interval range = laplace->OutputDomain(1.0).value();
+  ASSERT_TRUE(std::isinf(range.lo) && std::isinf(range.hi));
+  ServiceOptions options = ManualOptions();
+  options.output_lo = range.lo;
+  options.output_hi = range.hi;
+  options.max_invalid_per_tenant = 2;
+  auto service = AggregationService::Create(options).value();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Tenant 0 sends two infinite reports in a row: each counts toward its
+  // invalid streak, so the second trips the quarantine.
+  ASSERT_TRUE(service->Submit(MakeEnvelope(0, 0, 0, kInf)).ok());
+  ASSERT_TRUE(service->Submit(MakeEnvelope(0, 1, 0, -kInf)).ok());
+  ASSERT_TRUE(service->Submit(MakeEnvelope(0, 2, 0, 0.5)).ok());
+  for (std::uint64_t seq = 0; seq < 4; ++seq) {
+    ASSERT_TRUE(service->Submit(MakeEnvelope(1, seq, 0, 0.25 * seq)).ok());
+  }
+  ASSERT_TRUE(service->Drain().ok());
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.rejected_invalid, 2u);
+  EXPECT_EQ(stats.rejected_malformed, 0u);
+  EXPECT_EQ(stats.quarantined_tenants, 1u);
+  EXPECT_EQ(stats.shed_quarantined, 1u);
+  EXPECT_EQ(stats.accepted, 4u);
+  ASSERT_TRUE(service->VerifyReconciliation().ok());
+  const auto windows = service->PublishedWindows();
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].report_count, 4u);
+  for (const double v : windows[0].estimate) {
+    EXPECT_TRUE(std::isfinite(v)) << v;
+  }
 }
 
 TEST(ServiceTest, QuarantineIsWorkerCountInvariantAndSurvivesRestore) {
