@@ -20,6 +20,36 @@ namespace {
 // Older blobs are rejected — checkpoints are same-version artifacts,
 // not archival data.
 constexpr std::uint32_t kSnapshotBlobVersion = 3;
+// The blob stores the ledger in kServiceCounters order: a new counter is
+// a new blob layout.
+static_assert(kNumServiceCounters == 14 && kSnapshotBlobVersion == 3,
+              "a service counter was added or removed: bump "
+              "kSnapshotBlobVersion and the count here");
+
+// Position of `field` in kServiceCounters. A field missing from the
+// table reads past its end, which no constant evaluation allows.
+consteval std::size_t Slot(std::uint64_t ServiceStats::*field) {
+  std::size_t i = 0;
+  while (kServiceCounters[i].field != field) ++i;
+  return i;
+}
+
+// The slots code bumps by name.
+using S = ServiceStats;
+constexpr std::size_t kSubmitted = Slot(&S::submitted);
+constexpr std::size_t kAccepted = Slot(&S::accepted);
+constexpr std::size_t kAcceptedPayloadBytes = Slot(&S::accepted_payload_bytes);
+constexpr std::size_t kDeduped = Slot(&S::deduped);
+constexpr std::size_t kShedQueueFull = Slot(&S::shed_queue_full);
+constexpr std::size_t kShedLate = Slot(&S::shed_late);
+constexpr std::size_t kShedQuarantined = Slot(&S::shed_quarantined);
+constexpr std::size_t kRejectedMalformed = Slot(&S::rejected_malformed);
+constexpr std::size_t kRejectedInvalid = Slot(&S::rejected_invalid);
+constexpr std::size_t kRejectedBudget = Slot(&S::rejected_budget);
+constexpr std::size_t kQuarantinedTenants = Slot(&S::quarantined_tenants);
+constexpr std::size_t kFailedSnapshots = Slot(&S::failed_snapshots);
+constexpr std::size_t kPublishedWindows = Slot(&S::published_windows);
+constexpr std::size_t kPublishedReports = Slot(&S::published_reports);
 
 // Pane-seal accumulator: a MeanAggregator reduced with the state-exact
 // merge plus the report count the published window reconciles against.
@@ -72,6 +102,20 @@ std::vector<unsigned char> BuildDigest(const ServiceOptions& options) {
 
 }  // namespace
 
+std::string FormatStats(const ServiceStats& stats) {
+  std::string line;
+  for (std::size_t i = 0; i < kNumServiceCounters; ++i) {
+    line += ' ';
+    line += kServiceCounters[i].name;
+    line += '=';
+    line += std::to_string(stats.*kServiceCounters[i].field);
+    if (i == kFailedSnapshots) {
+      line += stats.degraded ? " degraded=1" : " degraded=0";
+    }
+  }
+  return line;
+}
+
 AggregationService::AggregationService(ServiceOptions options)
     : options_(std::move(options)) {}
 
@@ -106,6 +150,9 @@ Result<std::unique_ptr<AggregationService>> AggregationService::Create(
     options.num_workers =
         std::max(1u, std::thread::hardware_concurrency());
   }
+  // Submit routes by shard group, so a worker past the group count
+  // would never receive a report.
+  options.num_workers = std::min(options.num_workers, kNumShardGroups);
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be > 0");
   }
@@ -155,7 +202,7 @@ Result<std::unique_ptr<AggregationService>> AggregationService::Create(
       // snapshot-free; the stats ledger reports the service degraded
       // and every SaveSnapshot attempt counts as failed. A digest
       // mismatch (another run's checkpoint) stays a loud typed error.
-      svc->stats_.failed_snapshots.fetch_add(1, std::memory_order_relaxed);
+      svc->Count(kFailedSnapshots);
     } else {
       return opened.status();
     }
@@ -191,10 +238,10 @@ Status AggregationService::Submit(std::span<const std::uint8_t> bytes) {
   if (stopped_.load(std::memory_order_acquire)) {
     return Status::Unavailable("aggregation service is stopped");
   }
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
+  Count(kSubmitted);
   auto envelope = protocol::ParseEnvelope(bytes);
   if (!envelope.ok()) {
-    stats_.rejected_malformed.fetch_add(1, std::memory_order_relaxed);
+    Count(kRejectedMalformed);
     return envelope.status();
   }
   // The push copies the payload into the queue's byte arena while
@@ -209,7 +256,7 @@ Status AggregationService::Submit(std::span<const std::uint8_t> bytes) {
   // Either policy's refusal lands in one bucket. A queue refuses an
   // item for being full (kShed only) or for being closed, and stopped_
   // is raised before any queue closes.
-  stats_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
+  Count(kShedQueueFull);
   if (stopped_.load(std::memory_order_acquire)) {
     return Status::Unavailable("aggregation service is stopped");
   }
@@ -223,21 +270,30 @@ void AggregationService::WorkerLoop(std::size_t worker) {
   // copied into its pane before the next decode.
   protocol::UserReport report;
   while (queue.PopAll(&batch)) {
-    Accepted accepted;
+    // What this batch adds to the ledger, published once before the
+    // batch retires (so a quiesced Stats() is exact): per-report adds
+    // would bounce the shared counters between workers and producer.
+    std::array<std::uint64_t, kNumServiceCounters> tally{};
+    std::uint64_t max_pane = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      Process(batch[i], &report, &accepted);
+      const protocol::EnvelopeView envelope = batch[i];
+      const Outcome outcome = Process(envelope, &report);
+      ++tally[outcome.bucket];
+      tally[kQuarantinedTenants] += outcome.tripped ? 1 : 0;
+      if (outcome.bucket == kAccepted) {
+        tally[kAcceptedPayloadBytes] += envelope.payload.size();
+        max_pane = std::max(max_pane, options_.window.PaneOf(envelope.tick));
+      }
     }
-    // Published per batch: per-report adds would bounce these shared
-    // cache lines between the workers and the producer.
-    if (accepted.reports > 0) {
-      stats_.accepted.fetch_add(accepted.reports, std::memory_order_relaxed);
-      stats_.accepted_payload_bytes.fetch_add(accepted.payload_bytes,
-                                              std::memory_order_relaxed);
+    for (std::size_t c = 0; c < kNumServiceCounters; ++c) {
+      if (tally[c] > 0) Count(c, tally[c]);
+    }
+    if (tally[kAccepted] > 0) {
       any_accepted_.store(true, std::memory_order_release);
       std::uint64_t seen = max_pane_seen_.load(std::memory_order_relaxed);
-      while (accepted.max_pane > seen &&
+      while (max_pane > seen &&
              !max_pane_seen_.compare_exchange_weak(
-                 seen, accepted.max_pane, std::memory_order_acq_rel)) {
+                 seen, max_pane, std::memory_order_acq_rel)) {
       }
     }
     const std::size_t count = batch.size();
@@ -254,9 +310,8 @@ void AggregationService::Retire(std::uint64_t count) {
   }
 }
 
-void AggregationService::Process(const protocol::EnvelopeView& envelope,
-                                 protocol::UserReport* report,
-                                 Accepted* accepted) {
+AggregationService::Outcome AggregationService::Process(
+    const protocol::EnvelopeView& envelope, protocol::UserReport* report) {
   const std::size_t g = GroupOf(envelope.tenant);
   const std::uint64_t pane = options_.window.PaneOf(envelope.tick);
   GroupState& group = *groups_[g];
@@ -266,47 +321,37 @@ void AggregationService::Process(const protocol::EnvelopeView& envelope,
   // extract buffers, so a report is either buffered before its pane is
   // extracted or it observes the raised bound and is shed — never lost.
   if (pane < sealed_before_.load(std::memory_order_acquire)) {
-    stats_.shed_late.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return {kShedLate};
   }
   TenantState& tenant = group.tenants[envelope.tenant];
   if (tenant.quarantined) {
     // O(1) containment: no decode, no dedup growth — a Byzantine tenant
     // flooding garbage costs one counter bump per report.
-    stats_.shed_quarantined.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return {kShedQuarantined};
   }
   // Counts one rejection toward the tenant's consecutive-invalid streak
   // and trips the quarantine at the configured threshold. A tenant's
   // reports drain from one fixed queue in submission order, so the
   // streak — and the trip point — is worker-count invariant.
-  const auto reject = [&](std::atomic<std::uint64_t>& bucket) {
-    bucket.fetch_add(1, std::memory_order_relaxed);
-    if (options_.max_invalid_per_tenant == 0) return;
-    if (++tenant.invalid_streak >= options_.max_invalid_per_tenant) {
-      tenant.quarantined = true;
-      stats_.quarantined_tenants.fetch_add(1, std::memory_order_relaxed);
-    }
+  const auto reject = [&](std::size_t bucket) -> Outcome {
+    const bool trips =
+        options_.max_invalid_per_tenant > 0 &&
+        ++tenant.invalid_streak >= options_.max_invalid_per_tenant;
+    if (trips) tenant.quarantined = true;
+    return {bucket, trips};
   };
-  if (!tenant.seen.Insert(envelope.sequence)) {
-    stats_.deduped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  if (!tenant.seen.Insert(envelope.sequence)) return {kDeduped};
   const Status decoded =
       codec_.has_value() ? codec_->Decode(envelope.payload, report)
                          : protocol::DecodeReport(envelope.payload, report);
-  if (!decoded.ok()) {
-    reject(stats_.rejected_malformed);
-    return;
-  }
+  if (!decoded.ok()) return reject(kRejectedMalformed);
   const std::size_t expected = options_.expected_entries > 0
                                    ? options_.expected_entries
                                    : report->entries.size();
   if (!protocol::ValidateReport(*report, options_.num_dims, expected,
                                 options_.output_lo, options_.output_hi)
            .ok()) {
-    reject(stats_.rejected_invalid);
-    return;
+    return reject(kRejectedInvalid);
   }
   if (budget_capacity_ > 0) {
     // Sequence-keyed admission (see BudgetAccountant::Capacity): which
@@ -314,8 +359,7 @@ void AggregationService::Process(const protocol::EnvelopeView& envelope,
     // accepted set never depends on arrival order. The ledger Spend is
     // the enforcement backstop — admission guarantees it fits.
     if (envelope.sequence >= budget_capacity_) {
-      reject(stats_.rejected_budget);
-      return;
+      return reject(kRejectedBudget);
     }
     if (!tenant.ledger.has_value()) {
       auto ledger = protocol::BudgetAccountant::Create(
@@ -323,17 +367,14 @@ void AggregationService::Process(const protocol::EnvelopeView& envelope,
       tenant.ledger.emplace(std::move(ledger).value());
     }
     if (!tenant.ledger->Spend(options_.per_report_epsilon).ok()) {
-      reject(stats_.rejected_budget);
-      return;
+      return reject(kRejectedBudget);
     }
     ++tenant.accepted;
   }
   tenant.invalid_streak = 0;
   group.panes[pane].Append(envelope.tenant, envelope.sequence,
                            report->entries);
-  ++accepted->reports;
-  accepted->payload_bytes += envelope.payload.size();
-  accepted->max_pane = std::max(accepted->max_pane, pane);
+  return {kAccepted};
 }
 
 void AggregationService::Quiesce() {
@@ -461,9 +502,8 @@ Status AggregationService::PublishWindow(std::uint64_t window) {
     published.estimate = acc.EstimatedMean();
     published_.push_back(std::move(published));
   }
-  stats_.published_windows.fetch_add(1, std::memory_order_relaxed);
-  stats_.published_reports.fetch_add(report_count,
-                                     std::memory_order_relaxed);
+  Count(kPublishedWindows);
+  Count(kPublishedReports, report_count);
   return Status::OK();
 }
 
@@ -475,7 +515,7 @@ Status AggregationService::SaveSnapshot(std::uint64_t resume_cursor) {
     }
     // Degraded mode: the checkpoint file could not be opened at Create.
     // Keep serving and keep counting the snapshots that never happened.
-    stats_.failed_snapshots.fetch_add(1, std::memory_order_relaxed);
+    Count(kFailedSnapshots);
     return Status::OK();
   }
   Quiesce();
@@ -487,7 +527,7 @@ Status AggregationService::SaveSnapshot(std::uint64_t resume_cursor) {
     // previous snapshot is still intact and restorable. Record the
     // failure loudly in the stats ledger and keep serving — estimates
     // never depend on the snapshot path.
-    stats_.failed_snapshots.fetch_add(1, std::memory_order_relaxed);
+    Count(kFailedSnapshots);
     return Status::OK();
   }
   return saved;
@@ -509,7 +549,7 @@ Status AggregationService::Finish() {
       // A failed final flush is the same graceful-degradation story as
       // a failed Save: the estimates this run published never depended
       // on the snapshot, so count it and finish clean.
-      stats_.failed_snapshots.fetch_add(1, std::memory_order_relaxed);
+      Count(kFailedSnapshots);
     }
     HDLDP_RETURN_NOT_OK(
         protocol::SnapshotFile::Remove(options_.checkpoint_path));
@@ -519,44 +559,25 @@ Status AggregationService::Finish() {
 
 ServiceStats AggregationService::Stats() const {
   ServiceStats s;
-  s.submitted = stats_.submitted.load(std::memory_order_acquire);
-  s.accepted = stats_.accepted.load(std::memory_order_acquire);
-  s.accepted_payload_bytes =
-      stats_.accepted_payload_bytes.load(std::memory_order_acquire);
-  s.deduped = stats_.deduped.load(std::memory_order_acquire);
-  s.shed_queue_full =
-      stats_.shed_queue_full.load(std::memory_order_acquire);
-  s.shed_late = stats_.shed_late.load(std::memory_order_acquire);
-  s.shed_quarantined =
-      stats_.shed_quarantined.load(std::memory_order_acquire);
-  s.rejected_malformed =
-      stats_.rejected_malformed.load(std::memory_order_acquire);
-  s.rejected_invalid =
-      stats_.rejected_invalid.load(std::memory_order_acquire);
-  s.rejected_budget =
-      stats_.rejected_budget.load(std::memory_order_acquire);
-  s.quarantined_tenants =
-      stats_.quarantined_tenants.load(std::memory_order_acquire);
-  s.failed_snapshots =
-      stats_.failed_snapshots.load(std::memory_order_acquire);
-  s.degraded = s.failed_snapshots > 0;
-  s.published_windows =
-      stats_.published_windows.load(std::memory_order_acquire);
-  s.published_reports =
-      stats_.published_reports.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < kNumServiceCounters; ++i) {
+    s.*kServiceCounters[i].field =
+        counters_[i].load(std::memory_order_acquire);
+  }
+  s.degraded = s.*kServiceCounters[kFailedSnapshots].field > 0;
   return s;
 }
 
 Status AggregationService::VerifyReconciliation() const {
   const ServiceStats s = Stats();
-  const std::uint64_t accounted = s.accepted + s.deduped +
-                                  s.shed_queue_full + s.shed_late +
-                                  s.shed_quarantined + s.rejected_malformed +
-                                  s.rejected_invalid + s.rejected_budget;
-  if (accounted != s.submitted) {
+  std::uint64_t accounted = 0;
+  for (const ServiceCounter& counter : kServiceCounters) {
+    if (counter.bucket) accounted += s.*counter.field;
+  }
+  const std::uint64_t submitted = s.*kServiceCounters[kSubmitted].field;
+  if (accounted != submitted) {
     return Status::Internal(
         "shedding ledger mismatch: submitted " +
-        std::to_string(s.submitted) + " but accounted " +
+        std::to_string(submitted) + " but accounted " +
         std::to_string(accounted) +
         " (a lost report is a service bug, never a statistic)");
   }
@@ -579,21 +600,9 @@ std::vector<unsigned char> AggregationService::SerializeSnapshot(
   w.U64(next_window_);
   w.U64(max_pane_seen_.load(std::memory_order_acquire));
   w.U64(any_accepted_.load(std::memory_order_acquire) ? 1 : 0);
-  const ServiceStats s = Stats();
-  w.U64(s.submitted);
-  w.U64(s.accepted);
-  w.U64(s.accepted_payload_bytes);
-  w.U64(s.deduped);
-  w.U64(s.shed_queue_full);
-  w.U64(s.shed_late);
-  w.U64(s.shed_quarantined);
-  w.U64(s.rejected_malformed);
-  w.U64(s.rejected_invalid);
-  w.U64(s.rejected_budget);
-  w.U64(s.quarantined_tenants);
-  w.U64(s.failed_snapshots);
-  w.U64(s.published_windows);
-  w.U64(s.published_reports);
+  for (const auto& counter : counters_) {
+    w.U64(counter.load(std::memory_order_acquire));
+  }
   {
     std::lock_guard<std::mutex> lock(publish_mu_);
     // Published estimates are stored verbatim (not recomputed on
@@ -669,25 +678,10 @@ Status AggregationService::RestoreSnapshot(
   max_pane_seen_.store(max_pane, std::memory_order_release);
   HDLDP_ASSIGN_OR_RETURN(const std::uint64_t any, r.U64());
   any_accepted_.store(any != 0, std::memory_order_release);
-  const auto restore_counter = [&r](std::atomic<std::uint64_t>* c) {
-    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t v, r.U64());
-    c->store(v, std::memory_order_release);
-    return Status::OK();
-  };
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.submitted));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.accepted));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.accepted_payload_bytes));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.deduped));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.shed_queue_full));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.shed_late));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.shed_quarantined));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.rejected_malformed));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.rejected_invalid));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.rejected_budget));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.quarantined_tenants));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.failed_snapshots));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.published_windows));
-  HDLDP_RETURN_NOT_OK(restore_counter(&stats_.published_reports));
+  for (auto& counter : counters_) {
+    HDLDP_ASSIGN_OR_RETURN(const std::uint64_t value, r.U64());
+    counter.store(value, std::memory_order_release);
+  }
   HDLDP_ASSIGN_OR_RETURN(const std::uint64_t published_count, r.U64());
   published_.clear();
   // Counts come from the blob; reserve only what the remaining bytes

@@ -32,9 +32,12 @@
 //     exactly one stats bucket: accepted, deduped, shed_queue_full,
 //     shed_late, shed_quarantined, rejected_malformed, rejected_invalid,
 //     or rejected_budget — VerifyReconciliation() checks the sum
-//     exactly. A snapshot write that fails raises the degraded flag and
-//     failed_snapshots counter instead of corrupting or blocking
-//     published estimates.
+//     exactly. This holds by construction: Submit() counts the refusals
+//     it makes itself, and Process() returns the one bucket each queued
+//     report landed in, which the worker tallies per batch and publishes
+//     before retiring the batch. A snapshot write that fails raises the
+//     degraded flag and failed_snapshots counter instead of corrupting
+//     or blocking published estimates.
 //   * Byzantine tenants are contained. With max_invalid_per_tenant set,
 //     a tenant whose reports are rejected (malformed, out-of-range, or
 //     budget-violating) that many times in a row is quarantined: every
@@ -69,16 +72,28 @@
 //     SnapshotFile record; Create() on the same path restores it and
 //     the run republishes bit-identical estimates.
 //
+// The ledger: kServiceCounters below declares every counter once — its
+// stats-line name, its ServiceStats field, and whether it is a
+// reconciliation bucket. The workers' atomics, Stats(),
+// VerifyReconciliation(), the snapshot blob's counter block and
+// FormatStats() (the CLI `stats` line) all iterate it. To add a counter:
+// add the ServiceStats field and its table row (the row's position is
+// its place in the snapshot blob and on the stats line), give it a slot
+// constant in aggregation_service.cc if code bumps it, and bump
+// kSnapshotBlobVersion, which a static_assert on the table size forces.
+//
 // Event-time semantics live in window.h; the deterministic report
 // stream driving tests and benches lives in report_stream.h.
 
 #ifndef HDLDP_SERVICE_AGGREGATION_SERVICE_H_
 #define HDLDP_SERVICE_AGGREGATION_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -144,8 +159,9 @@ struct ServiceOptions {
   /// Create() rejects a codec whose service_dims() differ from num_dims.
   PayloadCodecOptions codec;
 
-  /// Ingestion workers (0 = one per hardware thread). Published
-  /// estimates never depend on this.
+  /// Ingestion workers (0 = one per hardware thread), at most
+  /// kNumShardGroups (Create clamps). Published estimates never depend
+  /// on this.
   std::size_t num_workers = 1;
   /// Reports each worker may have in flight: queued plus drained into
   /// the batch the worker is processing. Submit() sheds (kShed) or
@@ -185,7 +201,7 @@ struct ServiceOptions {
 };
 
 /// \brief Ingestion and publication counters. Every submitted report
-/// lands in exactly one of the buckets below `submitted`.
+/// lands in exactly one bucket: a kServiceCounters row marked `bucket`.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
@@ -217,6 +233,39 @@ struct ServiceStats {
   /// accepted).
   std::uint64_t published_reports = 0;
 };
+
+/// \brief One service counter: its name on the stats line, its
+/// ServiceStats field, and whether it is a reconciliation bucket (one of
+/// the outcomes every submitted report lands in exactly one of).
+struct ServiceCounter {
+  const char* name;
+  std::uint64_t ServiceStats::*field;
+  bool bucket;
+};
+
+/// Every service counter, declared once, in snapshot blob order.
+inline constexpr ServiceCounter kServiceCounters[] = {
+    {"submitted", &ServiceStats::submitted, false},
+    {"accepted", &ServiceStats::accepted, true},
+    {"accepted_payload_bytes", &ServiceStats::accepted_payload_bytes, false},
+    {"deduped", &ServiceStats::deduped, true},
+    {"shed_queue_full", &ServiceStats::shed_queue_full, true},
+    {"shed_late", &ServiceStats::shed_late, true},
+    {"shed_quarantined", &ServiceStats::shed_quarantined, true},
+    {"rejected_malformed", &ServiceStats::rejected_malformed, true},
+    {"rejected_invalid", &ServiceStats::rejected_invalid, true},
+    {"rejected_budget", &ServiceStats::rejected_budget, true},
+    {"quarantined_tenants", &ServiceStats::quarantined_tenants, false},
+    {"failed_snapshots", &ServiceStats::failed_snapshots, false},
+    {"published_windows", &ServiceStats::published_windows, false},
+    {"published_reports", &ServiceStats::published_reports, false},
+};
+inline constexpr std::size_t kNumServiceCounters = std::size(kServiceCounters);
+
+/// The ledger as ` name=value` pairs in table order, with the derived
+/// `degraded` flag (0/1) right after failed_snapshots: the CLI `stats`
+/// line without its leading word.
+std::string FormatStats(const ServiceStats& stats);
 
 /// \brief One published rolling estimate.
 struct PublishedWindow {
@@ -282,7 +331,8 @@ class AggregationService {
  public:
   /// \brief Validates options, restores checkpoint state when
   /// `checkpoint_path` holds a matching snapshot, and starts the worker
-  /// pool.
+  /// pool. Reports route to workers by shard group, so at most
+  /// kNumShardGroups workers can receive any: more are clamped to that.
   static Result<std::unique_ptr<AggregationService>> Create(
       ServiceOptions options);
 
@@ -345,6 +395,8 @@ class AggregationService {
   /// All windows published so far (restored ones included), ascending.
   std::vector<PublishedWindow> PublishedWindows() const;
 
+  /// Worker threads running: the requested count, clamped to
+  /// kNumShardGroups.
   std::size_t num_workers() const { return workers_; }
 
  private:
@@ -401,19 +453,21 @@ class AggregationService {
   static std::size_t GroupOf(std::uint64_t tenant);
 
   void WorkerLoop(std::size_t worker);
-  // What a batch's accepted reports add to the shared counters. The
-  // worker publishes it once per batch, before retiring the batch, so a
-  // quiesced Stats() stays exact; rarer outcomes bump their bucket
-  // directly.
-  struct Accepted {
-    std::uint64_t reports = 0;
-    std::uint64_t payload_bytes = 0;
-    std::uint64_t max_pane = 0;
+  // Where one queued report landed: its bucket (an index into
+  // kServiceCounters) and whether its rejection tripped its tenant's
+  // quarantine.
+  struct Outcome {
+    std::size_t bucket = 0;
+    bool tripped = false;
   };
   // Ingests one queued report, decoding its payload into `report` (the
   // worker's reused buffer).
-  void Process(const protocol::EnvelopeView& envelope,
-               protocol::UserReport* report, Accepted* accepted);
+  Outcome Process(const protocol::EnvelopeView& envelope,
+                  protocol::UserReport* report);
+  // Adds `n` to one ledger counter (an index into kServiceCounters).
+  void Count(std::size_t counter, std::uint64_t n = 1) {
+    counters_[counter].fetch_add(n, std::memory_order_relaxed);
+  }
   // Retires `count` reports from pending_, waking Quiesce() at zero.
   void Retire(std::uint64_t count);
   void Quiesce();
@@ -458,23 +512,8 @@ class AggregationService {
   std::map<std::uint64_t, PaneAggregate> pane_aggregates_;
   std::vector<PublishedWindow> published_;
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> accepted_payload_bytes{0};
-    std::atomic<std::uint64_t> deduped{0};
-    std::atomic<std::uint64_t> shed_queue_full{0};
-    std::atomic<std::uint64_t> shed_late{0};
-    std::atomic<std::uint64_t> shed_quarantined{0};
-    std::atomic<std::uint64_t> rejected_malformed{0};
-    std::atomic<std::uint64_t> rejected_invalid{0};
-    std::atomic<std::uint64_t> rejected_budget{0};
-    std::atomic<std::uint64_t> quarantined_tenants{0};
-    std::atomic<std::uint64_t> failed_snapshots{0};
-    std::atomic<std::uint64_t> published_windows{0};
-    std::atomic<std::uint64_t> published_reports{0};
-  };
-  AtomicStats stats_;
+  // The ledger, indexed like kServiceCounters.
+  std::array<std::atomic<std::uint64_t>, kNumServiceCounters> counters_{};
 
   std::optional<protocol::SnapshotFile> snapshot_;
   std::uint64_t snapshot_seq_ = 0;

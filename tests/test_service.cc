@@ -103,20 +103,10 @@ void ExpectSameWindows(const std::vector<PublishedWindow>& a,
 }
 
 void ExpectSameStats(const ServiceStats& a, const ServiceStats& b) {
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.deduped, b.deduped);
-  EXPECT_EQ(a.shed_queue_full, b.shed_queue_full);
-  EXPECT_EQ(a.shed_late, b.shed_late);
-  EXPECT_EQ(a.shed_quarantined, b.shed_quarantined);
-  EXPECT_EQ(a.rejected_malformed, b.rejected_malformed);
-  EXPECT_EQ(a.rejected_invalid, b.rejected_invalid);
-  EXPECT_EQ(a.rejected_budget, b.rejected_budget);
-  EXPECT_EQ(a.quarantined_tenants, b.quarantined_tenants);
-  EXPECT_EQ(a.failed_snapshots, b.failed_snapshots);
+  for (const ServiceCounter& counter : kServiceCounters) {
+    EXPECT_EQ(a.*counter.field, b.*counter.field) << counter.name;
+  }
   EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.published_windows, b.published_windows);
-  EXPECT_EQ(a.published_reports, b.published_reports);
 }
 
 // Drains everything queued, releases it at once, and returns it.
@@ -400,6 +390,33 @@ TEST(ServiceTest, ConcurrentBlockingIngestMatchesReplayBitForBit) {
   ASSERT_TRUE(serve->VerifyReconciliation().ok());
   ExpectSameStats(replay->Stats(), serve->Stats());
   ExpectSameWindows(replay->PublishedWindows(), serve->PublishedWindows());
+}
+
+TEST(ServiceTest, WorkersPastTheShardGroupCountAreClamped) {
+  // Reports route by shard group, so a 65th worker would never receive
+  // one: Create runs kNumShardGroups workers instead, and they publish
+  // replay's bits.
+  ReportStreamOptions stream_options;
+  stream_options.num_reports = 2000;
+  stream_options.num_dims = 4;
+  stream_options.report_dims = 2;
+  stream_options.num_tenants = 200;
+  stream_options.seed = 61;
+  stream_options.reports_per_tick = 250;
+  auto replay_stream = ReportStream::Create(stream_options).value();
+  ServiceOptions options = replay_stream.MakeServiceOptions();
+  options.overload = OverloadPolicy::kBlock;
+  auto replay = AggregationService::Create(options).value();
+  ASSERT_TRUE(Drive(replay.get(), &replay_stream, 250).ok());
+
+  options.num_workers = kNumShardGroups + 1;
+  auto wide = AggregationService::Create(options).value();
+  EXPECT_EQ(wide->num_workers(), kNumShardGroups);
+  auto wide_stream = ReportStream::Create(stream_options).value();
+  ASSERT_TRUE(Drive(wide.get(), &wide_stream, 250).ok());
+  ASSERT_TRUE(wide->VerifyReconciliation().ok());
+  ExpectSameStats(replay->Stats(), wide->Stats());
+  ExpectSameWindows(replay->PublishedWindows(), wide->PublishedWindows());
 }
 
 TEST(ServiceTest, RetransmitsAreDedupedWithoutTouchingEstimates) {
@@ -721,6 +738,122 @@ TEST(ServiceTest, CheckpointFileBytesArePinned) {
   ASSERT_GT(service->Stats().published_windows, 0u);
   EXPECT_EQ(FileFnv1a64(options.checkpoint_path), 0x92f819c8def4302cULL);
   ASSERT_TRUE(service->Finish().ok());
+}
+
+// A structurally valid envelope around arbitrary payload bytes.
+std::vector<std::uint8_t> MakePayloadEnvelope(
+    std::uint64_t tenant, std::uint64_t seq, std::uint64_t tick,
+    std::vector<std::uint8_t> payload) {
+  protocol::ReportEnvelope envelope;
+  envelope.tenant = tenant;
+  envelope.sequence = seq;
+  envelope.tick = tick;
+  envelope.payload = std::move(payload);
+  return protocol::EncodeEnvelope(envelope);
+}
+
+TEST(ServiceTest, FaultedCheckpointFileBytesArePinned) {
+  // The pin above comes from a near-clean run whose counters are mostly
+  // zero, so it cannot see two counters trade places in the snapshot
+  // blob. This run drives every bucket a deterministic replay can reach
+  // to a nonzero count, all pairwise distinct: duplicates (deduped),
+  // reordering past a zero lateness grace (late), corrupt envelopes and
+  // payloads (malformed), out-of-range dimensions (invalid), exhausted
+  // budgets (budget), the quarantines those streaks trip, and two torn
+  // snapshot writes (failed snapshots).
+  ReportStreamOptions stream_options;
+  stream_options.num_reports = 600;
+  stream_options.num_dims = 4;
+  stream_options.report_dims = 2;
+  stream_options.num_tenants = 3;
+  stream_options.seed = 57;
+  stream_options.reports_per_tick = 50;
+  stream_options.faults.duplicate_rate = 0.05;
+  stream_options.faults.reorder_rate = 0.1;
+  auto stream = ReportStream::Create(stream_options).value();
+  ServiceOptions options = stream.MakeServiceOptions();
+  options.window.width = 2;
+  options.window.slide = 1;
+  options.num_workers = 1;
+  options.overload = OverloadPolicy::kBlock;
+  options.tenant_epsilon = 170.0;
+  options.per_report_epsilon = 1.0;
+  options.max_invalid_per_tenant = 5;
+  options.checkpoint_path = TempPath("pinned_faulted_bytes");
+  options.digest_tag = "test-pinned-faulted-bytes";
+  // Ops 0 and 1 open the file; the Saves at positions 100, 200, 300 and
+  // 400 are ops 2 to 5, so the middle two tear.
+  options.snapshot_write_faults.Add(3, WriteFaultKind::kShortWrite);
+  options.snapshot_write_faults.Add(4, WriteFaultKind::kNoSpace);
+  auto service = AggregationService::Create(options).value();
+
+  protocol::UserReport out_of_range;
+  out_of_range.entries = {{9, 0.5}, {10, 0.5}};
+  const std::vector<std::uint8_t> invalid_payload =
+      protocol::EncodeReport(out_of_range).value();
+  const std::vector<std::uint8_t> valid_payload =
+      protocol::EncodeReport(protocol::UserReport{{{0, 0.25}, {1, -0.25}}})
+          .value();
+  const std::vector<std::uint8_t> garbage_payload = {0xFF, 0xFF, 0xFF};
+  std::uint64_t bad_seq = 0;
+  std::vector<std::uint8_t> envelope;
+  std::uint64_t last_tick = 0;
+  for (;;) {
+    bool done = false;
+    ASSERT_TRUE(stream.Next(&envelope, &done).ok());
+    if (done) break;
+    ASSERT_TRUE(service->Submit(envelope).ok());
+    const std::uint64_t position = stream.position();
+    if (position % 40 == 0) {
+      // Tenant 100 alternates invalid and valid reports, so it never
+      // trips; tenant 101 sends only garbage and trips after five.
+      const std::uint64_t seq = bad_seq++;
+      const auto& payload = seq % 2 == 0 ? invalid_payload : valid_payload;
+      ASSERT_TRUE(
+          service->Submit(MakePayloadEnvelope(100, seq, last_tick, payload))
+              .ok());
+      ASSERT_TRUE(service
+                      ->Submit(MakePayloadEnvelope(101, seq, last_tick,
+                                                   garbage_payload))
+                      .ok());
+    }
+    if (position % 60 == 0) {
+      // A torn envelope never reaches a worker.
+      envelope.resize(envelope.size() / 2);
+      EXPECT_EQ(service->Submit(envelope).code(), StatusCode::kDataLoss);
+    }
+    const std::uint64_t tick = position / 50;
+    if (tick > last_tick) {
+      last_tick = tick;
+      ASSERT_TRUE(service->AdvanceWatermark(tick).ok());
+    }
+    if (position % 100 == 0 && position <= 400) {
+      ASSERT_TRUE(service->SaveSnapshot(position).ok());
+    }
+  }
+  ASSERT_TRUE(service->Drain().ok());
+  ASSERT_TRUE(service->VerifyReconciliation().ok());
+  ASSERT_TRUE(service->SaveSnapshot(stream.position()).ok());
+  const ServiceStats stats = service->Stats();
+  ASSERT_EQ(stats.failed_snapshots, 2u);
+  // Only shed_queue_full needs a race to move (a full queue under kShed).
+  for (const ServiceCounter& a : kServiceCounters) {
+    if (a.field == &ServiceStats::shed_queue_full) continue;
+    EXPECT_GT(stats.*a.field, 0u) << a.name;
+    for (const ServiceCounter& b : kServiceCounters) {
+      if (&a == &b || b.field == &ServiceStats::shed_queue_full) continue;
+      EXPECT_NE(stats.*a.field, stats.*b.field) << a.name << " vs " << b.name;
+    }
+  }
+  EXPECT_EQ(FileFnv1a64(options.checkpoint_path), 0x0d53a247b5fc1de1ULL);
+
+  // Every counter rides the snapshot back.
+  service.reset();
+  auto restored = AggregationService::Create(options).value();
+  ASSERT_TRUE(restored->resumed());
+  EXPECT_EQ(restored->resume_cursor(), stream.position());
+  ExpectSameStats(stats, restored->Stats());
+  ASSERT_TRUE(restored->Finish().ok());
 }
 
 TEST(ServiceTest, FaultedDeliveryMatchesCleanEstimatesWhenLossless) {

@@ -68,7 +68,8 @@
 //       enforcement, rolling tumbling/sliding window estimates, counted
 //       load shedding, and crash-safe snapshots (--checkpoint +
 //       --snapshot-every; re-running after a kill resumes from the file
-//       and republishes bit-identical estimates). --kill-after=N
+//       and republishes bit-identical estimates; --snapshot-every without
+//       --checkpoint is refused, exit 3). --kill-after=N
 //       simulates the crash: the process exits abruptly (code 7) after N
 //       stream envelopes. After K consecutive rejected reports
 //       (--max-invalid-per-tenant) a tenant is quarantined and counted-
@@ -844,6 +845,11 @@ Status RunServe(Flags flags, bool replay) {
        {"window-lateness", &service_options.window.lateness},
        {"max-invalid-per-tenant", &service_options.max_invalid_per_tenant}}));
   HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, stream_options.encoding));
+  if (snapshot_every > 0 && service_options.checkpoint_path.empty()) {
+    return Status::InvalidArgument(
+        "--snapshot-every needs --checkpoint=<file> (without one there is "
+        "nothing to snapshot to)");
+  }
   // The stream generator emits per-report scalar Rng streams — the v1
   // contract. v2/v3 name the engine's lane/batched contracts, which have
   // no per-report envelope form; refusing them loudly mirrors the freq
@@ -904,7 +910,6 @@ Status RunServe(Flags flags, bool replay) {
   }
 
   const hdldp::service::WindowConfig window = service_options.window;
-  const bool checkpointing = !service_options.checkpoint_path.empty();
   HDLDP_ASSIGN_OR_RETURN(
       const auto service,
       hdldp::service::AggregationService::Create(std::move(service_options)));
@@ -944,8 +949,7 @@ Status RunServe(Flags flags, bool replay) {
         HDLDP_RETURN_NOT_OK(service->AdvanceWatermark(watermark));
       }
     }
-    if (snapshot_every > 0 && checkpointing &&
-        stream.position() % snapshot_every == 0) {
+    if (snapshot_every > 0 && stream.position() % snapshot_every == 0) {
       HDLDP_RETURN_NOT_OK(service->SaveSnapshot(stream.position()));
     }
     if (kill_after > 0 && stream.position() >= kill_after) {
@@ -960,25 +964,8 @@ Status RunServe(Flags flags, bool replay) {
   HDLDP_RETURN_NOT_OK(service->Drain());
   HDLDP_RETURN_NOT_OK(service->VerifyReconciliation());
 
-  const hdldp::service::ServiceStats s = service->Stats();
-  const std::pair<const char*, std::uint64_t> counters[] = {
-      {"submitted", s.submitted}, {"accepted", s.accepted},
-      {"accepted_payload_bytes", s.accepted_payload_bytes},
-      {"deduped", s.deduped}, {"shed_queue_full", s.shed_queue_full},
-      {"shed_late", s.shed_late}, {"shed_quarantined", s.shed_quarantined},
-      {"rejected_malformed", s.rejected_malformed},
-      {"rejected_invalid", s.rejected_invalid},
-      {"rejected_budget", s.rejected_budget},
-      {"quarantined_tenants", s.quarantined_tenants},
-      {"failed_snapshots", s.failed_snapshots},
-      {"degraded", s.degraded ? 1u : 0u},
-      {"published_windows", s.published_windows},
-      {"published_reports", s.published_reports}};
-  std::printf("stats");
-  for (const auto& [name, value] : counters) {
-    std::printf(" %s=%llu", name, static_cast<unsigned long long>(value));
-  }
-  std::printf("\n");
+  std::printf("stats%s\n",
+              hdldp::service::FormatStats(service->Stats()).c_str());
   std::printf("stream dropped=%llu duplicated=%llu reordered=%llu\n",
               static_cast<unsigned long long>(stream.dropped()),
               static_cast<unsigned long long>(stream.duplicated()),
