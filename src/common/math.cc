@@ -235,9 +235,4 @@ std::vector<double> NeumaierColumns::Mean(std::size_t count) const {
   return mean;
 }
 
-double RelativeDiff(double a, double b, double floor) {
-  const double scale = std::max({std::abs(a), std::abs(b), floor});
-  return std::abs(a - b) / scale;
-}
-
 }  // namespace hdldp

@@ -203,9 +203,6 @@ class NeumaierColumns {
 /// \brief Compensated sum of a range.
 double StableSum(const double* data, std::size_t n);
 
-/// \brief Relative difference |a-b| / max(|a|, |b|, floor).
-double RelativeDiff(double a, double b, double floor = 1e-300);
-
 }  // namespace hdldp
 
 #endif  // HDLDP_COMMON_MATH_H_

@@ -20,8 +20,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 std::uint64_t Rng::UniformInt(std::uint64_t bound) {
   assert(bound > 0);
   // Lemire's rejection method: unbiased and branch-light.

@@ -67,12 +67,6 @@ class Rng {
 
   result_type operator()() { return Next(); }
 
-  /// \brief Derives an independent child generator.
-  ///
-  /// Useful for giving each simulated user or worker its own stream without
-  /// correlations between streams.
-  Rng Fork();
-
   /// \brief Copies the raw 256-bit xoshiro state into `out` (how RngLanes
   /// seeds its lanes); the Gaussian pair cache is not part of it.
   void ExportState(std::uint64_t out[4]) const {

@@ -154,21 +154,4 @@ double SampleVariance(const std::vector<double>& xs) {
   return acc.Total() / static_cast<double>(xs.size() - 1);
 }
 
-Result<double> QuantileOfSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
-    return Status::InvalidArgument("QuantileOfSorted: empty input");
-  }
-  if (q < 0.0 || q > 1.0) {
-    return Status::InvalidArgument("QuantileOfSorted: q outside [0, 1]");
-  }
-  if (!std::is_sorted(sorted.begin(), sorted.end())) {
-    return Status::InvalidArgument("QuantileOfSorted: input not sorted");
-  }
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 }  // namespace hdldp

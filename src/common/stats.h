@@ -107,10 +107,6 @@ double Mean(const std::vector<double>& xs);
 /// \brief Unbiased sample variance; 0 when n < 2.
 double SampleVariance(const std::vector<double>& xs);
 
-/// \brief q-th quantile (linear interpolation) of a *sorted* range.
-/// Requires 0 <= q <= 1 and a non-empty, ascending `sorted`.
-Result<double> QuantileOfSorted(const std::vector<double>& sorted, double q);
-
 }  // namespace hdldp
 
 #endif  // HDLDP_COMMON_STATS_H_

@@ -66,12 +66,4 @@ std::string Status::ToString() const {
   return out;
 }
 
-Status Status::WithContext(std::string_view context) const {
-  if (ok()) return *this;
-  std::string msg(context);
-  msg += ": ";
-  msg += message();
-  return Status(code(), std::move(msg));
-}
-
 }  // namespace hdldp

@@ -79,10 +79,6 @@ class [[nodiscard]] Status {
   /// \brief "OK" or "<CODE>: <message>".
   std::string ToString() const;
 
-  /// \brief Returns this status with `context` prepended to the message.
-  /// OK statuses pass through unchanged.
-  Status WithContext(std::string_view context) const;
-
   /// Factory helpers, one per error code.
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {

@@ -1,6 +1,5 @@
 #include "data/dataset.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -74,19 +73,6 @@ Result<Dataset> Dataset::ResampleDimensions(std::size_t new_num_dims,
       out.Set(i, j, row[picks[j]]);
     }
   }
-  return out;
-}
-
-Result<Dataset> Dataset::TruncateUsers(std::size_t new_num_users) const {
-  if (new_num_users == 0 || new_num_users > num_users_) {
-    return Status::InvalidArgument(
-        "TruncateUsers requires 0 < new_num_users <= num_users");
-  }
-  HDLDP_ASSIGN_OR_RETURN(Dataset out, Create(new_num_users, num_dims_));
-  std::copy(values_.begin(),
-            values_.begin() +
-                static_cast<std::ptrdiff_t>(new_num_users * num_dims_),
-            out.values_.begin());
   return out;
 }
 

@@ -120,9 +120,6 @@ class Dataset {
   Result<Dataset> ResampleDimensions(std::size_t new_num_dims,
                                      Rng* rng) const;
 
-  /// \brief New dataset keeping only the first `new_num_users` rows.
-  Result<Dataset> TruncateUsers(std::size_t new_num_users) const;
-
  private:
   Dataset(std::size_t num_users, std::size_t num_dims,
           std::vector<double> values);

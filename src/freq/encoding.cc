@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 namespace hdldp {
 namespace freq {
@@ -27,24 +26,6 @@ Result<CategoricalSchema> CategoricalSchema::Create(
     }
   }
   return CategoricalSchema(std::move(cardinalities));
-}
-
-Result<std::vector<double>> EncodeOneHot(std::span<const std::uint32_t> tuple,
-                                         const CategoricalSchema& schema) {
-  if (tuple.size() != schema.num_dims()) {
-    return Status::InvalidArgument(
-        "tuple has " + std::to_string(tuple.size()) + " dims, schema has " +
-        std::to_string(schema.num_dims()));
-  }
-  std::vector<double> encoded(schema.total_entries(), 0.0);
-  for (std::size_t j = 0; j < tuple.size(); ++j) {
-    if (tuple[j] >= schema.Cardinality(j)) {
-      return Status::OutOfRange("category index out of range in dim " +
-                                std::to_string(j));
-    }
-    encoded[schema.EntryOffset(j) + tuple[j]] = 1.0;
-  }
-  return encoded;
 }
 
 CategoricalDataset::CategoricalDataset(std::size_t num_users,

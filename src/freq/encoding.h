@@ -44,12 +44,6 @@ class CategoricalSchema {
   std::vector<std::size_t> offsets_;  // Prefix sums; size d + 1.
 };
 
-/// \brief One-hot encodes a full categorical tuple into the flat expanded
-/// space (length schema.total_entries(), entries 0.0/1.0). Errors if any
-/// category index is out of range.
-Result<std::vector<double>> EncodeOneHot(std::span<const std::uint32_t> tuple,
-                                         const CategoricalSchema& schema);
-
 /// \brief Dense matrix of categorical tuples: n users x d dimensions.
 class CategoricalDataset {
  public:

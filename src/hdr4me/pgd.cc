@@ -23,31 +23,22 @@ Status ValidateInputs(std::span<const double> theta_hat,
 }
 
 // prox_{step * R}(v) for the supported regularizers, elementwise.
-double Prox(double v, double lambda, double step, Regularizer regularizer,
-            double l1_weight) {
+double Prox(double v, double lambda, double step, Regularizer regularizer) {
   switch (regularizer) {
     case Regularizer::kL1:
       return SoftThreshold(v, step * lambda);
     case Regularizer::kL2:
       return v / (1.0 + 2.0 * step * lambda);
-    case Regularizer::kElasticNet: {
-      const double thresholded = SoftThreshold(v, step * l1_weight * lambda);
-      return thresholded / (1.0 + 2.0 * step * (1.0 - l1_weight) * lambda);
-    }
   }
   return v;
 }
 
-double Penalty(double theta, double lambda, Regularizer regularizer,
-               double l1_weight) {
+double Penalty(double theta, double lambda, Regularizer regularizer) {
   switch (regularizer) {
     case Regularizer::kL1:
       return lambda * std::abs(theta);
     case Regularizer::kL2:
       return lambda * theta * theta;
-    case Regularizer::kElasticNet:
-      return lambda * (l1_weight * std::abs(theta) +
-                       (1.0 - l1_weight) * theta * theta);
   }
   return 0.0;
 }
@@ -57,8 +48,7 @@ double Penalty(double theta, double lambda, Regularizer regularizer,
 Result<double> Hdr4meObjective(std::span<const double> theta,
                                std::span<const double> theta_hat,
                                std::span<const double> lambda,
-                               Regularizer regularizer,
-                               double elastic_l1_weight) {
+                               Regularizer regularizer) {
   HDLDP_RETURN_NOT_OK(ValidateInputs(theta_hat, lambda));
   if (theta.size() != theta_hat.size()) {
     return Status::InvalidArgument("objective: theta has wrong length");
@@ -66,7 +56,7 @@ Result<double> Hdr4meObjective(std::span<const double> theta,
   NeumaierSum acc;
   for (std::size_t j = 0; j < theta.size(); ++j) {
     acc.Add(0.5 * Sq(theta[j] - theta_hat[j]) +
-            Penalty(theta[j], lambda[j], regularizer, elastic_l1_weight));
+            Penalty(theta[j], lambda[j], regularizer));
   }
   return acc.Total();
 }
@@ -98,8 +88,7 @@ Result<PgdResult> MinimizeProximal(std::span<const double> theta_hat,
     for (std::size_t j = 0; j < d; ++j) {
       // Gradient of the separable quadratic loss: base_j - theta_hat_j.
       const double v = base[j] - eta * (base[j] - theta_hat[j]);
-      theta[j] = Prox(v, lambda[j], eta, regularizer,
-                      options.elastic_l1_weight);
+      theta[j] = Prox(v, lambda[j], eta, regularizer);
       max_move = std::max(max_move, std::abs(theta[j] - prev[j]));
     }
     result.iterations = iter + 1;
@@ -120,8 +109,7 @@ Result<PgdResult> MinimizeProximal(std::span<const double> theta_hat,
 
   HDLDP_ASSIGN_OR_RETURN(
       result.objective,
-      Hdr4meObjective(theta, theta_hat, lambda, regularizer,
-                      options.elastic_l1_weight));
+      Hdr4meObjective(theta, theta_hat, lambda, regularizer));
   result.solution = std::move(theta);
   return result;
 }

@@ -34,8 +34,6 @@ struct PgdOptions {
   double tolerance = 1e-12;
   /// Use FISTA momentum (accelerated proximal gradient).
   bool accelerate = false;
-  /// Elastic-net mixing weight (only for Regularizer::kElasticNet).
-  double elastic_l1_weight = 0.5;
 };
 
 /// Outcome of an iterative minimization.
@@ -55,8 +53,7 @@ struct PgdResult {
 Result<double> Hdr4meObjective(std::span<const double> theta,
                                std::span<const double> theta_hat,
                                std::span<const double> lambda,
-                               Regularizer regularizer,
-                               double elastic_l1_weight = 0.5);
+                               Regularizer regularizer);
 
 /// \brief Minimizes F by proximal gradient descent / FISTA.
 Result<PgdResult> MinimizeProximal(std::span<const double> theta_hat,

@@ -62,22 +62,6 @@ Result<std::vector<double>> RecalibrateL2(std::span<const double> theta_hat,
   return out;
 }
 
-Result<std::vector<double>> RecalibrateElasticNet(
-    std::span<const double> theta_hat, std::span<const double> lambda,
-    double l1_weight) {
-  HDLDP_RETURN_NOT_OK(ValidatePair(theta_hat, lambda));
-  if (!(l1_weight >= 0.0 && l1_weight <= 1.0)) {
-    return Status::InvalidArgument("elastic net requires l1_weight in [0, 1]");
-  }
-  std::vector<double> out(theta_hat.size());
-  for (std::size_t j = 0; j < theta_hat.size(); ++j) {
-    const double thresholded =
-        SoftThreshold(theta_hat[j], l1_weight * lambda[j]);
-    out[j] = thresholded / (1.0 + 2.0 * (1.0 - l1_weight) * lambda[j]);
-  }
-  return out;
-}
-
 Result<RecalibrationResult> Recalibrate(
     std::span<const double> theta_hat,
     std::span<const framework::GaussianDeviation> deviations,
@@ -101,16 +85,6 @@ Result<RecalibrationResult> Recalibrate(
           SelectLambdaL2(deviations, theta_hat, options.lambda));
       HDLDP_ASSIGN_OR_RETURN(result.enhanced_mean,
                              RecalibrateL2(theta_hat, result.lambda));
-      break;
-    }
-    case Regularizer::kElasticNet: {
-      // Scale-compatible with L1: use the Lemma 4 weights for both parts.
-      HDLDP_ASSIGN_OR_RETURN(result.lambda,
-                             SelectLambdaL1(deviations, options.lambda));
-      HDLDP_ASSIGN_OR_RETURN(
-          result.enhanced_mean,
-          RecalibrateElasticNet(theta_hat, result.lambda,
-                                options.elastic_l1_weight));
       break;
     }
   }

@@ -46,8 +46,6 @@ enum class Regularizer {
   /// R(v) = sum_j v_j... the paper's quadratic penalty sum_j lambda_j
   /// theta_j^2: pure shrinkage (Lemma 5 / Theorem 4).
   kL2,
-  /// Convex combination of both penalties (extension; not in the paper).
-  kElasticNet,
 };
 
 /// \brief Soft-threshold of one value: the Eq. 34 scalar solver.
@@ -62,21 +60,11 @@ Result<std::vector<double>> RecalibrateL1(std::span<const double> theta_hat,
 Result<std::vector<double>> RecalibrateL2(std::span<const double> theta_hat,
                                           std::span<const double> lambda);
 
-/// \brief Elastic-net one-off solver:
-/// theta*_j = soft(theta-hat_j, l1_weight * lambda_j) /
-///            (1 + 2 (1 - l1_weight) lambda_j).
-Result<std::vector<double>> RecalibrateElasticNet(
-    std::span<const double> theta_hat, std::span<const double> lambda,
-    double l1_weight);
-
 /// End-to-end HDR4ME configuration.
 struct Hdr4meOptions {
   Regularizer regularizer = Regularizer::kL1;
   /// lambda* selection knobs (confidence z, L2 reference, gating).
   LambdaOptions lambda;
-  /// Elastic-net mixing weight in [0, 1] (1 = pure L1); only read by
-  /// kElasticNet.
-  double elastic_l1_weight = 0.5;
 };
 
 /// Outcome of a re-calibration.

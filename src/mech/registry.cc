@@ -29,9 +29,5 @@ std::vector<std::string_view> RegisteredMechanismNames() {
           "scdf",      "square_wave", "staircase"};
 }
 
-std::vector<std::string_view> PaperMechanismNames() {
-  return {"laplace", "piecewise", "square_wave"};
-}
-
 }  // namespace mech
 }  // namespace hdldp

@@ -25,10 +25,6 @@ Result<MechanismPtr> MakeMechanism(std::string_view name);
 /// \brief All registered mechanism names, sorted.
 std::vector<std::string_view> RegisteredMechanismNames();
 
-/// \brief Names of the three mechanisms evaluated in the paper
-/// (Laplace, Piecewise, Square wave), in the paper's order.
-std::vector<std::string_view> PaperMechanismNames();
-
 }  // namespace mech
 }  // namespace hdldp
 

@@ -1,6 +1,5 @@
 #include "protocol/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/math.h"
@@ -33,16 +32,6 @@ Result<double> MeanSquaredError(const std::vector<double>& a,
   NeumaierSum acc;
   for (std::size_t j = 0; j < a.size(); ++j) acc.Add(Sq(a[j] - b[j]));
   return acc.Total() / static_cast<double>(a.size());
-}
-
-Result<double> MaxAbsError(const std::vector<double>& a,
-                           const std::vector<double>& b) {
-  HDLDP_RETURN_NOT_OK(CheckSameLength(a, b));
-  double worst = 0.0;
-  for (std::size_t j = 0; j < a.size(); ++j) {
-    worst = std::max(worst, std::abs(a[j] - b[j]));
-  }
-  return worst;
 }
 
 Result<SupportRecovery> EvaluateSupportRecovery(

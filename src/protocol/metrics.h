@@ -19,10 +19,6 @@ Result<double> L2Distance(const std::vector<double>& a,
 Result<double> MeanSquaredError(const std::vector<double>& a,
                                 const std::vector<double>& b);
 
-/// \brief max_j |a_j - b_j|.
-Result<double> MaxAbsError(const std::vector<double>& a,
-                           const std::vector<double>& b);
-
 /// \brief Support-recovery quality of a (possibly sparsified) estimate.
 ///
 /// A dimension is "active" when |value| > threshold. Precision = active

@@ -117,16 +117,6 @@ TEST(DatasetTest, FillRowsInvalidatesTrueMeanMemo) {
   EXPECT_EQ(d.TrueMean()[0], 2.0);
 }
 
-TEST(DatasetTest, TruncateUsersKeepsPrefix) {
-  auto d = Dataset::Create(4, 2).value();
-  for (std::size_t i = 0; i < 4; ++i) d.Set(i, 0, static_cast<double>(i));
-  const auto t = d.TruncateUsers(2).value();
-  EXPECT_EQ(t.num_users(), 2u);
-  EXPECT_EQ(t.At(1, 0), 1.0);
-  EXPECT_FALSE(d.TruncateUsers(0).ok());
-  EXPECT_FALSE(d.TruncateUsers(5).ok());
-}
-
 TEST(GeneratorTest, UniformRespectsRangeAndMean) {
   Rng rng(2);
   const auto d =

@@ -44,25 +44,6 @@ TEST(SchemaTest, Validates) {
   EXPECT_TRUE(CategoricalSchema::Create({2, 2}).ok());
 }
 
-TEST(EncodeTest, OneHotLayout) {
-  const auto schema = TestSchema();
-  const std::vector<std::uint32_t> tuple = {2, 0, 1};
-  const auto enc = EncodeOneHot(tuple, schema).value();
-  const std::vector<double> expected = {0, 0, 1, 1, 0, 0, 0, 0, 1};
-  ASSERT_EQ(enc.size(), expected.size());
-  for (std::size_t k = 0; k < enc.size(); ++k) {
-    EXPECT_EQ(enc[k], expected[k]) << k;
-  }
-}
-
-TEST(EncodeTest, Validates) {
-  const auto schema = TestSchema();
-  const std::vector<std::uint32_t> short_tuple = {0, 1};
-  EXPECT_FALSE(EncodeOneHot(short_tuple, schema).ok());
-  const std::vector<std::uint32_t> bad_category = {0, 4, 0};
-  EXPECT_FALSE(EncodeOneHot(bad_category, schema).ok());
-}
-
 TEST(CategoricalDatasetTest, SetGetAndFrequencies) {
   auto ds = CategoricalDataset::Create(4, TestSchema()).value();
   ASSERT_TRUE(ds.Set(0, 0, 0).ok());

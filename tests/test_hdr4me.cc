@@ -48,20 +48,6 @@ TEST(RecalibrateL2Test, AppliesEq42PerDimension) {
   EXPECT_DOUBLE_EQ(out[2], 0.4);
 }
 
-TEST(RecalibrateElasticNetTest, InterpolatesBetweenL1AndL2) {
-  const std::vector<double> theta = {3.0};
-  const std::vector<double> lambda = {1.0};
-  EXPECT_DOUBLE_EQ(RecalibrateElasticNet(theta, lambda, 1.0).value()[0],
-                   RecalibrateL1(theta, lambda).value()[0]);
-  EXPECT_DOUBLE_EQ(RecalibrateElasticNet(theta, lambda, 0.0).value()[0],
-                   RecalibrateL2(theta, lambda).value()[0]);
-  // theta = 3, lambda = 1: L1 gives 2.0, L2 gives 1.0, the 0.5 mix gives
-  // soft(3, 0.5) / (1 + 1) = 1.25 — strictly between the two.
-  const double mid = RecalibrateElasticNet(theta, lambda, 0.5).value()[0];
-  EXPECT_GT(mid, RecalibrateL2(theta, lambda).value()[0]);
-  EXPECT_LT(mid, RecalibrateL1(theta, lambda).value()[0]);
-}
-
 TEST(RecalibrateSolversTest, Validate) {
   const std::vector<double> theta = {1.0};
   const std::vector<double> bad_len = {1.0, 2.0};
@@ -69,7 +55,6 @@ TEST(RecalibrateSolversTest, Validate) {
   EXPECT_FALSE(RecalibrateL1(theta, bad_len).ok());
   EXPECT_FALSE(RecalibrateL1(theta, negative).ok());
   EXPECT_FALSE(RecalibrateL2({}, {}).ok());
-  EXPECT_FALSE(RecalibrateElasticNet(theta, theta, 1.5).ok());
 }
 
 // Solvers minimize their objectives: verify against a fine grid search.
@@ -78,8 +63,7 @@ TEST(SolverOptimalityTest, OneOffSolversMinimizeObjective) {
   for (int trial = 0; trial < 50; ++trial) {
     const std::vector<double> theta_hat = {rng.Uniform(-3.0, 3.0)};
     const std::vector<double> lambda = {rng.Uniform(0.0, 2.0)};
-    for (const Regularizer reg :
-         {Regularizer::kL1, Regularizer::kL2, Regularizer::kElasticNet}) {
+    for (const Regularizer reg : {Regularizer::kL1, Regularizer::kL2}) {
       std::vector<double> solution;
       switch (reg) {
         case Regularizer::kL1:
@@ -87,9 +71,6 @@ TEST(SolverOptimalityTest, OneOffSolversMinimizeObjective) {
           break;
         case Regularizer::kL2:
           solution = RecalibrateL2(theta_hat, lambda).value();
-          break;
-        case Regularizer::kElasticNet:
-          solution = RecalibrateElasticNet(theta_hat, lambda, 0.5).value();
           break;
       }
       const double best =
@@ -305,8 +286,7 @@ TEST(PgdTest, SmallStepsConvergeToClosedForm) {
   }
   PgdOptions opts;
   opts.step_size = 0.3;
-  for (const Regularizer reg :
-       {Regularizer::kL1, Regularizer::kL2, Regularizer::kElasticNet}) {
+  for (const Regularizer reg : {Regularizer::kL1, Regularizer::kL2}) {
     const auto result = MinimizeProximal(theta_hat, lambda, reg, opts).value();
     EXPECT_TRUE(result.converged);
     std::vector<double> closed;
@@ -316,9 +296,6 @@ TEST(PgdTest, SmallStepsConvergeToClosedForm) {
         break;
       case Regularizer::kL2:
         closed = RecalibrateL2(theta_hat, lambda).value();
-        break;
-      case Regularizer::kElasticNet:
-        closed = RecalibrateElasticNet(theta_hat, lambda, 0.5).value();
         break;
     }
     for (std::size_t j = 0; j < theta_hat.size(); ++j) {

@@ -1,16 +1,13 @@
-// Tests for CSV dataset I/O, support-recovery metrics, and the
-// framework/HDR4ME convenience APIs added on top of the core reproduction
-// (PredictedMse, CoverageInterval, Theorem 3/4 improvement bounds).
+// Tests for support-recovery metrics and the framework/HDR4ME
+// convenience APIs added on top of the core reproduction (PredictedMse,
+// CoverageInterval, Theorem 3/4 improvement bounds).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/generators.h"
-#include "data/io.h"
 #include "framework/deviation_model.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/registry.h"
@@ -19,102 +16,6 @@
 
 namespace hdldp {
 namespace {
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-  void Write(const std::string& content) {
-    std::ofstream out(path_);
-    out << content;
-  }
-
- private:
-  std::string path_;
-};
-
-// ---------------------------------------------------------------------------
-// CSV I/O.
-
-TEST(CsvTest, LoadsRectangularData) {
-  TempFile file("ok.csv");
-  file.Write("1.5,-2.25,3\n0,0.125,-1e-3\n");
-  const auto data = data::LoadCsv(file.path()).value();
-  EXPECT_EQ(data.num_users(), 2u);
-  EXPECT_EQ(data.num_dims(), 3u);
-  EXPECT_EQ(data.At(0, 0), 1.5);
-  EXPECT_EQ(data.At(0, 1), -2.25);
-  EXPECT_EQ(data.At(1, 2), -1e-3);
-}
-
-TEST(CsvTest, SkipsHeaderAndBlankLinesAndCrlf) {
-  TempFile file("header.csv");
-  file.Write("a,b\r\n1,2\r\n\n3,4\n");
-  data::CsvOptions opts;
-  opts.has_header = true;
-  const auto data = data::LoadCsv(file.path(), opts).value();
-  EXPECT_EQ(data.num_users(), 2u);
-  EXPECT_EQ(data.At(1, 1), 4.0);
-}
-
-TEST(CsvTest, CustomDelimiter) {
-  TempFile file("semi.csv");
-  file.Write("1;2\n3;4\n");
-  data::CsvOptions opts;
-  opts.delimiter = ';';
-  const auto data = data::LoadCsv(file.path(), opts).value();
-  EXPECT_EQ(data.At(1, 0), 3.0);
-}
-
-TEST(CsvTest, RejectsMalformedFiles) {
-  TempFile ragged("ragged.csv");
-  ragged.Write("1,2\n3\n");
-  EXPECT_FALSE(data::LoadCsv(ragged.path()).ok());
-
-  TempFile bad_number("bad.csv");
-  bad_number.Write("1,two\n");
-  EXPECT_FALSE(data::LoadCsv(bad_number.path()).ok());
-
-  TempFile empty_cell("empty.csv");
-  empty_cell.Write("1,,3\n");
-  EXPECT_FALSE(data::LoadCsv(empty_cell.path()).ok());
-
-  TempFile empty("nothing.csv");
-  empty.Write("");
-  EXPECT_FALSE(data::LoadCsv(empty.path()).ok());
-
-  EXPECT_EQ(data::LoadCsv("/nonexistent/x.csv").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(CsvTest, EnforcesRowCap) {
-  TempFile file("cap.csv");
-  file.Write("1\n2\n3\n");
-  data::CsvOptions opts;
-  opts.max_rows = 2;
-  EXPECT_FALSE(data::LoadCsv(file.path(), opts).ok());
-  opts.max_rows = 3;
-  EXPECT_TRUE(data::LoadCsv(file.path(), opts).ok());
-}
-
-TEST(CsvTest, SaveLoadRoundTripsExactly) {
-  Rng rng(1);
-  const auto original =
-      data::Generate(data::UniformSpec{.num_users = 20, .num_dims = 5},
-                     &rng).value();
-  TempFile file("roundtrip.csv");
-  ASSERT_TRUE(data::SaveCsv(original, file.path()).ok());
-  const auto loaded = data::LoadCsv(file.path()).value();
-  ASSERT_EQ(loaded.num_users(), original.num_users());
-  ASSERT_EQ(loaded.num_dims(), original.num_dims());
-  for (std::size_t i = 0; i < original.num_users(); ++i) {
-    for (std::size_t j = 0; j < original.num_dims(); ++j) {
-      ASSERT_EQ(loaded.At(i, j), original.At(i, j)) << i << "," << j;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Support recovery.

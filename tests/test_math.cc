@@ -207,11 +207,5 @@ TEST(MathTest, ClampAndSq) {
   EXPECT_EQ(Sq(-3.0), 9.0);
 }
 
-TEST(MathTest, RelativeDiff) {
-  EXPECT_NEAR(RelativeDiff(100.0, 101.0), 1.0 / 101.0, 1e-12);
-  EXPECT_EQ(RelativeDiff(0.0, 0.0), 0.0);
-  EXPECT_NEAR(RelativeDiff(-2.0, 2.0), 2.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace hdldp

@@ -73,14 +73,6 @@ TEST(RegistryTest, UnknownNameIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
-TEST(RegistryTest, PaperMechanismsAreThePaperThree) {
-  const auto names = PaperMechanismNames();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "laplace");
-  EXPECT_EQ(names[1], "piecewise");
-  EXPECT_EQ(names[2], "square_wave");
-}
-
 TEST(BudgetValidationTest, RejectsBadBudgets) {
   const LaplaceMechanism laplace;
   EXPECT_FALSE(laplace.ValidateBudget(0.0).ok());

@@ -32,16 +32,6 @@ TEST(RngTest, DifferentSeedsDiverge) {
   EXPECT_LT(equal, 5);
 }
 
-TEST(RngTest, ForkGivesIndependentStream) {
-  Rng parent(7);
-  Rng child = parent.Fork();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (parent.Next() == child.Next()) ++equal;
-  }
-  EXPECT_LT(equal, 5);
-}
-
 TEST(RngTest, UniformDoubleInUnitInterval) {
   Rng rng(11);
   RunningMoments m;

@@ -164,21 +164,5 @@ TEST(BatchStatsTest, MeanAndVariance) {
   EXPECT_EQ(SampleVariance({1.0}), 0.0);
 }
 
-TEST(QuantileTest, InterpolatesSortedData) {
-  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(QuantileOfSorted(sorted, 0.0).value(), 1.0);
-  EXPECT_DOUBLE_EQ(QuantileOfSorted(sorted, 1.0).value(), 5.0);
-  EXPECT_DOUBLE_EQ(QuantileOfSorted(sorted, 0.5).value(), 3.0);
-  EXPECT_DOUBLE_EQ(QuantileOfSorted(sorted, 0.25).value(), 2.0);
-  EXPECT_DOUBLE_EQ(QuantileOfSorted(sorted, 0.1).value(), 1.4);
-}
-
-TEST(QuantileTest, Validates) {
-  EXPECT_FALSE(QuantileOfSorted({}, 0.5).ok());
-  EXPECT_FALSE(QuantileOfSorted({1.0, 2.0}, -0.1).ok());
-  EXPECT_FALSE(QuantileOfSorted({1.0, 2.0}, 1.1).ok());
-  EXPECT_FALSE(QuantileOfSorted({2.0, 1.0}, 0.5).ok());
-}
-
 }  // namespace
 }  // namespace hdldp

@@ -51,13 +51,6 @@ TEST(StatusTest, MoveTransfersState) {
   EXPECT_EQ(moved.message(), "range");
 }
 
-TEST(StatusTest, WithContextPrependsMessage) {
-  Status st = Status::InvalidArgument("bad eps").WithContext("client");
-  EXPECT_EQ(st.message(), "client: bad eps");
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Status::OK().WithContext("ignored").ok());
-}
-
 TEST(StatusTest, EqualityComparesCodes) {
   EXPECT_EQ(Status::NotFound("a"), Status::NotFound("b"));
   EXPECT_FALSE(Status::NotFound("a") == Status::Internal("a"));

@@ -16,7 +16,7 @@
 //       HDR4ME-enhanced MSE (--print-estimate adds 17-digit estimates).
 //       --encoding=hadamard1 runs the 1-bit compact-report path
 //       (protocol/hadamard.h); oue/olh are frequency encodings and are
-//       rejected here.
+//       rejected here. --gate with --recalibrate=none is refused (exit 3).
 //
 //   hdldp_cli freq    [--mechanism=piecewise] [--epsilon=1] [--sampled=0]
 //                     [--questions=16] [--categories=8] [--zipf=1.0]
@@ -46,6 +46,9 @@
 //       Streams a chunk-keyed synthetic population into an on-disk shard
 //       directory (data/shard.h) without ever materializing it;
 //       --dataset=categorical writes category indices for freq instead.
+//       Each family's geometry flags are refused beside the other family
+//       (--dims with categorical; --questions/--categories/--zipf with a
+//       numeric dataset), exit 3.
 //
 //   hdldp_cli serve   [--workload=mean|freq] [--mechanism=duchi]
 //                     [--reports=10000] [--dims=8 | --questions=4
@@ -552,6 +555,18 @@ Status RunMean(Flags flags) {
                                   {"print-estimate", &print_estimate},
                                   {"encoding", &opts.encoding}}));
   HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, opts.encoding));
+  if (recalibrate != "both" && recalibrate != "l1" && recalibrate != "l2" &&
+      recalibrate != "none") {
+    return Status::InvalidArgument("--recalibrate=" + recalibrate +
+                                   ": want both|l1|l2|none");
+  }
+  // Gating is a lambda* option: without a re-calibration it would be
+  // silently ignored, so it is refused.
+  if (recalibrate == "none" && flags.Has("gate")) {
+    return Status::InvalidArgument(
+        "--gate does not apply to --recalibrate=none (no re-calibration "
+        "runs)");
+  }
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   Population population;
@@ -785,6 +800,19 @@ Status RunGenerate(Flags flags) {
     return Status::InvalidArgument("--chunks-per-file must be >= 1");
   }
   const bool categorical = source_flags.dataset == "categorical";
+  // Each dataset family reads only its own geometry flags; the other
+  // family's would be silently ignored, so they are refused.
+  const std::vector<const char*> other_family_keys =
+      categorical ? std::vector<const char*>{"dims"}
+                  : std::vector<const char*>{"questions", "categories",
+                                             "zipf"};
+  for (const char* key : other_family_keys) {
+    if (flags.Has(key)) {
+      return Status::InvalidArgument("--" + std::string(key) +
+                                     " does not apply to --dataset=" +
+                                     source_flags.dataset);
+    }
+  }
   if (categorical) {
     HDLDP_ASSIGN_OR_RETURN(
         source_flags.schema,
