@@ -1,10 +1,9 @@
 #include "framework/value_distribution.h"
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <utility>
 
 #include "common/math.h"
@@ -14,46 +13,56 @@ namespace framework {
 
 namespace {
 
-// Order-preserving 64-bit key of a finite double: a negative has every
-// bit flipped, a non-negative only its sign bit, so unsigned key order is
-// numeric order (-0 keys just below +0; the two compare equal, so either
-// placement is one std::sort could also have produced).
-std::uint64_t OrderKey(double x) {
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  return bits ^ ((std::uint64_t{0} - (bits >> 63)) | (std::uint64_t{1} << 63));
-}
-
-double FromOrderKey(std::uint64_t key) {
-  return std::bit_cast<double>(
-      key ^ (((key >> 63) - 1) | (std::uint64_t{1} << 63)));
-}
-
-// LSD radix sort of `keys`, one byte per pass, least significant first;
-// `scratch` has the same size. A pass whose byte is the same for every
-// key would move nothing and is skipped. Returns whichever buffer holds
-// the ascending keys.
-std::span<const std::uint64_t> RadixSort(std::span<std::uint64_t> keys,
-                                         std::span<std::uint64_t> scratch) {
-  constexpr int kPasses = 8;
-  std::array<std::array<std::size_t, 256>, kPasses> counts{};
-  for (const std::uint64_t key : keys) {
-    for (int p = 0; p < kPasses; ++p) ++counts[p][(key >> (8 * p)) & 0xFF];
+// Sorts `samples` into `sorted` by the 16-bit code
+// min((x - lo) * scale, 65535): two stable 8-bit LSD counting passes,
+// then an insertion pass. The code never decreases as x grows (rounded
+// subtraction, a positive finite scale and truncation all keep order),
+// so only samples that share a code can be out of order after the
+// counting passes, and the insertion pass moves nothing else;
+// equal values (-0 and +0 among them) keep their input order. Returns
+// false, `sorted` then unspecified, once the insertion pass has made more
+// than 4n shifts, as when one far outlier crowds the column into a few
+// codes.
+bool CodeSort(std::span<const double> samples, double lo, double scale,
+              std::span<double> sorted) {
+  const std::size_t n = samples.size();
+  std::vector<double> scratch(n);
+  std::vector<std::uint16_t> codes(n);
+  std::vector<std::uint16_t> scratch_codes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    codes[i] = static_cast<std::uint16_t>(
+        std::min((samples[i] - lo) * scale, 65535.0));
   }
-  std::uint64_t* src = keys.data();
-  std::uint64_t* dst = scratch.data();
-  const std::size_t n = keys.size();
-  for (int p = 0; p < kPasses; ++p) {
-    const int shift = 8 * p;
-    std::array<std::size_t, 256>& next = counts[p];
-    if (next[(src[0] >> shift) & 0xFF] == n) continue;
+  std::array<std::array<std::size_t, 256>, 2> counts{};
+  for (const std::uint16_t code : codes) {
+    ++counts[0][code & 0xFF];
+    ++counts[1][code >> 8];
+  }
+  for (std::array<std::size_t, 256>& next : counts) {
     std::size_t offset = 0;
     for (std::size_t& slot : next) offset += std::exchange(slot, offset);
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[next[(src[i] >> shift) & 0xFF]++] = src[i];
-    }
-    std::swap(src, dst);
   }
-  return {src, n};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t at = counts[0][codes[i] & 0xFF]++;
+    scratch[at] = samples[i];
+    scratch_codes[at] = codes[i];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    sorted[counts[1][scratch_codes[i] >> 8]++] = scratch[i];
+  }
+  std::size_t shifts = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    const double x = sorted[i];
+    if (!(x < sorted[i - 1])) continue;
+    std::size_t j = i;
+    do {
+      sorted[j] = sorted[j - 1];
+    } while (--j > 0 && x < sorted[j - 1]);
+    sorted[j] = x;
+    shifts += i - j;
+    if (shifts > 4 * n) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -99,27 +108,42 @@ Result<ValueDistribution> ValueDistribution::FromSamples(
   if (max_support == 0) {
     return Status::InvalidArgument("FromSamples requires max_support > 0");
   }
+  const std::size_t total_n = samples.size();
+  double low = samples[0];
+  double high = samples[0];
+  bool finite = true;
   for (const double x : samples) {
-    if (!std::isfinite(x)) {
-      return Status::InvalidArgument("FromSamples: non-finite sample");
-    }
+    finite &= std::isfinite(x);
+    low = std::min(low, x);
+    high = std::max(high, x);
   }
-  // Exact empirical law when the support is small.
-  std::map<double, std::size_t> counts;
+  if (!finite) return Status::InvalidArgument("FromSamples: non-finite sample");
+  const auto n = static_cast<double>(total_n);
+  // Exact empirical law when the support is small: an ascending flat
+  // probe of at most max_support distinct values (-0 and +0 compare
+  // equal, so the first one seen holds their count).
+  std::vector<std::pair<double, std::size_t>> support;
+  support.reserve(std::min(max_support, total_n));
   bool small = true;
   for (const double x : samples) {
-    if (++counts[x] == 1 && counts.size() > max_support) {
+    const auto it = std::lower_bound(
+        support.begin(), support.end(), x,
+        [](const auto& entry, double v) { return entry.first < v; });
+    if (it != support.end() && !(x < it->first)) {
+      ++it->second;
+    } else if (support.size() == max_support) {
       small = false;
       break;
+    } else {
+      support.insert(it, {x, 1});
     }
   }
-  const auto n = static_cast<double>(samples.size());
+  std::vector<double> values;
+  std::vector<double> probs;
   if (small) {
-    std::vector<double> values;
-    std::vector<double> probs;
-    values.reserve(counts.size());
-    probs.reserve(counts.size());
-    for (const auto& [value, count] : counts) {
+    values.reserve(support.size());
+    probs.reserve(support.size());
+    for (const auto& [value, count] : support) {
       values.push_back(value);
       probs.push_back(static_cast<double>(count) / n);
     }
@@ -130,27 +154,26 @@ Result<ValueDistribution> ValueDistribution::FromSamples(
     return Create(std::move(values), std::move(probs));
   }
   // Quantile-bin discretization: equal-count bins, bin mean as
-  // representative, summed in ascending order.
-  const std::size_t total_n = samples.size();
-  std::vector<std::uint64_t> keys(total_n);
-  std::vector<std::uint64_t> scratch(total_n);
-  for (std::size_t i = 0; i < total_n; ++i) keys[i] = OrderKey(samples[i]);
-  const std::span<const std::uint64_t> sorted = RadixSort(keys, scratch);
-  std::vector<double> values;
-  std::vector<double> probs;
+  // representative, summed in ascending order. More than max_support
+  // distinct values means low < high, so the range is positive, and
+  // n > max_support, so no bin is empty.
+  const double range = high - low;
+  const double scale = 65535.0 / range;
+  std::vector<double> sorted(total_n);
+  if (!std::isfinite(range) || !std::isfinite(scale) ||
+      !CodeSort(samples, low, scale, sorted)) {
+    std::copy(samples.begin(), samples.end(), sorted.begin());
+    std::sort(sorted.begin(), sorted.end());
+  }
   values.reserve(max_support);
   probs.reserve(max_support);
-  std::size_t start = 0;
   for (std::size_t b = 0; b < max_support; ++b) {
+    const std::size_t begin = b * total_n / max_support;
     const std::size_t end = (b + 1) * total_n / max_support;
-    if (end <= start) continue;
     NeumaierSum sum;
-    for (std::size_t i = start; i < end; ++i) {
-      sum.Add(FromOrderKey(sorted[i]));
-    }
-    values.push_back(sum.Total() / static_cast<double>(end - start));
-    probs.push_back(static_cast<double>(end - start) / n);
-    start = end;
+    for (std::size_t i = begin; i < end; ++i) sum.Add(sorted[i]);
+    values.push_back(sum.Total() / static_cast<double>(end - begin));
+    probs.push_back(static_cast<double>(end - begin) / n);
   }
   return Create(std::move(values), std::move(probs));
 }

@@ -37,11 +37,16 @@ class ValueDistribution {
   /// mean (a compensated sum in ascending order) with mass (bin count / n).
   /// Every sample must be finite: a NaN or infinity is InvalidArgument.
   ///
-  /// The sort is an LSD radix sort over each double's order-preserving
-  /// 64-bit key (negatives with every bit flipped, non-negatives with the
-  /// sign bit flipped), one byte per pass, skipping passes whose byte
-  /// never varies. It yields the ascending array std::sort would, up to
-  /// the relative order of -0 and +0, which no bin mean can see.
+  /// The sort is by a 16-bit value code, min((x - lo) * (65535 / (hi -
+  /// lo)), 65535) truncated, which never decreases as x grows: two stable
+  /// 8-bit counting passes order the sample by code, and an insertion pass
+  /// orders each run of equal codes. It falls back to std::sort when
+  /// hi - lo or the scale is not finite (a range that overflows, a
+  /// subnormal range), or once the insertion pass has shifted more than
+  /// 4n values (one far outlier crowds the rest into a few codes). Both
+  /// yield the same ascending array up to the relative order of -0 and
+  /// +0, which no bin mean can see, so the bins are the same bit for bit
+  /// whichever runs.
   static Result<ValueDistribution> FromSamples(std::span<const double> samples,
                                                std::size_t max_support = 64);
 

@@ -19,6 +19,9 @@
 #include "common/math.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "data/dataset.h"
+#include "data/generator_source.h"
+#include "data/generators.h"
 #include "framework/benchmark.h"
 #include "framework/berry_esseen.h"
 #include "framework/deviation_model.h"
@@ -108,7 +111,7 @@ TEST(ValueDistributionTest, FromSamplesRejectsNonFiniteSamples) {
 
 // FromSamples' body as it stood with a comparison sort: the exact
 // small-support law, else std::sort and one NeumaierSum per equal-count
-// bin. The radix sort must reproduce its bins bit for bit.
+// bin. Each of FromSamples' sorts must reproduce its bins bit for bit.
 std::pair<std::vector<double>, std::vector<double>> SortedBinsReference(
     std::span<const double> samples, std::size_t max_support) {
   std::map<double, std::size_t> counts;
@@ -230,6 +233,98 @@ TEST(ValueDistributionTest, FromSamplesBinsMatchTheComparisonSortBitForBit) {
     }
     ExpectSameBinsAsSort(gaussian, 16, "gaussian seed " + std::to_string(seed));
     ExpectSameBinsAsSort(poisson, 16, "poisson seed " + std::to_string(seed));
+  }
+}
+
+// Each path of FromSamples' sort against the comparison sort: the 16-bit
+// code sort with and without insertion fix-ups, and each trigger of the
+// std::sort fallback (a non-finite range, an overflowing scale, the fix-up
+// budget). Then the exact law's flat probe at its support limit.
+TEST(ValueDistributionTest,
+     FromSamplesSortPathsMatchTheComparisonSortBitForBit) {
+  constexpr std::size_t kRows = 2000;
+  Rng rng(27);
+  // The benchmark's shape: 2000 rows of a GaussianSpec population, one
+  // signal column (mean 0.9) and one noise column (mean 0).
+  data::GaussianSpec spec;
+  spec.num_users = kRows;
+  spec.num_dims = 16;
+  const data::Dataset population = data::GenerateChunkKeyed(spec, 1).value();
+  for (const std::size_t j : {0u, 9u}) {
+    std::vector<double> column(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) column[i] = population.Row(i)[j];
+    ExpectSameBinsAsSort(column, 16, "gaussian column " + std::to_string(j));
+  }
+  // Ties at a clamp bound of 1.0 beside values just below it. With the
+  // range [-0.9, 1.0] the scaled range rounds below 65535, so 1.0 and
+  // everything within 2.9e-5 of it share the top code: 140 ties of 1.0
+  // interleaved with 20 ascending values below it, then, as the last
+  // sample, the smallest of them again, which the insertion pass must
+  // carry back across the boundary of the last two bins.
+  std::vector<double> clamp;
+  clamp.push_back(-0.9);
+  while (clamp.size() < kRows - 161) clamp.push_back(rng.Uniform(-0.9, 0.99));
+  for (std::size_t t = 0; t < 140; ++t) {
+    if (t % 7 == 0) {
+      clamp.push_back(1.0 - 1e-6 * static_cast<double>(20 - t / 7));
+    }
+    clamp.push_back(1.0);
+  }
+  clamp.push_back(1.0 - 2e-5);
+  ASSERT_EQ(clamp.size(), kRows);
+  ExpectSameBinsAsSort(clamp, 16, "clamp ties");
+  // Integer counts with many ties: each count is one code.
+  std::vector<double> counts(kRows);
+  for (double& x : counts) x = static_cast<double>(rng.Poisson(6.0));
+  ExpectSameBinsAsSort(counts, 16, "poisson counts");
+  std::vector<double> descending(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    descending[i] = static_cast<double>(kRows - i) / kRows;
+  }
+  ExpectSameBinsAsSort(descending, 16, "descending ramp");
+  // One far outlier: all other samples get code 0, and ordering them
+  // takes far more than 4n insertion shifts.
+  std::vector<double> outlier(kRows);
+  for (double& x : outlier) x = rng.Uniform(0.0, 1.0);
+  outlier[kRows / 3] = 1e300;
+  ExpectSameBinsAsSort(outlier, 16, "1e300 outlier");
+  // hi - lo overflows to infinity.
+  std::vector<double> extremes(kRows);
+  for (double& x : extremes) x = rng.Uniform(-1.0, 1.0);
+  extremes[100] = 1.7e308;
+  extremes[1500] = -1.7e308;
+  ExpectSameBinsAsSort(extremes, 16, "+-1.7e308");
+  // A subnormal range: 65535 / (hi - lo) overflows.
+  std::vector<double> subnormal(kRows);
+  for (double& x : subnormal) {
+    x = std::numeric_limits<double>::denorm_min() *
+        std::round(rng.Uniform(-4000.0, 4000.0));
+  }
+  ExpectSameBinsAsSort(subnormal, 16, "subnormal only");
+  // The flat probe: exactly max_support distinct values is the exact
+  // law, one more is binned, and the first of -0/+0 seen is the value
+  // the exact law keeps for both.
+  for (const std::size_t distinct : {16u, 17u}) {
+    std::vector<double> column(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      column[i] = static_cast<double>((i * 5) % distinct) / 4.0 - 1.5;
+    }
+    ExpectSameBinsAsSort(column, 16, std::to_string(distinct) + " distinct");
+  }
+  for (const double first_zero : {-0.0, 0.0}) {
+    std::vector<double> zeros(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      zeros[i] = i % 2 == 1   ? static_cast<double>(i % 9) - 4.0
+                 : i % 4 == 0 ? -0.0
+                              : 0.0;
+    }
+    zeros[0] = first_zero;
+    ExpectSameBinsAsSort(zeros, 16,
+                         std::signbit(first_zero) ? "-0 first" : "+0 first");
+    const auto law = ValueDistribution::FromSamples(zeros, 16).value();
+    const auto zero = std::find(law.values().begin(), law.values().end(), 0.0);
+    ASSERT_NE(zero, law.values().end());
+    EXPECT_EQ(std::signbit(*zero), std::signbit(first_zero));
   }
 }
 

@@ -16,7 +16,9 @@
 //       HDR4ME-enhanced MSE (--print-estimate adds 17-digit estimates).
 //       --encoding=hadamard1 runs the 1-bit compact-report path
 //       (protocol/hadamard.h); oue/olh are frequency encodings and are
-//       rejected here. --gate with --recalibrate=none is refused (exit 3).
+//       rejected here. --gate with --recalibrate=none is refused (exit 3),
+//       and so is an explicit --gate or --recalibrate other than none
+//       beside --encoding=hadamard1 (it has no value mechanism to model).
 //
 //   hdldp_cli freq    [--mechanism=piecewise] [--epsilon=1] [--sampled=0]
 //                     [--questions=16] [--categories=8] [--zipf=1.0]
@@ -566,6 +568,18 @@ Status RunMean(Flags flags) {
     return Status::InvalidArgument(
         "--gate does not apply to --recalibrate=none (no re-calibration "
         "runs)");
+  }
+  // The 1-bit path has no value mechanism to model, so it never
+  // re-calibrates: an explicit request for one is refused, while the
+  // default only notes the skip below.
+  if (opts.encoding == hdldp::protocol::ReportEncoding::kHadamard1 &&
+      (flags.Has("gate") ||
+       (flags.Has("recalibrate") && recalibrate != "none"))) {
+    return Status::InvalidArgument(
+        (flags.Has("gate") ? std::string("--gate")
+                           : "--recalibrate=" + recalibrate) +
+        " does not apply to --encoding=hadamard1 (no value mechanism to "
+        "re-calibrate)");
   }
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
