@@ -105,6 +105,13 @@ Result<std::span<const double>> PullChunk(const ChunkSource& source,
 Result<std::vector<double>> SurvivingMean(
     const ChunkSource& source, const std::vector<std::size_t>& quarantined,
     const RetryPolicy& retry) {
+  NeumaierColumns sums(source.num_dims());
+  return SurvivingMeanFrom(source, quarantined, retry, 0, &sums);
+}
+
+Result<std::vector<double>> SurvivingMeanFrom(
+    const ChunkSource& source, const std::vector<std::size_t>& quarantined,
+    const RetryPolicy& retry, std::size_t first_chunk, NeumaierColumns* sums) {
   const std::size_t d = source.num_dims();
   const std::size_t n = source.SurvivingUsers(quarantined);
   if (n == 0 || d == 0) {
@@ -114,13 +121,14 @@ Result<std::vector<double>> SurvivingMean(
   }
   // Chunks in order means every column's compensated sum sees users in
   // exactly the order Dataset::TrueMean visits them — same bits.
-  NeumaierColumns sums(d);
   HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
-      source, quarantined, retry, [&](std::span<const double> rows) {
-        sums.AddRows(rows);
+      source, quarantined, retry,
+      [&](std::span<const double> rows) {
+        sums->AddRows(rows);
         return true;
-      }));
-  return sums.Mean(n);
+      },
+      first_chunk));
+  return sums->Mean(n);
 }
 
 Result<std::span<const double>> ResidentChunkSource::Chunk(

@@ -30,6 +30,7 @@
 #ifndef HDLDP_DATA_CHUNK_SOURCE_H_
 #define HDLDP_DATA_CHUNK_SOURCE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -37,6 +38,7 @@
 #include <span>
 #include <vector>
 
+#include "common/math.h"
 #include "common/result.h"
 #include "data/dataset.h"
 
@@ -123,10 +125,19 @@ class ChunkSource {
   /// \brief Per-dimension mean (the paper's theta-bar) as one streaming
   /// pass over the chunks in order — per-column compensated sums see
   /// users in exactly the order Dataset::TrueMean visits them, so the
-  /// result is bit-identical to the resident computation. Sources with a
-  /// cheaper path (the resident adapter's memoized Dataset pass) may
-  /// override.
+  /// result is bit-identical to the resident computation. This pass
+  /// pulls without retry; a mean run calls it only on a source that
+  /// OwnsTrueMean() and otherwise folds its truth from the estimate
+  /// pass's own pulls (engine::OrderedTruthFold).
   virtual Result<std::vector<double>> TrueMean() const;
+
+  /// \brief True when TrueMean() answers from the source's own record
+  /// rather than from the rows Chunk() serves: the resident adapter's
+  /// memoized Dataset pass, or the fault injector's unfaulted base. A
+  /// mean run then scores against TrueMean() and folds nothing beside
+  /// its estimate pass. A decorator that does not override this is
+  /// scored from the rows it serves, whatever its TrueMean() does.
+  virtual bool OwnsTrueMean() const { return false; }
 };
 
 /// \brief Zero-copy adapter over a resident Dataset (non-owning; the
@@ -143,6 +154,7 @@ class ResidentChunkSource final : public ChunkSource {
   Result<std::vector<double>> TrueMean() const override {
     return dataset_->TrueMean();
   }
+  bool OwnsTrueMean() const override { return true; }
 
  private:
   const Dataset* dataset_;
@@ -221,10 +233,11 @@ struct RetryPolicy {
 
 /// \brief source.Chunk(chunk, buffer) under `retry`: the one chunk pull
 /// of a run. The estimate pass and the freq truth pull through it via
-/// engine::ChunkedEstimation::ChunkRows, the other reference passes via
-/// ForEachSurvivingChunk, so a chunk a reference pass reads first — e.g.
-/// one a resumed run took from its checkpoint — recovers exactly as the
-/// estimate pass would.
+/// engine::ChunkedEstimation::ChunkRows (which also feeds a mean run's
+/// truth fold), the other reference passes via ForEachSurvivingChunk,
+/// so a chunk a reference pass reads first — e.g. one a resumed run
+/// took from its checkpoint — recovers exactly as the estimate pass
+/// would.
 /// Safe to call concurrently with distinct buffers, like Chunk().
 Result<std::span<const double>> PullChunk(const ChunkSource& source,
                                           std::size_t chunk,
@@ -233,15 +246,19 @@ Result<std::span<const double>> PullChunk(const ChunkSource& source,
 
 /// \brief Calls visit(rows) with the rows of each chunk of `source` outside
 /// `quarantined` (distinct chunk indices, sorted ascending), pulled under
-/// `retry`, in chunk order, until visit returns false. The pass a ground
-/// truth or marginal takes over exactly the users an estimate covers.
+/// `retry`, in chunk order from `first_chunk` on, until visit returns
+/// false. The pass a ground truth or marginal takes over exactly the
+/// users an estimate covers.
 template <typename Visit>
 Status ForEachSurvivingChunk(const ChunkSource& source,
                              const std::vector<std::size_t>& quarantined,
-                             const RetryPolicy& retry, Visit visit) {
+                             const RetryPolicy& retry, Visit visit,
+                             std::size_t first_chunk = 0) {
   ChunkBuffer buffer;
-  std::size_t next_quarantined = 0;
-  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
+  std::size_t next_quarantined = static_cast<std::size_t>(
+      std::lower_bound(quarantined.begin(), quarantined.end(), first_chunk) -
+      quarantined.begin());
+  for (std::size_t c = first_chunk; c < source.num_chunks(); ++c) {
     if (next_quarantined < quarantined.size() &&
         quarantined[next_quarantined] == c) {
       ++next_quarantined;
@@ -262,6 +279,14 @@ Status ForEachSurvivingChunk(const ChunkSource& source,
 Result<std::vector<double>> SurvivingMean(
     const ChunkSource& source, const std::vector<std::size_t>& quarantined,
     const RetryPolicy& retry);
+
+/// \brief SurvivingMean continued from a partial fold: `sums` (num_dims
+/// columns) already holds the surviving chunks below `first_chunk`, in
+/// chunk order; the rest are pulled under `retry` and folded after them,
+/// so the result has SurvivingMean's bits.
+Result<std::vector<double>> SurvivingMeanFrom(
+    const ChunkSource& source, const std::vector<std::size_t>& quarantined,
+    const RetryPolicy& retry, std::size_t first_chunk, NeumaierColumns* sums);
 
 /// \brief Copies rows [first_row, first_row + row_count) of `source` into
 /// a flat row-major vector (row_count * num_dims doubles). For small

@@ -29,14 +29,19 @@
 // with one SplitMix64 draw per chunk, so tests and CI can name an
 // entire fault pattern with a single integer.
 //
-// The wrapper's TrueMean() delegates to the base source unfaulted: the
-// ground truth of a run that covered every chunk measures the data, not
-// the injected failure model. A run that quarantined chunks instead takes
-// its ground truth and its HDR4ME marginals over the surviving chunks
-// only (data::ForEachSurvivingChunk; the freq truth is a chunk-parallel
+// The wrapper owns its truth (OwnsTrueMean): TrueMean() delegates to the
+// base source unfaulted, so the ground truth of a mean run that covered
+// every chunk measures the data, not the injected failure model — a
+// kBitFlip chunk's corrupted rows never reach it, which a truth folded
+// from the estimate pass's pulls could not promise. A run that
+// quarantined chunks instead takes its ground truth and its HDR4ME
+// marginals over the surviving chunks only (data::SurvivingMean and
+// data::ForEachSurvivingChunk; the freq truth is a chunk-parallel
 // engine::ReduceChunks pass that skips the same chunks), pulled through
 // this wrapper under the same retry policy, so no reference pass reads a
-// chunk the estimate skipped.
+// chunk the estimate skipped. A decorator over this wrapper that does not
+// own its truth (a slice, say) is scored from the faulted rows it serves,
+// folded beside the estimate pass (engine::OrderedTruthFold).
 
 #ifndef HDLDP_DATA_FAULT_INJECTION_H_
 #define HDLDP_DATA_FAULT_INJECTION_H_
@@ -194,6 +199,7 @@ class FaultInjectingChunkSource final : public ChunkSource {
   Result<std::vector<double>> TrueMean() const override {
     return base_->TrueMean();
   }
+  bool OwnsTrueMean() const override { return true; }
 
   /// Pulls observed for `chunk` so far (includes failed attempts).
   std::uint32_t attempts(std::size_t chunk) const;

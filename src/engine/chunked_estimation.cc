@@ -18,9 +18,11 @@ ChunkedEstimation::ChunkedEstimation(std::size_t num_users,
 
 ChunkedEstimation::ChunkedEstimation(const data::ChunkSource& source,
                                      const RunControl& control,
-                                     std::size_t num_threads)
+                                     std::size_t num_threads,
+                                     OrderedTruthFold* truth)
     : ChunkedEstimation(source.num_users(), control, num_threads) {
   source_ = &source;
+  truth_ = truth;
 }
 
 Result<std::span<const double>> ChunkedEstimation::ChunkRows(
@@ -33,7 +35,10 @@ Result<std::span<const double>> ChunkedEstimation::ChunkRows(
   // the same thread, and a body is done with the previous span before
   // its next pull.
   static thread_local data::ChunkBuffer buffer;
-  return data::PullChunk(*source_, range.chunk, &buffer, control_.retry);
+  Result<std::span<const double>> rows =
+      data::PullChunk(*source_, range.chunk, &buffer, control_.retry);
+  if (truth_ != nullptr) truth_->Offer(range.chunk, rows);
+  return rows;
 }
 
 ChunkRange ChunkedEstimation::Range(std::size_t c) const {

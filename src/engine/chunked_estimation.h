@@ -15,6 +15,10 @@
 //   4. reduce the per-chunk partial aggregates through a deterministic
 //      two-level tree (engine/reduce.h).
 //
+// A mean run may also bind an OrderedTruthFold (engine/ordered_truth.h):
+// every row block ChunkRows pulls is then folded into the run's ground
+// truth in chunk order, so scoring needs no second pull of the data.
+//
 // Only step 3's per-value body differs between workloads. This class owns
 // steps 1, 2 and 4 outright and drives step 3 through small workload
 // callbacks, so a pipeline is a thin config: what a user row looks like
@@ -41,6 +45,7 @@
 #include "common/rng_lanes.h"
 #include "common/status.h"
 #include "data/chunk_source.h"
+#include "engine/ordered_truth.h"
 #include "engine/reduce.h"
 #include "engine/run_control.h"
 #include "mech/plan.h"
@@ -123,9 +128,12 @@ class ChunkedEstimation {
   /// `source` (whose chunking is definitionally the engine's) and
   /// ChunkRows() becomes available to workload bodies. The source must
   /// outlive the run and supports concurrent pulls (each worker thread
-  /// uses its own buffer).
+  /// uses its own buffer). A non-null `truth` (num_dims columns, outliving
+  /// the run) receives every pull ChunkRows makes, and ReduceResumable
+  /// tells it which chunks will not be pulled.
   ChunkedEstimation(const data::ChunkSource& source, const RunControl& control,
-                    std::size_t num_threads);
+                    std::size_t num_threads,
+                    OrderedTruthFold* truth = nullptr);
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_chunks() const { return num_chunks_; }
@@ -141,7 +149,9 @@ class ChunkedEstimation {
   /// valid until that worker's next ChunkRows call, i.e. for the current
   /// chunk body. Requires the source-bound constructor. Index the span by
   /// (user - range.begin). A retried pull touches no random stream, so
-  /// each chunk body runs once.
+  /// each chunk body runs once. With a truth fold bound, the pull (rows
+  /// or failure) is offered to it before it returns, which may wait for
+  /// the chunk's turn.
   Result<std::span<const double>> ChunkRows(const ChunkRange& range) const;
 
   /// \brief The chunk's four perturbation lane streams (kV2Lanes): lane l
@@ -173,12 +183,61 @@ class ChunkedEstimation {
   Result<Acc> ReduceResumable(MakeAcc&& make_acc, Body&& body,
                               const CheckpointHooks<Acc>& hooks,
                               std::vector<std::size_t>* quarantined) const {
+    const auto run_chunk = [this, &body](std::size_t c, Acc* scratch) {
+      return body(Range(c), scratch);
+    };
+    if (truth_ == nullptr) {
+      return ReduceChunksResumable<Acc>(num_chunks_, num_threads_,
+                                        std::forward<MakeAcc>(make_acc),
+                                        run_chunk, control_, hooks,
+                                        quarantined);
+    }
+    // A bound truth fold must stall whenever a chunk will not be pulled,
+    // or workers would wait for its turn forever: a chunk whose body
+    // returned without pulling, a resumed group's checkpointed chunks,
+    // and the rest of a group that stops on an error — a body failure
+    // the reduction does not quarantine, or a failed load, scratch or
+    // save. (The group merge cannot fail: every scratch comes from the
+    // same make_acc.)
+    const auto stall_on_error = [this](auto result) {
+      if (!result.ok()) truth_->Stall();
+      return result;
+    };
+    CheckpointHooks<Acc> watched;
+    if (hooks.load) {
+      watched.load = [&](std::size_t group) {
+        auto loaded = stall_on_error(hooks.load(group));
+        if (loaded.ok() && loaded.value().has_value() &&
+            loaded.value()->chunks_done > 0) {
+          truth_->Stall();
+        }
+        return loaded;
+      };
+    }
+    if (hooks.save) {
+      watched.save = [&](std::size_t group, std::size_t chunks_done,
+                         const std::vector<std::size_t>& group_quarantined,
+                         const Acc& acc) {
+        return stall_on_error(
+            hooks.save(group, chunks_done, group_quarantined, acc));
+      };
+    }
     return ReduceChunksResumable<Acc>(
-        num_chunks_, num_threads_, std::forward<MakeAcc>(make_acc),
-        [this, &body](std::size_t c, Acc* scratch) {
-          return body(Range(c), scratch);
+        num_chunks_, num_threads_,
+        [&] { return stall_on_error(make_acc()); },
+        [&](std::size_t c, Acc* scratch) {
+          const Status status = run_chunk(c, scratch);
+          truth_->Settle(c);
+          // ReduceChunksResumable's rule: only a quarantined chunk's
+          // group goes on after a failure.
+          const bool quarantined_chunk =
+              control_.allow_missing_chunks &&
+              (status.code() == StatusCode::kUnavailable ||
+               status.code() == StatusCode::kDataLoss);
+          if (!status.ok() && !quarantined_chunk) truth_->Stall();
+          return status;
         },
-        control_, hooks, quarantined);
+        control_, watched, quarantined);
   }
 
   /// \brief Dense per-chunk driver (every dimension reported): streams
@@ -310,6 +369,7 @@ class ChunkedEstimation {
   std::size_t num_threads_;
   // Bound data source (nullptr when constructed from a bare user count).
   const data::ChunkSource* source_ = nullptr;
+  OrderedTruthFold* truth_ = nullptr;
 };
 
 }  // namespace engine

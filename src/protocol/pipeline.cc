@@ -7,6 +7,7 @@
 
 #include "common/math.h"
 #include "engine/chunked_estimation.h"
+#include "engine/ordered_truth.h"
 #include "protocol/aggregator.h"
 #include "protocol/hadamard.h"
 #include "protocol/metrics.h"
@@ -84,13 +85,15 @@ RunDigest MeanDigest(std::string_view variant, const PipelineOptions& options,
 // index, sign coin). Decoded values are already in the data domain, so
 // the aggregator runs with an identity map.
 Result<MeanEstimationResult> RunHadamard1Estimation(
-    const data::ChunkSource& source, const PipelineOptions& options) {
+    const data::ChunkSource& source, const PipelineOptions& options,
+    engine::OrderedTruthFold* truth) {
   const std::size_t d = source.num_dims();
   const std::size_t m = options.report_dims == 0 ? d : options.report_dims;
   HDLDP_ASSIGN_OR_RETURN(
       const Hadamard1Params params,
       Hadamard1Params::Create(d, m, options.total_epsilon));
-  const engine::ChunkedEstimation core(source, options, options.num_threads);
+  const engine::ChunkedEstimation core(source, options, options.num_threads,
+                                       truth);
   HDLDP_ASSIGN_OR_RETURN(
       MeanReduction reduced,
       ReduceMeanChunks(
@@ -125,15 +128,15 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
   return MeanResult(source, std::move(reduced), options.total_epsilon);
 }
 
-}  // namespace
-
-Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
-                                          mech::MechanismPtr mechanism,
-                                          const PipelineOptions& options) {
+// EstimateMean, feeding every chunk pull of the estimate pass to `truth`
+// when it is non-null.
+Result<MeanEstimationResult> EstimateMeanFolding(
+    const data::ChunkSource& source, mech::MechanismPtr mechanism,
+    const PipelineOptions& options, engine::OrderedTruthFold* truth) {
   HDLDP_RETURN_NOT_OK(
       ValidateRunControl(options, options.encoding, Workload::kMean));
   if (options.encoding == ReportEncoding::kHadamard1) {
-    return RunHadamard1Estimation(source, options);
+    return RunHadamard1Estimation(source, options, truth);
   }
   ClientOptions client_options;
   client_options.total_epsilon = options.total_epsilon;
@@ -146,7 +149,8 @@ Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
   const std::size_t m = client.report_dims();
   const mech::DomainMap map = client.domain_map();
   const mech::SamplerPlan& plan = client.plan();
-  const engine::ChunkedEstimation core(source, options, options.num_threads);
+  const engine::ChunkedEstimation core(source, options, options.num_threads,
+                                       truth);
 
   // The whole orchestration — chunk geometry, (seed, chunk, lane) stream
   // seeding, plan dispatch, deterministic two-level reduction,
@@ -204,21 +208,43 @@ Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
   return MeanResult(source, std::move(reduced), client.PerDimensionEpsilon());
 }
 
+}  // namespace
+
+Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
+                                          mech::MechanismPtr mechanism,
+                                          const PipelineOptions& options) {
+  return EstimateMeanFolding(source, std::move(mechanism), options, nullptr);
+}
+
 Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                mech::MechanismPtr mechanism,
                                                const PipelineOptions& options) {
-  HDLDP_ASSIGN_OR_RETURN(MeanEstimationResult result,
-                         EstimateMean(source, std::move(mechanism), options));
-  // Score against the users the estimate covers. With nothing
-  // quarantined that is the whole population, and source.TrueMean() is
-  // the same bits through whatever memo the source keeps.
-  if (result.quarantined_chunks.empty()) {
-    HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+  // Score against the users the estimate covers: the surviving chunks'
+  // column sums in chunk order (data::SurvivingMean's bits). A source that
+  // owns its truth answers for the whole population itself, through
+  // whatever memo it keeps; any other source's truth is folded from the
+  // estimate pass's own pulls, and the fold pulls only what the pass
+  // left behind, under the run's retry policy.
+  MeanEstimationResult result;
+  if (source.OwnsTrueMean()) {
+    HDLDP_ASSIGN_OR_RETURN(result,
+                           EstimateMean(source, std::move(mechanism), options));
+    if (result.quarantined_chunks.empty()) {
+      HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+    } else {
+      HDLDP_ASSIGN_OR_RETURN(
+          result.true_mean,
+          data::SurvivingMean(source, result.quarantined_chunks,
+                              options.retry));
+    }
   } else {
+    engine::OrderedTruthFold truth(source.num_dims());
+    HDLDP_ASSIGN_OR_RETURN(
+        result,
+        EstimateMeanFolding(source, std::move(mechanism), options, &truth));
     HDLDP_ASSIGN_OR_RETURN(
         result.true_mean,
-        data::SurvivingMean(source, result.quarantined_chunks,
-                            options.retry));
+        truth.Mean(source, result.quarantined_chunks, options.retry));
   }
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));

@@ -343,6 +343,39 @@ data::FaultSchedule TransientChunkZero() {
   return schedule;
 }
 
+TEST(CheckpointResumeTest, MeanResumeRetriesReferencePasses) {
+  // The slice keeps no truth of its own, so the resumed run's ground
+  // truth pulls chunk 0 — which it took from its checkpoint — through
+  // the flaky injector. That pull must retry under the run's policy.
+  const data::Dataset dataset = TestDataset();
+  const data::ResidentChunkSource base(&dataset);
+  const std::string path = TempPath("mean_resume_retry");
+
+  PipelineOptions opts = CheckpointedOptions(path);
+  opts.checkpoint_path.clear();
+  const auto clean = RunMeanEstimation(base, Mech(), opts).value();
+
+  data::FaultSchedule crash;
+  crash.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 2});
+  const data::FaultInjectingChunkSource crashing(&base, crash);
+  const data::SlicedChunkSource crashing_slice(&crashing, 0, kUsers);
+  ASSERT_FALSE(
+      RunMeanEstimation(crashing_slice, Mech(), CheckpointedOptions(path))
+          .ok());
+
+  const data::FaultInjectingChunkSource flaky(&base, TransientChunkZero());
+  const data::SlicedChunkSource flaky_slice(&flaky, 0, kUsers);
+  PipelineOptions resume_opts = CheckpointedOptions(path);
+  resume_opts.retry.max_attempts = 2;
+  const auto resumed = RunMeanEstimation(flaky_slice, Mech(), resume_opts);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed.value().resumed_from_checkpoint);
+  EXPECT_EQ(flaky.attempts(0), 2u);
+  EXPECT_EQ(resumed.value().estimated_mean, clean.estimated_mean);
+  EXPECT_EQ(resumed.value().true_mean, clean.true_mean);
+  EXPECT_EQ(resumed.value().mse, clean.mse);
+}
+
 TEST(CheckpointResumeTest, FreqResumeRetriesReferencePasses) {
   // The resumed run takes chunk 0 from its checkpoint, so the first pull
   // of chunk 0 — the one the transient fault fails — is the ground-truth
