@@ -75,6 +75,11 @@ Result<std::span<const double>> PullChunk(const ChunkSource& source,
             .count());
   };
   const int max_attempts = std::max(1, retry.max_attempts);
+  // Doubles per failure but saturates rather than wrapping, at the
+  // largest count std::chrono::milliseconds holds.
+  constexpr auto kMaxBackoffMs =
+      static_cast<std::uint64_t>(std::chrono::milliseconds::max().count());
+  std::uint64_t backoff_ms = std::min(retry.initial_backoff_ms, kMaxBackoffMs);
   std::optional<std::uint64_t> retry_epoch_ms;
   for (int attempt = 1;; ++attempt) {
     Result<std::span<const double>> rows = source.Chunk(chunk, buffer);
@@ -90,15 +95,12 @@ Result<std::span<const double>> PullChunk(const ChunkSource& source,
         return rows;  // Out of wall-clock budget: fail as-is, no retry.
       }
     }
-    const std::uint64_t backoff_ms =
-        retry.initial_backoff_ms == 0
-            ? 0
-            : retry.initial_backoff_ms << (static_cast<unsigned>(attempt) - 1);
     if (retry.sleep) {
       retry.sleep(backoff_ms);
     } else if (backoff_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     }
+    backoff_ms = backoff_ms > kMaxBackoffMs / 2 ? kMaxBackoffMs : 2 * backoff_ms;
   }
 }
 
@@ -123,10 +125,7 @@ Result<std::vector<double>> SurvivingMeanFrom(
   // exactly the order Dataset::TrueMean visits them — same bits.
   HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
       source, quarantined, retry,
-      [&](std::span<const double> rows) {
-        sums->AddRows(rows);
-        return true;
-      },
+      [&](std::span<const double> rows) { sums->AddRows(rows); },
       first_chunk));
   return sums->Mean(n);
 }

@@ -212,7 +212,9 @@ struct RetryPolicy {
   /// Total attempts per chunk pull; 1 means no retry.
   int max_attempts = 1;
   /// Backoff before retry k (1-based count of failures so far):
-  /// initial_backoff_ms << (k - 1) milliseconds. 0 retries immediately.
+  /// initial_backoff_ms << (k - 1) milliseconds, saturating at 2^63 - 1
+  /// (the largest std::chrono::milliseconds count) instead of wrapping,
+  /// so the ladder never shrinks. 0 retries immediately.
   std::uint64_t initial_backoff_ms = 0;
   /// Overall wall-clock retry deadline per pull in milliseconds; 0 means
   /// unlimited. The deadline arms at the pull's first failure; once that
@@ -234,10 +236,11 @@ struct RetryPolicy {
 /// \brief source.Chunk(chunk, buffer) under `retry`: the one chunk pull
 /// of a run. The estimate pass and the freq truth pull through it via
 /// engine::ChunkedEstimation::ChunkRows (which also feeds a mean run's
-/// truth fold), the other reference passes via ForEachSurvivingChunk,
-/// so a chunk a reference pass reads first — e.g. one a resumed run
-/// took from its checkpoint — recovers exactly as the estimate pass
-/// would.
+/// truth fold), the HDR4ME marginal sample directly (one pull of the
+/// first surviving chunk), the other reference passes via
+/// ForEachSurvivingChunk, so a chunk a reference pass reads first — e.g.
+/// one a resumed run took from its checkpoint — recovers exactly as the
+/// estimate pass would.
 /// Safe to call concurrently with distinct buffers, like Chunk().
 Result<std::span<const double>> PullChunk(const ChunkSource& source,
                                           std::size_t chunk,
@@ -246,9 +249,8 @@ Result<std::span<const double>> PullChunk(const ChunkSource& source,
 
 /// \brief Calls visit(rows) with the rows of each chunk of `source` outside
 /// `quarantined` (distinct chunk indices, sorted ascending), pulled under
-/// `retry`, in chunk order from `first_chunk` on, until visit returns
-/// false. The pass a ground truth or marginal takes over exactly the
-/// users an estimate covers.
+/// `retry`, in chunk order from `first_chunk` on. The pass a ground truth
+/// takes over exactly the users an estimate covers.
 template <typename Visit>
 Status ForEachSurvivingChunk(const ChunkSource& source,
                              const std::vector<std::size_t>& quarantined,
@@ -266,7 +268,7 @@ Status ForEachSurvivingChunk(const ChunkSource& source,
     }
     HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
                            PullChunk(source, c, &buffer, retry));
-    if (!visit(rows)) break;
+    visit(rows);
   }
   return Status::OK();
 }

@@ -34,14 +34,16 @@
 // every chunk measures the data, not the injected failure model — a
 // kBitFlip chunk's corrupted rows never reach it, which a truth folded
 // from the estimate pass's pulls could not promise. A run that
-// quarantined chunks instead takes its ground truth and its HDR4ME
-// marginals over the surviving chunks only (data::SurvivingMean and
-// data::ForEachSurvivingChunk; the freq truth is a chunk-parallel
-// engine::ReduceChunks pass that skips the same chunks), pulled through
-// this wrapper under the same retry policy, so no reference pass reads a
-// chunk the estimate skipped. A decorator over this wrapper that does not
-// own its truth (a slice, say) is scored from the faulted rows it serves,
-// folded beside the estimate pass (engine::OrderedTruthFold).
+// quarantined chunks instead takes its ground truth over the surviving
+// chunks only (data::SurvivingMean's pass; the freq truth is a
+// chunk-parallel engine::ReduceChunks pass that skips the same chunks)
+// and its HDR4ME marginals from one pull of the first surviving chunk,
+// all pulled through this wrapper under the same retry policy, so no
+// reference pass reads a chunk the estimate skipped. A decorator over
+// this wrapper that does not own its truth (a slice, say) is scored from
+// the faulted rows it serves, folded beside the estimate pass
+// (engine::OrderedTruthFold, which learns from the reduction's settle
+// report which chunks the pass never pulled).
 
 #ifndef HDLDP_DATA_FAULT_INJECTION_H_
 #define HDLDP_DATA_FAULT_INJECTION_H_

@@ -129,8 +129,9 @@ class ChunkedEstimation {
   /// ChunkRows() becomes available to workload bodies. The source must
   /// outlive the run and supports concurrent pulls (each worker thread
   /// uses its own buffer). A non-null `truth` (num_dims columns, outliving
-  /// the run) receives every pull ChunkRows makes, and ReduceResumable
-  /// tells it which chunks will not be pulled.
+  /// the run) receives every pull ChunkRows makes and the reduction's
+  /// report of every chunk settled (CheckpointHooks::settled), which
+  /// tells it which chunks no body will pull.
   ChunkedEstimation(const data::ChunkSource& source, const RunControl& control,
                     std::size_t num_threads,
                     OrderedTruthFold* truth = nullptr);
@@ -178,66 +179,21 @@ class ChunkedEstimation {
   /// in *quarantined, sorted, when non-null).
   /// `make_acc` is `() -> Result<Acc>`; `body` is `(const ChunkRange&,
   /// Acc*) -> Status` and may run concurrently across chunks (scratches
-  /// are per-worker). `hooks` drive checkpoint/resume (engine/reduce.h).
+  /// are per-worker). `hooks` drive checkpoint/resume (engine/reduce.h);
+  /// with a truth fold bound, their `settled` report goes to the fold.
   template <typename Acc, typename MakeAcc, typename Body>
   Result<Acc> ReduceResumable(MakeAcc&& make_acc, Body&& body,
-                              const CheckpointHooks<Acc>& hooks,
+                              CheckpointHooks<Acc> hooks,
                               std::vector<std::size_t>* quarantined) const {
-    const auto run_chunk = [this, &body](std::size_t c, Acc* scratch) {
-      return body(Range(c), scratch);
-    };
-    if (truth_ == nullptr) {
-      return ReduceChunksResumable<Acc>(num_chunks_, num_threads_,
-                                        std::forward<MakeAcc>(make_acc),
-                                        run_chunk, control_, hooks,
-                                        quarantined);
-    }
-    // A bound truth fold must stall whenever a chunk will not be pulled,
-    // or workers would wait for its turn forever: a chunk whose body
-    // returned without pulling, a resumed group's checkpointed chunks,
-    // and the rest of a group that stops on an error — a body failure
-    // the reduction does not quarantine, or a failed load, scratch or
-    // save. (The group merge cannot fail: every scratch comes from the
-    // same make_acc.)
-    const auto stall_on_error = [this](auto result) {
-      if (!result.ok()) truth_->Stall();
-      return result;
-    };
-    CheckpointHooks<Acc> watched;
-    if (hooks.load) {
-      watched.load = [&](std::size_t group) {
-        auto loaded = stall_on_error(hooks.load(group));
-        if (loaded.ok() && loaded.value().has_value() &&
-            loaded.value()->chunks_done > 0) {
-          truth_->Stall();
-        }
-        return loaded;
-      };
-    }
-    if (hooks.save) {
-      watched.save = [&](std::size_t group, std::size_t chunks_done,
-                         const std::vector<std::size_t>& group_quarantined,
-                         const Acc& acc) {
-        return stall_on_error(
-            hooks.save(group, chunks_done, group_quarantined, acc));
-      };
+    if (truth_ != nullptr) {
+      hooks.settled = [truth = truth_](std::size_t c) { truth->Settle(c); };
     }
     return ReduceChunksResumable<Acc>(
-        num_chunks_, num_threads_,
-        [&] { return stall_on_error(make_acc()); },
-        [&](std::size_t c, Acc* scratch) {
-          const Status status = run_chunk(c, scratch);
-          truth_->Settle(c);
-          // ReduceChunksResumable's rule: only a quarantined chunk's
-          // group goes on after a failure.
-          const bool quarantined_chunk =
-              control_.allow_missing_chunks &&
-              (status.code() == StatusCode::kUnavailable ||
-               status.code() == StatusCode::kDataLoss);
-          if (!status.ok() && !quarantined_chunk) truth_->Stall();
-          return status;
+        num_chunks_, num_threads_, std::forward<MakeAcc>(make_acc),
+        [this, &body](std::size_t c, Acc* scratch) {
+          return body(Range(c), scratch);
         },
-        control_, watched, quarantined);
+        control_, hooks, quarantined);
   }
 
   /// \brief Dense per-chunk driver (every dimension reported): streams

@@ -34,11 +34,6 @@ void OrderedTruthFold::Settle(std::size_t chunk) {
   if (!stalled_ && chunk >= cursor_) StallLocked();
 }
 
-void OrderedTruthFold::Stall() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  StallLocked();
-}
-
 void OrderedTruthFold::StallLocked() {
   stalled_ = true;
   turn_.notify_all();

@@ -24,9 +24,12 @@
 //   * stall — anything else stops the fold for good, and waiting workers
 //     wake and drop out: a chunk outside the window (above
 //     kMaxReductionGroups chunks a group holds several chunks, and later
-//     groups run ahead of the cursor), a chunk offered twice, a resumed
-//     group's checkpointed chunks, a chunk whose body never pulled, and
-//     a failed group's remaining chunks.
+//     groups run ahead of the cursor), a chunk offered twice, and a chunk
+//     the reduction settles (CheckpointHooks::settled) at or past the
+//     cursor without an offer — a resumed group's checkpointed chunks, a
+//     chunk whose body never pulled, and a stopped group's remaining
+//     chunks. The reduction reports every chunk exactly once, so the
+//     fold needs no rule of its own about which failures stop a group.
 //
 // Mean() then checks that the folded prefix skipped exactly the
 // quarantined chunks below the cursor (a body that failed after a good
@@ -51,7 +54,7 @@ namespace hdldp {
 namespace engine {
 
 /// \brief Chunk-ordered truth fold beside a ChunkedEstimation's pulls.
-/// Offer, Settle and Stall are safe to call concurrently from the run's
+/// Offer and Settle are safe to call concurrently from the run's
 /// workers; Mean runs once, after the reduction returned.
 class OrderedTruthFold {
  public:
@@ -62,12 +65,10 @@ class OrderedTruthFold {
   /// folds the rows or skips the chunk; returns unfolded once stalled.
   void Offer(std::size_t chunk, const Result<std::span<const double>>& rows);
 
-  /// \brief Chunk `chunk`'s body returned: stalls unless the chunk is
-  /// already settled or the fold already stalled.
+  /// \brief The reduction settled chunk `chunk` (its body returned, or no
+  /// body will run it): stalls unless the chunk is already folded or
+  /// skipped, or the fold already stalled.
   void Settle(std::size_t chunk);
-
-  /// \brief Stops folding for good; every waiting worker returns.
-  void Stall();
 
   /// \brief The per-dimension mean of `source`'s users outside
   /// `quarantined` (sorted ascending): the folded prefix, then every

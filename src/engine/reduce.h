@@ -43,15 +43,24 @@ struct GroupCheckpoint {
   Acc acc;
 };
 
-/// \brief Checkpoint callbacks of a resumable reduction; either may be
-/// empty. `load` runs once per group before its first chunk (an empty
-/// optional starts the group fresh); `save` runs after every completed
-/// or quarantined chunk, possibly concurrently across groups — the
-/// sink must serialize internally. Because groups merge chunks in
-/// chunk order and the global merge happens only at the end in group
-/// order, restoring every group's (acc, chunks_done) and continuing
-/// yields the exact accumulator sequence of an uninterrupted run —
-/// resumed estimates are bit-identical.
+/// \brief Callbacks of a resumable reduction; any may be empty. `load`
+/// runs once per group before its first chunk (an empty optional starts
+/// the group fresh); `save` runs after every completed or quarantined
+/// chunk, possibly concurrently across groups — the sink must serialize
+/// internally. Because groups merge chunks in chunk order and the global
+/// merge happens only at the end in group order, restoring every group's
+/// (acc, chunks_done) and continuing yields the exact accumulator
+/// sequence of an uninterrupted run — resumed estimates are
+/// bit-identical.
+///
+/// `settled(chunk)` is the reduction's report of each chunk's fate, made
+/// exactly once per chunk index once the group tasks start: after the
+/// chunk's body returned (whatever its status), right after `load` for
+/// each chunk a resumed group had already checkpointed, and for the rest
+/// of a group that stopped early on a load, scratch, body, merge or save
+/// error. Like `save` it may run concurrently across groups. A watcher
+/// of the chunk bodies (engine::OrderedTruthFold) learns from it which
+/// chunks no body will pull.
 template <typename Acc>
 struct CheckpointHooks {
   std::function<Result<std::optional<GroupCheckpoint<Acc>>>(
@@ -61,6 +70,7 @@ struct CheckpointHooks {
                        const std::vector<std::size_t>& quarantined,
                        const Acc& acc)>
       save;
+  std::function<void(std::size_t chunk)> settled;
 };
 
 /// Upper bound on simultaneously-live partial accumulators in
@@ -114,8 +124,9 @@ inline ReductionGeometry GroupGeometry(std::size_t num_chunks) {
 /// property of the pull (data::PullChunk under `control.retry`, which
 /// ChunkedEstimation::ChunkRows applies), so a body sees a transient
 /// fault only once its pull has exhausted the retry ladder. `hooks` adds
-/// checkpoint/resume at group granularity (see CheckpointHooks); the
-/// caller binds them to control.checkpoint_path.
+/// checkpoint/resume at group granularity and reports each chunk's
+/// settling (see CheckpointHooks); the caller binds load and save to
+/// control.checkpoint_path.
 template <typename Acc, typename MakeAcc, typename Body>
 Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
                                   std::size_t max_concurrency,
@@ -141,59 +152,57 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
         const std::size_t begin = g * geometry.group_size;
         const std::size_t end =
             std::min(num_chunks, begin + geometry.group_size);
-        std::size_t done = 0;
-        if (hooks.load) {
-          auto loaded = hooks.load(g);
-          if (!loaded.ok()) {
-            statuses[g] = loaded.status();
-            return;
+        // Chunks [begin, unsettled) have been reported settled.
+        std::size_t unsettled = begin;
+        const auto settle_until = [&](std::size_t stop) {
+          for (; unsettled < stop; ++unsettled) {
+            if (hooks.settled) hooks.settled(unsettled);
           }
-          if (loaded.value().has_value()) {
-            GroupCheckpoint<Acc>& checkpoint = *loaded.value();
-            if (checkpoint.chunks_done > end - begin) {
-              statuses[g] = Status::DataLoss(
-                  "checkpoint claims more chunks than the group holds");
-              return;
-            }
-            group_locals[g] = std::move(checkpoint.acc);
-            group_quarantined[g] = std::move(checkpoint.quarantined);
-            done = checkpoint.chunks_done;
-          }
-        }
-        // One scratch per group task, reset between chunks: the live
-        // footprint is num_groups + in-flight scratches, not num_chunks.
-        auto scratch_or = make_acc();
-        if (!scratch_or.ok()) {
-          statuses[g] = scratch_or.status();
-          return;
-        }
-        Acc scratch = std::move(scratch_or).value();
-        for (std::size_t c = begin + done; c < end; ++c) {
-          scratch.Reset();
-          const Status status = body(c, &scratch);
-          if (!status.ok()) {
-            const bool quarantinable =
-                status.code() == StatusCode::kUnavailable ||
-                status.code() == StatusCode::kDataLoss;
-            if (!(control.allow_missing_chunks && quarantinable)) {
-              statuses[g] = status;
-              return;
-            }
-            group_quarantined[g].push_back(c);
-          } else {
-            statuses[g] = group_locals[g].Merge(scratch);
-            if (!statuses[g].ok()) return;
-          }
-          if (hooks.save) {
-            const Status saved =
-                hooks.save(g, c - begin + 1, group_quarantined[g],
-                           group_locals[g]);
-            if (!saved.ok()) {
-              statuses[g] = saved;
-              return;
+        };
+        const auto run_group = [&]() -> Status {
+          std::size_t done = 0;
+          if (hooks.load) {
+            HDLDP_ASSIGN_OR_RETURN(std::optional<GroupCheckpoint<Acc>> loaded,
+                                   hooks.load(g));
+            if (loaded.has_value()) {
+              if (loaded->chunks_done > end - begin) {
+                return Status::DataLoss(
+                    "checkpoint claims more chunks than the group holds");
+              }
+              group_locals[g] = std::move(loaded->acc);
+              group_quarantined[g] = std::move(loaded->quarantined);
+              done = loaded->chunks_done;
+              settle_until(begin + done);
             }
           }
-        }
+          // One scratch per group task, reset between chunks: the live
+          // footprint is num_groups + in-flight scratches, not num_chunks.
+          HDLDP_ASSIGN_OR_RETURN(Acc scratch, make_acc());
+          for (std::size_t c = begin + done; c < end; ++c) {
+            scratch.Reset();
+            const Status status = body(c, &scratch);
+            settle_until(c + 1);
+            if (!status.ok()) {
+              const bool quarantinable =
+                  status.code() == StatusCode::kUnavailable ||
+                  status.code() == StatusCode::kDataLoss;
+              if (!(control.allow_missing_chunks && quarantinable)) {
+                return status;
+              }
+              group_quarantined[g].push_back(c);
+            } else {
+              HDLDP_RETURN_NOT_OK(group_locals[g].Merge(scratch));
+            }
+            if (hooks.save) {
+              HDLDP_RETURN_NOT_OK(hooks.save(g, c - begin + 1,
+                                             group_quarantined[g],
+                                             group_locals[g]));
+            }
+          }
+          return Status::OK();
+        };
+        statuses[g] = run_group();
+        settle_until(end);
       },
       max_concurrency);
   for (std::size_t g = 0; g < geometry.num_groups; ++g) {

@@ -12,9 +12,6 @@ Status ValidateOptions(const LambdaOptions& options) {
   if (!(options.confidence_z > 0.0)) {
     return Status::InvalidArgument("LambdaOptions requires confidence_z > 0");
   }
-  if (!(options.lambda_cap > 0.0)) {
-    return Status::InvalidArgument("LambdaOptions requires lambda_cap > 0");
-  }
   return Status::OK();
 }
 }  // namespace
@@ -35,7 +32,7 @@ Result<std::vector<double>> SelectLambdaL1(
       lambda[j] = 0.0;
       continue;
     }
-    lambda[j] = Clamp(sup, 0.0, options.lambda_cap);
+    lambda[j] = Clamp(sup, 0.0, kLambdaCap);
   }
   return lambda;
 }
@@ -66,9 +63,9 @@ Result<std::vector<double>> SelectLambdaL2(
             : std::abs(estimated_mean[j]);
     // theta-bar ~ 0 sends lambda* -> infinity; the cap keeps it finite and
     // the solver output at ~0, matching the paper's high-d observation.
-    lambda[j] = reference * 2.0 > sup / options.lambda_cap
-                    ? Clamp(sup / (2.0 * reference), 0.0, options.lambda_cap)
-                    : options.lambda_cap;
+    lambda[j] = reference * 2.0 > sup / kLambdaCap
+                    ? Clamp(sup / (2.0 * reference), 0.0, kLambdaCap)
+                    : kLambdaCap;
   }
   return lambda;
 }

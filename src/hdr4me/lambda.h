@@ -34,6 +34,11 @@ enum class L2Reference {
   kEstimate,
 };
 
+/// Upper cap on any lambda*_j, keeping the degenerate theta-bar ~ 0 case
+/// finite (the solver then maps theta-hat to ~0, the paper's observed
+/// regime).
+inline constexpr double kLambdaCap = 1e12;
+
 /// Configuration of lambda* selection.
 struct LambdaOptions {
   /// z-score at which the Gaussian model instantiates the supremum
@@ -41,10 +46,6 @@ struct LambdaOptions {
   double confidence_z = 3.0;
   /// Reference mean used by L2 (see L2Reference).
   L2Reference l2_reference = L2Reference::kEstimate;
-  /// Upper cap on any lambda*_j, keeping the degenerate theta-bar ~ 0 case
-  /// finite (the solver then maps theta-hat to ~0, the paper's observed
-  /// regime).
-  double lambda_cap = 1e12;
   /// Apply the Lemma 4/5 thresholds as gates: dimensions whose predicted
   /// sup-deviation does not exceed the lemma threshold (1 for L1, 2 for
   /// L2) get lambda*_j = 0 (no re-calibration). The paper's evaluation

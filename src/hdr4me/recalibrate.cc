@@ -16,6 +16,10 @@ namespace {
 // of the empirical distribution built from them.
 constexpr std::size_t kMarginalRows = 2000;
 constexpr std::size_t kMarginalPoints = 16;
+// Every chunk but the last holds kUsersPerChunk users, and a last chunk
+// that is the first survivor holds every surviving user: the sample is
+// always the head of the first surviving chunk.
+static_assert(kMarginalRows <= data::kUsersPerChunk);
 // Columns gathered per MarginalDeviations task: each row contributes one
 // contiguous 128-byte segment to the block's transpose, where a column at
 // a time would pull a cache line per double.
@@ -130,16 +134,15 @@ Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
         "quarantined");
   }
   const std::size_t rows = std::min(surviving, kMarginalRows);
-  std::vector<double> marginals;
-  marginals.reserve(rows * d);
-  HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-      source, quarantined, retry, [&](std::span<const double> chunk) {
-        const std::size_t take =
-            std::min(chunk.size(), rows * d - marginals.size());
-        marginals.insert(marginals.end(), chunk.begin(),
-                         chunk.begin() + static_cast<std::ptrdiff_t>(take));
-        return marginals.size() < rows * d;
-      }));
+  std::size_t first_survivor = 0;
+  for (const std::size_t c : quarantined) {
+    if (c == first_survivor) ++first_survivor;
+  }
+  data::ChunkBuffer buffer;
+  HDLDP_ASSIGN_OR_RETURN(
+      const std::span<const double> chunk,
+      data::PullChunk(source, first_survivor, &buffer, retry));
+  const std::span<const double> marginals = chunk.first(rows * d);
   // r_j counts the users whose reports were folded: quarantined chunks
   // contributed none.
   const double m = static_cast<double>(report_dims == 0 ? d : report_dims);

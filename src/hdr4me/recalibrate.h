@@ -88,9 +88,10 @@ Result<RecalibrationResult> Recalibrate(
 /// `source`: dimension j's value distribution is the 16-point empirical
 /// distribution of its first min(surviving, 2000) values outside the
 /// `quarantined` chunks (sorted ascending, as a run reports them), and
-/// r_j = surviving * report_dims / d (report_dims 0 = d). Gathers through
-/// data::ForEachSurvivingChunk, pulling under `retry` (a run passes its
-/// own policy), and stops pulling once it has enough rows.
+/// r_j = surviving * report_dims / d (report_dims 0 = d). Those rows are
+/// the head of the first surviving chunk (every chunk but the last holds
+/// more than 2000 users), so the sample is one data::PullChunk under
+/// `retry` (a run passes its own policy).
 ///
 /// The dimensions are modelled in blocks of 16 columns on the shared
 /// ThreadPool, each block transposing its columns out of the row-major

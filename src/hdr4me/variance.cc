@@ -141,10 +141,8 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   };
   NeumaierColumns sums(d);
   HDLDP_RETURN_NOT_OK(
-      for_each_surviving_chunk([&](std::span<const double> rows) {
-        sums.AddRows(rows);
-        return true;
-      }));
+      for_each_surviving_chunk(
+          [&](std::span<const double> rows) { sums.AddRows(rows); }));
   const std::vector<double> true_mean = sums.Mean(result.surviving_users);
   std::vector<NeumaierSum> acc(d);
   HDLDP_RETURN_NOT_OK(
@@ -154,7 +152,6 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
             acc[j].Add(Sq(rows[k + j] - true_mean[j]));
           }
         }
-        return true;
       }));
   const auto surviving = static_cast<double>(result.surviving_users);
   result.true_variance.resize(d);

@@ -221,27 +221,20 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                const PipelineOptions& options) {
   // Score against the users the estimate covers: the surviving chunks'
   // column sums in chunk order (data::SurvivingMean's bits). A source that
-  // owns its truth answers for the whole population itself, through
-  // whatever memo it keeps; any other source's truth is folded from the
-  // estimate pass's own pulls, and the fold pulls only what the pass
-  // left behind, under the run's retry policy.
-  MeanEstimationResult result;
-  if (source.OwnsTrueMean()) {
-    HDLDP_ASSIGN_OR_RETURN(result,
-                           EstimateMean(source, std::move(mechanism), options));
-    if (result.quarantined_chunks.empty()) {
-      HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
-    } else {
-      HDLDP_ASSIGN_OR_RETURN(
-          result.true_mean,
-          data::SurvivingMean(source, result.quarantined_chunks,
-                              options.retry));
-    }
+  // owns its truth binds no fold and answers for the whole population
+  // itself, through whatever memo it keeps; any other source's truth is
+  // folded from the estimate pass's own pulls. Either way the fold's Mean
+  // pulls what it holds no sums for, under the run's retry policy — for
+  // an unbound fold that is every surviving chunk.
+  const bool owns_truth = source.OwnsTrueMean();
+  engine::OrderedTruthFold truth(source.num_dims());
+  HDLDP_ASSIGN_OR_RETURN(
+      MeanEstimationResult result,
+      EstimateMeanFolding(source, std::move(mechanism), options,
+                          owns_truth ? nullptr : &truth));
+  if (owns_truth && result.quarantined_chunks.empty()) {
+    HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
   } else {
-    engine::OrderedTruthFold truth(source.num_dims());
-    HDLDP_ASSIGN_OR_RETURN(
-        result,
-        EstimateMeanFolding(source, std::move(mechanism), options, &truth));
     HDLDP_ASSIGN_OR_RETURN(
         result.true_mean,
         truth.Mean(source, result.quarantined_chunks, options.retry));

@@ -271,6 +271,38 @@ TEST(RetryPolicyTest, BackoffSequenceIsExponential) {
   EXPECT_EQ(backoffs, (std::vector<std::uint64_t>{10, 20, 40}));
 }
 
+TEST(RetryPolicyTest, BackoffSaturatesInsteadOfWrapping) {
+  // The ladder doubles until the largest std::chrono::milliseconds count
+  // and stays there, where a plain shift would wrap past 63 bits.
+  constexpr std::uint64_t kCap = (std::uint64_t{1} << 63) - 1;
+  const auto ladder = [](std::uint64_t base, int failing_attempts) {
+    const Dataset dataset = TestDataset();
+    const ResidentChunkSource base_source(&dataset);
+    FaultSchedule schedule;
+    schedule.Add({.kind = FaultSpec::Kind::kTransient,
+                  .chunk = 0,
+                  .failing_attempts = failing_attempts});
+    const FaultInjectingChunkSource faulty(&base_source, schedule);
+    protocol::PipelineOptions opts = BaseOptions();
+    opts.num_threads = 1;
+    opts.retry.max_attempts = failing_attempts + 1;
+    opts.retry.initial_backoff_ms = base;
+    std::vector<std::uint64_t> backoffs;
+    opts.retry.sleep = [&](std::uint64_t ms) { backoffs.push_back(ms); };
+    EXPECT_TRUE(protocol::RunMeanEstimation(faulty, Mech(), opts).ok());
+    return backoffs;
+  };
+  std::vector<std::uint64_t> expected;
+  for (int k = 0; k < 69; ++k) {
+    expected.push_back(k < 63 ? std::uint64_t{1} << k : kCap);
+  }
+  EXPECT_EQ(ladder(1, 69), expected);
+  EXPECT_EQ(ladder(std::uint64_t{1} << 62, 3),
+            (std::vector<std::uint64_t>{std::uint64_t{1} << 62, kCap, kCap}));
+  EXPECT_EQ(ladder(~std::uint64_t{0}, 2),
+            (std::vector<std::uint64_t>{kCap, kCap}));
+}
+
 TEST(RetryPolicyTest, WallClockDeadlineCutsTheLadderShort) {
   // A persistent outage with a generous attempt budget: the wall-clock
   // deadline, not max_attempts, must be what stops the retry ladder.

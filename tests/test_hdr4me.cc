@@ -125,9 +125,8 @@ TEST(LambdaL2Test, ModelBiasReferenceCapsWhenUnbiased) {
   const std::vector<double> theta_hat = {0.5};
   LambdaOptions opts;
   opts.l2_reference = L2Reference::kModelBias;
-  opts.lambda_cap = 1e6;
   const auto lambda = SelectLambdaL2(devs, theta_hat, opts).value();
-  EXPECT_DOUBLE_EQ(lambda[0], 1e6);
+  EXPECT_DOUBLE_EQ(lambda[0], kLambdaCap);
 }
 
 TEST(LambdaL2Test, GatingUsesThresholdTwo) {
@@ -148,9 +147,6 @@ TEST(LambdaTest, Validates) {
   opts.confidence_z = 0.0;
   EXPECT_FALSE(SelectLambdaL1(devs, opts).ok());
   opts.confidence_z = 3.0;
-  opts.lambda_cap = -1.0;
-  EXPECT_FALSE(SelectLambdaL1(devs, opts).ok());
-  opts.lambda_cap = 1e12;
   const std::vector<double> wrong_len = {1.0, 2.0};
   EXPECT_FALSE(SelectLambdaL2(devs, wrong_len, opts).ok());
 }

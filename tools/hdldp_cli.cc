@@ -102,7 +102,7 @@
 //       marginals), so a resumed run recovers a faulted chunk it took
 //       from its checkpoint too.
 //   --backoff-ms=0             exponential backoff base: B << (k-1) ms
-//       before retry k.
+//       before retry k, saturating instead of wrapping.
 //   --max-total-backoff-ms=0   wall-clock retry budget per pull from its
 //       first failure (0 = unlimited).
 //   --allow-missing-chunks     quarantine chunks that still fail after
