@@ -227,6 +227,18 @@ void NeumaierColumns::AddRows(std::span<const double> rows) {
   }
 }
 
+void NeumaierColumns::MergeState(const NeumaierColumns& other) {
+  for (std::size_t j = 0; j < sums_.size(); ++j) {
+    NeumaierSum column;
+    column.RestoreRaw(sums_[j], compensations_[j]);
+    NeumaierSum part;
+    part.RestoreRaw(other.sums_[j], other.compensations_[j]);
+    column.MergeState(part);
+    sums_[j] = column.RawSum();
+    compensations_[j] = column.Compensation();
+  }
+}
+
 std::vector<double> NeumaierColumns::Mean(std::size_t count) const {
   std::vector<double> mean(sums_.size());
   for (std::size_t j = 0; j < mean.size(); ++j) {

@@ -176,8 +176,11 @@ class NeumaierSum {
 /// `c += (hi - t) + lo`), applied in row order, so every column's
 /// RawSum() and Compensation() equal those of a NeumaierSum fed the same
 /// values bit for bit (pinned by tests/test_math.cc, NaN and ±inf
-/// included). This is the one ground-truth column fold: Dataset::TrueMean,
-/// data::SurvivingMean and the variance truth share it.
+/// included). It is the ground-truth column fold: the mean truth
+/// (data::SurvivingMean, hence Dataset::TrueMean and every mean run)
+/// folds each chunk's rows into its own NeumaierColumns and merges the
+/// chunks' columns with MergeState in chunk order; the variance truth
+/// folds its rows in user order.
 class NeumaierColumns {
  public:
   explicit NeumaierColumns(std::size_t columns)
@@ -186,6 +189,10 @@ class NeumaierColumns {
   /// Folds consecutive rows; `rows.size()` must be a multiple of the
   /// column count.
   void AddRows(std::span<const double> rows);
+
+  /// NeumaierSum::MergeState per column; `other` has the same column
+  /// count.
+  void MergeState(const NeumaierColumns& other);
 
   double RawSum(std::size_t column) const { return sums_[column]; }
   double Compensation(std::size_t column) const {

@@ -106,14 +106,7 @@ Result<std::span<const double>> PullChunk(const ChunkSource& source,
 
 Result<std::vector<double>> SurvivingMean(
     const ChunkSource& source, const std::vector<std::size_t>& quarantined,
-    const RetryPolicy& retry) {
-  NeumaierColumns sums(source.num_dims());
-  return SurvivingMeanFrom(source, quarantined, retry, 0, &sums);
-}
-
-Result<std::vector<double>> SurvivingMeanFrom(
-    const ChunkSource& source, const std::vector<std::size_t>& quarantined,
-    const RetryPolicy& retry, std::size_t first_chunk, NeumaierColumns* sums) {
+    const RetryPolicy& retry, ChunkPartials<NeumaierColumns> partials) {
   const std::size_t d = source.num_dims();
   const std::size_t n = source.SurvivingUsers(quarantined);
   if (n == 0 || d == 0) {
@@ -121,13 +114,16 @@ Result<std::vector<double>> SurvivingMeanFrom(
         "a mean requires surviving users; the source is empty or every "
         "chunk was quarantined");
   }
-  // Chunks in order means every column's compensated sum sees users in
-  // exactly the order Dataset::TrueMean visits them — same bits.
-  HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
-      source, quarantined, retry,
-      [&](std::span<const double> rows) { sums->AddRows(rows); },
-      first_chunk));
-  return sums->Mean(n);
+  HDLDP_ASSIGN_OR_RETURN(
+      const NeumaierColumns sums,
+      partials.Finish(source, quarantined, retry, NeumaierColumns(d),
+                      [d](std::size_t, std::span<const double> rows)
+                          -> Result<NeumaierColumns> {
+                        NeumaierColumns chunk_sums(d);
+                        chunk_sums.AddRows(rows);
+                        return chunk_sums;
+                      }));
+  return sums.Mean(n);
 }
 
 Result<std::span<const double>> ResidentChunkSource::Chunk(

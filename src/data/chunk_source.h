@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -122,21 +123,21 @@ class ChunkSource {
   virtual Result<std::span<const double>> Chunk(std::size_t chunk,
                                                 ChunkBuffer* buffer) const = 0;
 
-  /// \brief Per-dimension mean (the paper's theta-bar) as one streaming
-  /// pass over the chunks in order — per-column compensated sums see
-  /// users in exactly the order Dataset::TrueMean visits them, so the
-  /// result is bit-identical to the resident computation. This pass
-  /// pulls without retry; a mean run calls it only on a source that
-  /// OwnsTrueMean() and otherwise folds its truth from the estimate
-  /// pass's own pulls (engine::OrderedTruthFold).
+  /// \brief Per-dimension mean (the paper's theta-bar): by default
+  /// SurvivingMean with nothing quarantined, pulled without retry — each
+  /// chunk's compensated column sums, merged in chunk order, the same
+  /// bits as Dataset::TrueMean over the same rows. A mean run calls it
+  /// only on a source that OwnsTrueMean(); over any other source the
+  /// estimate pass's workers leave each chunk's sums behind as they pull
+  /// it (ChunkPartials) and the run merges those.
   virtual Result<std::vector<double>> TrueMean() const;
 
   /// \brief True when TrueMean() answers from the source's own record
   /// rather than from the rows Chunk() serves: the resident adapter's
   /// memoized Dataset pass, or the fault injector's unfaulted base. A
-  /// mean run then scores against TrueMean() and folds nothing beside
-  /// its estimate pass. A decorator that does not override this is
-  /// scored from the rows it serves, whatever its TrueMean() does.
+  /// mean run then scores against TrueMean() and keeps no chunk sums
+  /// beside its estimate pass. A decorator that does not override this
+  /// is scored from the rows it serves, whatever its TrueMean() does.
   virtual bool OwnsTrueMean() const { return false; }
 };
 
@@ -234,10 +235,10 @@ struct RetryPolicy {
 };
 
 /// \brief source.Chunk(chunk, buffer) under `retry`: the one chunk pull
-/// of a run. The estimate pass and the freq truth pull through it via
-/// engine::ChunkedEstimation::ChunkRows (which also feeds a mean run's
-/// truth fold), the HDR4ME marginal sample directly (one pull of the
-/// first surviving chunk), the other reference passes via
+/// of a run. The estimate pass pulls through it via
+/// engine::ChunkedEstimation::ChunkRows, the truths' top-up pulls via
+/// ChunkPartials::Finish, the HDR4ME marginal sample directly (one pull
+/// of the first surviving chunk) and the variance truth via
 /// ForEachSurvivingChunk, so a chunk a reference pass reads first — e.g.
 /// one a resumed run took from its checkpoint — recovers exactly as the
 /// estimate pass would.
@@ -249,18 +250,15 @@ Result<std::span<const double>> PullChunk(const ChunkSource& source,
 
 /// \brief Calls visit(rows) with the rows of each chunk of `source` outside
 /// `quarantined` (distinct chunk indices, sorted ascending), pulled under
-/// `retry`, in chunk order from `first_chunk` on. The pass a ground truth
-/// takes over exactly the users an estimate covers.
+/// `retry`, in chunk order. The pass a ground truth takes over exactly
+/// the users an estimate covers.
 template <typename Visit>
 Status ForEachSurvivingChunk(const ChunkSource& source,
                              const std::vector<std::size_t>& quarantined,
-                             const RetryPolicy& retry, Visit visit,
-                             std::size_t first_chunk = 0) {
+                             const RetryPolicy& retry, Visit visit) {
   ChunkBuffer buffer;
-  std::size_t next_quarantined = static_cast<std::size_t>(
-      std::lower_bound(quarantined.begin(), quarantined.end(), first_chunk) -
-      quarantined.begin());
-  for (std::size_t c = first_chunk; c < source.num_chunks(); ++c) {
+  std::size_t next_quarantined = 0;
+  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
     if (next_quarantined < quarantined.size() &&
         quarantined[next_quarantined] == c) {
       ++next_quarantined;
@@ -273,22 +271,73 @@ Status ForEachSurvivingChunk(const ChunkSource& source,
   return Status::OK();
 }
 
-/// \brief Per-dimension mean of the users outside `quarantined` (as for
-/// ForEachSurvivingChunk, pulled under `retry`), one compensated sum per
-/// column in user order: the ground truth of an estimate that skipped
-/// those chunks. With nothing quarantined this is ChunkSource::TrueMean's
-/// streaming pass. FailedPrecondition when no user survives.
+/// \brief One partial result per chunk of a source, combined in chunk
+/// order: how a run builds its ground truth beside its estimate pass.
+///
+/// The worker that pulled chunk c stores c's partial — a pure function
+/// of that chunk's rows — with Set(c, ...). Slots are distinct, so
+/// workers fill them concurrently without a lock and none waits for
+/// another; Finish runs once, after they are done. The combine order is
+/// the chunk order, so which worker filled which slot, and when, cannot
+/// move a bit. `T` provides `void MergeState(const T&)`.
+template <typename T>
+class ChunkPartials {
+ public:
+  /// No slot: Finish pulls every surviving chunk.
+  ChunkPartials() = default;
+  /// `num_chunks` empty slots, ready for concurrent Set calls.
+  explicit ChunkPartials(std::size_t num_chunks) : slots_(num_chunks) {}
+
+  /// Stores chunk `chunk`'s partial. Safe to call concurrently for
+  /// distinct chunks.
+  void Set(std::size_t chunk, T partial) { slots_[chunk] = std::move(partial); }
+
+  /// \brief `total` with the partial of every chunk of `source` outside
+  /// `quarantined` (sorted ascending) merged in, in chunk order. A
+  /// quarantined chunk is skipped even when its slot is set. A surviving
+  /// chunk with no slot set — one a resumed run took from its
+  /// checkpoint, or every chunk when nothing was set — is pulled under
+  /// `retry` and its partial taken by `of_rows(chunk, rows)`, which
+  /// returns Result<T>.
+  template <typename OfRows>
+  Result<T> Finish(const ChunkSource& source,
+                   const std::vector<std::size_t>& quarantined,
+                   const RetryPolicy& retry, T total,
+                   OfRows&& of_rows) const {
+    ChunkBuffer buffer;
+    for (std::size_t c = 0; c < source.num_chunks(); ++c) {
+      if (std::binary_search(quarantined.begin(), quarantined.end(), c)) {
+        continue;
+      }
+      if (c < slots_.size() && slots_[c].has_value()) {
+        total.MergeState(*slots_[c]);
+        continue;
+      }
+      HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                             PullChunk(source, c, &buffer, retry));
+      HDLDP_ASSIGN_OR_RETURN(const T pulled, of_rows(c, rows));
+      total.MergeState(pulled);
+    }
+    return total;
+  }
+
+ private:
+  std::vector<std::optional<T>> slots_;
+};
+
+/// \brief Per-dimension mean of the users outside `quarantined` (sorted
+/// ascending): each surviving chunk's rows folded into their own
+/// compensated column sums (NeumaierColumns), the chunks' sums merged in
+/// chunk order (ChunkPartials::Finish) — the ground truth of an estimate
+/// that skipped those chunks. `partials` holds the sums of the chunks
+/// the estimate pass already pulled; the rest are pulled under `retry`.
+/// Either way a chunk's sums are the same, so the result's bits do not
+/// depend on which chunks were set. With nothing quarantined this is
+/// ChunkSource::TrueMean's default and Dataset::TrueMean.
+/// FailedPrecondition when no user survives.
 Result<std::vector<double>> SurvivingMean(
     const ChunkSource& source, const std::vector<std::size_t>& quarantined,
-    const RetryPolicy& retry);
-
-/// \brief SurvivingMean continued from a partial fold: `sums` (num_dims
-/// columns) already holds the surviving chunks below `first_chunk`, in
-/// chunk order; the rest are pulled under `retry` and folded after them,
-/// so the result has SurvivingMean's bits.
-Result<std::vector<double>> SurvivingMeanFrom(
-    const ChunkSource& source, const std::vector<std::size_t>& quarantined,
-    const RetryPolicy& retry, std::size_t first_chunk, NeumaierColumns* sums);
+    const RetryPolicy& retry, ChunkPartials<NeumaierColumns> partials = {});
 
 /// \brief Copies rows [first_row, first_row + row_count) of `source` into
 /// a flat row-major vector (row_count * num_dims doubles). For small

@@ -3,7 +3,7 @@
 #include <cstring>
 #include <utility>
 
-#include "common/math.h"
+#include "data/chunk_source.h"
 
 namespace hdldp {
 namespace data {
@@ -49,12 +49,12 @@ std::vector<double> Dataset::TrueMean() const {
   const std::shared_ptr<const MeanCache> cached =
       mean_cache_.load(std::memory_order_acquire);
   if (cached != nullptr && cached->version == version_) return cached->mean;
-  // Column sums with compensated accumulation; one pass over the matrix.
-  NeumaierColumns sums(num_dims_);
-  sums.AddRows(values_);
+  // A resident pull never fails, and a Dataset always has users and
+  // dimensions, so the Result always holds the mean.
   auto fresh = std::make_shared<MeanCache>();
   fresh->version = version_;
-  fresh->mean = sums.Mean(num_users_);
+  fresh->mean =
+      SurvivingMean(ResidentChunkSource(this), {}, RetryPolicy{}).value();
   mean_cache_.store(fresh, std::memory_order_release);
   return fresh->mean;
 }

@@ -106,8 +106,9 @@ class Dataset {
   /// later calls return the cached column means — experiment loops call
   /// this once per pipeline run on the same dataset, where the pass was
   /// a fixed ~40% of a sampled run's wall time. The cached values are
-  /// the exact bits of the uncached computation (same compensated
-  /// per-column sums in user order). Safe under concurrent const access
+  /// the exact bits of the uncached computation: data::SurvivingMean
+  /// over the rows in kUsersPerChunk blocks, so a resident run and a
+  /// streamed one share one truth. Safe under concurrent const access
   /// (trial-parallel benches share one dataset): the memo is published
   /// through an atomic shared_ptr, and a lost race merely recomputes
   /// identical values. Mutators invalidate by bumping this object's

@@ -32,18 +32,18 @@
 // The wrapper owns its truth (OwnsTrueMean): TrueMean() delegates to the
 // base source unfaulted, so the ground truth of a mean run that covered
 // every chunk measures the data, not the injected failure model — a
-// kBitFlip chunk's corrupted rows never reach it, which a truth folded
+// kBitFlip chunk's corrupted rows never reach it, which a truth taken
 // from the estimate pass's pulls could not promise. A run that
 // quarantined chunks instead takes its ground truth over the surviving
-// chunks only (data::SurvivingMean's pass; the freq truth is a
-// chunk-parallel engine::ReduceChunks pass that skips the same chunks)
-// and its HDR4ME marginals from one pull of the first surviving chunk,
-// all pulled through this wrapper under the same retry policy, so no
+// chunks only (data::SurvivingMean; the freq truth merges the category
+// counts its estimate bodies took, skipping the same chunks) and its
+// HDR4ME marginals from one pull of the first surviving chunk, all
+// pulled through this wrapper under the same retry policy, so no
 // reference pass reads a chunk the estimate skipped. A decorator over
 // this wrapper that does not own its truth (a slice, say) is scored from
-// the faulted rows it serves, folded beside the estimate pass
-// (engine::OrderedTruthFold, which learns from the reduction's settle
-// report which chunks the pass never pulled).
+// the faulted rows it serves: each worker leaves the column sums of the
+// chunk it pulled in that chunk's slot (data::ChunkPartials), no worker
+// waits for another, and the run merges the slots in chunk order.
 
 #ifndef HDLDP_DATA_FAULT_INJECTION_H_
 #define HDLDP_DATA_FAULT_INJECTION_H_

@@ -16,10 +16,9 @@ ChunkedEstimation::ChunkedEstimation(std::size_t num_users,
       control_(control),
       num_threads_(num_threads) {}
 
-ChunkedEstimation::ChunkedEstimation(const data::ChunkSource& source,
-                                     const RunControl& control,
-                                     std::size_t num_threads,
-                                     OrderedTruthFold* truth)
+ChunkedEstimation::ChunkedEstimation(
+    const data::ChunkSource& source, const RunControl& control,
+    std::size_t num_threads, data::ChunkPartials<NeumaierColumns>* truth)
     : ChunkedEstimation(source.num_users(), control, num_threads) {
   source_ = &source;
   truth_ = truth;
@@ -37,7 +36,11 @@ Result<std::span<const double>> ChunkedEstimation::ChunkRows(
   static thread_local data::ChunkBuffer buffer;
   Result<std::span<const double>> rows =
       data::PullChunk(*source_, range.chunk, &buffer, control_.retry);
-  if (truth_ != nullptr) truth_->Offer(range.chunk, rows);
+  if (truth_ != nullptr && rows.ok()) {
+    NeumaierColumns sums(source_->num_dims());
+    sums.AddRows(rows.value());
+    truth_->Set(range.chunk, std::move(sums));
+  }
   return rows;
 }
 

@@ -15,9 +15,11 @@
 //   4. reduce the per-chunk partial aggregates through a deterministic
 //      two-level tree (engine/reduce.h).
 //
-// A mean run may also bind an OrderedTruthFold (engine/ordered_truth.h):
-// every row block ChunkRows pulls is then folded into the run's ground
-// truth in chunk order, so scoring needs no second pull of the data.
+// A mean run may also bind the ChunkPartials of its ground truth
+// (data/chunk_source.h): ChunkRows then leaves each chunk's compensated
+// column sums in that chunk's slot, on the worker that pulled it, so
+// scoring needs no second pull of the data and no worker waits for
+// another.
 //
 // Only step 3's per-value body differs between workloads. This class owns
 // steps 1, 2 and 4 outright and drives step 3 through small workload
@@ -40,12 +42,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/math.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/rng_lanes.h"
 #include "common/status.h"
 #include "data/chunk_source.h"
-#include "engine/ordered_truth.h"
 #include "engine/reduce.h"
 #include "engine/run_control.h"
 #include "mech/plan.h"
@@ -128,13 +130,12 @@ class ChunkedEstimation {
   /// `source` (whose chunking is definitionally the engine's) and
   /// ChunkRows() becomes available to workload bodies. The source must
   /// outlive the run and supports concurrent pulls (each worker thread
-  /// uses its own buffer). A non-null `truth` (num_dims columns, outliving
-  /// the run) receives every pull ChunkRows makes and the reduction's
-  /// report of every chunk settled (CheckpointHooks::settled), which
-  /// tells it which chunks no body will pull.
+  /// uses its own buffer). A non-null `truth` (a slot per chunk of
+  /// `source`, outliving the run) receives the column sums of every chunk
+  /// ChunkRows pulls.
   ChunkedEstimation(const data::ChunkSource& source, const RunControl& control,
                     std::size_t num_threads,
-                    OrderedTruthFold* truth = nullptr);
+                    data::ChunkPartials<NeumaierColumns>* truth = nullptr);
 
   std::size_t num_users() const { return num_users_; }
   std::size_t num_chunks() const { return num_chunks_; }
@@ -150,9 +151,10 @@ class ChunkedEstimation {
   /// valid until that worker's next ChunkRows call, i.e. for the current
   /// chunk body. Requires the source-bound constructor. Index the span by
   /// (user - range.begin). A retried pull touches no random stream, so
-  /// each chunk body runs once. With a truth fold bound, the pull (rows
-  /// or failure) is offered to it before it returns, which may wait for
-  /// the chunk's turn.
+  /// each chunk body runs once. With a truth bound, a successful pull also
+  /// folds the rows into fresh column sums and stores them in the chunk's
+  /// slot before it returns — the one place a mean truth reads the rows
+  /// the estimate pass pulled. A failed pull leaves the slot empty.
   Result<std::span<const double>> ChunkRows(const ChunkRange& range) const;
 
   /// \brief The chunk's four perturbation lane streams (kV2Lanes): lane l
@@ -179,15 +181,11 @@ class ChunkedEstimation {
   /// in *quarantined, sorted, when non-null).
   /// `make_acc` is `() -> Result<Acc>`; `body` is `(const ChunkRange&,
   /// Acc*) -> Status` and may run concurrently across chunks (scratches
-  /// are per-worker). `hooks` drive checkpoint/resume (engine/reduce.h);
-  /// with a truth fold bound, their `settled` report goes to the fold.
+  /// are per-worker). `hooks` drive checkpoint/resume (engine/reduce.h).
   template <typename Acc, typename MakeAcc, typename Body>
   Result<Acc> ReduceResumable(MakeAcc&& make_acc, Body&& body,
-                              CheckpointHooks<Acc> hooks,
+                              const CheckpointHooks<Acc>& hooks,
                               std::vector<std::size_t>* quarantined) const {
-    if (truth_ != nullptr) {
-      hooks.settled = [truth = truth_](std::size_t c) { truth->Settle(c); };
-    }
     return ReduceChunksResumable<Acc>(
         num_chunks_, num_threads_, std::forward<MakeAcc>(make_acc),
         [this, &body](std::size_t c, Acc* scratch) {
@@ -325,7 +323,7 @@ class ChunkedEstimation {
   std::size_t num_threads_;
   // Bound data source (nullptr when constructed from a bare user count).
   const data::ChunkSource* source_ = nullptr;
-  OrderedTruthFold* truth_ = nullptr;
+  data::ChunkPartials<NeumaierColumns>* truth_ = nullptr;
 };
 
 }  // namespace engine

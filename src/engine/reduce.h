@@ -52,15 +52,6 @@ struct GroupCheckpoint {
 /// (acc, chunks_done) and continuing yields the exact accumulator
 /// sequence of an uninterrupted run — resumed estimates are
 /// bit-identical.
-///
-/// `settled(chunk)` is the reduction's report of each chunk's fate, made
-/// exactly once per chunk index once the group tasks start: after the
-/// chunk's body returned (whatever its status), right after `load` for
-/// each chunk a resumed group had already checkpointed, and for the rest
-/// of a group that stopped early on a load, scratch, body, merge or save
-/// error. Like `save` it may run concurrently across groups. A watcher
-/// of the chunk bodies (engine::OrderedTruthFold) learns from it which
-/// chunks no body will pull.
 template <typename Acc>
 struct CheckpointHooks {
   std::function<Result<std::optional<GroupCheckpoint<Acc>>>(
@@ -70,7 +61,6 @@ struct CheckpointHooks {
                        const std::vector<std::size_t>& quarantined,
                        const Acc& acc)>
       save;
-  std::function<void(std::size_t chunk)> settled;
 };
 
 /// Upper bound on simultaneously-live partial accumulators in
@@ -124,9 +114,8 @@ inline ReductionGeometry GroupGeometry(std::size_t num_chunks) {
 /// property of the pull (data::PullChunk under `control.retry`, which
 /// ChunkedEstimation::ChunkRows applies), so a body sees a transient
 /// fault only once its pull has exhausted the retry ladder. `hooks` adds
-/// checkpoint/resume at group granularity and reports each chunk's
-/// settling (see CheckpointHooks); the caller binds load and save to
-/// control.checkpoint_path.
+/// checkpoint/resume at group granularity (see CheckpointHooks); the
+/// caller binds load and save to control.checkpoint_path.
 template <typename Acc, typename MakeAcc, typename Body>
 Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
                                   std::size_t max_concurrency,
@@ -152,13 +141,6 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
         const std::size_t begin = g * geometry.group_size;
         const std::size_t end =
             std::min(num_chunks, begin + geometry.group_size);
-        // Chunks [begin, unsettled) have been reported settled.
-        std::size_t unsettled = begin;
-        const auto settle_until = [&](std::size_t stop) {
-          for (; unsettled < stop; ++unsettled) {
-            if (hooks.settled) hooks.settled(unsettled);
-          }
-        };
         const auto run_group = [&]() -> Status {
           std::size_t done = 0;
           if (hooks.load) {
@@ -172,7 +154,6 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
               group_locals[g] = std::move(loaded->acc);
               group_quarantined[g] = std::move(loaded->quarantined);
               done = loaded->chunks_done;
-              settle_until(begin + done);
             }
           }
           // One scratch per group task, reset between chunks: the live
@@ -181,7 +162,6 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
           for (std::size_t c = begin + done; c < end; ++c) {
             scratch.Reset();
             const Status status = body(c, &scratch);
-            settle_until(c + 1);
             if (!status.ok()) {
               const bool quarantinable =
                   status.code() == StatusCode::kUnavailable ||
@@ -202,7 +182,6 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
           return Status::OK();
         };
         statuses[g] = run_group();
-        settle_until(end);
       },
       max_concurrency);
   for (std::size_t g = 0; g < geometry.num_groups; ++g) {

@@ -61,18 +61,33 @@ void ClipAndNormalize(const CategoricalSchema& schema,
   }
 }
 
-// Calls visit(j, category) for every value of one chunk's source rows,
-// in row order, after checking it against the schema: every value must
-// be an exact non-negative integer below its dimension's cardinality.
-// Streaming sources (shards, generators) deliver doubles, and a bad
-// value would otherwise index out of the one-hot layout or a count
-// table; a re-pull is checked again, never trusted to match the first.
-template <typename Visit>
-Status ForEachCategory(std::span<const double> rows,
-                       const CategoricalSchema& schema, std::size_t chunk,
-                       Visit visit) {
+// Exact per-entry category counts of some chunks' users: the ground
+// truth's chunk partial (data::ChunkPartials). Merging is an integer
+// add, so the counts are the same in every merge order.
+struct CategoryCounts {
+  std::vector<std::int64_t> counts;
+
+  void MergeState(const CategoryCounts& other) {
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+      counts[k] += other.counts[k];
+    }
+  }
+};
+
+// Counts one chunk's source rows, checking every value against the
+// schema first: it must be an exact non-negative integer below its
+// dimension's cardinality. Streaming sources (shards, generators)
+// deliver doubles, and a bad value would otherwise index out of the
+// one-hot layout or a count table. Every estimate body counts the rows
+// it pulled, and a top-up pull is counted (so checked) again, never
+// trusted to match an earlier one.
+Result<CategoryCounts> CountCategories(std::span<const double> rows,
+                                       const CategoricalSchema& schema,
+                                       std::size_t chunk) {
   const std::size_t d = schema.num_dims();
   const std::size_t users = rows.size() / d;
+  CategoryCounts out;
+  out.counts.assign(schema.total_entries(), 0);
   for (std::size_t i = 0; i < users; ++i) {
     for (std::size_t j = 0; j < d; ++j) {
       const double v = rows[i * d + j];
@@ -83,24 +98,16 @@ Status ForEachCategory(std::span<const double> rows,
             " holds an invalid category index in dimension " +
             std::to_string(j));
       }
-      visit(j, static_cast<std::uint32_t>(v));
+      ++out.counts[schema.EntryOffset(j) + static_cast<std::size_t>(v)];
     }
   }
-  return Status::OK();
+  return out;
 }
 
-Status ValidateCategoricalChunk(std::span<const double> rows,
-                                const CategoricalSchema& schema,
-                                std::size_t chunk) {
-  return ForEachCategory(rows, schema, chunk,
-                         [](std::size_t, std::uint32_t) {});
-}
-
-// Exact integer accumulator: per-entry counts plus per-dimension report
-// counts. The frequency-oracle path folds support counts into it; the
-// ground-truth pass folds category counts (and no reports). Every fold
-// and merge is an integer add, so the totals are invariant to thread
-// count, chunk source and merge association.
+// Exact integer accumulator of the frequency-oracle path: per-entry
+// support counts plus per-dimension report counts. Every fold and merge
+// is an integer add, so the totals are invariant to thread count, chunk
+// source and merge association.
 struct CountAccumulator {
   std::vector<std::int64_t> counts;
   std::vector<std::int64_t> dim_reports;
@@ -124,47 +131,34 @@ struct CountAccumulator {
   }
 };
 
-// Ground-truth frequencies over the users the estimate covers: a
-// chunk-parallel reduction (engine::ReduceChunks, at most `num_threads`
-// workers) of exact per-entry category counts over every chunk outside
-// `quarantined` (sorted ascending), each pulled through core.ChunkRows —
-// data::PullChunk under the run's retry policy, into the worker's own
-// buffer. Counts are exact integers in every merge order, as are
-// CategoricalDataset::TrueFrequencies' `+= 1.0` sums below 2^53, so
+// Ground-truth frequencies over the users the estimate covers: the
+// counts `truth` holds of every chunk outside `quarantined` (sorted
+// ascending), merged, with each surviving chunk no estimate body counted
+// — one a resumed run took from its checkpoint — pulled under `retry`
+// and counted now. Counts are exact integers in every merge order, as
+// are CategoricalDataset::TrueFrequencies' `+= 1.0` sums below 2^53, so
 // count / n reproduces its bits from any source at any thread count.
-Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
-    const engine::ChunkedEstimation& core, const CategoricalSchema& schema,
-    const std::vector<std::size_t>& quarantined, std::size_t num_threads,
-    std::size_t surviving) {
+Result<std::vector<std::vector<double>>> SurvivingFrequencies(
+    const data::ChunkSource& source, const CategoricalSchema& schema,
+    const data::ChunkPartials<CategoryCounts>& truth,
+    const std::vector<std::size_t>& quarantined,
+    const data::RetryPolicy& retry, std::size_t surviving) {
   if (surviving == 0) {
     return Status::FailedPrecondition(
         "every chunk was quarantined; no surviving users to estimate");
   }
+  CategoryCounts zero;
+  zero.counts.assign(schema.total_entries(), 0);
   HDLDP_ASSIGN_OR_RETURN(
-      const CountAccumulator truth,
-      engine::ReduceChunks<CountAccumulator>(
-          core.num_chunks(), num_threads,
-          [&]() -> Result<CountAccumulator> {
-            CountAccumulator acc;
-            acc.counts.assign(schema.total_entries(), 0);
-            return acc;
-          },
-          [&](std::size_t c, CountAccumulator* acc) -> Status {
-            if (std::binary_search(quarantined.begin(), quarantined.end(),
-                                   c)) {
-              return Status::OK();
-            }
-            HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                                   core.ChunkRows(core.Range(c)));
-            return ForEachCategory(
-                rows, schema, c, [&](std::size_t j, std::uint32_t category) {
-                  ++acc->counts[schema.EntryOffset(j) + category];
-                });
-          }));
+      const CategoryCounts total,
+      truth.Finish(source, quarantined, retry, std::move(zero),
+                   [&](std::size_t c, std::span<const double> rows) {
+                     return CountCategories(rows, schema, c);
+                   }));
   const auto n = static_cast<double>(surviving);
-  std::vector<double> flat(truth.counts.size());
+  std::vector<double> flat(total.counts.size());
   for (std::size_t k = 0; k < flat.size(); ++k) {
-    flat[k] = static_cast<double>(truth.counts[k]) / n;
+    flat[k] = static_cast<double>(total.counts[k]) / n;
   }
   return Unflatten(flat, schema);
 }
@@ -189,7 +183,8 @@ Status RequireReports(std::span<const std::int64_t> dim_reports,
 // (and clipped and renormalized if asked) and their MSEs against the
 // truth. The caller fills in its per-entry budget and resume flag.
 Result<FrequencyEstimationResult> FrequencyResult(
-    const data::ChunkSource& source, const engine::ChunkedEstimation& core,
+    const data::ChunkSource& source,
+    const data::ChunkPartials<CategoryCounts>& counts,
     const CategoricalSchema& schema, const FrequencyOptions& options,
     const std::vector<double>& raw_flat,
     const std::vector<framework::GaussianDeviation>& deviations,
@@ -201,8 +196,8 @@ Result<FrequencyEstimationResult> FrequencyResult(
   result.surviving_users = source.SurvivingUsers(quarantined_chunks);
   HDLDP_ASSIGN_OR_RETURN(
       result.true_frequencies,
-      SourceTrueFrequencies(core, schema, quarantined_chunks,
-                            options.num_threads, result.surviving_users));
+      SurvivingFrequencies(source, schema, counts, quarantined_chunks,
+                           options.retry, result.surviving_users));
   result.quarantined_chunks = std::move(quarantined_chunks);
   result.raw = Unflatten(raw_flat, schema);
   result.recalibrated = Unflatten(recal.enhanced_mean, schema);
@@ -224,13 +219,14 @@ Result<FrequencyEstimationResult> FrequencyResult(
 // and walked serially, so the draw sequence matches the old
 // whole-dataset loop user for user, each entry one draw of the plan's
 // scalar body. Frozen so runs recorded under v1 seeds keep their outputs
-// bit for bit.
+// bit for bit. Each chunk's category counts land in `truth`.
 Status IngestV1Scalar(const engine::ChunkedEstimation& core,
                       const CategoricalSchema& schema,
                       const mech::SamplerPlan& plan,
                       const mech::DomainMap& map, std::size_t m,
                       std::vector<NeumaierSum>* sums,
-                      std::vector<std::int64_t>* dim_reports) {
+                      std::vector<std::int64_t>* dim_reports,
+                      data::ChunkPartials<CategoryCounts>* truth) {
   const std::size_t d = schema.num_dims();
   Rng rng(core.control().seed);
   std::vector<std::uint32_t> sampled;
@@ -238,7 +234,9 @@ Status IngestV1Scalar(const engine::ChunkedEstimation& core,
     const engine::ChunkRange range = core.Range(c);
     HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
                            core.ChunkRows(range));
-    HDLDP_RETURN_NOT_OK(ValidateCategoricalChunk(rows, schema, range.chunk));
+    HDLDP_ASSIGN_OR_RETURN(CategoryCounts counts,
+                           CountCategories(rows, schema, range.chunk));
+    truth->Set(range.chunk, std::move(counts));
     for (std::size_t i = range.begin; i < range.end; ++i) {
       const double* row = rows.data() + (i - range.begin) * d;
       sampled.clear();
@@ -290,6 +288,7 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
 
   const engine::ChunkedEstimation core(source, options, options.num_threads);
 
+  data::ChunkPartials<CategoryCounts> truth(source.num_chunks());
   std::vector<std::size_t> quarantined_chunks;
   HDLDP_ASSIGN_OR_RETURN(
       const CountAccumulator acc,
@@ -304,8 +303,9 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
               CountAccumulator* scratch) -> Status {
             HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
                                    core.ChunkRows(range));
-            HDLDP_RETURN_NOT_OK(
-                ValidateCategoricalChunk(rows, schema, range.chunk));
+            HDLDP_ASSIGN_OR_RETURN(CategoryCounts counts,
+                                   CountCategories(rows, schema, range.chunk));
+            truth.Set(range.chunk, std::move(counts));
             Rng rng(range.chunk_seed);
             std::vector<std::uint32_t> sampled;
             std::vector<std::uint8_t> bits;
@@ -366,7 +366,7 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       FrequencyEstimationResult result,
-      FrequencyResult(source, core, schema, options, raw_flat, deviations,
+      FrequencyResult(source, truth, schema, options, raw_flat, deviations,
                       std::move(quarantined_chunks)));
   result.per_entry_epsilon = per_dim_eps;
   return result;
@@ -415,11 +415,13 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   std::vector<std::size_t> quarantined_chunks;
   bool resumed = false;
   const engine::ChunkedEstimation core(source, options, options.num_threads);
+  data::ChunkPartials<CategoryCounts> truth(source.num_chunks());
 
   if (options.seed_scheme == SeedScheme::kV1Scalar) {
     std::vector<NeumaierSum> sums(total_entries);
     HDLDP_RETURN_NOT_OK(
-        IngestV1Scalar(core, schema, plan, map, m, &sums, &dim_reports));
+        IngestV1Scalar(core, schema, plan, map, m, &sums, &dim_reports,
+                       &truth));
     // Naive aggregation: per-entry mean mapped back to [0, 1].
     for (std::size_t j = 0; j < d; ++j) {
       const std::size_t off = schema.EntryOffset(j);
@@ -460,8 +462,10 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
                 protocol::MeanAggregator* scratch) -> Status {
               HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
                                      core.ChunkRows(range));
-              HDLDP_RETURN_NOT_OK(
-                  ValidateCategoricalChunk(rows, schema, range.chunk));
+              HDLDP_ASSIGN_OR_RETURN(
+                  CategoryCounts counts,
+                  CountCategories(rows, schema, range.chunk));
+              truth.Set(range.chunk, std::move(counts));
               const auto category_at = [&](std::size_t user, std::size_t j) {
                 return static_cast<std::uint32_t>(
                     rows[(user - range.begin) * d + j]);
@@ -564,7 +568,7 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       FrequencyEstimationResult result,
-      FrequencyResult(source, core, schema, options, raw_flat, deviations,
+      FrequencyResult(source, truth, schema, options, raw_flat, deviations,
                       std::move(quarantined_chunks)));
   result.per_entry_epsilon = per_entry_eps;
   result.resumed_from_checkpoint = resumed;

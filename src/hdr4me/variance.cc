@@ -131,8 +131,10 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   }
   // True variance over the users the estimates cover: the surviving
   // chunks of both halves, in user order. With nothing quarantined that
-  // is every user in order, so the compensated sums match the
-  // resident-dataset loop (and Dataset::TrueMean) bit for bit.
+  // is every user in order, so the compensated sums match a resident
+  // loop over the dataset's rows bit for bit. The first pass is a
+  // user-order fold, not Dataset::TrueMean's chunk-merged sums, so the
+  // two means can differ in their last bits.
   const auto for_each_surviving_chunk = [&](const auto& visit) -> Status {
     HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
         values_half, mean_run.quarantined_chunks, options.retry, visit));

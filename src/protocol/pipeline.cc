@@ -7,7 +7,6 @@
 
 #include "common/math.h"
 #include "engine/chunked_estimation.h"
-#include "engine/ordered_truth.h"
 #include "protocol/aggregator.h"
 #include "protocol/hadamard.h"
 #include "protocol/metrics.h"
@@ -86,7 +85,7 @@ RunDigest MeanDigest(std::string_view variant, const PipelineOptions& options,
 // the aggregator runs with an identity map.
 Result<MeanEstimationResult> RunHadamard1Estimation(
     const data::ChunkSource& source, const PipelineOptions& options,
-    engine::OrderedTruthFold* truth) {
+    data::ChunkPartials<NeumaierColumns>* truth) {
   const std::size_t d = source.num_dims();
   const std::size_t m = options.report_dims == 0 ? d : options.report_dims;
   HDLDP_ASSIGN_OR_RETURN(
@@ -128,11 +127,12 @@ Result<MeanEstimationResult> RunHadamard1Estimation(
   return MeanResult(source, std::move(reduced), options.total_epsilon);
 }
 
-// EstimateMean, feeding every chunk pull of the estimate pass to `truth`
-// when it is non-null.
+// EstimateMean, leaving the column sums of every chunk the estimate pass
+// pulls in `truth`'s slots when it is non-null.
 Result<MeanEstimationResult> EstimateMeanFolding(
     const data::ChunkSource& source, mech::MechanismPtr mechanism,
-    const PipelineOptions& options, engine::OrderedTruthFold* truth) {
+    const PipelineOptions& options,
+    data::ChunkPartials<NeumaierColumns>* truth) {
   HDLDP_RETURN_NOT_OK(
       ValidateRunControl(options, options.encoding, Workload::kMean));
   if (options.encoding == ReportEncoding::kHadamard1) {
@@ -220,14 +220,14 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                mech::MechanismPtr mechanism,
                                                const PipelineOptions& options) {
   // Score against the users the estimate covers: the surviving chunks'
-  // column sums in chunk order (data::SurvivingMean's bits). A source that
-  // owns its truth binds no fold and answers for the whole population
-  // itself, through whatever memo it keeps; any other source's truth is
-  // folded from the estimate pass's own pulls. Either way the fold's Mean
-  // pulls what it holds no sums for, under the run's retry policy — for
-  // an unbound fold that is every surviving chunk.
+  // column sums merged in chunk order (data::SurvivingMean). A source that
+  // owns its truth keeps no sums and answers for the whole population
+  // itself, through whatever memo it keeps; over any other source each
+  // worker leaves the sums of the chunks it pulled. Either way
+  // SurvivingMean pulls the chunks it holds no sums for, under the run's
+  // retry policy — with no sums kept, every surviving chunk.
   const bool owns_truth = source.OwnsTrueMean();
-  engine::OrderedTruthFold truth(source.num_dims());
+  data::ChunkPartials<NeumaierColumns> truth(source.num_chunks());
   HDLDP_ASSIGN_OR_RETURN(
       MeanEstimationResult result,
       EstimateMeanFolding(source, std::move(mechanism), options,
@@ -237,7 +237,8 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
   } else {
     HDLDP_ASSIGN_OR_RETURN(
         result.true_mean,
-        truth.Mean(source, result.quarantined_chunks, options.retry));
+        data::SurvivingMean(source, result.quarantined_chunks, options.retry,
+                            std::move(truth)));
   }
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));

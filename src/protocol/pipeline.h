@@ -85,8 +85,10 @@ struct MeanEstimationResult {
 /// \brief Runs the full protocol over any chunked data source —
 /// resident, on-disk shards, or a streaming generator — with
 /// `mechanism`. Memory stays O(chunk) for data delivery plus O(d) for
-/// the collector state, so n is bounded by disk (or nothing, for
-/// generator sources), not RAM. Source values must already lie in
+/// the collector state and, over a source that does not own its truth,
+/// 16 bytes per dimension per chunk for the ground truth's chunk sums
+/// (1/2048 of the values pulled), so n is bounded by disk (or nothing,
+/// for generator sources), not RAM. Source values must already lie in
 /// [-1, 1] (the paper's normalized data domain); out-of-domain values
 /// are clamped by the client. For a fixed (values, options), the
 /// estimate is bit-identical across source kinds and thread counts.

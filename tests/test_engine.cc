@@ -15,17 +15,13 @@
 //       runs bit for bit, and estimates under all schemes are invariant
 //       to num_threads;
 //   (d) the generic two-level reduction drives arbitrary accumulator
-//       types with the same deterministic geometry, and reports every
-//       chunk settled exactly once, after its body returned.
+//       types with the same deterministic geometry.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -140,168 +136,6 @@ TEST(EngineReduceTest, PropagatesBodyAndFactoryFailures) {
   const auto result = engine::ReduceChunks<CountAcc>(64, 4, make, failing);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("chunk 37"), std::string::npos);
-}
-
-// Per-chunk tally of one resumable reduction: settle reports, and which
-// bodies ran. A settle that lands before its chunk's body returned
-// counts as early.
-class SettleLedger {
- public:
-  explicit SettleLedger(std::size_t num_chunks)
-      : settles_(num_chunks), ran_(num_chunks), running_(num_chunks) {}
-
-  void BodyStarted(std::size_t c) {
-    if (settles_[c].load() != 0) early_.fetch_add(1);
-    running_[c].store(1);
-    ran_[c].fetch_add(1);
-  }
-  void BodyReturned(std::size_t c) { running_[c].store(0); }
-  void Settled(std::size_t c) {
-    if (running_[c].load() != 0) early_.fetch_add(1);
-    settles_[c].fetch_add(1);
-  }
-
-  bool Ran(std::size_t c) const { return ran_[c].load() != 0; }
-  void ExpectEachSettledOnce(const char* run) const {
-    for (std::size_t c = 0; c < settles_.size(); ++c) {
-      ASSERT_EQ(settles_[c].load(), 1) << run << ": chunk " << c;
-      ASSERT_LE(ran_[c].load(), 1) << run << ": chunk " << c;
-    }
-    EXPECT_EQ(early_.load(), 0) << run;
-  }
-
- private:
-  std::vector<std::atomic<int>> settles_;
-  std::vector<std::atomic<int>> ran_;
-  std::vector<std::atomic<int>> running_;
-  std::atomic<int> early_{0};
-};
-
-// One reduction over `num_chunks` chunks whose bodies return `outcome(c)`,
-// with `hooks` plus a settle report tallied in `ledger`.
-Status ReduceCounted(std::size_t num_chunks, std::size_t threads,
-                     const engine::RunControl& control,
-                     engine::CheckpointHooks<CountAcc> hooks,
-                     const std::function<Status(std::size_t)>& outcome,
-                     SettleLedger* ledger,
-                     std::vector<std::size_t>* quarantined = nullptr) {
-  const auto make = [] {
-    CountAcc acc;
-    acc.totals.assign(1, 0);
-    return Result<CountAcc>(std::move(acc));
-  };
-  hooks.settled = [ledger](std::size_t c) { ledger->Settled(c); };
-  return engine::ReduceChunksResumable<CountAcc>(
-             num_chunks, threads, make,
-             [&](std::size_t c, CountAcc* acc) {
-               ledger->BodyStarted(c);
-               ++acc->totals[0];
-               const Status status = outcome(c);
-               ledger->BodyReturned(c);
-               return status;
-             },
-             control, hooks, quarantined)
-      .status();
-}
-
-TEST(EngineReduceTest, SettlesEveryChunkExactlyOnce) {
-  const auto ok = [](std::size_t) { return Status::OK(); };
-  const engine::RunControl plain;
-  // 514 chunks make 257 two-chunk groups; group g holds 2g and 2g + 1.
-  constexpr std::size_t kPaired = 514;
-  ASSERT_EQ(engine::GroupGeometry(kPaired).group_size, 2u);
-
-  {
-    SettleLedger ledger(64);
-    ASSERT_TRUE(ReduceCounted(64, 4, plain, {}, ok, &ledger).ok());
-    ledger.ExpectEachSettledOnce("plain");
-  }
-  for (const std::size_t threads : {1u, 4u}) {
-    SettleLedger ledger(kPaired);
-    ASSERT_TRUE(ReduceCounted(kPaired, threads, plain, {}, ok, &ledger).ok());
-    ledger.ExpectEachSettledOnce("514 chunks");
-    for (std::size_t c = 0; c < kPaired; ++c) ASSERT_TRUE(ledger.Ran(c)) << c;
-  }
-  {
-    engine::RunControl lenient;
-    lenient.allow_missing_chunks = true;
-    SettleLedger ledger(kPaired);
-    std::vector<std::size_t> quarantined;
-    ASSERT_TRUE(ReduceCounted(
-                    kPaired, 4, lenient, {},
-                    [](std::size_t c) {
-                      return c == 6 ? Status::DataLoss("bad chunk 6")
-                                    : Status::OK();
-                    },
-                    &ledger, &quarantined)
-                    .ok());
-    EXPECT_EQ(quarantined, std::vector<std::size_t>{6});
-    ledger.ExpectEachSettledOnce("quarantined");
-    EXPECT_TRUE(ledger.Ran(7));
-  }
-  {
-    // Group 3 resumes after its first chunk, group 5 after both.
-    engine::CheckpointHooks<CountAcc> hooks;
-    hooks.load = [](std::size_t group)
-        -> Result<std::optional<engine::GroupCheckpoint<CountAcc>>> {
-      if (group != 3 && group != 5) {
-        return std::optional<engine::GroupCheckpoint<CountAcc>>();
-      }
-      engine::GroupCheckpoint<CountAcc> checkpoint;
-      checkpoint.chunks_done = group == 3 ? 1 : 2;
-      checkpoint.acc.totals.assign(1, checkpoint.chunks_done);
-      return std::optional(std::move(checkpoint));
-    };
-    SettleLedger ledger(kPaired);
-    ASSERT_TRUE(ReduceCounted(kPaired, 4, plain, hooks, ok, &ledger).ok());
-    ledger.ExpectEachSettledOnce("resumed");
-    EXPECT_FALSE(ledger.Ran(6));
-    EXPECT_TRUE(ledger.Ran(7));
-    EXPECT_FALSE(ledger.Ran(10));
-    EXPECT_FALSE(ledger.Ran(11));
-  }
-  {
-    // A body error on a group's first chunk stops the group: its second
-    // chunk never runs, and the quarantine rule does not cover the code.
-    engine::RunControl lenient;
-    lenient.allow_missing_chunks = true;
-    SettleLedger ledger(kPaired);
-    const Status status = ReduceCounted(
-        kPaired, 4, lenient, {},
-        [](std::size_t c) {
-          return c == 36 ? Status::Internal("chunk 36 failed") : Status::OK();
-        },
-        &ledger);
-    EXPECT_EQ(status.code(), StatusCode::kInternal);
-    ledger.ExpectEachSettledOnce("body error");
-    EXPECT_FALSE(ledger.Ran(37));
-  }
-  {
-    engine::CheckpointHooks<CountAcc> hooks;
-    hooks.load = [](std::size_t group)
-        -> Result<std::optional<engine::GroupCheckpoint<CountAcc>>> {
-      if (group == 4) return Status::DataLoss("unreadable checkpoint");
-      return std::optional<engine::GroupCheckpoint<CountAcc>>();
-    };
-    SettleLedger ledger(kPaired);
-    EXPECT_EQ(ReduceCounted(kPaired, 4, plain, hooks, ok, &ledger).code(),
-              StatusCode::kDataLoss);
-    ledger.ExpectEachSettledOnce("load error");
-    EXPECT_FALSE(ledger.Ran(8));
-    EXPECT_FALSE(ledger.Ran(9));
-  }
-  {
-    engine::CheckpointHooks<CountAcc> hooks;
-    hooks.save = [](std::size_t group, std::size_t, const auto&,
-                    const CountAcc&) {
-      return group == 6 ? Status::ResourceExhausted("disk full") : Status::OK();
-    };
-    SettleLedger ledger(kPaired);
-    EXPECT_FALSE(ReduceCounted(kPaired, 4, plain, hooks, ok, &ledger).ok());
-    ledger.ExpectEachSettledOnce("save error");
-    EXPECT_TRUE(ledger.Ran(12));
-    EXPECT_FALSE(ledger.Ran(13));
-  }
 }
 
 // --- Mean pipeline golden streams ------------------------------------------

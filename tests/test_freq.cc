@@ -9,12 +9,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "counting_source.h"
 #include "data/fault_injection.h"
 #include "freq/encoding.h"
 #include "freq/pipeline.h"
@@ -223,9 +225,10 @@ TEST(FrequencyPipelineTest, Validates) {
           .ok());
 }
 
-// The ground truth of every frequency path is one chunk-parallel count
-// over the chunks the estimate covered. These runs span 21 chunks (20
-// full plus a tail), so the reduction really splits across workers.
+// The ground truth of every frequency path merges the category counts
+// each estimate body took of the chunk it pulled, over the chunks the
+// estimate covered. These runs span 21 chunks (20 full plus a tail), so
+// the reduction really splits across workers.
 constexpr std::size_t kTruthUsers = 20 * 4096 + 777;
 
 CategoricalDataset TruthDataset() {
@@ -260,9 +263,8 @@ Result<FrequencyEstimationResult> RunTruthPath(
                                 opts);
 }
 
-// Wraps a source and tampers with the second pull of selected chunks —
-// the ground-truth pass's pull, after the estimate pass read the chunk
-// once: either a transient Unavailable, or the true rows with the first
+// Wraps a source and tampers with the second pull of selected chunks:
+// either a transient Unavailable, or the true rows with the first
 // user's dimension-0 category replaced by `out_of_range`.
 class SecondPullSource final : public data::ChunkSource {
  public:
@@ -317,21 +319,27 @@ TEST(FreqTruthTest, MatchesResidentTruthAtEveryThreadCount) {
                    std::to_string(threads));
       FrequencyOptions opts;
       opts.num_threads = threads;
-      const auto run = RunTruthPath(source, dataset.schema(), path, opts);
+      const CountingSource counted(&source);
+      const auto run = RunTruthPath(counted, dataset.schema(), path, opts);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       EXPECT_EQ(run.value().true_frequencies, expected);
       EXPECT_EQ(run.value().surviving_users, kTruthUsers);
+      EXPECT_EQ(counted.pulls(),
+                std::vector<std::uint32_t>(counted.num_chunks(), 1));
     }
   }
-  // The serial v1 ingestion scores against the same parallel truth.
+  // The serial v1 ingestion scores against the same chunk counts.
   FrequencyOptions v1;
   v1.seed_scheme = SeedScheme::kV1Scalar;
   v1.report_dims = 2;
   v1.num_threads = 4;
+  const CountingSource counted(&source);
   const auto run = RunFrequencyEstimation(
-      source, dataset.schema(), mech::MakeMechanism("piecewise").value(), v1);
+      counted, dataset.schema(), mech::MakeMechanism("piecewise").value(), v1);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().true_frequencies, expected);
+  EXPECT_EQ(counted.pulls(),
+            std::vector<std::uint32_t>(counted.num_chunks(), 1));
 }
 
 TEST(FreqTruthTest, PersistentFaultsCountOnlySurvivingChunks) {
@@ -422,27 +430,55 @@ TEST(FreqTruthTest, TransientFaultsRecoverToTheFaultFreeTruth) {
 
 TEST(FreqTruthTest, OutOfRangeCategoryOnRepullIsInvalidArgument) {
   const CategoricalDataset dataset = TruthDataset();
+  const CategoricalSchema& schema = dataset.schema();
   const CategoricalChunkSource base(&dataset);
-  // The estimate pass validates chunk 5 and folds it; its re-pull then
-  // claims category 3 in a 3-category dimension.
-  const double out_of_range =
-      static_cast<double>(dataset.schema().Cardinality(0));
-  for (const TruthPath& path : kTruthPaths) {
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      SCOPED_TRACE(std::string(path.name) + " threads=" +
-                   std::to_string(threads));
-      const SecondPullSource source(
-          &base, SecondPullSource::Tamper::kOutOfRange, {5}, out_of_range);
-      FrequencyOptions opts;
-      opts.num_threads = threads;
-      opts.allow_missing_chunks = true;  // Never quarantines a bad value.
-      const auto run = RunTruthPath(source, dataset.schema(), path, opts);
-      ASSERT_FALSE(run.ok());
-      EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(run.status().message().find("chunk 5"), std::string::npos)
-          << run.status().message();
-    }
+  // A fresh run counts each chunk in the body that pulled it, so the
+  // re-pull under test is a resumed run's top-up. The first run counts
+  // and checkpoints chunk 5, then fails on chunk 1, whose first value a
+  // bit flip has made no category index. The resumed run takes chunk 5
+  // from its checkpoint and pulls it again only to count it; that second
+  // pull claims category 3 in a 3-category dimension.
+  const double out_of_range = static_cast<double>(schema.Cardinality(0));
+  data::FaultSchedule corrupt;
+  corrupt.Add({.kind = data::FaultSpec::Kind::kBitFlip,
+               .chunk = 1,
+               .byte_offset = 6,
+               .xor_mask = 0x40});
+  const TruthPath& path = kTruthPaths[0];  // Oracle runs take no checkpoint.
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string checkpoint = ::testing::TempDir() +
+                                   "hdldp_freq_truth_repull_" +
+                                   std::to_string(threads);
+    std::remove(checkpoint.c_str());
+    const SecondPullSource tampered(
+        &base, SecondPullSource::Tamper::kOutOfRange, {5}, out_of_range);
+    const CountingSource counted(&tampered);
+    FrequencyOptions opts;
+    opts.num_threads = threads;
+    opts.allow_missing_chunks = true;  // Never quarantines a bad value.
+    opts.checkpoint_path = checkpoint;
+    const data::FaultInjectingChunkSource crashing(&counted, corrupt);
+    const auto crashed = RunTruthPath(crashing, schema, path, opts);
+    ASSERT_FALSE(crashed.ok());
+    EXPECT_EQ(crashed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(crashed.status().message().find("chunk 1"), std::string::npos)
+        << crashed.status().message();
+
+    const auto run = RunTruthPath(counted, schema, path, opts);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find("chunk 5"), std::string::npos)
+        << run.status().message();
+    // The resumed run re-ran only chunk 1's body and topped up the
+    // checkpointed chunks in order, stopping at chunk 5.
+    const std::vector<std::uint32_t> pulls = counted.pulls();
+    EXPECT_EQ(pulls[0], 2u);
+    EXPECT_EQ(pulls[1], 2u);
+    EXPECT_EQ(pulls[5], 2u);
+    EXPECT_EQ(pulls[6], 1u);
+    std::remove(checkpoint.c_str());
   }
 }
 

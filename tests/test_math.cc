@@ -197,6 +197,33 @@ TEST(SummationTest, ColumnFoldMatchesPerColumnNeumaierBitForBit) {
       EXPECT_FALSE(std::isfinite(mean[3]));
       EXPECT_TRUE(std::isnan(mean[4]));
     }
+    // MergeState is NeumaierSum::MergeState per column, as when one
+    // chunk's column sums merge into the ones before it.
+    const std::vector<double> more = EdgeCaseMatrix(kRows + 6, d);
+    NeumaierColumns next(d);
+    next.AddRows(more);
+    std::vector<NeumaierSum> next_reference(d);
+    for (std::size_t i = 0; i < kRows + 6; ++i) {
+      for (std::size_t j = 0; j < d; ++j) {
+        next_reference[j].Add(more[i * d + j]);
+      }
+    }
+    columns.MergeState(next);
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+      reference[j].MergeState(next_reference[j]);
+      ASSERT_EQ(bits(columns.RawSum(j)), bits(reference[j].RawSum()))
+          << "merged, d " << d << " column " << j;
+      ASSERT_EQ(bits(columns.Compensation(j)),
+                bits(reference[j].Compensation()))
+          << "merged, d " << d << " column " << j;
+    }
+    if (d >= 5) {
+      const std::vector<double> merged = columns.Mean(2 * kRows + 6);
+      EXPECT_TRUE(std::isfinite(merged[2]));
+      EXPECT_FALSE(std::isfinite(merged[3]));
+      EXPECT_TRUE(std::isnan(merged[4]));
+    }
   }
 }
 

@@ -1,26 +1,35 @@
-// Tests of the mean run's fused ground truth (engine/ordered_truth.h):
-// over a source that keeps no truth of its own, RunMeanEstimation folds
-// the truth from the estimate pass's own pulls. The truth must equal
-// data::SurvivingMean bit for bit at every thread count, seed scheme,
-// encoding and report width, over quarantined shards, resumed runs and
-// multi-chunk reduction groups; a run that completes without a stall
-// pulls each chunk exactly once; and a failing chunk that other workers
-// wait behind ends the run with its error instead of a hang.
+// Tests of the mean run's fused ground truth: over a source that keeps
+// no truth of its own, each worker of RunMeanEstimation's estimate pass
+// leaves the column sums of the chunk it pulled in that chunk's slot
+// (data::ChunkPartials), and the run merges the slots in chunk order.
+// ChunkPartials gives the same bits whatever order and threads fill its
+// slots, skips quarantined chunks and pulls only the chunks no one set.
+// The truth must equal data::SurvivingMean bit for bit at every thread
+// count, seed scheme, encoding and report width, over quarantined
+// shards, resumed runs and multi-chunk reduction groups; a run that does
+// not resume pulls each chunk exactly once; and a failing chunk ends the
+// run with its error.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/math.h"
 #include "common/rng.h"
+#include "counting_source.h"
 #include "data/chunk_source.h"
 #include "data/fault_injection.h"
 #include "data/generator_source.h"
@@ -34,35 +43,16 @@ namespace {
 
 constexpr std::size_t kChunk = data::kUsersPerChunk;
 
-// Forwards every pull to `base` and counts it per chunk. It overrides
-// neither TrueMean nor OwnsTrueMean, so a mean run over it scores against
-// the rows it serves.
-class CountingSource final : public data::ChunkSource {
- public:
-  explicit CountingSource(const data::ChunkSource* base)
-      : base_(base), pulls_(base->num_chunks()) {}
-
-  std::size_t num_users() const override { return base_->num_users(); }
-  std::size_t num_dims() const override { return base_->num_dims(); }
-  Result<std::span<const double>> Chunk(
-      std::size_t chunk, data::ChunkBuffer* buffer) const override {
-    if (chunk < pulls_.size()) pulls_[chunk].fetch_add(1);
-    return base_->Chunk(chunk, buffer);
-  }
-
-  std::vector<std::uint32_t> pulls() const {
-    std::vector<std::uint32_t> out;
-    for (const auto& count : pulls_) out.push_back(count.load());
-    return out;
-  }
-
- private:
-  const data::ChunkSource* base_;
-  mutable std::vector<std::atomic<std::uint32_t>> pulls_;
-};
+// The mean truth's partial of one chunk.
+Result<NeumaierColumns> ColumnSums(std::size_t dims,
+                                   std::span<const double> rows) {
+  NeumaierColumns sums(dims);
+  sums.AddRows(rows);
+  return sums;
+}
 
 // Fails chunk 0 with a non-quarantinable InvalidArgument, late enough
-// that the workers which pulled the next chunks are waiting their turn.
+// that other workers have pulled later chunks by then.
 class SlowFailingSource final : public data::ChunkSource {
  public:
   explicit SlowFailingSource(const data::ChunkSource* base) : base_(base) {}
@@ -84,6 +74,17 @@ std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
   std::vector<std::uint64_t> bits(values.size());
   std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
   return bits;
+}
+
+// Every column's raw sum and compensation, as bits.
+std::vector<std::uint64_t> StateBits(const NeumaierColumns& sums,
+                                     std::size_t dims) {
+  std::vector<double> state;
+  for (std::size_t j = 0; j < dims; ++j) {
+    state.push_back(sums.RawSum(j));
+    state.push_back(sums.Compensation(j));
+  }
+  return Bits(state);
 }
 
 data::Dataset Uniform(std::size_t users, std::size_t dims,
@@ -118,6 +119,103 @@ std::vector<double> ReferenceTruth(
     const std::vector<std::size_t>& quarantined = {}) {
   return data::SurvivingMean(source, quarantined, data::RetryPolicy{})
       .value();
+}
+
+TEST(ChunkPartialsTest, MergesInChunkOrderWhoeverFillsTheSlots) {
+  // Values over 24 orders of magnitude, so a merge in any other order
+  // would round differently.
+  constexpr std::size_t kChunks = 37;
+  constexpr std::size_t kDims = 3;
+  const std::size_t users = (kChunks - 1) * kChunk + 321;
+  std::vector<double> values(users * kDims);
+  std::mt19937_64 gen(59);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const double scale = std::pow(10.0, static_cast<double>(gen() % 25) - 12);
+    values[k] = unit(gen) * scale;
+  }
+  const data::Dataset dataset =
+      data::Dataset::Adopt(users, kDims, std::move(values)).value();
+  const data::ResidentChunkSource source(&dataset);
+  ASSERT_EQ(source.num_chunks(), kChunks);
+  const auto of_rows = [](std::size_t, std::span<const double> rows) {
+    return ColumnSums(kDims, rows);
+  };
+  const auto finish = [&](const data::ChunkPartials<NeumaierColumns>& partials,
+                          const data::ChunkSource& from,
+                          const std::vector<std::size_t>& quarantined) {
+    return partials
+        .Finish(from, quarantined, data::RetryPolicy{}, NeumaierColumns(kDims),
+                of_rows)
+        .value();
+  };
+  // Per column, each chunk's NeumaierSum merged in chunk order.
+  std::vector<NeumaierSum> columns(kDims);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    for (std::size_t j = 0; j < kDims; ++j) {
+      NeumaierSum chunk_sum;
+      for (std::size_t i = source.ChunkBegin(c);
+           i < source.ChunkBegin(c) + source.ChunkUsers(c); ++i) {
+        chunk_sum.Add(dataset.At(i, j));
+      }
+      columns[j].MergeState(chunk_sum);
+    }
+  }
+  std::vector<double> state;
+  for (const NeumaierSum& column : columns) {
+    state.push_back(column.RawSum());
+    state.push_back(column.Compensation());
+  }
+  const std::vector<std::uint64_t> reference = Bits(state);
+  // Nothing set: Finish pulls every chunk.
+  ASSERT_EQ(StateBits(finish({}, source, {}), kDims), reference);
+
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    for (const std::uint64_t shuffle_seed : {1, 2, 3}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", shuffle " +
+                   std::to_string(shuffle_seed));
+      std::vector<std::size_t> order(kChunks);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::shuffle(order.begin(), order.end(), std::mt19937_64(shuffle_seed));
+      data::ChunkPartials<NeumaierColumns> partials(kChunks);
+      std::atomic<std::size_t> next{0};
+      std::vector<std::thread> workers;
+      for (std::size_t t = 0; t < threads; ++t) {
+        workers.emplace_back([&] {
+          data::ChunkBuffer buffer;
+          for (std::size_t i; (i = next.fetch_add(1)) < kChunks;) {
+            const std::size_t c = order[i];
+            partials.Set(c,
+                         ColumnSums(kDims, source.Chunk(c, &buffer).value())
+                             .value());
+          }
+        });
+      }
+      for (std::thread& worker : workers) worker.join();
+      const CountingSource counted(&source);
+      EXPECT_EQ(StateBits(finish(partials, counted, {}), kDims), reference);
+      EXPECT_EQ(counted.pulls(), std::vector<std::uint32_t>(kChunks, 0));
+    }
+  }
+
+  // Even chunks set, chunk 4's with sums no chunk has: the quarantined
+  // chunks 3, 4 and 20 are skipped, set or not, and only the odd
+  // surviving chunks are pulled.
+  const std::vector<std::size_t> quarantined = {3, 4, 20};
+  data::ChunkPartials<NeumaierColumns> partials(kChunks);
+  data::ChunkBuffer buffer;
+  for (std::size_t c = 0; c < kChunks; c += 2) {
+    partials.Set(c,
+                 ColumnSums(kDims, source.Chunk(c, &buffer).value()).value());
+  }
+  const std::vector<double> junk(kDims, 1e300);
+  partials.Set(4, ColumnSums(kDims, junk).value());
+  const CountingSource counted(&source);
+  EXPECT_EQ(StateBits(finish(partials, counted, quarantined), kDims),
+            StateBits(finish({}, source, quarantined), kDims));
+  std::vector<std::uint32_t> pulled(kChunks, 0);
+  for (std::size_t c = 1; c < kChunks; c += 2) pulled[c] = c == 3 ? 0 : 1;
+  EXPECT_EQ(counted.pulls(), pulled);
 }
 
 TEST(MeanTruthFoldTest, FusedTruthMatchesSurvivingMeanWithOnePullPerChunk) {
@@ -212,7 +310,7 @@ TEST(MeanTruthFoldTest, ResumedRunFinishesTheTruthFromTheCursor) {
       protocol::RunMeanEstimation(resident, Piecewise(), clean_opts).value();
 
   // The first attempt dies on chunk 1 after checkpointing the others, so
-  // the resumed run pulls chunk 1 alone and it must not wait for chunk 0.
+  // the resumed run's estimate pass pulls chunk 1 alone.
   data::FaultSchedule crash;
   crash.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 1});
   const data::FaultInjectingChunkSource crashing(&resident, crash);
@@ -220,8 +318,8 @@ TEST(MeanTruthFoldTest, ResumedRunFinishesTheTruthFromTheCursor) {
   opts.checkpoint_path = path;
   ASSERT_FALSE(protocol::RunMeanEstimation(crashing, Piecewise(), opts).ok());
 
-  // The resumed groups never pull their chunks, so the fold stalls and the
-  // tail pass reads whatever the cursor did not reach.
+  // The resumed groups never pull their chunks, so their slots stay empty
+  // and the truth pulls them after the reduction.
   const CountingSource counted(&resident);
   const auto resumed = protocol::RunMeanEstimation(counted, Piecewise(), opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
@@ -236,8 +334,8 @@ TEST(MeanTruthFoldTest, ResumedRunFinishesTheTruthFromTheCursor) {
 
 TEST(MeanTruthFoldTest, MultiChunkGroupsKeepTheTruthBits) {
   // 514 chunks: every reduction group holds two chunks, so at 4 threads
-  // later groups run ahead of the cursor and the fold stalls. One thread
-  // runs the chunks in order and never stalls.
+  // later groups run ahead of earlier ones. Each chunk's sums wait in its
+  // slot, so either way every chunk is pulled once.
   const data::GeneratorChunkSource generated = Generated(513 * kChunk + 100, 2);
   const std::vector<std::uint64_t> truth = Bits(ReferenceTruth(generated));
   const CountingSource serial(&generated);
@@ -254,14 +352,14 @@ TEST(MeanTruthFoldTest, MultiChunkGroupsKeepTheTruthBits) {
   EXPECT_EQ(Bits(four.value().true_mean), truth);
   EXPECT_EQ(Bits(four.value().estimated_mean),
             Bits(one.value().estimated_mean));
+  EXPECT_EQ(parallel.pulls(),
+            std::vector<std::uint32_t>(parallel.num_chunks(), 1));
 }
 
 TEST(MeanTruthFoldTest, FailingChunkWithWaitersReturnsItsErrorWithoutHanging) {
-  // Chunk 0 fails after the other workers have pulled later chunks and
-  // wait for its turn. With one chunk per group the failed pull is
-  // skipped; with two (514 chunks) the failed group's chunk 1 is never
-  // pulled, so the fold must stall. Either way the run returns chunk 0's
-  // error.
+  // Chunk 0 fails after the other workers have pulled later chunks. With
+  // two chunks per group (514 chunks) the failed group's chunk 1 is never
+  // pulled. Either way the run returns chunk 0's error.
   struct Case {
     std::size_t chunks;
     std::size_t threads;
