@@ -179,8 +179,8 @@ class NeumaierSum {
 /// included). It is the ground-truth column fold: the mean truth
 /// (data::SurvivingMean, hence Dataset::TrueMean and every mean run)
 /// folds each chunk's rows into its own NeumaierColumns and merges the
-/// chunks' columns with MergeState in chunk order; the variance truth
-/// folds its rows in user order.
+/// chunks' columns with MergeState in chunk order, and so do the
+/// variance truth's mean and squared-deviation passes.
 class NeumaierColumns {
  public:
   explicit NeumaierColumns(std::size_t columns)

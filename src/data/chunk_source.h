@@ -237,39 +237,16 @@ struct RetryPolicy {
 /// \brief source.Chunk(chunk, buffer) under `retry`: the one chunk pull
 /// of a run. The estimate pass pulls through it via
 /// engine::ChunkedEstimation::ChunkRows, the truths' top-up pulls via
-/// ChunkPartials::Finish, the HDR4ME marginal sample directly (one pull
-/// of the first surviving chunk) and the variance truth via
-/// ForEachSurvivingChunk, so a chunk a reference pass reads first — e.g.
-/// one a resumed run took from its checkpoint — recovers exactly as the
-/// estimate pass would.
+/// ChunkPartials::Finish (the variance truth's two passes among them) and
+/// the HDR4ME marginal sample directly (one pull of the first surviving
+/// chunk), so a chunk a reference pass reads first — e.g. one a resumed
+/// run took from its checkpoint — recovers exactly as the estimate pass
+/// would.
 /// Safe to call concurrently with distinct buffers, like Chunk().
 Result<std::span<const double>> PullChunk(const ChunkSource& source,
                                           std::size_t chunk,
                                           ChunkBuffer* buffer,
                                           const RetryPolicy& retry);
-
-/// \brief Calls visit(rows) with the rows of each chunk of `source` outside
-/// `quarantined` (distinct chunk indices, sorted ascending), pulled under
-/// `retry`, in chunk order. The pass a ground truth takes over exactly
-/// the users an estimate covers.
-template <typename Visit>
-Status ForEachSurvivingChunk(const ChunkSource& source,
-                             const std::vector<std::size_t>& quarantined,
-                             const RetryPolicy& retry, Visit visit) {
-  ChunkBuffer buffer;
-  std::size_t next_quarantined = 0;
-  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
-    if (next_quarantined < quarantined.size() &&
-        quarantined[next_quarantined] == c) {
-      ++next_quarantined;
-      continue;
-    }
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           PullChunk(source, c, &buffer, retry));
-    visit(rows);
-  }
-  return Status::OK();
-}
 
 /// \brief One partial result per chunk of a source, combined in chunk
 /// order: how a run builds its ground truth beside its estimate pass.

@@ -130,36 +130,47 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
                           Sq(result.estimated_mean[j]));
   }
   // True variance over the users the estimates cover: the surviving
-  // chunks of both halves, in user order. With nothing quarantined that
-  // is every user in order, so the compensated sums match a resident
-  // loop over the dataset's rows bit for bit. The first pass is a
-  // user-order fold, not Dataset::TrueMean's chunk-merged sums, so the
-  // two means can differ in their last bits.
-  const auto for_each_surviving_chunk = [&](const auto& visit) -> Status {
-    HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
-        values_half, mean_run.quarantined_chunks, options.retry, visit));
-    return data::ForEachSurvivingChunk(
-        raw_half_b, square_run.quarantined_chunks, options.retry, visit);
+  // chunks of both halves. As in data::SurvivingMean, each chunk's rows
+  // fold into their own compensated column sums and the chunks merge in
+  // chunk order, half A's and then half B's. One chain of pulls gives
+  // the mean, a second the squared deviations from it.
+  const data::ChunkPartials<NeumaierColumns> pull_every_chunk;
+  const auto fold_surviving =
+      [&](const auto& chunk_sums) -> Result<NeumaierColumns> {
+    HDLDP_ASSIGN_OR_RETURN(
+        NeumaierColumns half_a,
+        pull_every_chunk.Finish(values_half, mean_run.quarantined_chunks,
+                                options.retry, NeumaierColumns(d),
+                                chunk_sums));
+    return pull_every_chunk.Finish(raw_half_b, square_run.quarantined_chunks,
+                                   options.retry, std::move(half_a),
+                                   chunk_sums);
   };
-  NeumaierColumns sums(d);
-  HDLDP_RETURN_NOT_OK(
-      for_each_surviving_chunk(
-          [&](std::span<const double> rows) { sums.AddRows(rows); }));
+  HDLDP_ASSIGN_OR_RETURN(
+      const NeumaierColumns sums,
+      fold_surviving([d](std::size_t, std::span<const double> rows)
+                         -> Result<NeumaierColumns> {
+        NeumaierColumns chunk_sums(d);
+        chunk_sums.AddRows(rows);
+        return chunk_sums;
+      }));
   const std::vector<double> true_mean = sums.Mean(result.surviving_users);
-  std::vector<NeumaierSum> acc(d);
-  HDLDP_RETURN_NOT_OK(
-      for_each_surviving_chunk([&](std::span<const double> rows) {
+  std::vector<double> deviations;
+  HDLDP_ASSIGN_OR_RETURN(
+      const NeumaierColumns squares,
+      fold_surviving([&](std::size_t, std::span<const double> rows)
+                         -> Result<NeumaierColumns> {
+        deviations.resize(rows.size());
         for (std::size_t k = 0; k < rows.size(); k += d) {
           for (std::size_t j = 0; j < d; ++j) {
-            acc[j].Add(Sq(rows[k + j] - true_mean[j]));
+            deviations[k + j] = Sq(rows[k + j] - true_mean[j]);
           }
         }
+        NeumaierColumns chunk_sums(d);
+        chunk_sums.AddRows(deviations);
+        return chunk_sums;
       }));
-  const auto surviving = static_cast<double>(result.surviving_users);
-  result.true_variance.resize(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    result.true_variance[j] = acc[j].Total() / surviving;
-  }
+  result.true_variance = squares.Mean(result.surviving_users);
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, protocol::MeanSquaredError(result.estimated_variance,
                                              result.true_variance));

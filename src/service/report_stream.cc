@@ -322,5 +322,38 @@ Status ReportStream::SkipTo(std::uint64_t position) {
   return Status::OK();
 }
 
+Result<DriveEnd> Drive(ReportStream* stream, AggregationService* service,
+                       DriveOptions options) {
+  if (service->resumed()) {
+    HDLDP_RETURN_NOT_OK(stream->SkipTo(service->resume_cursor()));
+  }
+  const std::uint64_t reports_per_tick = stream->reports_per_tick();
+  std::vector<std::uint8_t> envelope;
+  std::uint64_t watermark = 0;
+  for (;;) {
+    bool done = false;
+    HDLDP_RETURN_NOT_OK(stream->Next(&envelope, &done));
+    if (done) break;
+    const Status submitted = service->Submit(envelope);
+    if (!submitted.ok() && submitted.code() != StatusCode::kUnavailable &&
+        submitted.code() != StatusCode::kDataLoss) {
+      return submitted;
+    }
+    const std::uint64_t position = stream->position();
+    if (reports_per_tick > 0 && position / reports_per_tick > watermark) {
+      watermark = position / reports_per_tick;
+      HDLDP_RETURN_NOT_OK(service->AdvanceWatermark(watermark));
+    }
+    if (options.snapshot_every > 0 && position % options.snapshot_every == 0) {
+      HDLDP_RETURN_NOT_OK(service->SaveSnapshot(position));
+    }
+    if (options.stop_at > 0 && position >= options.stop_at) {
+      return DriveEnd::kStopped;
+    }
+  }
+  HDLDP_RETURN_NOT_OK(service->Drain());
+  return DriveEnd::kDrained;
+}
+
 }  // namespace service
 }  // namespace hdldp

@@ -1,6 +1,6 @@
 // Deterministic report-stream generator + fault delivery model: the
 // traffic source driving the aggregation service's tests, benches and
-// CLI verbs.
+// CLI verbs, and Drive, the one loop that feeds a stream to a service.
 //
 // A stream is a pure function of its options: report i's tuple, sampled
 // dimensions and perturbation draws all come from an Rng seeded by one
@@ -106,6 +106,10 @@ class ReportStream {
   /// Budget one report spends against its tenant: the total eps.
   double per_report_epsilon() const { return options_.epsilon; }
 
+  /// Reports per event-time tick (0 = everything at tick 0): the cadence
+  /// at which Drive advances the service's watermark.
+  std::uint64_t reports_per_tick() const { return options_.reports_per_tick; }
+
   /// \brief `base` with the fields a service ingesting this stream
   /// needs filled in: the aggregated dimensionality (d for kMean, q * c
   /// for kFrequency), native-space domain map, entries per report,
@@ -168,6 +172,33 @@ class ReportStream {
   std::vector<std::uint32_t> sampled_;
   std::vector<double> gathered_;  // kHadamard1 sampled values
 };
+
+/// \brief When a Drive snapshots and where it stops. Both count
+/// envelopes by ReportStream::position(); 0 turns either off.
+struct DriveOptions {
+  /// SaveSnapshot(position) at every multiple of this position.
+  std::uint64_t snapshot_every = 0;
+  /// Stop without draining once the position reaches this: a crash
+  /// point, after which only the last snapshot survives.
+  std::uint64_t stop_at = 0;
+};
+
+/// How a Drive ended.
+enum class DriveEnd {
+  kDrained,  // the stream ran out and the service drained
+  kStopped,  // the position reached stop_at; nothing was drained
+};
+
+/// \brief Feeds `stream` to `service`: the loop `serve`, `replay` and the
+/// tests share. A resumed service first moves the fresh stream to its
+/// resume_cursor(). Then, per envelope: Submit; AdvanceWatermark when
+/// position / reports_per_tick() grows; SaveSnapshot(position) at each
+/// multiple of `snapshot_every`; stop at `stop_at`. An exhausted stream
+/// ends in Drain. Submit's Unavailable (a shed report) and DataLoss (a
+/// malformed envelope) are counted outcomes that the service's stats
+/// hold; any other error ends the drive and is returned.
+Result<DriveEnd> Drive(ReportStream* stream, AggregationService* service,
+                       DriveOptions options = {});
 
 }  // namespace service
 }  // namespace hdldp

@@ -941,27 +941,6 @@ service::ReportStreamOptions CompactStreamOptions(ReportEncoding encoding) {
   return options;
 }
 
-Status DriveStream(service::AggregationService* svc,
-                   service::ReportStream* stream,
-                   std::uint64_t reports_per_tick) {
-  std::vector<std::uint8_t> envelope;
-  std::uint64_t last_tick = 0;
-  for (;;) {
-    bool done = false;
-    HDLDP_RETURN_NOT_OK(stream->Next(&envelope, &done));
-    if (done) break;
-    HDLDP_RETURN_NOT_OK(svc->Submit(envelope));
-    if (reports_per_tick > 0) {
-      const std::uint64_t tick = stream->position() / reports_per_tick;
-      if (tick > last_tick) {
-        last_tick = tick;
-        HDLDP_RETURN_NOT_OK(svc->AdvanceWatermark(tick));
-      }
-    }
-  }
-  return svc->Drain();
-}
-
 void ExpectSameServiceRun(const service::AggregationService& a,
                           const service::AggregationService& b) {
   const service::ServiceStats sa = a.Stats();
@@ -997,7 +976,7 @@ TEST(ServiceEncodingTest, CompactStreamsIngestWorkerCountInvariant) {
     replay_options.num_workers = 1;
     replay_options.overload = service::OverloadPolicy::kBlock;
     auto replay = service::AggregationService::Create(replay_options).value();
-    ASSERT_TRUE(DriveStream(replay.get(), &replay_stream, 150).ok());
+    ASSERT_TRUE(service::Drive(&replay_stream, replay.get()).ok());
     ASSERT_TRUE(replay->VerifyReconciliation().ok());
 
     const service::ServiceStats stats = replay->Stats();
@@ -1017,7 +996,7 @@ TEST(ServiceEncodingTest, CompactStreamsIngestWorkerCountInvariant) {
     serve_options.overload = service::OverloadPolicy::kBlock;
     serve_options.queue_capacity = 16;  // force real backpressure
     auto serve = service::AggregationService::Create(serve_options).value();
-    ASSERT_TRUE(DriveStream(serve.get(), &serve_stream, 150).ok());
+    ASSERT_TRUE(service::Drive(&serve_stream, serve.get()).ok());
     ASSERT_TRUE(serve->VerifyReconciliation().ok());
     ExpectSameServiceRun(*replay, *serve);
   }
@@ -1063,7 +1042,9 @@ TEST(ServiceEncodingTest, CompactSnapshotRestoreIsBitIdentical) {
   base.window.width = 2;
   base.overload = service::OverloadPolicy::kBlock;
   auto reference = service::AggregationService::Create(base).value();
-  ASSERT_TRUE(DriveStream(reference.get(), &ref_stream, 150).ok());
+  ASSERT_TRUE(service::Drive(&ref_stream, reference.get()).ok());
+  EXPECT_EQ(reference->Stats().shed_queue_full, 0u);
+  EXPECT_EQ(reference->Stats().rejected_malformed, 0u);
 
   // Crash run: ingest half, snapshot, drop without Finish(), restore,
   // replay the suffix.
@@ -1073,28 +1054,19 @@ TEST(ServiceEncodingTest, CompactSnapshotRestoreIsBitIdentical) {
   auto first = service::AggregationService::Create(crashed).value();
   ASSERT_FALSE(first->resumed());
   auto stream = service::ReportStream::Create(stream_options).value();
-  std::vector<std::uint8_t> envelope;
-  std::uint64_t last_tick = 0;
-  while (stream.position() < 300) {
-    bool done = false;
-    ASSERT_TRUE(stream.Next(&envelope, &done).ok());
-    ASSERT_FALSE(done);
-    ASSERT_TRUE(first->Submit(envelope).ok());
-    const std::uint64_t tick = stream.position() / 150;
-    if (tick > last_tick) {
-      last_tick = tick;
-      ASSERT_TRUE(first->AdvanceWatermark(tick).ok());
-    }
-  }
-  ASSERT_TRUE(first->SaveSnapshot(stream.position()).ok());
+  ASSERT_EQ(service::Drive(&stream, first.get(),
+                           {.snapshot_every = 300, .stop_at = 300})
+                .value(),
+            service::DriveEnd::kStopped);
+  EXPECT_EQ(first->Stats().shed_queue_full, 0u);
+  EXPECT_EQ(first->Stats().rejected_malformed, 0u);
   first.reset();  // simulated crash
 
   auto second = service::AggregationService::Create(crashed).value();
   ASSERT_TRUE(second->resumed());
   EXPECT_EQ(second->resume_cursor(), 300u);
   auto resumed_stream = service::ReportStream::Create(stream_options).value();
-  ASSERT_TRUE(resumed_stream.SkipTo(second->resume_cursor()).ok());
-  ASSERT_TRUE(DriveStream(second.get(), &resumed_stream, 150).ok());
+  ASSERT_TRUE(service::Drive(&resumed_stream, second.get()).ok());
   ASSERT_TRUE(second->VerifyReconciliation().ok());
   // The byte ledger survives the crash boundary exactly, alongside the
   // estimates.

@@ -264,16 +264,13 @@ Result<FrequencyEstimationResult> RunTruthPath(
 }
 
 // Wraps a source and tampers with the second pull of selected chunks:
-// either a transient Unavailable, or the true rows with the first
-// user's dimension-0 category replaced by `out_of_range`.
+// the true rows with the first user's dimension-0 category replaced by
+// `out_of_range`.
 class SecondPullSource final : public data::ChunkSource {
  public:
-  enum class Tamper { kUnavailable, kOutOfRange };
-
-  SecondPullSource(const data::ChunkSource* base, Tamper tamper,
+  SecondPullSource(const data::ChunkSource* base,
                    std::vector<std::size_t> chunks, double out_of_range)
       : base_(base),
-        tamper_(tamper),
         chunks_(std::move(chunks)),
         out_of_range_(out_of_range),
         pulls_(base->num_chunks()) {}
@@ -287,10 +284,6 @@ class SecondPullSource final : public data::ChunkSource {
     if (!tampered || ++pulls_[chunk] != 2) {
       return base_->Chunk(chunk, buffer);
     }
-    if (tamper_ == Tamper::kUnavailable) {
-      return Status::Unavailable("second pull of chunk " +
-                                 std::to_string(chunk) + " stalls");
-    }
     HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
                            base_->Chunk(chunk, buffer));
     std::vector<double> copy(rows.begin(), rows.end());
@@ -301,7 +294,6 @@ class SecondPullSource final : public data::ChunkSource {
 
  private:
   const data::ChunkSource* base_;
-  Tamper tamper_;
   std::vector<std::size_t> chunks_;
   double out_of_range_;
   mutable std::vector<std::atomic<int>> pulls_;
@@ -401,10 +393,6 @@ TEST(FreqTruthTest, TransientFaultsRecoverToTheFaultFreeTruth) {
   const data::FaultSchedule schedule =
       data::FaultSchedule::Random(3, base.num_chunks(), random);
   ASSERT_FALSE(schedule.empty());
-  // Every chunk's truth pull stalls once, so the truth pass itself must
-  // retry, not just inherit the estimate pass's recovery.
-  std::vector<std::size_t> all(base.num_chunks());
-  std::iota(all.begin(), all.end(), std::size_t{0});
   for (const TruthPath& path : kTruthPaths) {
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
@@ -417,13 +405,6 @@ TEST(FreqTruthTest, TransientFaultsRecoverToTheFaultFreeTruth) {
       const auto run = RunTruthPath(faulty, dataset.schema(), path, opts);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       EXPECT_EQ(run.value().true_frequencies, expected);
-
-      const SecondPullSource stalls(
-          &base, SecondPullSource::Tamper::kUnavailable, all, 0.0);
-      opts.retry.max_attempts = 2;
-      const auto retried = RunTruthPath(stalls, dataset.schema(), path, opts);
-      ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-      EXPECT_EQ(retried.value().true_frequencies, expected);
     }
   }
 }
@@ -452,8 +433,7 @@ TEST(FreqTruthTest, OutOfRangeCategoryOnRepullIsInvalidArgument) {
                                    "hdldp_freq_truth_repull_" +
                                    std::to_string(threads);
     std::remove(checkpoint.c_str());
-    const SecondPullSource tampered(
-        &base, SecondPullSource::Tamper::kOutOfRange, {5}, out_of_range);
+    const SecondPullSource tampered(&base, {5}, out_of_range);
     const CountingSource counted(&tampered);
     FrequencyOptions opts;
     opts.num_threads = threads;

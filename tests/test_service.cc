@@ -64,29 +64,12 @@ ServiceOptions ManualOptions(std::size_t num_dims = 2) {
   return options;
 }
 
-// Pulls the whole stream into the service with the CLI's position-based
-// watermark schedule, then drains.
-Status Drive(AggregationService* service, ReportStream* stream,
-             std::uint64_t reports_per_tick) {
-  std::vector<std::uint8_t> envelope;
-  std::uint64_t last_tick = 0;
-  for (;;) {
-    bool done = false;
-    HDLDP_RETURN_NOT_OK(stream->Next(&envelope, &done));
-    if (done) break;
-    const Status status = service->Submit(envelope);
-    if (!status.ok() && status.code() != StatusCode::kUnavailable) {
-      return status;
-    }
-    if (reports_per_tick > 0) {
-      const std::uint64_t tick = stream->position() / reports_per_tick;
-      if (tick > last_tick) {
-        last_tick = tick;
-        HDLDP_RETURN_NOT_OK(service->AdvanceWatermark(tick));
-      }
-    }
-  }
-  return service->Drain();
+// Drive counts shed and malformed envelopes rather than failing on
+// them; a clean blocking run has neither.
+void ExpectNoneShedOrMalformed(const AggregationService& service) {
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.shed_queue_full, 0u);
+  EXPECT_EQ(stats.rejected_malformed, 0u);
 }
 
 void ExpectSameWindows(const std::vector<PublishedWindow>& a,
@@ -329,6 +312,57 @@ TEST(ReportStreamTest, MakeServiceOptionsWiresGeometryCodecAndDigestTag) {
   EXPECT_EQ(wired.checkpoint_path, "kept");
 }
 
+TEST(ReportStreamTest, DriveSnapshotsStopsAndResumesFromTheLastSnapshot) {
+  ReportStreamOptions stream_options;
+  stream_options.num_reports = 800;
+  stream_options.num_dims = 4;
+  stream_options.report_dims = 2;
+  stream_options.num_tenants = 3;
+  stream_options.seed = 19;
+  stream_options.reports_per_tick = 100;
+  stream_options.faults.duplicate_rate = 0.05;
+  stream_options.faults.reorder_rate = 0.1;
+  auto ref_stream = ReportStream::Create(stream_options).value();
+  ServiceOptions options = ref_stream.MakeServiceOptions();
+  options.window.width = 2;
+  options.window.lateness = 1;
+  options.overload = OverloadPolicy::kBlock;
+  auto reference = AggregationService::Create(options).value();
+  ASSERT_EQ(Drive(&ref_stream, reference.get()).value(), DriveEnd::kDrained);
+
+  // Snapshots at 200 and 400, then the crash at 500: the restore
+  // resumes from 400, and the drive of a fresh stream replays from there.
+  ServiceOptions crashed = options;
+  crashed.checkpoint_path = TempPath("drive_contract");
+  auto first = AggregationService::Create(crashed).value();
+  auto stream = ReportStream::Create(stream_options).value();
+  ASSERT_EQ(Drive(&stream, first.get(), {.snapshot_every = 200,
+                                        .stop_at = 500})
+                .value(),
+            DriveEnd::kStopped);
+  EXPECT_EQ(stream.position(), 500u);
+  first.reset();
+  auto restored = AggregationService::Create(crashed).value();
+  ASSERT_TRUE(restored->resumed());
+  EXPECT_EQ(restored->resume_cursor(), 400u);
+  auto fresh_stream = ReportStream::Create(stream_options).value();
+  ASSERT_EQ(Drive(&fresh_stream, restored.get()).value(), DriveEnd::kDrained);
+  ASSERT_TRUE(restored->VerifyReconciliation().ok());
+  ExpectSameStats(reference->Stats(), restored->Stats());
+  ExpectSameWindows(reference->PublishedWindows(),
+                    restored->PublishedWindows());
+  ASSERT_TRUE(restored->Finish().ok());
+
+  // With no checkpoint to write, the first snapshot ends the drive.
+  auto unsaved = AggregationService::Create(options).value();
+  auto unsaved_stream = ReportStream::Create(stream_options).value();
+  EXPECT_EQ(Drive(&unsaved_stream, unsaved.get(), {.snapshot_every = 200})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(unsaved_stream.position(), 200u);
+}
+
 TEST(ServiceTest, ReplayPublishesRollingWindowsAndReconciles) {
   ReportStreamOptions stream_options;
   stream_options.num_reports = 600;
@@ -341,7 +375,7 @@ TEST(ServiceTest, ReplayPublishesRollingWindowsAndReconciles) {
   ServiceOptions options = stream.MakeServiceOptions();
   options.window.width = 2;
   auto service = AggregationService::Create(options).value();
-  ASSERT_TRUE(Drive(service.get(), &stream, 100).ok());
+  ASSERT_TRUE(Drive(&stream, service.get()).ok());
   const ServiceStats stats = service->Stats();
   EXPECT_EQ(stats.submitted, 600u);
   EXPECT_EQ(stats.accepted, 600u);
@@ -375,7 +409,7 @@ TEST(ServiceTest, ConcurrentBlockingIngestMatchesReplayBitForBit) {
   replay_options.num_workers = 1;
   replay_options.overload = OverloadPolicy::kBlock;
   auto replay = AggregationService::Create(replay_options).value();
-  ASSERT_TRUE(Drive(replay.get(), &replay_stream, 200).ok());
+  ASSERT_TRUE(Drive(&replay_stream, replay.get()).ok());
 
   auto serve_stream = ReportStream::Create(stream_options).value();
   ServiceOptions serve_options = serve_stream.MakeServiceOptions();
@@ -384,10 +418,11 @@ TEST(ServiceTest, ConcurrentBlockingIngestMatchesReplayBitForBit) {
   serve_options.overload = OverloadPolicy::kBlock;
   serve_options.queue_capacity = 16;  // force real backpressure
   auto serve = AggregationService::Create(serve_options).value();
-  ASSERT_TRUE(Drive(serve.get(), &serve_stream, 200).ok());
+  ASSERT_TRUE(Drive(&serve_stream, serve.get()).ok());
 
   ASSERT_TRUE(replay->VerifyReconciliation().ok());
   ASSERT_TRUE(serve->VerifyReconciliation().ok());
+  ExpectNoneShedOrMalformed(*replay);
   ExpectSameStats(replay->Stats(), serve->Stats());
   ExpectSameWindows(replay->PublishedWindows(), serve->PublishedWindows());
 }
@@ -407,13 +442,14 @@ TEST(ServiceTest, WorkersPastTheShardGroupCountAreClamped) {
   ServiceOptions options = replay_stream.MakeServiceOptions();
   options.overload = OverloadPolicy::kBlock;
   auto replay = AggregationService::Create(options).value();
-  ASSERT_TRUE(Drive(replay.get(), &replay_stream, 250).ok());
+  ASSERT_TRUE(Drive(&replay_stream, replay.get()).ok());
+  ExpectNoneShedOrMalformed(*replay);
 
   options.num_workers = kNumShardGroups + 1;
   auto wide = AggregationService::Create(options).value();
   EXPECT_EQ(wide->num_workers(), kNumShardGroups);
   auto wide_stream = ReportStream::Create(stream_options).value();
-  ASSERT_TRUE(Drive(wide.get(), &wide_stream, 250).ok());
+  ASSERT_TRUE(Drive(&wide_stream, wide.get()).ok());
   ASSERT_TRUE(wide->VerifyReconciliation().ok());
   ExpectSameStats(replay->Stats(), wide->Stats());
   ExpectSameWindows(replay->PublishedWindows(), wide->PublishedWindows());
@@ -614,8 +650,9 @@ TEST(ServiceTest, KillAndRestoreRepublishesBitIdenticalEstimates) {
     base.tenant_epsilon = 400.0;
     base.per_report_epsilon = 1.0;
     auto reference = AggregationService::Create(base).value();
-    ASSERT_TRUE(Drive(reference.get(), &ref_stream, 100).ok());
+    ASSERT_TRUE(Drive(&ref_stream, reference.get()).ok());
     ASSERT_TRUE(reference->VerifyReconciliation().ok());
+    ExpectNoneShedOrMalformed(*reference);
 
     // Crash run: ingest half, snapshot, drop the service without
     // Finish() (the crash), restore, replay the suffix.
@@ -626,28 +663,18 @@ TEST(ServiceTest, KillAndRestoreRepublishesBitIdenticalEstimates) {
     auto first = AggregationService::Create(crashed).value();
     ASSERT_FALSE(first->resumed());
     auto stream = ReportStream::Create(stream_options).value();
-    std::vector<std::uint8_t> envelope;
-    std::uint64_t last_tick = 0;
-    while (stream.position() < 500) {
-      bool done = false;
-      ASSERT_TRUE(stream.Next(&envelope, &done).ok());
-      ASSERT_FALSE(done);
-      ASSERT_TRUE(first->Submit(envelope).ok());
-      const std::uint64_t tick = stream.position() / 100;
-      if (tick > last_tick) {
-        last_tick = tick;
-        ASSERT_TRUE(first->AdvanceWatermark(tick).ok());
-      }
-    }
-    ASSERT_TRUE(first->SaveSnapshot(stream.position()).ok());
+    ASSERT_EQ(Drive(&stream, first.get(), {.snapshot_every = 500,
+                                          .stop_at = 500})
+                  .value(),
+              DriveEnd::kStopped);
+    ExpectNoneShedOrMalformed(*first);
     first.reset();  // simulated crash: no Finish(), checkpoint survives
 
     auto second = AggregationService::Create(crashed).value();
     ASSERT_TRUE(second->resumed());
     EXPECT_EQ(second->resume_cursor(), 500u);
     auto resumed_stream = ReportStream::Create(stream_options).value();
-    ASSERT_TRUE(resumed_stream.SkipTo(second->resume_cursor()).ok());
-    ASSERT_TRUE(Drive(second.get(), &resumed_stream, 100).ok());
+    ASSERT_TRUE(Drive(&resumed_stream, second.get()).ok());
     ASSERT_TRUE(second->VerifyReconciliation().ok());
 
     ExpectSameStats(reference->Stats(), second->Stats());
@@ -721,20 +748,11 @@ TEST(ServiceTest, CheckpointFileBytesArePinned) {
   options.checkpoint_path = TempPath("pinned_bytes");
   options.digest_tag = "test-pinned-bytes";
   auto service = AggregationService::Create(options).value();
-  std::vector<std::uint8_t> envelope;
-  std::uint64_t last_tick = 0;
-  while (stream.position() < 275) {
-    bool done = false;
-    ASSERT_TRUE(stream.Next(&envelope, &done).ok());
-    ASSERT_FALSE(done);
-    ASSERT_TRUE(service->Submit(envelope).ok());
-    const std::uint64_t tick = stream.position() / 50;
-    if (tick > last_tick) {
-      last_tick = tick;
-      ASSERT_TRUE(service->AdvanceWatermark(tick).ok());
-    }
-  }
-  ASSERT_TRUE(service->SaveSnapshot(stream.position()).ok());
+  ASSERT_EQ(
+      Drive(&stream, service.get(), {.snapshot_every = 275, .stop_at = 275})
+          .value(),
+      DriveEnd::kStopped);
+  ExpectNoneShedOrMalformed(*service);
   ASSERT_GT(service->Stats().published_windows, 0u);
   EXPECT_EQ(FileFnv1a64(options.checkpoint_path), 0x92f819c8def4302cULL);
   ASSERT_TRUE(service->Finish().ok());
@@ -882,8 +900,8 @@ TEST(ServiceTest, FaultedDeliveryMatchesCleanEstimatesWhenLossless) {
   options.window.lateness = 3;
   auto clean = AggregationService::Create(options).value();
   auto faulty = AggregationService::Create(options).value();
-  ASSERT_TRUE(Drive(clean.get(), &clean_stream, 100).ok());
-  ASSERT_TRUE(Drive(faulty.get(), &faulty_stream, 100).ok());
+  ASSERT_TRUE(Drive(&clean_stream, clean.get()).ok());
+  ASSERT_TRUE(Drive(&faulty_stream, faulty.get()).ok());
 
   EXPECT_GT(faulty_stream.duplicated(), 0u);
   EXPECT_GT(faulty_stream.reordered(), 0u);
@@ -1027,8 +1045,9 @@ TEST(ServiceTest, QuarantineIsWorkerCountInvariantAndSurvivesRestore) {
     base.per_report_epsilon = 1.0;
     base.max_invalid_per_tenant = 4;
     auto reference = AggregationService::Create(base).value();
-    ASSERT_TRUE(Drive(reference.get(), &ref_stream, 100).ok());
+    ASSERT_TRUE(Drive(&ref_stream, reference.get()).ok());
     ASSERT_TRUE(reference->VerifyReconciliation().ok());
+    ExpectNoneShedOrMalformed(*reference);
 
     const ServiceStats stats = reference->Stats();
     // Every tenant exhausts its budget long before the stream ends, so
@@ -1045,27 +1064,17 @@ TEST(ServiceTest, QuarantineIsWorkerCountInvariantAndSurvivesRestore) {
     crashed.digest_tag = "test-quarantine-restore";
     auto first = AggregationService::Create(crashed).value();
     auto stream = ReportStream::Create(stream_options).value();
-    std::vector<std::uint8_t> envelope;
-    std::uint64_t last_tick = 0;
-    while (stream.position() < 500) {
-      bool done = false;
-      ASSERT_TRUE(stream.Next(&envelope, &done).ok());
-      ASSERT_FALSE(done);
-      ASSERT_TRUE(first->Submit(envelope).ok());
-      const std::uint64_t tick = stream.position() / 100;
-      if (tick > last_tick) {
-        last_tick = tick;
-        ASSERT_TRUE(first->AdvanceWatermark(tick).ok());
-      }
-    }
-    ASSERT_TRUE(first->SaveSnapshot(stream.position()).ok());
+    ASSERT_EQ(Drive(&stream, first.get(), {.snapshot_every = 500,
+                                          .stop_at = 500})
+                  .value(),
+              DriveEnd::kStopped);
+    ExpectNoneShedOrMalformed(*first);
     first.reset();  // crash: no Finish()
 
     auto second = AggregationService::Create(crashed).value();
     ASSERT_TRUE(second->resumed());
     auto resumed_stream = ReportStream::Create(stream_options).value();
-    ASSERT_TRUE(resumed_stream.SkipTo(second->resume_cursor()).ok());
-    ASSERT_TRUE(Drive(second.get(), &resumed_stream, 100).ok());
+    ASSERT_TRUE(Drive(&resumed_stream, second.get()).ok());
     ASSERT_TRUE(second->VerifyReconciliation().ok());
     ExpectSameStats(stats, second->Stats());
     ExpectSameWindows(reference->PublishedWindows(),
@@ -1098,7 +1107,7 @@ TEST(ServiceTest, FailedSnapshotDegradesWithoutTouchingEstimates) {
   ServiceOptions clean_options = clean_stream.MakeServiceOptions();
   clean_options.window.width = 2;
   auto clean = AggregationService::Create(clean_options).value();
-  ASSERT_TRUE(Drive(clean.get(), &clean_stream, 100).ok());
+  ASSERT_TRUE(Drive(&clean_stream, clean.get()).ok());
 
   // Faulted run: the snapshot file spends op 0 on its header, op 1 on
   // the compaction fsync; Saves are ops 2, 3, ... — so this schedule
@@ -1143,8 +1152,7 @@ TEST(ServiceTest, FailedSnapshotDegradesWithoutTouchingEstimates) {
   ASSERT_TRUE(restored->resumed());
   EXPECT_EQ(restored->resume_cursor(), 200u);
   auto resumed_stream = ReportStream::Create(stream_options).value();
-  ASSERT_TRUE(resumed_stream.SkipTo(200).ok());
-  ASSERT_TRUE(Drive(restored.get(), &resumed_stream, 100).ok());
+  ASSERT_TRUE(Drive(&resumed_stream, restored.get()).ok());
   ExpectSameWindows(clean->PublishedWindows(),
                     restored->PublishedWindows());
   ASSERT_TRUE(restored->Finish().ok());

@@ -68,7 +68,7 @@
 //                     [--encoding=dense|sampled|oue|olh|hadamard1]
 //                     + write-fault flags
 //       Drives a deterministic report stream through the online
-//       aggregation service (src/service/): asynchronous multi-worker
+//       aggregation service (service::Drive): asynchronous multi-worker
 //       ingestion, per-(tenant, sequence) dedup, per-tenant budget
 //       enforcement, rolling tumbling/sliding window estimates, counted
 //       load shedding, and crash-safe snapshots (--checkpoint +
@@ -853,8 +853,7 @@ Status RunGenerate(Flags flags) {
 Status RunServe(Flags flags, bool replay) {
   std::string workload_name = "mean";
   bool print_estimate = false;
-  std::uint64_t snapshot_every = 0;
-  std::uint64_t kill_after = 0;
+  hdldp::service::DriveOptions drive;
   hdldp::SeedScheme seed_scheme = hdldp::SeedScheme::kV1Scalar;
   std::string overload = "shed";
   hdldp::service::ReportStreamOptions stream_options;
@@ -873,8 +872,8 @@ Status RunServe(Flags flags, bool replay) {
        {"tenant-budget", &service_options.tenant_epsilon},
        {"reports-per-tick", &stream_options.reports_per_tick},
        {"checkpoint", &service_options.checkpoint_path},
-       {"snapshot-every", &snapshot_every},
-       {"kill-after", &kill_after},
+       {"snapshot-every", &drive.snapshot_every},
+       {"kill-after", &drive.stop_at},
        {"print-estimate", &print_estimate},
        {"encoding", &stream_options.encoding},
        {"fault-drop-rate", &stream_options.faults.drop_rate},
@@ -887,7 +886,7 @@ Status RunServe(Flags flags, bool replay) {
        {"window-lateness", &service_options.window.lateness},
        {"max-invalid-per-tenant", &service_options.max_invalid_per_tenant}}));
   HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, stream_options.encoding));
-  if (snapshot_every > 0 && service_options.checkpoint_path.empty()) {
+  if (drive.snapshot_every > 0 && service_options.checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "--snapshot-every needs --checkpoint=<file> (without one there is "
         "nothing to snapshot to)");
@@ -964,46 +963,18 @@ Status RunServe(Flags flags, bool replay) {
               static_cast<unsigned long long>(window.width),
               static_cast<unsigned long long>(window.slide),
               static_cast<unsigned long long>(window.lateness));
-  if (service->resumed()) {
-    std::printf("resumed from checkpoint\n");
-    HDLDP_RETURN_NOT_OK(stream.SkipTo(service->resume_cursor()));
+  if (service->resumed()) std::printf("resumed from checkpoint\n");
+  HDLDP_ASSIGN_OR_RETURN(
+      const hdldp::service::DriveEnd end,
+      hdldp::service::Drive(&stream, service.get(), drive));
+  if (end == hdldp::service::DriveEnd::kStopped) {
+    // Simulated crash: no Drain, no Finish, no destructors — the
+    // checkpoint on disk is all the next run gets.
+    std::printf("simulated crash at report %llu\n",
+                static_cast<unsigned long long>(stream.position()));
+    std::fflush(stdout);
+    std::_Exit(7);
   }
-
-  const std::uint64_t reports_per_tick = stream_options.reports_per_tick;
-  std::vector<std::uint8_t> envelope;
-  std::uint64_t watermark = 0;
-  for (;;) {
-    bool done = false;
-    HDLDP_RETURN_NOT_OK(stream.Next(&envelope, &done));
-    if (done) break;
-    const Status submitted = service->Submit(envelope);
-    if (!submitted.ok() &&
-        submitted.code() != hdldp::StatusCode::kUnavailable &&
-        submitted.code() != hdldp::StatusCode::kDataLoss) {
-      // Unavailable = counted shedding under overload; DataLoss =
-      // counted envelope corruption. Anything else is a driver bug.
-      return submitted;
-    }
-    if (reports_per_tick > 0) {
-      const std::uint64_t tick = stream.position() / reports_per_tick;
-      if (tick > watermark) {
-        watermark = tick;
-        HDLDP_RETURN_NOT_OK(service->AdvanceWatermark(watermark));
-      }
-    }
-    if (snapshot_every > 0 && stream.position() % snapshot_every == 0) {
-      HDLDP_RETURN_NOT_OK(service->SaveSnapshot(stream.position()));
-    }
-    if (kill_after > 0 && stream.position() >= kill_after) {
-      // Simulated crash: no Drain, no Finish, no destructors — the
-      // checkpoint on disk is all the next run gets.
-      std::printf("simulated crash at report %llu\n",
-                  static_cast<unsigned long long>(stream.position()));
-      std::fflush(stdout);
-      std::_Exit(7);
-    }
-  }
-  HDLDP_RETURN_NOT_OK(service->Drain());
   HDLDP_RETURN_NOT_OK(service->VerifyReconciliation());
 
   std::printf("stats%s\n",
