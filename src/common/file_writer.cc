@@ -1,5 +1,6 @@
 #include "common/file_writer.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -108,6 +109,22 @@ Status FileWriter::PWriteFully(int fd, const void* data, std::size_t len,
         "injected ENOSPC at write op " + std::to_string(op) + " for " + path);
   }
   return WriteLoop(fd, p, len, offset, path);
+}
+
+Status FsyncDir(const std::string& dir) {
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) {
+    return Status::DataLoss("cannot open directory for fsync " + dir + ": " +
+                            std::strerror(errno));
+  }
+  const int rc = ::fsync(dfd);
+  const int saved_errno = errno;
+  ::close(dfd);
+  if (rc != 0) {
+    return Status::DataLoss("fsync failed for directory " + dir + ": " +
+                            std::strerror(saved_errno));
+  }
+  return Status::OK();
 }
 
 Status FileWriter::Fsync(int fd, const std::string& path) {

@@ -86,6 +86,13 @@ class WriteFaultSchedule {
   RandomOptions options_;
 };
 
+/// fsync()s directory `dir`, flushing its entries: a file renamed into it
+/// is durable only after this, since a crash can roll back an unflushed
+/// rename. DataLoss on failure, like FileWriter::Fsync. A free function,
+/// not a FileWriter operation: it takes no operation index, so no
+/// WriteFaultSchedule fault ever lands on it.
+Status FsyncDir(const std::string& dir);
+
 /// \brief The write-path syscall wrapper. One per durable-file writer;
 /// the operation counter ties each syscall to the schedule.
 class FileWriter {

@@ -122,24 +122,6 @@ Status PReadFully(int fd, void* data, std::size_t len, std::size_t offset,
   return Status::OK();
 }
 
-// Flushes the directory entry itself, making a just-renamed part file
-// durable. Without this, a crash after rename can roll the rename back.
-Status FsyncDir(const std::string& dir) {
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd < 0) {
-    return Status::Internal("cannot open directory for fsync " + dir + ": " +
-                            std::strerror(errno));
-  }
-  const int rc = ::fsync(dfd);
-  const int saved_errno = errno;
-  ::close(dfd);
-  if (rc != 0) {
-    return Status::Internal("fsync failed for directory " + dir + ": " +
-                            std::strerror(saved_errno));
-  }
-  return Status::OK();
-}
-
 bool EndsWith(const std::string& name, std::string_view suffix) {
   return name.size() > suffix.size() &&
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;

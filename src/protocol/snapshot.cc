@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -254,6 +255,14 @@ Result<SnapshotFile> SnapshotFile::Open(
     return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
                             std::strerror(errno));
   }
+  // Flush the directory entry too, or a crash can roll the rename back
+  // and orphan every record appended from here on. A bare file name
+  // lives in ".".
+  const std::size_t slash = path.rfind('/');
+  HDLDP_RETURN_NOT_OK(FsyncDir(
+      slash == std::string::npos
+          ? "."
+          : path.substr(0, std::max<std::size_t>(slash, 1))));
   // The descriptor survives the rename and stays positioned at the end,
   // ready for appends.
   return file;

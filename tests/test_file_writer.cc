@@ -121,6 +121,15 @@ TEST(FileWriterTest, InjectedFsyncFailureIsDataLoss) {
             StatusCode::kDataLoss);
 }
 
+TEST(FsyncDirTest, FlushesADirectoryAndCallsAMissingOneDataLoss) {
+  EXPECT_TRUE(FsyncDir(::testing::TempDir()).ok());
+  EXPECT_TRUE(FsyncDir(".").ok());
+  // Like a failed file fsync: whether a rename into it survives a crash
+  // is unknowable, so the caller must not treat it as durable.
+  EXPECT_EQ(FsyncDir(::testing::TempDir() + "hdldp_no_such_dir").code(),
+            StatusCode::kDataLoss);
+}
+
 TEST(FileWriterTest, RealEbadfWriteIsInternalNotResourceExhausted) {
   // A genuinely broken descriptor is an Internal error: only the
   // out-of-space errno family maps to ResourceExhausted.

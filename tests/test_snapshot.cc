@@ -6,8 +6,10 @@
 // reference pass.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -58,6 +60,27 @@ TEST(SnapshotFileTest, SaveLoadRoundTrip) {
   EXPECT_EQ(group->acc_state, state);
   EXPECT_FALSE(reopened.Load(8).has_value());
   ASSERT_TRUE(SnapshotFile::Remove(path).ok());
+}
+
+TEST(SnapshotFileTest, BareFileNameCompactsInTheWorkingDirectory) {
+  // Open flushes the checkpoint's directory after its compaction rename;
+  // a bare file name's directory is ".".
+  char* const cwd = ::getcwd(nullptr, 0);
+  ASSERT_NE(cwd, nullptr);
+  ASSERT_EQ(::chdir(::testing::TempDir().c_str()), 0);
+  const std::string name = "hdldp_snapshot_bare";
+  std::remove(name.c_str());
+  const RunDigest digest = TestDigest(3);
+  auto file = SnapshotFile::Open(name, digest.bytes).value();
+  const std::vector<unsigned char> state = {9};
+  ASSERT_TRUE(file.Save(0, 1, {}, state).ok());
+  ASSERT_TRUE(file.Close().ok());
+  const auto reopened = SnapshotFile::Open(name, digest.bytes);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened->resumed());
+  EXPECT_TRUE(SnapshotFile::Remove(name).ok());
+  EXPECT_EQ(::chdir(cwd), 0);
+  std::free(cwd);
 }
 
 TEST(SnapshotFileTest, LatestRecordPerGroupWins) {

@@ -1,9 +1,13 @@
 // hdldp_cli: command-line front end for the hdldp library.
 //
 // All flags are --key=value (a bare --key means --key=true); unknown keys
-// and malformed values are errors. Values parse strictly: integers and
-// reals must be consumed whole (--report-dims=4x, --threads=four and
-// --seed=-1 are rejected), booleans are true or false.
+// and malformed values are errors (exit 3), and so is a flag the run
+// would silently ignore. A key given twice is a usage error (exit 2),
+// never "the last one wins". Values parse strictly: integers and reals
+// must be consumed whole (--report-dims=4x, --threads=four and --seed=-1
+// are rejected), booleans are true or false, and enum-valued flags take
+// only their listed names. `hdldp_cli <verb> --help` prints the usage,
+// like `hdldp_cli --help`, and exits 0.
 //
 // Subcommands and their own flags:
 //
@@ -157,6 +161,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -186,6 +191,8 @@ namespace {
 
 using hdldp::Result;
 using hdldp::Status;
+using hdldp::protocol::ReportEncoding;
+using hdldp::protocol::Workload;
 
 // Strict value parsers, one per flag value type.
 Status ParseValue(std::string_view text, std::string* out) {
@@ -227,21 +234,54 @@ Status ParseValue(std::string_view text, std::vector<double>* out) {
   return Status::OK();
 }
 
-Status ParseValue(std::string_view text, hdldp::SeedScheme* out) {
-  if (text == "v3" || text == "3") {
-    *out = hdldp::SeedScheme::kV3Batched;
-  } else if (text == "v2" || text == "2") {
-    *out = hdldp::SeedScheme::kV2Lanes;
-  } else if (text == "v1" || text == "1") {
-    *out = hdldp::SeedScheme::kV1Scalar;
-  } else {
-    return Status::InvalidArgument("want v1|v2|v3");
+// An enum-valued flag: `names` maps each accepted spelling to its value,
+// and `want` is the error text listing them.
+template <typename T>
+Status ParseNamed(
+    std::string_view text,
+    std::initializer_list<std::pair<std::string_view, T>> names,
+    const char* want, T* out) {
+  for (const auto& [name, value] : names) {
+    if (text == name) {
+      *out = value;
+      return Status::OK();
+    }
   }
-  return Status::OK();
+  return Status::InvalidArgument(want);
 }
 
-Status ParseValue(std::string_view text,
-                  hdldp::protocol::ReportEncoding* out) {
+Status ParseValue(std::string_view text, hdldp::SeedScheme* out) {
+  using enum hdldp::SeedScheme;
+  return ParseNamed(text, {{"v3", kV3Batched}, {"3", kV3Batched},
+                           {"v2", kV2Lanes}, {"2", kV2Lanes},
+                           {"v1", kV1Scalar}, {"1", kV1Scalar}},
+                    "want v1|v2|v3", out);
+}
+
+Status ParseValue(std::string_view text, hdldp::service::OverloadPolicy* out) {
+  using enum hdldp::service::OverloadPolicy;
+  return ParseNamed(text, {{"shed", kShed}, {"block", kBlock}},
+                    "want shed|block", out);
+}
+
+Status ParseValue(std::string_view text, Workload* out) {
+  using enum Workload;
+  return ParseNamed(text, {{"mean", kMean}, {"freq", kFrequency}},
+                    "want mean|freq", out);
+}
+
+// mean's --recalibrate: which HDR4ME regularizers run (none skips the
+// deviation models too).
+enum class Recalibration { kBoth, kL1, kL2, kNone };
+
+Status ParseValue(std::string_view text, Recalibration* out) {
+  using enum Recalibration;
+  return ParseNamed(
+      text, {{"both", kBoth}, {"l1", kL1}, {"l2", kL2}, {"none", kNone}},
+      "want both|l1|l2|none", out);
+}
+
+Status ParseValue(std::string_view text, ReportEncoding* out) {
   HDLDP_ASSIGN_OR_RETURN(*out, hdldp::protocol::ParseReportEncoding(
                                    std::string(text)));
   return Status::OK();
@@ -252,16 +292,44 @@ Status ParseValue(std::string_view text,
 struct Flag {
   template <typename T>
   Flag(const char* flag_name, T* target)
-      : name(flag_name), parse([target](std::string_view text) {
+      : Flag(flag_name, [target](std::string_view text) {
           return ParseValue(text, target);
         }) {}
+  Flag(const char* flag_name, std::function<Status(std::string_view)> parser)
+      : name(flag_name), parse(std::move(parser)) {}
 
   const char* name;
   std::function<Status(std::string_view)> parse;
 };
 
+// A row whose parsed value must also pass `ok`; `want` describes the
+// values that do.
+template <typename T>
+Flag Checked(const char* name, T* target, bool (*ok)(T), const char* want) {
+  return {name, [=](std::string_view text) -> Status {
+            HDLDP_RETURN_NOT_OK(ParseValue(text, target));
+            return ok(*target) ? Status::OK() : Status::InvalidArgument(want);
+          }};
+}
+
+// A probability row: a number in [0, 1].
+Flag Rate(const char* name, double* target) {
+  return Checked<double>(
+      name, target, [](double rate) { return rate >= 0.0 && rate <= 1.0; },
+      "want a rate in [0, 1]");
+}
+
+// A count row: at least 1.
+template <typename T>
+Flag AtLeastOne(const char* name, T* target) {
+  return Checked<T>(
+      name, target, [](T count) { return count >= 1; }, "want at least 1");
+}
+
 class Flags {
  public:
+  /// Splits argv[first..] into key/value pairs. A key given twice is an
+  /// error: the command line would say two things at once.
   static Result<Flags> Parse(int argc, char** argv, int first) {
     Flags flags;
     for (int i = first; i < argc; ++i) {
@@ -269,13 +337,11 @@ class Flags {
       if (arg.rfind("--", 0) != 0) {
         return Status::InvalidArgument("expected --key=value, got " + arg);
       }
-      arg = arg.substr(2);
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        flags.values_[arg] = "true";
-      } else {
-        flags.values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      }
+      const std::size_t eq = arg.find('=');
+      const std::string key = arg.substr(2, eq - 2);
+      const bool fresh = flags.values_.try_emplace(
+          key, eq == std::string::npos ? "true" : arg.substr(eq + 1)).second;
+      if (!fresh) return Status::InvalidArgument("repeated flag --" + key);
     }
     return flags;
   }
@@ -297,8 +363,20 @@ class Flags {
   }
 
   /// Whether the flag was provided at all (does not consume it).
-  bool Has(const std::string& key) const {
-    return values_.find(key) != values_.end();
+  bool Has(const std::string& key) const { return values_.contains(key); }
+
+  /// The one refusal rule, for flags a run would silently ignore:
+  /// InvalidArgument naming the first of `keys` that was given ("--key
+  /// does not apply to <why>"), OK when none was.
+  Status Refuse(std::initializer_list<const char*> keys,
+                const std::string& why) const {
+    for (const char* key : keys) {
+      if (Has(key)) {
+        return Status::InvalidArgument("--" + std::string(key) +
+                                       " does not apply to " + why);
+      }
+    }
+    return Status::OK();
   }
 
   /// Errors if any provided flag was never read (catches typos).
@@ -316,45 +394,29 @@ class Flags {
   std::set<std::string> consumed_;
 };
 
-Status CheckRates(std::initializer_list<double> rates, const char* family) {
-  for (const double rate : rates) {
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::InvalidArgument(std::string(family) +
-                                     "-rate must lie in [0, 1]");
-    }
-  }
-  return Status::OK();
-}
-
 // The compact encodings carry no value mechanism: an explicit
 // --mechanism beside one would be silently ignored, so it is refused.
-Status CheckMechanismFlag(const Flags& flags,
-                          hdldp::protocol::ReportEncoding encoding) {
-  using hdldp::protocol::ReportEncoding;
-  if (flags.Has("mechanism") && encoding != ReportEncoding::kDense &&
-      encoding != ReportEncoding::kSampled) {
-    return Status::InvalidArgument(
-        std::string("--mechanism does not apply to --encoding=") +
-        hdldp::protocol::ReportEncodingName(encoding) +
-        " (compact encodings carry no value mechanism)");
+Status RefuseMechanism(const Flags& flags, ReportEncoding encoding) {
+  if (encoding == ReportEncoding::kDense ||
+      encoding == ReportEncoding::kSampled) {
+    return Status::OK();
   }
-  return Status::OK();
+  return flags.Refuse({"mechanism"},
+                      std::string("--encoding=") +
+                          hdldp::protocol::ReportEncodingName(encoding) +
+                          " (compact encodings carry no value mechanism)");
 }
 
 // The run-control group, straight into the options' engine::RunControl.
 Status ReadRunControl(Flags* flags, hdldp::engine::RunControl* control) {
-  HDLDP_RETURN_NOT_OK(flags->Read(
+  return flags->Read(
       {{"seed", &control->seed},
        {"seed-scheme", &control->seed_scheme},
-       {"max-attempts", &control->retry.max_attempts},
+       AtLeastOne("max-attempts", &control->retry.max_attempts),
        {"backoff-ms", &control->retry.initial_backoff_ms},
        {"max-total-backoff-ms", &control->retry.max_total_backoff_ms},
        {"allow-missing-chunks", &control->allow_missing_chunks},
-       {"checkpoint", &control->checkpoint_path}}));
-  if (control->retry.max_attempts < 1) {
-    return Status::InvalidArgument("--max-attempts must be >= 1");
-  }
-  return Status::OK();
+       {"checkpoint", &control->checkpoint_path}});
 }
 
 // Write-path fault-injection flags (generate: shard part files;
@@ -364,13 +426,9 @@ Result<hdldp::WriteFaultSchedule> ReadWriteFaults(Flags* flags) {
   hdldp::WriteFaultSchedule::RandomOptions random;
   HDLDP_RETURN_NOT_OK(flags->Read(
       {{"write-fault-seed", &seed},
-       {"write-fault-short-rate", &random.short_write_rate},
-       {"write-fault-nospace-rate", &random.no_space_rate},
-       {"write-fault-fsync-rate", &random.fsync_failure_rate}}));
-  HDLDP_RETURN_NOT_OK(CheckRates({random.short_write_rate,
-                                  random.no_space_rate,
-                                  random.fsync_failure_rate},
-                                 "--write-fault-*"));
+       Rate("write-fault-short-rate", &random.short_write_rate),
+       Rate("write-fault-nospace-rate", &random.no_space_rate),
+       Rate("write-fault-fsync-rate", &random.fsync_failure_rate)}));
   return hdldp::WriteFaultSchedule(seed, random);
 }
 
@@ -380,6 +438,9 @@ constexpr std::uint64_t kGenerateDataTag = 0xDA7Aull;
 // freq's data tag: `freq --seed=S` and `generate --dataset=categorical
 // --seed=S` draw categories from Rng(S ^ kFreqDataTag).
 constexpr std::uint64_t kFreqDataTag = 0xF8E0ull;
+// variance's data tag: its classic in-memory population draws from
+// Rng(S ^ kVarianceDataTag).
+constexpr std::uint64_t kVarianceDataTag = 0x5ECull;
 
 Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
                                                      std::size_t users,
@@ -401,62 +462,55 @@ Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
 }
 
 // The source group: where a mean/freq/variance population comes from,
-// plus the deterministic fault injector around it.
+// plus the deterministic fault injector around it. Verbs set their
+// defaults with designated initializers; the `{}` members may be left
+// out of them.
 struct SourceFlags {
-  std::string input;
-  std::size_t users = 20000;
-  // Numeric populations (mean/variance).
-  bool chunk_keyed = false;
-  std::string dataset;
+  // freq's categorical population (--zipf) instead of a numeric one
+  // (--chunk-keyed/--dataset/--dims).
+  bool categorical = false;
+  std::string dataset{};
   std::size_t dims = 0;
-  // Categorical populations (freq): set by the verb, which owns the
-  // schema flags.
-  std::optional<hdldp::freq::CategoricalSchema> schema;
+  bool chunk_keyed = false;
+  std::string input{};
+  std::size_t users = 20000;
+  // Categorical populations: set by the verb, which owns the schema
+  // flags.
+  std::optional<hdldp::freq::CategoricalSchema> schema{};
   double zipf = 1.0;
   std::uint64_t fault_seed = 0;
-  hdldp::data::FaultSchedule::RandomOptions faults;
+  hdldp::data::FaultSchedule::RandomOptions faults{};
+
+  /// What the run's header line calls the population.
+  const std::string& name() const { return input.empty() ? dataset : input; }
 };
 
-// Reads the source group; `categorical` selects freq's generator flags
-// (--zipf) over the numeric ones (--chunk-keyed/--dataset/--dims).
-Status ReadSource(Flags* flags, bool categorical, SourceFlags* source) {
+// Reads the source group; `source->categorical` selects freq's generator
+// flag (--zipf) over the numeric ones (--chunk-keyed/--dataset/--dims).
+Status ReadSource(Flags* flags, SourceFlags* source) {
   HDLDP_RETURN_NOT_OK(flags->Read(
       {{"input", &source->input},
        {"users", &source->users},
        {"fault-seed", &source->fault_seed},
-       {"fault-transient-rate", &source->faults.transient_rate},
-       {"fault-persistent-rate", &source->faults.persistent_rate},
-       {"fault-bitflip-rate", &source->faults.bit_flip_rate},
-       {"fault-failing-attempts", &source->faults.failing_attempts}}));
-  if (categorical) {
+       Rate("fault-transient-rate", &source->faults.transient_rate),
+       Rate("fault-persistent-rate", &source->faults.persistent_rate),
+       Rate("fault-bitflip-rate", &source->faults.bit_flip_rate),
+       AtLeastOne("fault-failing-attempts",
+                  &source->faults.failing_attempts)}));
+  if (source->categorical) {
     HDLDP_RETURN_NOT_OK(flags->Read({{"zipf", &source->zipf}}));
   } else {
     HDLDP_RETURN_NOT_OK(flags->Read({{"chunk-keyed", &source->chunk_keyed},
                                      {"dataset", &source->dataset},
                                      {"dims", &source->dims}}));
   }
-  if (source->faults.failing_attempts < 1) {
-    return Status::InvalidArgument("--fault-failing-attempts must be >= 1");
-  }
-  HDLDP_RETURN_NOT_OK(CheckRates({source->faults.transient_rate,
-                                  source->faults.persistent_rate,
-                                  source->faults.bit_flip_rate},
-                                 "--fault-*"));
   if (source->input.empty()) return Status::OK();
   // --input reads the population geometry from the shard headers; the
   // in-memory generator flags contradict it.
-  const std::vector<const char*> generator_keys =
-      categorical ? std::vector<const char*>{"users", "zipf"}
-                  : std::vector<const char*>{"dataset", "users", "dims",
-                                             "chunk-keyed"};
-  for (const char* key : generator_keys) {
-    if (flags->Has(key)) {
-      return Status::InvalidArgument(
-          "--input reads the population from the shard directory; drop --" +
-          std::string(key));
-    }
-  }
-  return Status::OK();
+  const char* why = "--input (it reads the population from the shards)";
+  return source->categorical
+             ? flags->Refuse({"users", "zipf"}, why)
+             : flags->Refuse({"dataset", "users", "dims", "chunk-keyed"}, why);
 }
 
 // The resolved source group: whichever population the flags named, and
@@ -526,6 +580,41 @@ class Population {
   const hdldp::data::ChunkSource* source_ = nullptr;
 };
 
+// The estimation verbs' (mean/freq/variance) one prologue. A verb sets
+// its source defaults, Reads with its own rows, checks its own values,
+// then Opens and runs its pipeline over population.source().
+struct Estimation {
+  SourceFlags source;
+  std::string mechanism_name = "piecewise";
+  hdldp::mech::MechanismPtr mechanism{};
+  Population population{};
+
+  /// Reads run control, the source group, --mechanism and --epsilon, then
+  /// `rows`; an Options with an encoding refuses --mechanism beside a
+  /// compact one.
+  template <typename Options>
+  Status Read(Flags* flags, Options* opts, std::initializer_list<Flag> rows) {
+    HDLDP_RETURN_NOT_OK(ReadRunControl(flags, opts));
+    HDLDP_RETURN_NOT_OK(ReadSource(flags, &source));
+    HDLDP_RETURN_NOT_OK(flags->Read(
+        {{"mechanism", &mechanism_name}, {"epsilon", &opts->total_epsilon}}));
+    HDLDP_RETURN_NOT_OK(flags->Read(rows));
+    if constexpr (requires { opts->encoding; }) {
+      return RefuseMechanism(*flags, opts->encoding);
+    }
+    return Status::OK();
+  }
+
+  /// Refuses any flag no Read knew, makes the mechanism and opens the
+  /// population (`verb_tag`: see Population::Open).
+  Status Open(const Flags& flags, std::uint64_t seed, std::uint64_t verb_tag) {
+    HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+    HDLDP_ASSIGN_OR_RETURN(mechanism,
+                           hdldp::mech::MakeMechanism(mechanism_name));
+    return population.Open(source, seed, verb_tag);
+  }
+};
+
 // Reports the fault-tolerance outcome of a run in a stable, greppable
 // form (CI asserts on these lines).
 void PrintFaultOutcome(bool resumed, const std::vector<std::size_t>& chunks,
@@ -538,71 +627,44 @@ void PrintFaultOutcome(bool resumed, const std::vector<std::size_t>& chunks,
 }
 
 Status RunMean(Flags flags) {
-  std::string mech_name = "piecewise";
-  std::string recalibrate = "both";
+  Recalibration recalibrate = Recalibration::kBoth;
   bool gate = false;
   bool print_estimate = false;
   hdldp::protocol::PipelineOptions opts;
-  SourceFlags source_flags;
-  source_flags.dataset = "uniform";
-  source_flags.dims = 128;
-  HDLDP_RETURN_NOT_OK(ReadRunControl(&flags, &opts));
-  HDLDP_RETURN_NOT_OK(ReadSource(&flags, /*categorical=*/false, &source_flags));
-  HDLDP_RETURN_NOT_OK(flags.Read({{"mechanism", &mech_name},
-                                  {"epsilon", &opts.total_epsilon},
-                                  {"report-dims", &opts.report_dims},
-                                  {"threads", &opts.num_threads},
-                                  {"recalibrate", &recalibrate},
-                                  {"gate", &gate},
-                                  {"print-estimate", &print_estimate},
-                                  {"encoding", &opts.encoding}}));
-  HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, opts.encoding));
-  if (recalibrate != "both" && recalibrate != "l1" && recalibrate != "l2" &&
-      recalibrate != "none") {
-    return Status::InvalidArgument("--recalibrate=" + recalibrate +
-                                   ": want both|l1|l2|none");
+  Estimation est{.source = {.dataset = "uniform", .dims = 128}};
+  HDLDP_RETURN_NOT_OK(est.Read(&flags, &opts,
+                               {{"report-dims", &opts.report_dims},
+                                {"threads", &opts.num_threads},
+                                {"recalibrate", &recalibrate},
+                                {"gate", &gate},
+                                {"print-estimate", &print_estimate},
+                                {"encoding", &opts.encoding}}));
+  const bool hadamard1 = opts.encoding == ReportEncoding::kHadamard1;
+  if (recalibrate == Recalibration::kNone) {
+    // Gating is a lambda* option: without a re-calibration it would be
+    // silently ignored, so it is refused.
+    HDLDP_RETURN_NOT_OK(flags.Refuse(
+        {"gate"}, "--recalibrate=none (no re-calibration runs)"));
+  } else if (hadamard1) {
+    // The 1-bit path has no value mechanism to model, so it never
+    // re-calibrates: an explicit request for one is refused, while the
+    // default only notes the skip below.
+    HDLDP_RETURN_NOT_OK(flags.Refuse(
+        {"gate", "recalibrate"},
+        "--encoding=hadamard1 (no value mechanism to re-calibrate)"));
   }
-  // Gating is a lambda* option: without a re-calibration it would be
-  // silently ignored, so it is refused.
-  if (recalibrate == "none" && flags.Has("gate")) {
-    return Status::InvalidArgument(
-        "--gate does not apply to --recalibrate=none (no re-calibration "
-        "runs)");
-  }
-  // The 1-bit path has no value mechanism to model, so it never
-  // re-calibrates: an explicit request for one is refused, while the
-  // default only notes the skip below.
-  if (opts.encoding == hdldp::protocol::ReportEncoding::kHadamard1 &&
-      (flags.Has("gate") ||
-       (flags.Has("recalibrate") && recalibrate != "none"))) {
-    return Status::InvalidArgument(
-        (flags.Has("gate") ? std::string("--gate")
-                           : "--recalibrate=" + recalibrate) +
-        " does not apply to --encoding=hadamard1 (no value mechanism to "
-        "re-calibrate)");
-  }
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  HDLDP_RETURN_NOT_OK(est.Open(flags, opts.seed, kGenerateDataTag));
 
-  Population population;
-  HDLDP_RETURN_NOT_OK(
-      population.Open(source_flags, opts.seed, kGenerateDataTag));
-  const hdldp::data::ChunkSource& source = population.source();
-  const std::size_t users = source.num_users();
+  const hdldp::data::ChunkSource& source = est.population.source();
   const std::size_t dims = source.num_dims();
-  const std::size_t report_dims = opts.report_dims;
-  HDLDP_ASSIGN_OR_RETURN(auto mechanism,
-                         hdldp::mech::MakeMechanism(mech_name));
   HDLDP_ASSIGN_OR_RETURN(
       const auto run,
-      hdldp::protocol::RunMeanEstimation(source, mechanism, opts));
-
+      hdldp::protocol::RunMeanEstimation(source, est.mechanism, opts));
   std::printf("mechanism=%s dataset=%s users=%zu dims=%zu eps=%g m=%zu "
               "encoding=%s\n",
-              mech_name.c_str(),
-              source_flags.input.empty() ? source_flags.dataset.c_str()
-                                         : source_flags.input.c_str(),
-              users, dims, opts.total_epsilon,
-              report_dims == 0 ? dims : report_dims,
+              est.mechanism_name.c_str(), est.source.name().c_str(),
+              source.num_users(), dims, opts.total_epsilon,
+              opts.report_dims == 0 ? dims : opts.report_dims,
               hdldp::protocol::ReportEncodingName(opts.encoding));
   PrintFaultOutcome(run.resumed_from_checkpoint, run.quarantined_chunks,
                     run.surviving_users);
@@ -615,8 +677,8 @@ Status RunMean(Flags flags) {
     }
   }
 
-  if (recalibrate == "none") return Status::OK();
-  if (opts.encoding == hdldp::protocol::ReportEncoding::kHadamard1) {
+  if (recalibrate == Recalibration::kNone) return Status::OK();
+  if (hadamard1) {
     // The deviation model below describes the numeric mechanism's
     // perturbation; the 1-bit path has no mechanism, so HDR4ME
     // re-calibration is not offered (naive MSE above is the result).
@@ -627,20 +689,20 @@ Status RunMean(Flags flags) {
   HDLDP_ASSIGN_OR_RETURN(
       const auto deviations,
       hdldp::hdr4me::MarginalDeviations(source, run.quarantined_chunks,
-                                        report_dims, *mechanism,
+                                        opts.report_dims, *est.mechanism,
                                         run.per_dim_epsilon, {-1.0, 1.0},
                                         opts.num_threads, opts.retry));
   HDLDP_ASSIGN_OR_RETURN(const double predicted,
                          hdldp::framework::PredictedMse(deviations));
   std::printf("%-24s %12.6g\n", "framework-predicted MSE", predicted);
 
-  for (const auto& [label, reg] :
-       std::vector<std::pair<std::string, hdldp::hdr4me::Regularizer>>{
-           {"l1", hdldp::hdr4me::Regularizer::kL1},
-           {"l2", hdldp::hdr4me::Regularizer::kL2}}) {
-    if (recalibrate != "both" && recalibrate != label) continue;
+  using hdldp::hdr4me::Regularizer;
+  for (const auto& [label, only, regularizer] :
+       {std::tuple{"l1", Recalibration::kL1, Regularizer::kL1},
+        std::tuple{"l2", Recalibration::kL2, Regularizer::kL2}}) {
+    if (recalibrate != Recalibration::kBoth && recalibrate != only) continue;
     hdldp::hdr4me::Hdr4meOptions h;
-    h.regularizer = reg;
+    h.regularizer = regularizer;
     h.lambda.gate_on_threshold = gate;
     HDLDP_ASSIGN_OR_RETURN(
         const auto result,
@@ -648,9 +710,9 @@ Status RunMean(Flags flags) {
     HDLDP_ASSIGN_OR_RETURN(const double mse,
                            hdldp::protocol::MeanSquaredError(
                                result.enhanced_mean, run.true_mean));
-    std::printf("HDR4ME-%s%s MSE%*s %12.6g  (%zu dims zeroed)\n",
-                label.c_str(), gate ? " (gated)" : "",
-                gate ? 5 : 13, "", mse, result.zeroed_dims);
+    std::printf("HDR4ME-%s%s MSE%*s %12.6g  (%zu dims zeroed)\n", label,
+                gate ? " (gated)" : "", gate ? 5 : 13, "", mse,
+                result.zeroed_dims);
   }
   HDLDP_ASSIGN_OR_RETURN(const double p_l1,
                          hdldp::hdr4me::ImprovementProbabilityL1(deviations));
@@ -659,40 +721,30 @@ Status RunMean(Flags flags) {
 }
 
 Status RunFreq(Flags flags) {
-  std::string mech_name = "piecewise";
   std::size_t questions = 16;
   std::size_t categories = 8;
   hdldp::freq::FrequencyOptions opts;
-  SourceFlags source_flags;
-  HDLDP_RETURN_NOT_OK(ReadRunControl(&flags, &opts));
-  HDLDP_RETURN_NOT_OK(ReadSource(&flags, /*categorical=*/true, &source_flags));
-  HDLDP_RETURN_NOT_OK(flags.Read({{"mechanism", &mech_name},
-                                  {"questions", &questions},
-                                  {"categories", &categories},
-                                  {"epsilon", &opts.total_epsilon},
-                                  {"sampled", &opts.report_dims},
-                                  {"threads", &opts.num_threads},
-                                  {"encoding", &opts.encoding}}));
-  HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, opts.encoding));
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
-
-  HDLDP_ASSIGN_OR_RETURN(source_flags.schema,
+  Estimation est{.source = {.categorical = true}};
+  HDLDP_RETURN_NOT_OK(est.Read(&flags, &opts,
+                               {{"questions", &questions},
+                                {"categories", &categories},
+                                {"sampled", &opts.report_dims},
+                                {"threads", &opts.num_threads},
+                                {"encoding", &opts.encoding}}));
+  HDLDP_ASSIGN_OR_RETURN(est.source.schema,
                          hdldp::freq::CategoricalSchema::Create(
                              std::vector<std::size_t>(questions, categories)));
-  HDLDP_ASSIGN_OR_RETURN(auto mechanism,
-                         hdldp::mech::MakeMechanism(mech_name));
-  Population population;
-  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed, kFreqDataTag));
-  const hdldp::data::ChunkSource& source = population.source();
+  HDLDP_RETURN_NOT_OK(est.Open(flags, opts.seed, kFreqDataTag));
+
+  const hdldp::data::ChunkSource& source = est.population.source();
   HDLDP_ASSIGN_OR_RETURN(
       const auto result,
-      hdldp::freq::RunFrequencyEstimation(source, *source_flags.schema,
-                                          mechanism, opts));
+      hdldp::freq::RunFrequencyEstimation(source, *est.source.schema,
+                                          est.mechanism, opts));
   std::printf("mechanism=%s users=%zu questions=%zu categories=%zu eps=%g "
               "eps/entry=%g encoding=%s\n",
-              mech_name.c_str(), source.num_users(), questions, categories,
-              opts.total_epsilon,
-              result.per_entry_epsilon,
+              est.mechanism_name.c_str(), source.num_users(), questions,
+              categories, opts.total_epsilon, result.per_entry_epsilon,
               hdldp::protocol::ReportEncodingName(opts.encoding));
   PrintFaultOutcome(result.resumed_from_checkpoint, result.quarantined_chunks,
                     result.surviving_users);
@@ -742,32 +794,20 @@ Status RunAnalyze(Flags flags) {
 }
 
 Status RunVariance(Flags flags) {
-  std::string mech_name = "piecewise";
   hdldp::hdr4me::VarianceOptions opts;
-  SourceFlags source_flags;
-  source_flags.dataset = "gaussian";
-  source_flags.dims = 64;
-  HDLDP_RETURN_NOT_OK(ReadRunControl(&flags, &opts));
-  HDLDP_RETURN_NOT_OK(ReadSource(&flags, /*categorical=*/false, &source_flags));
-  HDLDP_RETURN_NOT_OK(flags.Read({{"mechanism", &mech_name},
-                                  {"epsilon", &opts.total_epsilon},
-                                  {"recalibrate", &opts.recalibrate}}));
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  Estimation est{.source = {.dataset = "gaussian", .dims = 64}};
+  HDLDP_RETURN_NOT_OK(
+      est.Read(&flags, &opts, {{"recalibrate", &opts.recalibrate}}));
+  HDLDP_RETURN_NOT_OK(est.Open(flags, opts.seed, kVarianceDataTag));
 
-  Population population;
-  HDLDP_RETURN_NOT_OK(population.Open(source_flags, opts.seed, 0x5ECull));
-  const hdldp::data::ChunkSource& source = population.source();
+  const hdldp::data::ChunkSource& source = est.population.source();
   const std::size_t dims = source.num_dims();
-  HDLDP_ASSIGN_OR_RETURN(auto mechanism,
-                         hdldp::mech::MakeMechanism(mech_name));
   HDLDP_ASSIGN_OR_RETURN(
       const auto result,
-      hdldp::hdr4me::RunVarianceEstimation(source, mechanism, opts));
+      hdldp::hdr4me::RunVarianceEstimation(source, est.mechanism, opts));
   std::printf("mechanism=%s dataset=%s users=%zu dims=%zu eps=%g "
               "recalibrate=%d\n",
-              mech_name.c_str(),
-              source_flags.input.empty() ? source_flags.dataset.c_str()
-                                         : source_flags.input.c_str(),
+              est.mechanism_name.c_str(), est.source.name().c_str(),
               source.num_users(), dims, opts.total_epsilon,
               opts.recalibrate ? 1 : 0);
   std::vector<std::size_t> quarantined = result.quarantined_values_chunks;
@@ -790,10 +830,8 @@ Status RunGenerate(Flags flags) {
   std::uint64_t seed = 1;
   std::size_t questions = 16;
   std::size_t categories = 8;
-  SourceFlags source_flags;
-  source_flags.chunk_keyed = true;
-  source_flags.dataset = "uniform";
-  source_flags.dims = 16;
+  SourceFlags source_flags{.dataset = "uniform", .dims = 16,
+                           .chunk_keyed = true};
   hdldp::data::ShardWriterOptions shard_opts;
   HDLDP_RETURN_NOT_OK(
       flags.Read({{"out", &out},
@@ -801,7 +839,7 @@ Status RunGenerate(Flags flags) {
                   {"users", &source_flags.users},
                   {"dims", &source_flags.dims},
                   {"seed", &seed},
-                  {"chunks-per-file", &shard_opts.chunks_per_file},
+                  AtLeastOne("chunks-per-file", &shard_opts.chunks_per_file),
                   {"questions", &questions},
                   {"categories", &categories},
                   {"zipf", &source_flags.zipf}}));
@@ -810,28 +848,18 @@ Status RunGenerate(Flags flags) {
   if (out.empty()) {
     return Status::InvalidArgument("generate requires --out=<shard-dir>");
   }
-  if (shard_opts.chunks_per_file == 0) {
-    return Status::InvalidArgument("--chunks-per-file must be >= 1");
-  }
-  const bool categorical = source_flags.dataset == "categorical";
   // Each dataset family reads only its own geometry flags; the other
   // family's would be silently ignored, so they are refused.
-  const std::vector<const char*> other_family_keys =
-      categorical ? std::vector<const char*>{"dims"}
-                  : std::vector<const char*>{"questions", "categories",
-                                             "zipf"};
-  for (const char* key : other_family_keys) {
-    if (flags.Has(key)) {
-      return Status::InvalidArgument("--" + std::string(key) +
-                                     " does not apply to --dataset=" +
-                                     source_flags.dataset);
-    }
-  }
+  const bool categorical = source_flags.dataset == "categorical";
+  const std::string why = "--dataset=" + source_flags.dataset;
   if (categorical) {
+    HDLDP_RETURN_NOT_OK(flags.Refuse({"dims"}, why));
     HDLDP_ASSIGN_OR_RETURN(
         source_flags.schema,
         hdldp::freq::CategoricalSchema::Create(
             std::vector<std::size_t>(questions, categories)));
+  } else {
+    HDLDP_RETURN_NOT_OK(flags.Refuse({"questions", "categories", "zipf"}, why));
   }
 
   // The population `freq --seed=S` (categorical) or `<verb> --chunk-keyed
@@ -851,17 +879,15 @@ Status RunGenerate(Flags flags) {
 // aggregation service. `replay` pins the deterministic golden path (one
 // worker, lossless backpressure); `serve` exercises the concurrent one.
 Status RunServe(Flags flags, bool replay) {
-  std::string workload_name = "mean";
   bool print_estimate = false;
   hdldp::service::DriveOptions drive;
   hdldp::SeedScheme seed_scheme = hdldp::SeedScheme::kV1Scalar;
-  std::string overload = "shed";
   hdldp::service::ReportStreamOptions stream_options;
   stream_options.num_reports = 10000;
   stream_options.num_tenants = 4;
   hdldp::service::ServiceOptions service_options;
   HDLDP_RETURN_NOT_OK(flags.Read(
-      {{"workload", &workload_name},
+      {{"workload", &stream_options.workload},
        {"mechanism", &stream_options.mechanism},
        {"reports", &stream_options.num_reports},
        {"epsilon", &stream_options.epsilon},
@@ -876,16 +902,16 @@ Status RunServe(Flags flags, bool replay) {
        {"kill-after", &drive.stop_at},
        {"print-estimate", &print_estimate},
        {"encoding", &stream_options.encoding},
-       {"fault-drop-rate", &stream_options.faults.drop_rate},
-       {"fault-duplicate-rate", &stream_options.faults.duplicate_rate},
-       {"fault-reorder-rate", &stream_options.faults.reorder_rate},
+       Rate("fault-drop-rate", &stream_options.faults.drop_rate),
+       Rate("fault-duplicate-rate", &stream_options.faults.duplicate_rate),
+       Rate("fault-reorder-rate", &stream_options.faults.reorder_rate),
        {"fault-reorder-delay", &stream_options.faults.reorder_delay},
        {"fault-seed", &stream_options.fault_seed},
        {"window-width", &service_options.window.width},
        {"window-slide", &service_options.window.slide},
        {"window-lateness", &service_options.window.lateness},
        {"max-invalid-per-tenant", &service_options.max_invalid_per_tenant}}));
-  HDLDP_RETURN_NOT_OK(CheckMechanismFlag(flags, stream_options.encoding));
+  HDLDP_RETURN_NOT_OK(RefuseMechanism(flags, stream_options.encoding));
   if (drive.snapshot_every > 0 && service_options.checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "--snapshot-every needs --checkpoint=<file> (without one there is "
@@ -901,25 +927,17 @@ Status RunServe(Flags flags, bool replay) {
         "is the only supported scheme (v2/v3 are engine lane contracts "
         "with no per-report envelope form)");
   }
-  if (workload_name == "mean") {
-    stream_options.workload = hdldp::protocol::Workload::kMean;
+  const bool mean = stream_options.workload == Workload::kMean;
+  if (mean) {
     stream_options.num_dims = 8;
     HDLDP_RETURN_NOT_OK(flags.Read({{"dims", &stream_options.num_dims}}));
-  } else if (workload_name == "freq") {
-    stream_options.workload = hdldp::protocol::Workload::kFrequency;
+  } else {
     stream_options.num_dims = 4;
     stream_options.num_categories = 4;
     HDLDP_RETURN_NOT_OK(
         flags.Read({{"questions", &stream_options.num_dims},
                     {"categories", &stream_options.num_categories}}));
-  } else {
-    return Status::InvalidArgument("unknown --workload '" + workload_name +
-                                   "' (want mean|freq)");
   }
-  HDLDP_RETURN_NOT_OK(CheckRates({stream_options.faults.drop_rate,
-                                  stream_options.faults.duplicate_rate,
-                                  stream_options.faults.reorder_rate},
-                                 "--fault-*"));
   if (replay) {
     service_options.num_workers = 1;
     service_options.overload = hdldp::service::OverloadPolicy::kBlock;
@@ -928,15 +946,7 @@ Status RunServe(Flags flags, bool replay) {
     HDLDP_RETURN_NOT_OK(
         flags.Read({{"threads", &service_options.num_workers},
                     {"queue-capacity", &service_options.queue_capacity},
-                    {"overload", &overload}}));
-    if (overload == "shed") {
-      service_options.overload = hdldp::service::OverloadPolicy::kShed;
-    } else if (overload == "block") {
-      service_options.overload = hdldp::service::OverloadPolicy::kBlock;
-    } else {
-      return Status::InvalidArgument("unknown --overload '" + overload +
-                                     "' (want shed|block)");
-    }
+                    {"overload", &service_options.overload}}));
   }
   HDLDP_ASSIGN_OR_RETURN(service_options.snapshot_write_faults,
                          ReadWriteFaults(&flags));
@@ -956,7 +966,7 @@ Status RunServe(Flags flags, bool replay) {
       hdldp::service::AggregationService::Create(std::move(service_options)));
   std::printf("service workload=%s mechanism=%s reports=%llu tenants=%llu "
               "workers=%zu window=%llu/%llu+%llu\n",
-              workload_name.c_str(), stream_options.mechanism.c_str(),
+              mean ? "mean" : "freq", stream_options.mechanism.c_str(),
               static_cast<unsigned long long>(stream_options.num_reports),
               static_cast<unsigned long long>(stream_options.num_tenants),
               service->num_workers(),
@@ -1013,7 +1023,8 @@ void PrintUsage(std::FILE* stream) {
 // Exit-code contract (pinned by the smoke tests; scripts and CI branch
 // on these):
 //   0 — success
-//   2 — usage error: unparseable command line, unknown subcommand
+//   2 — usage error: unparseable command line (a bare word where a flag
+//       belongs, a flag given twice), unknown subcommand
 //   3 — validation error: a well-formed command line naming an invalid
 //       configuration (unknown mechanism/dataset/flag, malformed flag
 //       value, missing input, out-of-range parameter)
@@ -1048,16 +1059,7 @@ int ExitCodeFor(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Asking for usage (no arguments, --help/-h/help) is not an error.
-  if (argc < 2) {
-    PrintUsage(stdout);
-    return 0;
-  }
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
-    PrintUsage(stdout);
-    return 0;
-  }
+  const std::string command = argc < 2 ? "help" : argv[1];
   const std::map<std::string, std::function<Status(Flags)>> verbs = {
       {"mean", RunMean},
       {"freq", RunFreq},
@@ -1067,12 +1069,19 @@ int main(int argc, char** argv) {
       {"serve", [](Flags flags) { return RunServe(std::move(flags), false); }},
       {"replay", [](Flags flags) { return RunServe(std::move(flags), true); }},
   };
+  const auto verb = verbs.find(command);
   auto flags_or = Flags::Parse(argc, argv, 2);
+  // Asking for usage (no arguments, --help/-h/help, <verb> --help) is not
+  // an error.
+  if (command == "--help" || command == "-h" || command == "help" ||
+      (verb != verbs.end() && flags_or.ok() && flags_or->Has("help"))) {
+    PrintUsage(stdout);
+    return 0;
+  }
   if (!flags_or.ok()) {
     std::fprintf(stderr, "error: %s\n", flags_or.status().ToString().c_str());
     return 2;
   }
-  const auto verb = verbs.find(command);
   if (verb == verbs.end()) {
     PrintUsage(stderr);
     return 2;
