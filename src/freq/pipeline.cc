@@ -1,9 +1,10 @@
 #include "freq/pipeline.h"
 
-#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/math.h"
@@ -104,32 +105,19 @@ Result<CategoryCounts> CountCategories(std::span<const double> rows,
   return out;
 }
 
-// Exact integer accumulator of the frequency-oracle path: per-entry
-// support counts plus per-dimension report counts. Every fold and merge
-// is an integer add, so the totals are invariant to thread count, chunk
-// source and merge association.
-struct CountAccumulator {
-  std::vector<std::int64_t> counts;
-  std::vector<std::int64_t> dim_reports;
-
-  void Reset() {
-    std::fill(counts.begin(), counts.end(), 0);
-    std::fill(dim_reports.begin(), dim_reports.end(), 0);
-  }
-  Status Merge(const CountAccumulator& other) {
-    if (other.counts.size() != counts.size() ||
-        other.dim_reports.size() != dim_reports.size()) {
-      return Status::InvalidArgument("count accumulator shape mismatch");
-    }
-    for (std::size_t k = 0; k < counts.size(); ++k) {
-      counts[k] += other.counts[k];
-    }
-    for (std::size_t j = 0; j < dim_reports.size(); ++j) {
-      dim_reports[j] += other.dim_reports[j];
-    }
-    return Status::OK();
-  }
-};
+// The pull every estimate body starts with: the chunk's rows, counted
+// (so checked) into the chunk's `truth` slot.
+Result<std::span<const double>> PullAndCount(
+    const engine::ChunkedEstimation& core, const CategoricalSchema& schema,
+    const engine::ChunkRange& range,
+    data::ChunkPartials<CategoryCounts>* truth) {
+  HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                         core.ChunkRows(range));
+  HDLDP_ASSIGN_OR_RETURN(CategoryCounts counts,
+                         CountCategories(rows, schema, range.chunk));
+  truth->Set(range.chunk, std::move(counts));
+  return rows;
+}
 
 // Ground-truth frequencies over the users the estimate covers: the
 // counts `truth` holds of every chunk outside `quarantined` (sorted
@@ -163,12 +151,13 @@ Result<std::vector<std::vector<double>>> SurvivingFrequencies(
   return Unflatten(flat, schema);
 }
 
-// Every HDR4ME deviation model below divides by r_j; `model` names the
-// one that is undefined when a dimension received no reports.
-Status RequireReports(std::span<const std::int64_t> dim_reports,
-                      const char* model) {
-  for (std::size_t j = 0; j < dim_reports.size(); ++j) {
-    if (dim_reports[j] == 0) {
+// Every HDR4ME deviation model below divides by r_j, the report count of
+// dimension j's first entry (each report of j folds all of its entries);
+// `model` names the one that is undefined when a dimension received none.
+Status RequireReports(const protocol::MeanAggregator& acc,
+                      const CategoricalSchema& schema, const char* model) {
+  for (std::size_t j = 0; j < schema.num_dims(); ++j) {
+    if (acc.ReportCount(schema.EntryOffset(j)) == 0) {
       return Status::FailedPrecondition(
           "categorical dimension " + std::to_string(j) +
           " received no reports; " + model +
@@ -178,198 +167,68 @@ Status RequireReports(std::span<const std::int64_t> dim_reports,
   return Status::OK();
 }
 
-// The result every frequency path reports: HDR4ME over the raw estimate,
-// the ground truth over the surviving users, both estimates unflattened
-// (and clipped and renormalized if asked) and their MSEs against the
-// truth. The caller fills in its per-entry budget and resume flag.
-Result<FrequencyEstimationResult> FrequencyResult(
-    const data::ChunkSource& source,
-    const data::ChunkPartials<CategoryCounts>& counts,
-    const CategoricalSchema& schema, const FrequencyOptions& options,
-    const std::vector<double>& raw_flat,
-    const std::vector<framework::GaussianDeviation>& deviations,
-    std::vector<std::size_t> quarantined_chunks) {
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdr4me::RecalibrationResult recal,
-      hdr4me::Recalibrate(raw_flat, deviations, options.hdr4me));
-  FrequencyEstimationResult result;
-  result.surviving_users = source.SurvivingUsers(quarantined_chunks);
-  HDLDP_ASSIGN_OR_RETURN(
-      result.true_frequencies,
-      SurvivingFrequencies(source, schema, counts, quarantined_chunks,
-                           options.retry, result.surviving_users));
-  result.quarantined_chunks = std::move(quarantined_chunks);
-  result.raw = Unflatten(raw_flat, schema);
-  result.recalibrated = Unflatten(recal.enhanced_mean, schema);
-  if (options.clip_and_normalize) {
-    ClipAndNormalize(schema, &result.raw);
-    ClipAndNormalize(schema, &result.recalibrated);
+// The checkpoint digest of a frequency run: everything its estimates
+// depend on (thread count excluded). `variant` is the mechanism name of
+// a numeric run and the encoding name of an oracle run.
+protocol::RunDigest FreqDigest(std::string_view variant,
+                               const data::ChunkSource& source,
+                               const CategoricalSchema& schema,
+                               const FrequencyOptions& options,
+                               std::size_t m) {
+  protocol::RunDigest digest;
+  digest.AddString("freq");
+  digest.AddString(variant);
+  digest.AddF64(options.total_epsilon);
+  digest.AddU64(m);
+  digest.AddU64(options.seed);
+  digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
+  digest.AddU64(source.num_users());
+  digest.AddU64(schema.num_dims());
+  digest.AddU64(schema.total_entries());
+  for (std::size_t j = 0; j < schema.num_dims(); ++j) {
+    digest.AddU64(schema.Cardinality(j));
   }
-  const std::vector<double> truth = Flatten(result.true_frequencies);
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse_raw, protocol::MeanSquaredError(Flatten(result.raw), truth));
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse_recalibrated,
-      protocol::MeanSquaredError(Flatten(result.recalibrated), truth));
-  return result;
+  digest.AddU64(options.allow_missing_chunks ? 1 : 0);
+  return digest;
 }
 
 // The legacy kV1Scalar ingestion loop: one scalar stream, per-entry
 // draws in exactly the pre-lane-era order — chunks are pulled in order
 // and walked serially, so the draw sequence matches the old
 // whole-dataset loop user for user, each entry one draw of the plan's
-// scalar body. Frozen so runs recorded under v1 seeds keep their outputs
-// bit for bit. Each chunk's category counts land in `truth`.
-Status IngestV1Scalar(const engine::ChunkedEstimation& core,
-                      const CategoricalSchema& schema,
-                      const mech::SamplerPlan& plan,
-                      const mech::DomainMap& map, std::size_t m,
-                      std::vector<NeumaierSum>* sums,
-                      std::vector<std::int64_t>* dim_reports,
-                      data::ChunkPartials<CategoryCounts>* truth) {
+// scalar body folded by Consume. Frozen so runs recorded under v1 seeds
+// keep their outputs bit for bit. Each chunk's category counts land in
+// `truth`.
+Result<protocol::MeanReduction> IngestV1Scalar(
+    const engine::ChunkedEstimation& core, const CategoricalSchema& schema,
+    const mech::SamplerPlan& plan, const mech::DomainMap& map, std::size_t m,
+    data::ChunkPartials<CategoryCounts>* truth) {
   const std::size_t d = schema.num_dims();
+  HDLDP_ASSIGN_OR_RETURN(
+      protocol::MeanAggregator acc,
+      protocol::MeanAggregator::Create(schema.total_entries(), map));
   Rng rng(core.control().seed);
   std::vector<std::uint32_t> sampled;
   for (std::size_t c = 0; c < core.num_chunks(); ++c) {
     const engine::ChunkRange range = core.Range(c);
     HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           core.ChunkRows(range));
-    HDLDP_ASSIGN_OR_RETURN(CategoryCounts counts,
-                           CountCategories(rows, schema, range.chunk));
-    truth->Set(range.chunk, std::move(counts));
+                           PullAndCount(core, schema, range, truth));
     for (std::size_t i = range.begin; i < range.end; ++i) {
       const double* row = rows.data() + (i - range.begin) * d;
       sampled.clear();
       rng.SampleWithoutReplacement(d, m, &sampled);
       for (const std::uint32_t j : sampled) {
-        ++(*dim_reports)[j];
-        const std::size_t off = schema.EntryOffset(j);
+        const auto off = static_cast<std::uint32_t>(schema.EntryOffset(j));
         const auto category = static_cast<std::uint32_t>(row[j]);
-        for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
+        for (std::uint32_t k = 0; k < schema.Cardinality(j); ++k) {
           const double entry = k == category ? 1.0 : 0.0;
-          (*sums)[off + k].Add(
-              mech::PerturbOne(plan, map.Forward(entry), &rng));
+          acc.Consume(off + k,
+                      mech::PerturbOne(plan, map.Forward(entry), &rng));
         }
       }
     }
   }
-  return Status::OK();
-}
-
-// The frequency-oracle (OUE / OLH) ingestion + decode + recalibration
-// path. Draw layout (the "compact encodings" stream contract in
-// common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
-// m-of-d sample walked in draw order, then per sampled dimension one
-// OueEncodeDim / OlhEncodeDim call (freq/encoding.h) whose report is
-// folded into the support counts, so the wire encoders and this
-// simulation share one frozen layout.
-Result<FrequencyEstimationResult> RunOracleEstimation(
-    const data::ChunkSource& source, const CategoricalSchema& schema,
-    const FrequencyOptions& options, std::size_t m) {
-  const std::size_t d = schema.num_dims();
-  const std::size_t total_entries = schema.total_entries();
-  // The oracle randomizes a whole sampled dimension's answer as one
-  // eps/m-LDP unit, so m of them compose to eps per user.
-  const double per_dim_eps =
-      options.total_epsilon / static_cast<double>(m);
-  const bool use_oue = options.encoding == protocol::ReportEncoding::kOue;
-  OueParams oue;
-  OlhParams olh;
-  if (use_oue) {
-    HDLDP_ASSIGN_OR_RETURN(oue, OueParams::FromEpsilon(per_dim_eps));
-  } else {
-    HDLDP_ASSIGN_OR_RETURN(olh, OlhParams::FromEpsilon(per_dim_eps));
-  }
-  // Bernoulli/randomized-response success probability and baseline of
-  // the support indicator: p-tilde for the true category, q-tilde
-  // otherwise.
-  const double p_tilde = use_oue ? oue.p : olh.p;
-  const double q_tilde = use_oue ? oue.q : 1.0 / static_cast<double>(olh.g);
-
-  const engine::ChunkedEstimation core(source, options, options.num_threads);
-
-  data::ChunkPartials<CategoryCounts> truth(source.num_chunks());
-  std::vector<std::size_t> quarantined_chunks;
-  HDLDP_ASSIGN_OR_RETURN(
-      const CountAccumulator acc,
-      core.ReduceResumable<CountAccumulator>(
-          [&]() -> Result<CountAccumulator> {
-            CountAccumulator scratch;
-            scratch.counts.assign(total_entries, 0);
-            scratch.dim_reports.assign(d, 0);
-            return scratch;
-          },
-          [&](const engine::ChunkRange& range,
-              CountAccumulator* scratch) -> Status {
-            HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                                   core.ChunkRows(range));
-            HDLDP_ASSIGN_OR_RETURN(CategoryCounts counts,
-                                   CountCategories(rows, schema, range.chunk));
-            truth.Set(range.chunk, std::move(counts));
-            Rng rng(range.chunk_seed);
-            std::vector<std::uint32_t> sampled;
-            std::vector<std::uint8_t> bits;
-            for (std::size_t i = range.begin; i < range.end; ++i) {
-              const double* row = rows.data() + (i - range.begin) * d;
-              sampled.clear();
-              rng.SampleWithoutReplacement(d, m, &sampled);
-              for (const std::uint32_t j : sampled) {
-                ++scratch->dim_reports[j];
-                const std::size_t off = schema.EntryOffset(j);
-                const std::size_t v = schema.Cardinality(j);
-                const auto category = static_cast<std::uint32_t>(row[j]);
-                if (use_oue) {
-                  OueEncodeDim(oue, category, v, &rng, &bits);
-                  for (std::size_t k = 0; k < v; ++k) {
-                    scratch->counts[off + k] += (bits[k >> 3] >> (k & 7)) & 1;
-                  }
-                } else {
-                  const OlhDimReport report = OlhEncodeDim(olh, category, &rng);
-                  const OlhHasher hasher(report.hash_seed);
-                  for (std::size_t k = 0; k < v; ++k) {
-                    scratch->counts[off + k] +=
-                        hasher.Bucket(static_cast<std::uint32_t>(k), olh.g) ==
-                        report.value;
-                  }
-                }
-              }
-            }
-            return Status::OK();
-          },
-          engine::CheckpointHooks<CountAccumulator>{}, &quarantined_chunks));
-
-  HDLDP_RETURN_NOT_OK(
-      RequireReports(acc.dim_reports, "the oracle estimator is"));
-
-  // Unbiased decode plus the analytic deviation model: the support count
-  // of entry k is Binomial(r, p_k) with p_k = f*p-tilde + (1-f)*q-tilde,
-  // so the estimator (count/r - q-tilde)/(p-tilde - q-tilde) has stddev
-  // sqrt(p_k (1 - p_k) / r) / (p-tilde - q-tilde) — fed straight to
-  // HDR4ME in place of the numeric path's mechanism moment model.
-  std::vector<double> raw_flat(total_entries, 0.0);
-  std::vector<framework::GaussianDeviation> deviations;
-  deviations.reserve(total_entries);
-  const double gain = p_tilde - q_tilde;
-  for (std::size_t j = 0; j < d; ++j) {
-    const std::size_t off = schema.EntryOffset(j);
-    const double r = static_cast<double>(acc.dim_reports[j]);
-    for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
-      raw_flat[off + k] =
-          (static_cast<double>(acc.counts[off + k]) / r - q_tilde) / gain;
-      const double f = Clamp(raw_flat[off + k], 0.0, 1.0);
-      const double p_k = f * p_tilde + (1.0 - f) * q_tilde;
-      framework::GaussianDeviation deviation;
-      deviation.mean = 0.0;
-      deviation.stddev = std::sqrt(p_k * (1.0 - p_k) / r) / gain;
-      deviations.push_back(deviation);
-    }
-  }
-  HDLDP_ASSIGN_OR_RETURN(
-      FrequencyEstimationResult result,
-      FrequencyResult(source, truth, schema, options, raw_flat, deviations,
-                      std::move(quarantined_chunks)));
-  result.per_entry_epsilon = per_dim_eps;
-  return result;
+  return protocol::MeanReduction{std::move(acc), {}, false};
 }
 
 }  // namespace
@@ -393,185 +252,258 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   if (m > d) {
     return Status::InvalidArgument("report_dims exceeds categorical dims");
   }
-  if (oracle) {
-    return RunOracleEstimation(source, schema, options, m);
-  }
-  // [37]: a one-hot dimension has L1 sensitivity 2, so eps/(2m) per entry
-  // composes to eps over a report.
-  HDLDP_ASSIGN_OR_RETURN(
-      const double per_entry_eps,
-      protocol::BudgetAccountant::PerEntryBudget(options.total_epsilon, m));
-  HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(per_entry_eps));
-  // Encoded entries live in [0, 1]; map onto the mechanism's native domain.
-  const mech::Interval entry_domain{0.0, 1.0};
-  HDLDP_ASSIGN_OR_RETURN(
-      const mech::DomainMap map,
-      mech::DomainMap::Between(entry_domain, mechanism->InputDomain()));
-  const mech::SamplerPlan plan = mechanism->MakePlan(per_entry_eps);
-
   const std::size_t total_entries = schema.total_entries();
-  std::vector<double> raw_flat(total_entries, 0.0);
-  std::vector<std::int64_t> dim_reports(d, 0);
-  std::vector<std::size_t> quarantined_chunks;
-  bool resumed = false;
   const engine::ChunkedEstimation core(source, options, options.num_threads);
   data::ChunkPartials<CategoryCounts> truth(source.num_chunks());
+  // Encoded entries live in [0, 1].
+  const mech::Interval entry_domain{0.0, 1.0};
+  FrequencyEstimationResult result;
+  // Every run folds each reported entry into one MeanAggregator over the
+  // expanded entry space; the paths differ only in what they fold.
+  std::optional<protocol::MeanReduction> reduced;
+  // Bernoulli/randomized-response success probability and baseline of
+  // an oracle's support indicator: p-tilde for the true category,
+  // q-tilde otherwise.
+  double p_tilde = 0.0;
+  double q_tilde = 0.0;
 
-  if (options.seed_scheme == SeedScheme::kV1Scalar) {
-    std::vector<NeumaierSum> sums(total_entries);
-    HDLDP_RETURN_NOT_OK(
-        IngestV1Scalar(core, schema, plan, map, m, &sums, &dim_reports,
-                       &truth));
-    // Naive aggregation: per-entry mean mapped back to [0, 1].
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::size_t off = schema.EntryOffset(j);
-      const double r = static_cast<double>(dim_reports[j]);
-      for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
-        raw_flat[off + k] =
-            r == 0.0 ? 0.0 : map.Backward(sums[off + k].Total() / r);
-      }
+  if (oracle) {
+    // The oracle randomizes a whole sampled dimension's answer as one
+    // eps/m-LDP unit, so m of them compose to eps per user.
+    const double per_dim_eps = options.total_epsilon / static_cast<double>(m);
+    result.per_entry_epsilon = per_dim_eps;
+    const bool use_oue = options.encoding == protocol::ReportEncoding::kOue;
+    OueParams oue;
+    OlhParams olh;
+    if (use_oue) {
+      HDLDP_ASSIGN_OR_RETURN(oue, OueParams::FromEpsilon(per_dim_eps));
+    } else {
+      HDLDP_ASSIGN_OR_RETURN(olh, OlhParams::FromEpsilon(per_dim_eps));
     }
-  } else {
-    // kV2Lanes / kV3Batched: the engine owns chunk geometry, (seed,
-    // chunk, lane) stream seeding, plan dispatch (including the v3
-    // cross-user sampled batching) and the deterministic reduction tree,
-    // ReduceMeanChunks the checkpointing; the lambdas below only define
-    // the one-hot encoding of a user row. The checkpoint digest holds
-    // everything the estimates depend on (thread count excluded).
-    const double native_zero = map.Forward(0.0);
-    const double native_one = map.Forward(1.0);
-    protocol::RunDigest digest;
-    digest.AddString("freq");
-    digest.AddString(mechanism->Name());
-    digest.AddF64(options.total_epsilon);
-    digest.AddU64(m);
-    digest.AddU64(options.seed);
-    digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
-    digest.AddU64(source.num_users());
-    digest.AddU64(d);
-    digest.AddU64(total_entries);
-    for (std::size_t j = 0; j < d; ++j) {
-      digest.AddU64(schema.Cardinality(j));
-    }
-    digest.AddU64(options.allow_missing_chunks ? 1 : 0);
+    p_tilde = use_oue ? oue.p : olh.p;
+    q_tilde = use_oue ? oue.q : 1.0 / static_cast<double>(olh.g);
+    // Draw layout (the "compact encodings" stream contract in
+    // common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
+    // m-of-d sample walked in draw order, then per sampled dimension one
+    // OueEncodeDim / OlhEncodeDim call (freq/encoding.h), so the wire
+    // encoders and this simulation share one frozen layout. Each entry
+    // of the dimension folds its 0/1 support indicator under the
+    // identity map: every partial sum is an integer below 2^53, so every
+    // add and merge is exact and EstimatedMean is count / r bit for bit.
     HDLDP_ASSIGN_OR_RETURN(
-        protocol::MeanReduction reduced,
+        reduced,
         protocol::ReduceMeanChunks(
-            core, digest, total_entries, map,
+            core,
+            FreqDigest(protocol::ReportEncodingName(options.encoding), source,
+                       schema, options, m),
+            total_entries, mech::DomainMap(),
             [&](const engine::ChunkRange& range,
                 protocol::MeanAggregator* scratch) -> Status {
               HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                                     core.ChunkRows(range));
-              HDLDP_ASSIGN_OR_RETURN(
-                  CategoryCounts counts,
-                  CountCategories(rows, schema, range.chunk));
-              truth.Set(range.chunk, std::move(counts));
-              const auto category_at = [&](std::size_t user, std::size_t j) {
-                return static_cast<std::uint32_t>(
-                    rows[(user - range.begin) * d + j]);
-              };
-              if (m == d) {
-                // Dense one-hot fill: the block buffer arrives at
-                // native_zero; set each user's d category entries and
-                // un-set the previous block's — far cheaper than
-                // refilling the whole buffer per block.
-                std::size_t prev_user = 0;
-                std::size_t prev_block = 0;
-                const auto paint = [&](std::size_t user, std::size_t block,
-                                       std::span<double> natives,
-                                       double value) {
-                  for (std::size_t u = 0; u < block; ++u) {
-                    double* row = natives.data() + u * total_entries;
-                    for (std::size_t j = 0; j < d; ++j) {
-                      row[schema.EntryOffset(j) + category_at(user + u, j)] =
-                          value;
+                                     PullAndCount(core, schema, range, &truth));
+              Rng rng(range.chunk_seed);
+              std::vector<std::uint32_t> sampled;
+              std::vector<std::uint8_t> bits;
+              for (std::size_t i = range.begin; i < range.end; ++i) {
+                const double* row = rows.data() + (i - range.begin) * d;
+                sampled.clear();
+                rng.SampleWithoutReplacement(d, m, &sampled);
+                for (const std::uint32_t j : sampled) {
+                  const auto off =
+                      static_cast<std::uint32_t>(schema.EntryOffset(j));
+                  const std::size_t v = schema.Cardinality(j);
+                  const auto category = static_cast<std::uint32_t>(row[j]);
+                  if (use_oue) {
+                    OueEncodeDim(oue, category, v, &rng, &bits);
+                    for (std::uint32_t k = 0; k < v; ++k) {
+                      scratch->Consume(off + k,
+                                       (bits[k >> 3] >> (k & 7)) & 1 ? 1.0
+                                                                     : 0.0);
+                    }
+                  } else {
+                    const OlhDimReport report =
+                        OlhEncodeDim(olh, category, &rng);
+                    const OlhHasher hasher(report.hash_seed);
+                    for (std::uint32_t k = 0; k < v; ++k) {
+                      scratch->Consume(
+                          off + k,
+                          hasher.Bucket(k, olh.g) == report.value ? 1.0 : 0.0);
                     }
                   }
-                };
-                return core.PerturbDenseChunk(
-                    plan, range, total_entries, native_zero, scratch,
-                    [&](std::size_t user, std::size_t block,
-                        std::span<double> natives) {
-                      paint(prev_user, prev_block, natives, native_zero);
-                      paint(user, block, natives, native_one);
-                      prev_user = user;
-                      prev_block = block;
-                    });
+                }
               }
-              // Sampled path: each sampled dimension expands into its
-              // Cardinality(j) one-hot entries, appended as bulk runs
-              // (resize-fill plus a single category write per dimension)
-              // instead of per-entry push_backs — identical contents, so
-              // v2 outputs are unchanged and v3 blocks fill faster.
-              return core.PerturbSampledChunk(
-                  plan, range, d, m, scratch,
-                  [&](std::size_t user, std::span<const std::uint32_t> dims,
-                      std::vector<std::uint32_t>* entry_indices,
-                      std::vector<double>* natives) {
-                    std::size_t total = 0;
-                    for (const std::uint32_t j : dims) {
-                      total += schema.Cardinality(j);
-                    }
-                    std::size_t base = natives->size();
-                    natives->resize(base + total, native_zero);
-                    entry_indices->resize(base + total);
-                    for (const std::uint32_t j : dims) {
-                      const std::size_t off = schema.EntryOffset(j);
-                      const std::size_t cardinality = schema.Cardinality(j);
-                      (*natives)[base + category_at(user, j)] = native_one;
-                      std::uint32_t* idx = entry_indices->data() + base;
-                      for (std::size_t k = 0; k < cardinality; ++k) {
-                        idx[k] = static_cast<std::uint32_t>(off + k);
-                      }
-                      base += cardinality;
-                    }
-                  });
+              return Status::OK();
             }));
-    // Every entry of dimension j is perturbed on each of its reports, so
-    // the first entry's count is the dimension's report count r_j, and
-    // EstimatedMean is exactly the per-entry Backward(sum / r).
-    raw_flat = reduced.aggregator.EstimatedMean();
-    for (std::size_t j = 0; j < d; ++j) {
-      dim_reports[j] = reduced.aggregator.ReportCount(schema.EntryOffset(j));
+  } else {
+    // [37]: a one-hot dimension has L1 sensitivity 2, so eps/(2m) per
+    // entry composes to eps over a report.
+    HDLDP_ASSIGN_OR_RETURN(result.per_entry_epsilon,
+                           protocol::BudgetAccountant::PerEntryBudget(
+                               options.total_epsilon, m));
+    HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(result.per_entry_epsilon));
+    // Map the entry domain onto the mechanism's native domain.
+    HDLDP_ASSIGN_OR_RETURN(
+        const mech::DomainMap map,
+        mech::DomainMap::Between(entry_domain, mechanism->InputDomain()));
+    const mech::SamplerPlan plan =
+        mechanism->MakePlan(result.per_entry_epsilon);
+    if (options.seed_scheme == SeedScheme::kV1Scalar) {
+      HDLDP_ASSIGN_OR_RETURN(
+          reduced, IngestV1Scalar(core, schema, plan, map, m, &truth));
+    } else {
+      // kV2Lanes / kV3Batched: the engine owns chunk geometry, (seed,
+      // chunk, lane) stream seeding, plan dispatch (including the v3
+      // cross-user sampled batching) and the deterministic reduction
+      // tree, ReduceMeanChunks the checkpointing; the lambdas below only
+      // define the one-hot encoding of a user row.
+      const double native_zero = map.Forward(0.0);
+      const double native_one = map.Forward(1.0);
+      HDLDP_ASSIGN_OR_RETURN(
+          reduced,
+          protocol::ReduceMeanChunks(
+              core, FreqDigest(mechanism->Name(), source, schema, options, m),
+              total_entries, map,
+              [&](const engine::ChunkRange& range,
+                  protocol::MeanAggregator* scratch) -> Status {
+                HDLDP_ASSIGN_OR_RETURN(
+                    const std::span<const double> rows,
+                    PullAndCount(core, schema, range, &truth));
+                const auto category_at = [&](std::size_t user,
+                                             std::size_t j) {
+                  return static_cast<std::uint32_t>(
+                      rows[(user - range.begin) * d + j]);
+                };
+                if (m == d) {
+                  // Dense one-hot fill: the block buffer arrives at
+                  // native_zero; set each user's d category entries and
+                  // un-set the previous block's — far cheaper than
+                  // refilling the whole buffer per block.
+                  std::size_t prev_user = 0;
+                  std::size_t prev_block = 0;
+                  const auto paint = [&](std::size_t user, std::size_t block,
+                                         std::span<double> natives,
+                                         double value) {
+                    for (std::size_t u = 0; u < block; ++u) {
+                      double* row = natives.data() + u * total_entries;
+                      for (std::size_t j = 0; j < d; ++j) {
+                        row[schema.EntryOffset(j) + category_at(user + u, j)] =
+                            value;
+                      }
+                    }
+                  };
+                  return core.PerturbDenseChunk(
+                      plan, range, total_entries, native_zero, scratch,
+                      [&](std::size_t user, std::size_t block,
+                          std::span<double> natives) {
+                        paint(prev_user, prev_block, natives, native_zero);
+                        paint(user, block, natives, native_one);
+                        prev_user = user;
+                        prev_block = block;
+                      });
+                }
+                // Sampled path: each sampled dimension expands into its
+                // Cardinality(j) one-hot entries, appended as bulk runs
+                // (resize-fill plus a single category write per
+                // dimension) instead of per-entry push_backs — identical
+                // contents, so v2 outputs are unchanged and v3 blocks
+                // fill faster.
+                return core.PerturbSampledChunk(
+                    plan, range, d, m, scratch,
+                    [&](std::size_t user, std::span<const std::uint32_t> dims,
+                        std::vector<std::uint32_t>* entry_indices,
+                        std::vector<double>* natives) {
+                      std::size_t total = 0;
+                      for (const std::uint32_t j : dims) {
+                        total += schema.Cardinality(j);
+                      }
+                      std::size_t base = natives->size();
+                      natives->resize(base + total, native_zero);
+                      entry_indices->resize(base + total);
+                      for (const std::uint32_t j : dims) {
+                        const std::size_t off = schema.EntryOffset(j);
+                        const std::size_t cardinality = schema.Cardinality(j);
+                        (*natives)[base + category_at(user, j)] = native_one;
+                        std::uint32_t* idx = entry_indices->data() + base;
+                        for (std::size_t k = 0; k < cardinality; ++k) {
+                          idx[k] = static_cast<std::uint32_t>(off + k);
+                        }
+                        base += cardinality;
+                      }
+                    });
+              }));
     }
-    quarantined_chunks = std::move(reduced.quarantined_chunks);
-    resumed = reduced.resumed_from_checkpoint;
   }
 
-  HDLDP_RETURN_NOT_OK(
-      RequireReports(dim_reports, "the Lemma 3 re-calibration model is"));
-
-  // HDR4ME re-calibration over the expanded space. Each entry's original
-  // values are Bernoulli(f); plug in the (clamped) raw estimate as f for
-  // the Lemma 3 value distribution. The per-atom mechanism moments are
-  // shared by every entry (the support is always {0, 1} at one eps), so
-  // they are evaluated once through DeviationModelBuilder instead of per
-  // entry — bit-identical to the per-entry ModelDeviation calls it
-  // replaces.
+  // The naive per-entry average: under the numeric paths' map, exactly
+  // the per-entry Backward(sum / r); an oracle decodes it in place below.
+  const protocol::MeanAggregator& acc = reduced->aggregator;
+  HDLDP_RETURN_NOT_OK(RequireReports(
+      acc, schema,
+      oracle ? "the oracle estimator is"
+             : "the Lemma 3 re-calibration model is"));
+  std::vector<double> raw_flat = acc.EstimatedMean();
+  // HDR4ME's deviation model per entry, at the (clamped) raw estimate f.
+  // An oracle's support count of entry k is Binomial(r, p_k) with p_k =
+  // f*p-tilde + (1-f)*q-tilde, so the unbiased estimator (count/r -
+  // q-tilde)/(p-tilde - q-tilde) has stddev sqrt(p_k (1 - p_k) / r) /
+  // (p-tilde - q-tilde). A numeric entry's original values are
+  // Bernoulli(f), plugged into the Lemma 3 value distribution; the
+  // per-atom mechanism moments are shared by every entry (the support is
+  // always {0, 1} at one eps), so DeviationModelBuilder evaluates them
+  // once instead of per entry — bit-identical to per-entry
+  // ModelDeviation calls.
   static constexpr double kOneHotSupport[2] = {0.0, 1.0};
-  HDLDP_ASSIGN_OR_RETURN(
-      const framework::DeviationModelBuilder model_builder,
-      framework::DeviationModelBuilder::Create(*mechanism, per_entry_eps,
-                                               kOneHotSupport, entry_domain));
+  std::optional<framework::DeviationModelBuilder> model_builder;
+  if (!oracle) {
+    HDLDP_ASSIGN_OR_RETURN(
+        model_builder, framework::DeviationModelBuilder::Create(
+                           *mechanism, result.per_entry_epsilon,
+                           kOneHotSupport, entry_domain));
+  }
+  const double gain = p_tilde - q_tilde;
   std::vector<framework::GaussianDeviation> deviations;
   deviations.reserve(total_entries);
   for (std::size_t j = 0; j < d; ++j) {
     const std::size_t off = schema.EntryOffset(j);
-    const double r = static_cast<double>(dim_reports[j]);
-    for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
-      const double f = Clamp(raw_flat[off + k], 0.0, 1.0);
+    const auto r = static_cast<double>(acc.ReportCount(off));
+    for (std::size_t k = off; k < off + schema.Cardinality(j); ++k) {
+      if (oracle) raw_flat[k] = (raw_flat[k] - q_tilde) / gain;
+      const double f = Clamp(raw_flat[k], 0.0, 1.0);
+      if (oracle) {
+        const double p_k = f * p_tilde + (1.0 - f) * q_tilde;
+        deviations.push_back({0.0, std::sqrt(p_k * (1.0 - p_k) / r) / gain});
+        continue;
+      }
       const double probs[2] = {1.0 - f, f};
       HDLDP_ASSIGN_OR_RETURN(const framework::DeviationModel model,
-                             model_builder.Model(probs, r));
+                             model_builder->Model(probs, r));
       deviations.push_back(model.deviation);
     }
   }
+
   HDLDP_ASSIGN_OR_RETURN(
-      FrequencyEstimationResult result,
-      FrequencyResult(source, truth, schema, options, raw_flat, deviations,
-                      std::move(quarantined_chunks)));
-  result.per_entry_epsilon = per_entry_eps;
-  result.resumed_from_checkpoint = resumed;
+      const hdr4me::RecalibrationResult recal,
+      hdr4me::Recalibrate(raw_flat, deviations, options.hdr4me));
+  result.quarantined_chunks = std::move(reduced->quarantined_chunks);
+  result.resumed_from_checkpoint = reduced->resumed_from_checkpoint;
+  result.surviving_users = source.SurvivingUsers(result.quarantined_chunks);
+  HDLDP_ASSIGN_OR_RETURN(
+      result.true_frequencies,
+      SurvivingFrequencies(source, schema, truth, result.quarantined_chunks,
+                           options.retry, result.surviving_users));
+  result.raw = Unflatten(raw_flat, schema);
+  result.recalibrated = Unflatten(recal.enhanced_mean, schema);
+  if (options.clip_and_normalize) {
+    ClipAndNormalize(schema, &result.raw);
+    ClipAndNormalize(schema, &result.recalibrated);
+  }
+  const std::vector<double> truth_flat = Flatten(result.true_frequencies);
+  HDLDP_ASSIGN_OR_RETURN(
+      result.mse_raw,
+      protocol::MeanSquaredError(Flatten(result.raw), truth_flat));
+  HDLDP_ASSIGN_OR_RETURN(
+      result.mse_recalibrated,
+      protocol::MeanSquaredError(Flatten(result.recalibrated), truth_flat));
   return result;
 }
 

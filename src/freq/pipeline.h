@@ -55,12 +55,14 @@ struct FrequencyOptions : engine::RunControl {
   /// Report encoding. kDense/kSampled run the numeric path above (every
   /// one-hot entry perturbed by `mechanism` at eps/(2m)); kOue/kOlh run
   /// the frequency-oracle path: one randomized categorical report per
-  /// sampled dimension at eps/m, O(1) client draws per dimension, exact
-  /// integer support counts, and the analytic binomial deviation model
-  /// feeding HDR4ME. Oracle draws follow their own frozen scalar
-  /// per-chunk stream contract (common/rng_lanes.h, "compact
-  /// encodings"); seed_scheme does not alter them, and estimates remain
-  /// bit-identical across thread counts, sources and SIMD builds.
+  /// sampled dimension at eps/m, O(1) client draws per dimension, 0/1
+  /// support indicators folded exactly into the same per-entry
+  /// MeanAggregator (so oracle runs checkpoint like numeric ones), and
+  /// the analytic binomial deviation model feeding HDR4ME. Oracle draws
+  /// follow their own frozen scalar per-chunk stream contract
+  /// (common/rng_lanes.h, "compact encodings"); seed_scheme does not
+  /// alter them, and estimates remain bit-identical across thread
+  /// counts, sources and SIMD builds.
   /// kHadamard1 is a mean encoding and is rejected here.
   protocol::ReportEncoding encoding = protocol::ReportEncoding::kDense;
 };

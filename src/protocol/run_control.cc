@@ -13,25 +13,18 @@ Status ValidateRunControl(const engine::RunControl& control,
   HDLDP_RETURN_NOT_OK(CheckEncoding(workload, encoding));
   const bool oracle =
       encoding == ReportEncoding::kOue || encoding == ReportEncoding::kOlh;
-  // The kV1Scalar frequency body pulls chunks in one serial loop with no
-  // quarantine (its pulls retry like any run's); the oracle encodings
-  // never take it.
-  if (workload == Workload::kFrequency && !oracle &&
-      control.seed_scheme == SeedScheme::kV1Scalar &&
-      control.allow_missing_chunks) {
+  // The kV1Scalar numeric frequency body pulls chunks in one serial loop
+  // with no quarantine or checkpoint (its pulls retry like any run's);
+  // the oracle encodings never take it.
+  const bool serial = workload == Workload::kFrequency && !oracle &&
+                      control.seed_scheme == SeedScheme::kV1Scalar;
+  if (serial && control.allow_missing_chunks) {
     return Status::InvalidArgument(
         "--allow-missing-chunks needs an engine seed scheme (kV2Lanes or "
         "kV3Batched) for frequency estimation; the kV1Scalar serial loop "
         "does not quarantine");
   }
-  if (control.checkpoint_path.empty()) return Status::OK();
-  if (oracle) {
-    return Status::InvalidArgument(
-        "frequency-oracle encodings do not support checkpointing; drop "
-        "--checkpoint or use the numeric encoding");
-  }
-  if (workload == Workload::kFrequency &&
-      control.seed_scheme == SeedScheme::kV1Scalar) {
+  if (serial && !control.checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "frequency checkpointing requires an engine seed scheme (kV2Lanes "
         "or kV3Batched); the kV1Scalar serial loop predates the reduction "

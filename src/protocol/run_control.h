@@ -24,11 +24,10 @@ namespace protocol {
 /// `encoding` under `control` is not a valid `workload` run:
 ///
 ///   * each statistic accepts only its own encodings (CheckEncoding);
-///   * the frequency-oracle encodings (oue, olh) cannot checkpoint: their
-///     integer accumulators have no snapshot codec;
-///   * frequency under kV1Scalar cannot checkpoint or quarantine
+///   * numeric frequency under kV1Scalar cannot checkpoint or quarantine
 ///     (allow_missing_chunks): its serial loop predates the reduction
-///     tree. Its pulls retry like every run's (data::PullChunk).
+///     tree. Its pulls retry like every run's (data::PullChunk). The
+///     frequency-oracle encodings (oue, olh) never take that loop.
 ///
 /// Every pipeline calls this first, so one configuration fails the same
 /// way whichever statistic it names.

@@ -146,14 +146,14 @@ Result<SnapshotFile> SnapshotFile::Open(
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
       if (errno != ENOENT) {
-        return Status::Internal("cannot open checkpoint " + path + ": " +
+        return Status::DataLoss("cannot open checkpoint " + path + ": " +
                                 std::strerror(errno));
       }
     } else {
       struct stat st;
       if (::fstat(fd, &st) != 0) {
         const Status status =
-            Status::Internal("cannot stat checkpoint " + path + ": " +
+            Status::DataLoss("cannot stat checkpoint " + path + ": " +
                              std::strerror(errno));
         ::close(fd);
         return status;
@@ -166,7 +166,7 @@ Result<SnapshotFile> SnapshotFile::Open(
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) {
           ::close(fd);
-          return Status::Internal("cannot read checkpoint " + path);
+          return Status::DataLoss("cannot read checkpoint " + path);
         }
         off += static_cast<std::size_t>(n);
       }
@@ -234,7 +234,7 @@ Result<SnapshotFile> SnapshotFile::Open(
   const int wfd =
       ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
   if (wfd < 0) {
-    return Status::Internal("cannot create checkpoint " + tmp + ": " +
+    return Status::DataLoss("cannot create checkpoint " + tmp + ": " +
                             std::strerror(errno));
   }
   file.fd_ = wfd;
@@ -252,7 +252,7 @@ Result<SnapshotFile> SnapshotFile::Open(
   }
   HDLDP_RETURN_NOT_OK(file.writer_.Fsync(wfd, tmp));
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
+    return Status::DataLoss("cannot rename " + tmp + " to " + path + ": " +
                             std::strerror(errno));
   }
   // Flush the directory entry too, or a crash can roll the rename back
@@ -301,7 +301,7 @@ Status SnapshotFile::Close() {
   if (fd_ < 0) return Status::OK();
   Status status = writer_.Fsync(fd_, path_);
   if (::close(fd_) != 0 && status.ok()) {
-    status = Status::Internal("close failed for " + path_ + ": " +
+    status = Status::DataLoss("close failed for " + path_ + ": " +
                               std::strerror(errno));
   }
   fd_ = -1;
@@ -310,7 +310,7 @@ Status SnapshotFile::Close() {
 
 Status SnapshotFile::Remove(const std::string& path) {
   if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-    return Status::Internal("cannot remove checkpoint " + path + ": " +
+    return Status::DataLoss("cannot remove checkpoint " + path + ": " +
                             std::strerror(errno));
   }
   return Status::OK();

@@ -91,7 +91,9 @@ class SnapshotFile {
   /// is InvalidArgument — the checkpoint belongs to a different run; a
   /// corrupt header is DataLoss), records load tolerantly (parsing
   /// stops at the first torn/corrupt frame), and the file is compacted
-  /// before appends resume.
+  /// before appends resume. A file the system cannot open, read, create
+  /// or rename into place (say, under a missing directory) is DataLoss,
+  /// like a failed write or fsync: storage failed, not the program.
   ///
   /// `write_faults` (common/file_writer.h) injects deterministic write
   /// failures into every durable write this file performs. A failed

@@ -620,12 +620,6 @@ TEST(EncodingPipelineTest, WorkloadEncodingMismatchesAreRejected) {
   freq_opts.encoding = ReportEncoding::kHadamard1;
   EXPECT_FALSE(
       freq::RunFrequencyEstimation(categorical, nullptr, freq_opts).ok());
-  // The oracle accumulators do not checkpoint yet: a path is a typed
-  // refusal, not a silently ignored option.
-  freq_opts.encoding = ReportEncoding::kOue;
-  freq_opts.checkpoint_path = ::testing::TempDir() + "oracle_ckpt";
-  EXPECT_FALSE(
-      freq::RunFrequencyEstimation(categorical, nullptr, freq_opts).ok());
 }
 
 TEST(EncodingPipelineTest, OracleFailsTypedWhenADimensionGetsNoReports) {

@@ -425,40 +425,43 @@ TEST(FreqTruthTest, OutOfRangeCategoryOnRepullIsInvalidArgument) {
                .chunk = 1,
                .byte_offset = 6,
                .xor_mask = 0x40});
-  const TruthPath& path = kTruthPaths[0];  // Oracle runs take no checkpoint.
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const std::string checkpoint = ::testing::TempDir() +
-                                   "hdldp_freq_truth_repull_" +
-                                   std::to_string(threads);
-    std::remove(checkpoint.c_str());
-    const SecondPullSource tampered(&base, {5}, out_of_range);
-    const CountingSource counted(&tampered);
-    FrequencyOptions opts;
-    opts.num_threads = threads;
-    opts.allow_missing_chunks = true;  // Never quarantines a bad value.
-    opts.checkpoint_path = checkpoint;
-    const data::FaultInjectingChunkSource crashing(&counted, corrupt);
-    const auto crashed = RunTruthPath(crashing, schema, path, opts);
-    ASSERT_FALSE(crashed.ok());
-    EXPECT_EQ(crashed.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(crashed.status().message().find("chunk 1"), std::string::npos)
-        << crashed.status().message();
+  for (const TruthPath& path : kTruthPaths) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(path.name) + " threads=" +
+                   std::to_string(threads));
+      const std::string checkpoint = ::testing::TempDir() +
+                                     "hdldp_freq_truth_repull_" + path.name +
+                                     "_" + std::to_string(threads);
+      std::remove(checkpoint.c_str());
+      const SecondPullSource tampered(&base, {5}, out_of_range);
+      const CountingSource counted(&tampered);
+      FrequencyOptions opts;
+      opts.num_threads = threads;
+      opts.allow_missing_chunks = true;  // Never quarantines a bad value.
+      opts.checkpoint_path = checkpoint;
+      const data::FaultInjectingChunkSource crashing(&counted, corrupt);
+      const auto crashed = RunTruthPath(crashing, schema, path, opts);
+      ASSERT_FALSE(crashed.ok());
+      EXPECT_EQ(crashed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(crashed.status().message().find("chunk 1"),
+                std::string::npos)
+          << crashed.status().message();
 
-    const auto run = RunTruthPath(counted, schema, path, opts);
-    ASSERT_FALSE(run.ok());
-    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(run.status().message().find("chunk 5"), std::string::npos)
-        << run.status().message();
-    // The resumed run re-ran only chunk 1's body and topped up the
-    // checkpointed chunks in order, stopping at chunk 5.
-    const std::vector<std::uint32_t> pulls = counted.pulls();
-    EXPECT_EQ(pulls[0], 2u);
-    EXPECT_EQ(pulls[1], 2u);
-    EXPECT_EQ(pulls[5], 2u);
-    EXPECT_EQ(pulls[6], 1u);
-    std::remove(checkpoint.c_str());
+      const auto run = RunTruthPath(counted, schema, path, opts);
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(run.status().message().find("chunk 5"), std::string::npos)
+          << run.status().message();
+      // The resumed run re-ran only chunk 1's body and topped up the
+      // checkpointed chunks in order, stopping at chunk 5.
+      const std::vector<std::uint32_t> pulls = counted.pulls();
+      EXPECT_EQ(pulls[0], 2u);
+      EXPECT_EQ(pulls[1], 2u);
+      EXPECT_EQ(pulls[5], 2u);
+      EXPECT_EQ(pulls[6], 1u);
+      std::remove(checkpoint.c_str());
+    }
   }
 }
 

@@ -93,6 +93,12 @@ constexpr char kFreqNumericDigest[] =
     "0000000000000007000000000000000300000000000000002000000000000003000000"
     "000000000a000000000000000300000000000000050000000000000002000000000000"
     "000000000000000000";
+// The oue row of the same run: the encoding name replaces the mechanism.
+constexpr char kFreqOueDigest[] =
+    "04000000000000006672657103000000000000006f7565000000000000004002000000"
+    "0000000007000000000000000300000000000000002000000000000003000000000000"
+    "000a000000000000000300000000000000050000000000000002000000000000000000"
+    "000000000000";
 constexpr char kVarianceValuesDigest[] =
     "04000000000000006d65616e05000000000000006475636869000000000000e03f040000"
     "0000000000290000000000000003000000000000000010000000000000040000000000"
@@ -132,16 +138,32 @@ TEST(RunDigestGoldenTest, FreqDigestIsByteStable) {
       freq::GenerateCategorical(kUsers, schema, 1.0, &rng).value();
   const freq::CategoricalChunkSource resident(&dataset);
   const auto failing = FailChunk(resident, 0);
-  freq::FrequencyOptions options;
-  options.total_epsilon = 2.0;
-  options.report_dims = 2;
-  options.seed = 7;
-  options.checkpoint_path = TempPath("freq_numeric");
-  EXPECT_FALSE(freq::RunFrequencyEstimation(
-                   failing, schema, mech::MakeMechanism("laplace").value(),
-                   options)
-                   .ok());
-  EXPECT_EQ(HeaderDigestHex(options.checkpoint_path), kFreqNumericDigest);
+  // An oracle digest names the encoding where a numeric one names the
+  // mechanism, so an oracle checkpoint never resumes a numeric run.
+  const struct {
+    const char* name;
+    protocol::ReportEncoding encoding;
+    const char* expected;
+  } rows[] = {{"numeric", protocol::ReportEncoding::kDense,
+               kFreqNumericDigest},
+              {"oue", protocol::ReportEncoding::kOue, kFreqOueDigest}};
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    freq::FrequencyOptions options;
+    options.total_epsilon = 2.0;
+    options.report_dims = 2;
+    options.seed = 7;
+    options.encoding = row.encoding;
+    options.checkpoint_path = TempPath(std::string("freq_") + row.name);
+    const bool oracle = row.encoding == protocol::ReportEncoding::kOue;
+    EXPECT_FALSE(freq::RunFrequencyEstimation(
+                     failing, schema,
+                     oracle ? nullptr : mech::MakeMechanism("laplace").value(),
+                     options)
+                     .ok());
+    EXPECT_EQ(HeaderDigestHex(options.checkpoint_path), row.expected);
+  }
+  EXPECT_STRNE(kFreqOueDigest, kFreqNumericDigest);
 }
 
 TEST(RunDigestGoldenTest, VarianceHalfDigestsAreByteStable) {
@@ -199,9 +221,9 @@ const CarveOut kCarveOuts[] = {
     {"oue", protocol::ReportEncoding::kOue, SeedScheme::kV3Batched, false,
      kInvalid, kOk, kInvalid},
     {"oue checkpoint", protocol::ReportEncoding::kOue, SeedScheme::kV3Batched,
-     true, kInvalid, kInvalid, kInvalid},
+     true, kInvalid, kOk, kInvalid},
     {"olh v1 checkpoint", protocol::ReportEncoding::kOlh,
-     SeedScheme::kV1Scalar, true, kInvalid, kInvalid, kInvalid},
+     SeedScheme::kV1Scalar, true, kInvalid, kOk, kInvalid},
     {"hadamard1 checkpoint", protocol::ReportEncoding::kHadamard1,
      SeedScheme::kV3Batched, true, kOk, kInvalid, kOk},
     {"dense v1 retry", protocol::ReportEncoding::kDense,

@@ -1181,6 +1181,25 @@ TEST(ServiceTest, UnopenableCheckpointRunsSnapshotFreeNotSilent) {
   ASSERT_TRUE(service->VerifyReconciliation().ok());
 }
 
+TEST(ServiceTest, CheckpointUnderAMissingDirectoryRunsSnapshotFree) {
+  // The checkpoint cannot even be created: that is storage failing
+  // (DataLoss), so the service degrades and serves instead of refusing
+  // to start.
+  ServiceOptions options = ManualOptions();
+  options.checkpoint_path = TempPath("no_such_dir") + "/ck";
+  auto created = AggregationService::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto service = std::move(created).value();
+  EXPECT_FALSE(service->resumed());
+  ASSERT_TRUE(service->Submit(MakeEnvelope(0, 0, 0, 0.5)).ok());
+  ASSERT_TRUE(service->Drain().ok());
+  const ServiceStats stats = service->Stats();
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.failed_snapshots, 1u);
+  EXPECT_EQ(stats.accepted, 1u);
+  ASSERT_TRUE(service->VerifyReconciliation().ok());
+}
+
 TEST(ServiceTest, UnsupportedOptionsAreTypedInvalidArgument) {
   ServiceOptions no_dims;
   EXPECT_EQ(AggregationService::Create(no_dims).status().code(),

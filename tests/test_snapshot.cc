@@ -311,21 +311,6 @@ TEST(CheckpointResumeTest, CompletedRunLeavesNoCheckpoint) {
   EXPECT_FALSE(probe.good());
 }
 
-TEST(CheckpointResumeTest, FreqV1SchemeRejectsCheckpoint) {
-  const auto schema =
-      freq::CategoricalSchema::Create(std::vector<std::size_t>(3, 4)).value();
-  Rng rng(21);
-  const auto dataset =
-      freq::GenerateCategorical(500, schema, 1.0, &rng).value();
-  freq::FrequencyOptions opts;
-  opts.total_epsilon = 2.0;
-  opts.seed_scheme = SeedScheme::kV1Scalar;
-  opts.checkpoint_path = TempPath("freq_v1");
-  const auto run = freq::RunFrequencyEstimation(dataset, Mech(), opts);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(CheckpointResumeTest, FreqInterruptedRunResumesBitIdentically) {
   const auto schema =
       freq::CategoricalSchema::Create(std::vector<std::size_t>(3, 4)).value();
@@ -333,28 +318,40 @@ TEST(CheckpointResumeTest, FreqInterruptedRunResumesBitIdentically) {
   const auto dataset =
       freq::GenerateCategorical(kUsers, schema, 1.0, &rng).value();
   const freq::CategoricalChunkSource base(&dataset);
-  const std::string path = TempPath("freq_resume");
-
-  freq::FrequencyOptions opts;
-  opts.total_epsilon = 2.0;
-  opts.seed = 4;
-  opts.num_threads = 2;
-  const auto clean =
-      freq::RunFrequencyEstimation(base, schema, Mech(), opts).value();
-
   data::FaultSchedule schedule;
   schedule.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = 2});
   const data::FaultInjectingChunkSource faulty(&base, schedule);
-  freq::FrequencyOptions ck_opts = opts;
-  ck_opts.checkpoint_path = path;
-  ASSERT_FALSE(
-      freq::RunFrequencyEstimation(faulty, schema, Mech(), ck_opts).ok());
 
-  const auto resumed =
-      freq::RunFrequencyEstimation(base, schema, Mech(), ck_opts).value();
-  EXPECT_TRUE(resumed.resumed_from_checkpoint);
-  EXPECT_EQ(resumed.raw, clean.raw);
-  EXPECT_EQ(resumed.recalibrated, clean.recalibrated);
+  // The numeric path and both frequency oracles checkpoint through the
+  // same reduction.
+  for (const ReportEncoding encoding :
+       {ReportEncoding::kDense, ReportEncoding::kOue, ReportEncoding::kOlh}) {
+    SCOPED_TRACE(ReportEncodingName(encoding));
+    const bool oracle = encoding != ReportEncoding::kDense;
+    const mech::MechanismPtr mechanism = oracle ? nullptr : Mech();
+    const std::string path =
+        TempPath(std::string("freq_resume_") + ReportEncodingName(encoding));
+    freq::FrequencyOptions opts;
+    opts.total_epsilon = 2.0;
+    opts.seed = 4;
+    opts.num_threads = 2;
+    opts.encoding = encoding;
+    if (oracle) opts.report_dims = 2;
+    const auto clean =
+        freq::RunFrequencyEstimation(base, schema, mechanism, opts).value();
+
+    freq::FrequencyOptions ck_opts = opts;
+    ck_opts.checkpoint_path = path;
+    ASSERT_FALSE(
+        freq::RunFrequencyEstimation(faulty, schema, mechanism, ck_opts).ok());
+
+    const auto resumed =
+        freq::RunFrequencyEstimation(base, schema, mechanism, ck_opts).value();
+    EXPECT_TRUE(resumed.resumed_from_checkpoint);
+    EXPECT_EQ(resumed.raw, clean.raw);
+    EXPECT_EQ(resumed.recalibrated, clean.recalibrated);
+    EXPECT_EQ(resumed.true_frequencies, clean.true_frequencies);
+  }
 }
 
 // A transient fault on chunk 0 only: one failed pull, then clean ones.

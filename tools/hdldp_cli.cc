@@ -117,7 +117,7 @@
 //       surviving users too; no pass reads a quarantined chunk.
 //   --checkpoint=<file>        persist per-group progress; re-running the
 //       same command after a crash resumes with bit-identical final
-//       estimates (freq needs v2/v3 and a numeric encoding; variance
+//       estimates (a numeric freq run needs v2/v3; variance
 //       checkpoints its halves at <file>.values and <file>.squares).
 // --threads (mean/freq) bounds worker concurrency (0 = one per hardware
 // thread); estimates never depend on it.
