@@ -82,8 +82,7 @@ void RunMechanism(const std::string& name, std::size_t users,
       [&](const hdldp::framework::TrialContext& ctx) {
         hdldp::Rng rng(ctx.seed);
         const auto run = hdldp::protocol::RunSingleDimension(
-                             values, *mechanism, eps_per_dim, inclusion,
-                             {-1.0, 1.0}, hdldp::SeedScheme::kV1Scalar, &rng)
+                             values, *mechanism, eps_per_dim, inclusion, &rng)
                              .value();
         return run.estimated_mean - true_mean;
       },
@@ -201,7 +200,7 @@ void RunMeanPipeline(std::size_t users, hdldp::bench::JsonRecord* record) {
         record->NewCell();
         record->Cell("kind", std::string("mean_pipeline"));
         record->Cell("mechanism", std::string(name));
-        record->Cell("encoding", std::string(sampled ? "sampled" : "dense"));
+        record->Cell("encoding", std::string("dense"));
         record->Cell("report_dims", effective_m);
         record->Cell("scheme", std::string(scheme_name));
         record->Cell("sampled", static_cast<std::size_t>(sampled ? 1 : 0));

@@ -189,7 +189,7 @@ void RunSampledPath(std::size_t users, std::size_t repeats,
           record->Cell("mechanism", std::string(mech_name));
           record->Cell("report_dims", m);
           record->Cell("scheme", std::string(scheme_name));
-          record->Cell("encoding", std::string("sampled"));
+          record->Cell("encoding", std::string("dense"));
           record->Cell("sampled", std::size_t{1});
           record->Cell("seconds", seconds);
           record->Cell("mse_raw", mse_raw);

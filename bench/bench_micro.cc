@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -111,12 +112,16 @@ void BM_IngestSampled(benchmark::State& state, const char* name,
   const hdldp::mech::SamplerPlan plan =
       mechanism->MakePlan(1.0 / static_cast<double>(m));
   hdldp::Rng data_rng(7);
-  std::vector<double> tuples(kUsers * kDims);
-  for (double& v : tuples) v = data_rng.Uniform(-1.0, 1.0);
+  std::vector<double> values(kUsers * kDims);
+  for (double& v : values) v = data_rng.Uniform(-1.0, 1.0);
+  const auto dataset =
+      hdldp::data::Dataset::Adopt(kUsers, kDims, std::move(values)).value();
+  const hdldp::data::ResidentChunkSource source(&dataset);
+  const double* tuples = dataset.Rows(0, kUsers).data();
   hdldp::engine::RunControl control;
   control.seed = 1;
   control.seed_scheme = scheme;
-  const hdldp::engine::ChunkedEstimation core(kUsers, control, 1);
+  const hdldp::engine::ChunkedEstimation core(source, control, 1);
   const hdldp::engine::ChunkRange range = core.Range(0);
   auto agg = hdldp::protocol::MeanAggregator::Create(kDims, map).value();
   for (auto _ : state) {
@@ -131,7 +136,7 @@ void BM_IngestSampled(benchmark::State& state, const char* name,
           const std::size_t base = natives->size();
           natives->resize(base + dims.size());
           double* out = natives->data() + base;
-          const double* row = tuples.data() + user * kDims;
+          const double* row = tuples + user * kDims;
           for (std::size_t k = 0; k < dims.size(); ++k) {
             out[k] = map.Forward(row[dims[k]]);
           }

@@ -59,7 +59,8 @@ int GenerateWireAndPayloads(const fs::path& root) {
   const StreamSpec specs[] = {
       {"dense", Workload::kMean, ReportEncoding::kDense, 4, 2, 0,
        false},
-      {"sampled", Workload::kMean, ReportEncoding::kSampled, 4, 2, 2,
+      // m < d numeric reports; the label names the corpus files.
+      {"sampled", Workload::kMean, ReportEncoding::kDense, 4, 2, 2,
        false},
       {"oue", Workload::kFrequency, ReportEncoding::kOue, 4, 3, 2, true},
       {"olh", Workload::kFrequency, ReportEncoding::kOlh, 4, 3, 2, true},

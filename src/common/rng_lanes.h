@@ -102,8 +102,8 @@
 // stay scalar (no lane variant) because the oracle hot loop is one
 // Next() per four categories — already past the point where 4-wide
 // lanes pay for their shuffle overhead — and, like RunSingleDimension
-// (which accepts only kV1Scalar for the same reason), they would need
-// a new stream contract here the day that tradeoff flips.
+// (whose draws are the kV1Scalar contract for the same reason), they
+// would need a new stream contract here the day that tradeoff flips.
 //
 // A seed value means different draws under the schemes by design; what
 // each scheme guarantees is that its own outputs never change. (One

@@ -8,28 +8,18 @@ SampledChunkScratch& PerWorkerSampledScratch() {
   return scratch;
 }
 
-ChunkedEstimation::ChunkedEstimation(std::size_t num_users,
-                                     const RunControl& control,
-                                     std::size_t num_threads)
-    : num_users_(num_users),
-      num_chunks_((num_users + kUsersPerChunk - 1) / kUsersPerChunk),
-      control_(control),
-      num_threads_(num_threads) {}
-
 ChunkedEstimation::ChunkedEstimation(
     const data::ChunkSource& source, const RunControl& control,
     std::size_t num_threads, data::ChunkPartials<NeumaierColumns>* truth)
-    : ChunkedEstimation(source.num_users(), control, num_threads) {
-  source_ = &source;
-  truth_ = truth;
-}
+    : num_users_(source.num_users()),
+      num_chunks_((num_users_ + kUsersPerChunk - 1) / kUsersPerChunk),
+      control_(control),
+      num_threads_(num_threads),
+      source_(&source),
+      truth_(truth) {}
 
 Result<std::span<const double>> ChunkedEstimation::ChunkRows(
     const ChunkRange& range) const {
-  if (source_ == nullptr) {
-    return Status::FailedPrecondition(
-        "ChunkRows requires a source-bound ChunkedEstimation");
-  }
   // One buffer per worker thread: chunk bodies never run concurrently on
   // the same thread, and a body is done with the previous span before
   // its next pull.

@@ -118,21 +118,17 @@ struct ChunkRange {
 /// methods are const and scratch is per worker thread).
 class ChunkedEstimation {
  public:
+  /// \brief Binds the run to a data source: chunk geometry comes from
+  /// `source` (whose chunking is definitionally the engine's), and
+  /// ChunkRows() pulls from it. The source must outlive the run and
+  /// supports concurrent pulls (each worker thread uses its own buffer).
   /// `control` is the run's seed, stream contract and fault handling
   /// (its checkpoint_path is bound by the pipeline through
   /// ReduceResumable's hooks); `num_threads` bounds the workers
   /// simulating chunks concurrently on the shared ThreadPool (0 = one per
   /// hardware thread) and affects wall-clock time only, never estimates.
-  ChunkedEstimation(std::size_t num_users, const RunControl& control,
-                    std::size_t num_threads);
-
-  /// \brief Binds the run to a data source: chunk geometry comes from
-  /// `source` (whose chunking is definitionally the engine's) and
-  /// ChunkRows() becomes available to workload bodies. The source must
-  /// outlive the run and supports concurrent pulls (each worker thread
-  /// uses its own buffer). A non-null `truth` (a slot per chunk of
-  /// `source`, outliving the run) receives the column sums of every chunk
-  /// ChunkRows pulls.
+  /// A non-null `truth` (a slot per chunk of `source`, outliving the run)
+  /// receives the column sums of every chunk ChunkRows pulls.
   ChunkedEstimation(const data::ChunkSource& source, const RunControl& control,
                     std::size_t num_threads,
                     data::ChunkPartials<NeumaierColumns>* truth = nullptr);
@@ -149,12 +145,12 @@ class ChunkedEstimation {
   /// range.num_users() x d), pulled under control().retry
   /// (data::PullChunk) through the calling worker's thread-local buffer —
   /// valid until that worker's next ChunkRows call, i.e. for the current
-  /// chunk body. Requires the source-bound constructor. Index the span by
-  /// (user - range.begin). A retried pull touches no random stream, so
-  /// each chunk body runs once. With a truth bound, a successful pull also
-  /// folds the rows into fresh column sums and stores them in the chunk's
-  /// slot before it returns — the one place a mean truth reads the rows
-  /// the estimate pass pulled. A failed pull leaves the slot empty.
+  /// chunk body. Index the span by (user - range.begin). A retried pull
+  /// touches no random stream, so each chunk body runs once. With a truth
+  /// bound, a successful pull also folds the rows into fresh column sums
+  /// and stores them in the chunk's slot before it returns — the one
+  /// place a mean truth reads the rows the estimate pass pulled. A failed
+  /// pull leaves the slot empty.
   Result<std::span<const double>> ChunkRows(const ChunkRange& range) const;
 
   /// \brief The chunk's four perturbation lane streams (kV2Lanes): lane l
@@ -321,9 +317,8 @@ class ChunkedEstimation {
   std::size_t num_chunks_;
   RunControl control_;
   std::size_t num_threads_;
-  // Bound data source (nullptr when constructed from a bare user count).
-  const data::ChunkSource* source_ = nullptr;
-  data::ChunkPartials<NeumaierColumns>* truth_ = nullptr;
+  const data::ChunkSource* source_;
+  data::ChunkPartials<NeumaierColumns>* truth_;
 };
 
 }  // namespace engine

@@ -286,10 +286,12 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
     // common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
     // m-of-d sample walked in draw order, then per sampled dimension one
     // OueEncodeDim / OlhEncodeDim call (freq/encoding.h), so the wire
-    // encoders and this simulation share one frozen layout. Each entry
-    // of the dimension folds its 0/1 support indicator under the
-    // identity map: every partial sum is an integer below 2^53, so every
-    // add and merge is exact and EstimatedMean is count / r bit for bit.
+    // encoders and this simulation share one frozen layout. A chunk
+    // tallies each entry's support count and each dimension's report
+    // count in integers, then folds each entry once under the identity
+    // map: every partial sum is an integer below 2^53, so every add and
+    // merge is exact, the fold equals one Consume per 0/1 indicator bit
+    // for bit, and EstimatedMean is count / r.
     HDLDP_ASSIGN_OR_RETURN(
         reduced,
         protocol::ReduceMeanChunks(
@@ -304,32 +306,39 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
               Rng rng(range.chunk_seed);
               std::vector<std::uint32_t> sampled;
               std::vector<std::uint8_t> bits;
+              std::vector<std::int64_t> support(total_entries, 0);
+              std::vector<std::int64_t> reports(d, 0);
               for (std::size_t i = range.begin; i < range.end; ++i) {
                 const double* row = rows.data() + (i - range.begin) * d;
                 sampled.clear();
                 rng.SampleWithoutReplacement(d, m, &sampled);
                 for (const std::uint32_t j : sampled) {
-                  const auto off =
-                      static_cast<std::uint32_t>(schema.EntryOffset(j));
+                  std::int64_t* counts = support.data() + schema.EntryOffset(j);
                   const std::size_t v = schema.Cardinality(j);
                   const auto category = static_cast<std::uint32_t>(row[j]);
+                  ++reports[j];
                   if (use_oue) {
                     OueEncodeDim(oue, category, v, &rng, &bits);
                     for (std::uint32_t k = 0; k < v; ++k) {
-                      scratch->Consume(off + k,
-                                       (bits[k >> 3] >> (k & 7)) & 1 ? 1.0
-                                                                     : 0.0);
+                      counts[k] += (bits[k >> 3] >> (k & 7)) & 1;
                     }
                   } else {
                     const OlhDimReport report =
                         OlhEncodeDim(olh, category, &rng);
                     const OlhHasher hasher(report.hash_seed);
                     for (std::uint32_t k = 0; k < v; ++k) {
-                      scratch->Consume(
-                          off + k,
-                          hasher.Bucket(k, olh.g) == report.value ? 1.0 : 0.0);
+                      counts[k] += hasher.Bucket(k, olh.g) == report.value;
                     }
                   }
+                }
+              }
+              for (std::size_t j = 0; j < d; ++j) {
+                if (reports[j] == 0) continue;
+                const std::size_t off = schema.EntryOffset(j);
+                for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
+                  scratch->ConsumeSum(static_cast<std::uint32_t>(off + k),
+                                      static_cast<double>(support[off + k]),
+                                      reports[j]);
                 }
               }
               return Status::OK();

@@ -52,7 +52,7 @@ struct FrequencyOptions : engine::RunControl {
   /// Post-process estimates: clip to [0, 1] and renormalize each
   /// dimension to sum to 1.
   bool clip_and_normalize = true;
-  /// Report encoding. kDense/kSampled run the numeric path above (every
+  /// Report encoding. kDense runs the numeric path above (every
   /// one-hot entry perturbed by `mechanism` at eps/(2m)); kOue/kOlh run
   /// the frequency-oracle path: one randomized categorical report per
   /// sampled dimension at eps/m, O(1) client draws per dimension, 0/1

@@ -9,7 +9,6 @@
 #include "common/math.h"
 #include "protocol/metrics.h"
 #include "protocol/pipeline.h"
-#include "protocol/run_control.h"
 
 namespace hdldp {
 namespace hdr4me {
@@ -17,9 +16,6 @@ namespace hdr4me {
 Result<VarianceEstimationResult> RunVarianceEstimation(
     const data::ChunkSource& source, mech::MechanismPtr mechanism,
     const VarianceOptions& options) {
-  HDLDP_RETURN_NOT_OK(protocol::ValidateRunControl(
-      options, protocol::ReportEncoding::kDense,
-      protocol::Workload::kVariance));
   if (mechanism == nullptr) {
     return Status::InvalidArgument("variance estimation requires a mechanism");
   }
@@ -85,6 +81,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   result.resumed_from_checkpoint =
       mean_run.resumed_from_checkpoint || square_run.resumed_from_checkpoint;
   result.estimated_mean = mean_run.estimated_mean;
+  result.per_dim_epsilon = mean_run.per_dim_epsilon;
   result.estimated_second_moment.resize(d);
   for (std::size_t j = 0; j < d; ++j) {
     // Undo the [0,1] -> [-1,1] embedding.

@@ -58,6 +58,9 @@ struct VarianceEstimationResult {
   /// second moment (data domain [0, 1]).
   std::vector<double> estimated_mean;
   std::vector<double> estimated_second_moment;
+  /// Per-dimension budget eps / m each half's reports used (each user
+  /// reports in one half only, so it spends eps in total).
+  double per_dim_epsilon = 0.0;
   /// MSE of the variance estimate against the true variance.
   double mse = 0.0;
   /// Chunks each half skipped under allow_missing_chunks, indices

@@ -254,16 +254,7 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::Dataset& dataset,
 
 Result<SingleDimensionResult> RunSingleDimension(
     std::span<const double> values, const mech::Mechanism& mechanism,
-    double per_dim_epsilon, double inclusion_prob,
-    const mech::Interval& data_domain, SeedScheme seed_scheme, Rng* rng) {
-  if (seed_scheme != SeedScheme::kV1Scalar) {
-    // The harness draws from one caller-owned scalar stream; that IS the
-    // kV1Scalar contract. A lane variant would be a new scheme with its
-    // own golden streams (see common/rng_lanes.h), not a silent re-layout
-    // of this one.
-    return Status::InvalidArgument(
-        "RunSingleDimension implements only the kV1Scalar stream contract");
-  }
+    double per_dim_epsilon, double inclusion_prob, Rng* rng) {
   if (values.empty()) {
     return Status::InvalidArgument("RunSingleDimension requires users");
   }
@@ -274,7 +265,7 @@ Result<SingleDimensionResult> RunSingleDimension(
   HDLDP_RETURN_NOT_OK(mechanism.ValidateBudget(per_dim_epsilon));
   HDLDP_ASSIGN_OR_RETURN(
       const mech::DomainMap map,
-      mech::DomainMap::Between(data_domain, mechanism.InputDomain()));
+      mech::DomainMap::Between({-1.0, 1.0}, mechanism.InputDomain()));
   // One prepared plan for the whole pass; one visit resolves the variant
   // outside the per-user loop.
   const mech::SamplerPlan plan = mechanism.MakePlan(per_dim_epsilon);

@@ -46,8 +46,8 @@ struct PipelineOptions : engine::RunControl {
   /// ThreadPool). 1 = serial, 0 = one per hardware thread. Affects
   /// wall-clock time only, never the estimate.
   std::size_t num_threads = 1;
-  /// Report encoding. kDense/kSampled run the numeric path above (each
-  /// reported value perturbed by `mechanism` at eps/m); kHadamard1 runs
+  /// Report encoding. kDense runs the numeric path above (each reported
+  /// value perturbed by `mechanism` at eps/m); kHadamard1 runs
   /// the 1-bit path (protocol/hadamard.h): each user's m sampled values
   /// collapse into one randomized sign bit at the full eps, decoded
   /// unbiasedly by Hadamard1Decode. Hadamard draws
@@ -121,18 +121,17 @@ struct SingleDimensionResult {
 /// \brief Simulates only one dimension of the protocol: each of the
 /// `values.size()` users reports it with probability `inclusion_prob`
 /// (= m/d), perturbed at `per_dim_epsilon`. Used by the Figure 2 harness,
-/// where n*d full simulation would be needlessly quadratic.
+/// where n*d full simulation would be needlessly quadratic. Values lie
+/// in the paper's [-1, 1] data domain.
 ///
-/// `seed_scheme` names the stream contract of the caller-owned `rng`
-/// and must be SeedScheme::kV1Scalar — the only contract this harness
-/// implements (one scalar stream, one Bernoulli + one perturbation draw
-/// per included user; see common/rng_lanes.h for the decision record).
+/// Draws follow the SeedScheme::kV1Scalar contract on the caller-owned
+/// `rng`: one scalar stream, one Bernoulli + one perturbation draw per
+/// included user (see common/rng_lanes.h for the decision record).
 /// Recorded fig-2 cells carry the scheme name so a future lane variant
 /// becomes a new scheme instead of silently changing draws.
 Result<SingleDimensionResult> RunSingleDimension(
     std::span<const double> values, const mech::Mechanism& mechanism,
-    double per_dim_epsilon, double inclusion_prob,
-    const mech::Interval& data_domain, SeedScheme seed_scheme, Rng* rng);
+    double per_dim_epsilon, double inclusion_prob, Rng* rng);
 
 }  // namespace protocol
 }  // namespace hdldp

@@ -84,8 +84,6 @@ const char* ReportEncodingName(ReportEncoding encoding) {
   switch (encoding) {
     case ReportEncoding::kDense:
       return "dense";
-    case ReportEncoding::kSampled:
-      return "sampled";
     case ReportEncoding::kOue:
       return "oue";
     case ReportEncoding::kOlh:
@@ -101,26 +99,25 @@ Status CheckEncoding(Workload workload, ReportEncoding encoding) {
     if (encoding == ReportEncoding::kHadamard1) {
       return Status::InvalidArgument(
           "hadamard1 is a mean encoding; frequency estimation supports "
-          "dense|sampled|oue|olh");
+          "dense|oue|olh");
     }
   } else if (encoding == ReportEncoding::kOue ||
              encoding == ReportEncoding::kOlh) {
     return Status::InvalidArgument(
         "oue/olh are frequency-oracle encodings; mean estimation supports "
-        "dense|sampled|hadamard1");
+        "dense|hadamard1");
   }
   return Status::OK();
 }
 
 Result<ReportEncoding> ParseReportEncoding(const std::string& name) {
   if (name == "dense") return ReportEncoding::kDense;
-  if (name == "sampled") return ReportEncoding::kSampled;
   if (name == "oue") return ReportEncoding::kOue;
   if (name == "olh") return ReportEncoding::kOlh;
   if (name == "hadamard1") return ReportEncoding::kHadamard1;
   return Status::InvalidArgument(
       "unknown report encoding '" + name +
-      "' (expected dense|sampled|oue|olh|hadamard1)");
+      "' (expected dense|oue|olh|hadamard1)");
 }
 
 Result<ReportEncoding> PayloadEncoding(std::span<const std::uint8_t> bytes) {

@@ -14,8 +14,8 @@
 //   4  Hadamard 1-bit  [u8 4][varint d][varint m][u32-LE sample seed]
 //                      [varint (index << 1 | sign bit)]
 //
-// Version 1 carries perturbed doubles (the dense and sampled numeric
-// paths). Versions 2-4 are the communication-efficient encodings: a
+// Version 1 carries perturbed doubles (the numeric path, whatever its
+// m of d). Versions 2-4 are the communication-efficient encodings: a
 // report shrinks from m x 9ish bytes to a few bits per carried category
 // (OUE), one small integer per carried dimension (OLH), or one packed
 // (index, sign) pair for the whole report (Hadamard). Dimensions are
@@ -47,36 +47,34 @@ inline constexpr std::uint8_t kWireVersionOlh = 3;
 inline constexpr std::uint8_t kWireVersionHadamard1 = 4;
 
 /// \brief Report encoding selector, spanning client, wire and service.
-/// kDense and kSampled both ship version-1 double payloads (sampled just
-/// carries m < d entries); the remaining values select the compact
-/// payload kinds above. Pipelines treat kDense/kSampled as "the existing
-/// numeric perturbation path".
+/// kDense ships version-1 double payloads: the numeric perturbation path,
+/// carrying report_dims = m of the d entries (m < d is still kDense). The
+/// remaining values select the compact payload kinds above. The numbers
+/// are pinned: the service's checkpoint digest hashes them.
 enum class ReportEncoding {
   kDense = 0,
-  kSampled = 1,
   kOue = 2,
   kOlh = 3,
   kHadamard1 = 4,
 };
 
-/// The statistic a run or a report stream estimates.
-enum class Workload { kMean, kFrequency, kVariance };
+/// The statistic a run or a report stream estimates. A variance run is
+/// two kMean runs (hdr4me/variance.h).
+enum class Workload { kMean, kFrequency };
 
 /// \brief The one encoding rule: each statistic accepts only its own
-/// encodings — mean and variance (whose halves are mean runs)
-/// dense|sampled|hadamard1, frequency dense|sampled|oue|olh.
+/// encodings — mean dense|hadamard1, frequency dense|oue|olh.
 /// InvalidArgument otherwise.
 Status CheckEncoding(Workload workload, ReportEncoding encoding);
 
 /// \brief Human-readable encoding name (CLI flag spelling).
 const char* ReportEncodingName(ReportEncoding encoding);
 
-/// \brief Parses the CLI flag spelling (dense|sampled|oue|olh|hadamard1).
+/// \brief Parses the CLI flag spelling (dense|oue|olh|hadamard1).
 Result<ReportEncoding> ParseReportEncoding(const std::string& name);
 
 /// \brief Peeks a payload's kind from its version byte without decoding.
-/// Version 1 maps to kDense (the framing cannot distinguish dense from
-/// sampled; both are value payloads).
+/// Version 1 (value payloads, any m of d) maps to kDense.
 Result<ReportEncoding> PayloadEncoding(std::span<const std::uint8_t> bytes);
 
 /// \brief Serializes a report. Entries are sorted by dimension; duplicate

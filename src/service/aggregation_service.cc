@@ -161,8 +161,7 @@ Result<std::unique_ptr<AggregationService>> AggregationService::Create(
       new AggregationService(std::move(options)));
   svc->workers_ = svc->options_.num_workers;
   svc->budget_capacity_ = budget_capacity;
-  if (svc->options_.codec.encoding != protocol::ReportEncoding::kDense &&
-      svc->options_.codec.encoding != protocol::ReportEncoding::kSampled) {
+  if (svc->options_.codec.encoding != protocol::ReportEncoding::kDense) {
     HDLDP_ASSIGN_OR_RETURN(PayloadCodec codec,
                            PayloadCodec::Create(svc->options_.codec));
     if (codec.service_dims() != svc->options_.num_dims) {

@@ -152,8 +152,8 @@ struct ServiceOptions {
   double output_lo = -std::numeric_limits<double>::infinity();
   double output_hi = std::numeric_limits<double>::infinity();
 
-  /// Wire encoding of ingested payloads. kDense/kSampled run the
-  /// version-1 numeric decode; oue|olh|hadamard1 decode through a
+  /// Wire encoding of ingested payloads. kDense runs the version-1
+  /// numeric decode; oue|olh|hadamard1 decode through a
   /// PayloadCodec whose unbiased entry values land in the data domain
   /// (use an identity domain_map and the codec's output_lo/hi).
   /// Create() rejects a codec whose service_dims() differ from num_dims.

@@ -13,8 +13,7 @@ PayloadCodec::PayloadCodec(PayloadCodecOptions options)
 
 Result<PayloadCodec> PayloadCodec::Create(const PayloadCodecOptions& options) {
   using protocol::ReportEncoding;
-  if (options.encoding == ReportEncoding::kDense ||
-      options.encoding == ReportEncoding::kSampled) {
+  if (options.encoding == ReportEncoding::kDense) {
     return Status::InvalidArgument(
         "numeric payloads need no codec; construct one only for "
         "oue|olh|hadamard1");

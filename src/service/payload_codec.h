@@ -35,8 +35,8 @@ namespace hdldp {
 namespace service {
 
 /// \brief Geometry + budget of the compact encoding a service instance
-/// ingests. kDense/kSampled mean "payloads are version-1 numeric
-/// reports" and need none of the other fields.
+/// ingests. kDense means "payloads are version-1 numeric reports" and
+/// needs none of the other fields.
 struct PayloadCodecOptions {
   protocol::ReportEncoding encoding = protocol::ReportEncoding::kDense;
   /// Total per-report privacy budget eps (compact encodings only).
@@ -55,7 +55,7 @@ struct PayloadCodecOptions {
 /// after Create; Decode is const and thread-safe (workers share one).
 class PayloadCodec {
  public:
-  /// Rejects kDense/kSampled (no codec needed) and inconsistent
+  /// Rejects kDense (no codec needed) and inconsistent
   /// geometry/budget.
   static Result<PayloadCodec> Create(const PayloadCodecOptions& options);
 

@@ -35,10 +35,6 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
   }
   HDLDP_ASSIGN_OR_RETURN(mech::MechanismPtr mechanism,
                          mech::MakeMechanism(options.mechanism));
-  if (options.workload == protocol::Workload::kVariance) {
-    return Status::InvalidArgument(
-        "report streams generate mean or frequency reports, not variance");
-  }
   HDLDP_RETURN_NOT_OK(
       protocol::CheckEncoding(options.workload, options.encoding));
   const bool freq = options.workload == protocol::Workload::kFrequency;

@@ -45,12 +45,11 @@ struct ReportStreamOptions {
   /// Which protocol the generated reports speak. kMean: m of d sampled
   /// dimensions at eps/m each, tuples uniform in [-1, 1]. kFrequency: m
   /// of q sampled questions, each one-hot encoded over c categories and
-  /// perturbed entry-wise at eps/(2m). kVariance is rejected (a variance
-  /// run is two mean runs, not a report kind).
+  /// perturbed entry-wise at eps/(2m).
   protocol::Workload workload = protocol::Workload::kMean;
   /// Wire encoding of the generated reports, accepted per workload by
-  /// protocol::CheckEncoding. kDense/kSampled emit the numeric version-1
-  /// payloads (m decides which); kHadamard1 and kOue/kOlh emit the
+  /// protocol::CheckEncoding. kDense emits the numeric version-1
+  /// payloads (m of d entries each); kHadamard1 and kOue/kOlh emit the
   /// compact payload kinds, whose geometry, encoder parameters and value
   /// range the stream's PayloadCodec owns.
   protocol::ReportEncoding encoding = protocol::ReportEncoding::kDense;

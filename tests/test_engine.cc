@@ -42,10 +42,18 @@ std::uint64_t Bits(double v) {
 
 // --- Engine geometry -------------------------------------------------------
 
+// A zero-filled resident source of `users` one-value rows: the schedule
+// and streams depend on the user count and seed only.
+data::Dataset Users(std::size_t users) {
+  return data::Dataset::Create(users, 1).value();
+}
+
 TEST(ChunkedEstimationTest, ScheduleIsAPureFunctionOfUsersAndSeed) {
   engine::RunControl control;
   control.seed = 77;
-  const engine::ChunkedEstimation core(10000, control, 1);
+  const data::Dataset users = Users(10000);
+  const data::ResidentChunkSource source(&users);
+  const engine::ChunkedEstimation core(source, control, 1);
   EXPECT_EQ(core.num_chunks(), 3u);  // ceil(10000 / 4096)
   const engine::ChunkRange r0 = core.Range(0);
   const engine::ChunkRange r2 = core.Range(2);
@@ -60,7 +68,9 @@ TEST(ChunkedEstimationTest, ScheduleIsAPureFunctionOfUsersAndSeed) {
 TEST(ChunkedEstimationTest, StreamsMatchTheDocumentedContracts) {
   engine::RunControl control;
   control.seed = 5;
-  const engine::ChunkedEstimation core(5000, control, 1);
+  const data::Dataset users = Users(5000);
+  const data::ResidentChunkSource source(&users);
+  const engine::ChunkedEstimation core(source, control, 1);
   const engine::ChunkRange r = core.Range(1);
   // Lane l of the chunk's lane generator is Rng(LaneSeed(chunk_seed, l)).
   RngLanes lanes = core.LaneStreams(r);

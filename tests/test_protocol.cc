@@ -430,9 +430,7 @@ TEST(SingleDimensionTest, MatchesExpectedInclusion) {
   Rng rng(25);
   const auto mech = Mech("laplace");
   const auto result =
-      RunSingleDimension(values, *mech, 0.5, 0.25, {-1.0, 1.0},
-                         SeedScheme::kV1Scalar, &rng)
-          .value();
+      RunSingleDimension(values, *mech, 0.5, 0.25, &rng).value();
   EXPECT_NEAR(static_cast<double>(result.report_count), 5000.0,
               6.0 * std::sqrt(5000.0 * 0.75));
 }
@@ -441,10 +439,7 @@ TEST(SingleDimensionTest, EstimatesTheMean) {
   std::vector<double> values(50000, 0.4);
   Rng rng(26);
   const auto mech = Mech("piecewise");
-  const auto result =
-      RunSingleDimension(values, *mech, 2.0, 1.0, {-1.0, 1.0},
-                         SeedScheme::kV1Scalar, &rng)
-          .value();
+  const auto result = RunSingleDimension(values, *mech, 2.0, 1.0, &rng).value();
   EXPECT_EQ(result.report_count, 50000);
   EXPECT_NEAR(result.estimated_mean, 0.4, 0.05);
 }
@@ -453,21 +448,10 @@ TEST(SingleDimensionTest, Validates) {
   Rng rng(27);
   const auto mech = Mech("laplace");
   std::vector<double> empty;
-  EXPECT_FALSE(RunSingleDimension(empty, *mech, 1.0, 0.5, {-1.0, 1.0},
-                                  SeedScheme::kV1Scalar, &rng)
-                   .ok());
+  EXPECT_FALSE(RunSingleDimension(empty, *mech, 1.0, 0.5, &rng).ok());
   std::vector<double> one = {0.0};
-  EXPECT_FALSE(RunSingleDimension(one, *mech, 1.0, 0.0, {-1.0, 1.0},
-                                  SeedScheme::kV1Scalar, &rng)
-                   .ok());
-  EXPECT_FALSE(RunSingleDimension(one, *mech, -1.0, 0.5, {-1.0, 1.0},
-                                  SeedScheme::kV1Scalar, &rng)
-                   .ok());
-  // The harness implements only the kV1Scalar stream contract; a lane
-  // scheme must be a new contract, not a silent re-layout.
-  EXPECT_FALSE(RunSingleDimension(one, *mech, 1.0, 0.5, {-1.0, 1.0},
-                                  SeedScheme::kV3Batched, &rng)
-                   .ok());
+  EXPECT_FALSE(RunSingleDimension(one, *mech, 1.0, 0.0, &rng).ok());
+  EXPECT_FALSE(RunSingleDimension(one, *mech, -1.0, 0.5, &rng).ok());
 }
 
 }  // namespace

@@ -231,12 +231,11 @@ TEST(MeanTruthFoldTest, FusedTruthMatchesSurvivingMeanWithOnePullPerChunk) {
   };
   const Config configs[] = {
       {"v1 m=d", SeedScheme::kV1Scalar, protocol::ReportEncoding::kDense, 0},
-      {"v1 m<d", SeedScheme::kV1Scalar, protocol::ReportEncoding::kSampled, 2},
+      {"v1 m<d", SeedScheme::kV1Scalar, protocol::ReportEncoding::kDense, 2},
       {"v2 m=d", SeedScheme::kV2Lanes, protocol::ReportEncoding::kDense, 0},
-      {"v2 m<d", SeedScheme::kV2Lanes, protocol::ReportEncoding::kSampled, 2},
+      {"v2 m<d", SeedScheme::kV2Lanes, protocol::ReportEncoding::kDense, 2},
       {"v3 m=d", SeedScheme::kV3Batched, protocol::ReportEncoding::kDense, 0},
-      {"v3 m<d", SeedScheme::kV3Batched, protocol::ReportEncoding::kSampled,
-       2},
+      {"v3 m<d", SeedScheme::kV3Batched, protocol::ReportEncoding::kDense, 2},
       {"hadamard1 m=d", SeedScheme::kV3Batched,
        protocol::ReportEncoding::kHadamard1, 0},
       {"hadamard1 m<d", SeedScheme::kV3Batched,

@@ -1,13 +1,20 @@
-// Tests for the budget accountant and the report wire format, including
-// malformed-input (failure-injection) coverage for the decoder.
+// Tests for the budget accountant, the budget each pipeline reports and
+// the report wire format, including malformed-input (failure-injection)
+// coverage for the decoder.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "data/generators.h"
+#include "freq/pipeline.h"
+#include "hdr4me/variance.h"
+#include "mech/registry.h"
 #include "protocol/budget.h"
+#include "protocol/pipeline.h"
 #include "protocol/wire.h"
 
 namespace hdldp {
@@ -65,6 +72,92 @@ TEST(BudgetTest, SplitHelpers) {
   EXPECT_FALSE(BudgetAccountant::PerDimensionBudget(0.0, 4).ok());
   EXPECT_FALSE(BudgetAccountant::PerDimensionBudget(1.0, 0).ok());
   EXPECT_FALSE(BudgetAccountant::PerEntryBudget(-1.0, 2).ok());
+}
+
+// The budget every run reports, over the whole (statistic, encoding)
+// matrix at m = d and m < d: eps/m per numeric mean value (and per value
+// of each variance half), the full eps for the one Hadamard bit, eps/(2m)
+// per one-hot entry (a one-hot dimension has L1 sensitivity 2) and eps/m
+// per oracle-randomized question.
+TEST(BudgetTest, EveryRunReportsItsEncodingsBudget) {
+  enum class Statistic { kMean, kFrequency, kVariance };
+  struct Row {
+    const char* name;
+    Statistic statistic;
+    ReportEncoding encoding;
+    double (*budget)(double eps, double m);
+  };
+  const Row rows[] = {
+      {"mean dense", Statistic::kMean, ReportEncoding::kDense,
+       [](double eps, double m) { return eps / m; }},
+      {"mean hadamard1", Statistic::kMean, ReportEncoding::kHadamard1,
+       [](double eps, double) { return eps; }},
+      {"freq dense", Statistic::kFrequency, ReportEncoding::kDense,
+       [](double eps, double m) { return eps / (2.0 * m); }},
+      {"freq oue", Statistic::kFrequency, ReportEncoding::kOue,
+       [](double eps, double m) { return eps / m; }},
+      {"freq olh", Statistic::kFrequency, ReportEncoding::kOlh,
+       [](double eps, double m) { return eps / m; }},
+      {"variance", Statistic::kVariance, ReportEncoding::kDense,
+       [](double eps, double m) { return eps / m; }},
+  };
+  constexpr std::size_t kDims = 4;
+  constexpr std::size_t kUsers = 300;
+  constexpr double kEpsilon = 2.0;
+  Rng rng(41);
+  const data::Dataset numeric =
+      data::Generate(data::UniformSpec{.num_users = kUsers, .num_dims = kDims},
+                     &rng)
+          .value();
+  const auto schema =
+      freq::CategoricalSchema::Create(std::vector<std::size_t>(kDims, 3))
+          .value();
+  const auto categorical =
+      freq::GenerateCategorical(kUsers, schema, 1.0, &rng).value();
+  const auto piecewise = [] {
+    return mech::MakeMechanism("piecewise").value();
+  };
+  for (const Row& row : rows) {
+    for (const std::size_t m : {kDims, std::size_t{2}}) {
+      SCOPED_TRACE(std::string(row.name) + " m=" + std::to_string(m));
+      double reported = 0.0;
+      switch (row.statistic) {
+        case Statistic::kMean: {
+          PipelineOptions opts;
+          opts.total_epsilon = kEpsilon;
+          opts.report_dims = m;
+          opts.encoding = row.encoding;
+          reported = RunMeanEstimation(numeric, piecewise(), opts)
+                         .value()
+                         .per_dim_epsilon;
+          break;
+        }
+        case Statistic::kFrequency: {
+          freq::FrequencyOptions opts;
+          opts.total_epsilon = kEpsilon;
+          opts.report_dims = m;
+          opts.encoding = row.encoding;
+          const bool oracle = row.encoding != ReportEncoding::kDense;
+          reported = freq::RunFrequencyEstimation(
+                         categorical, oracle ? nullptr : piecewise(), opts)
+                         .value()
+                         .per_entry_epsilon;
+          break;
+        }
+        case Statistic::kVariance: {
+          hdr4me::VarianceOptions opts;
+          opts.total_epsilon = kEpsilon;
+          opts.report_dims = m;
+          reported = hdr4me::RunVarianceEstimation(numeric, piecewise(), opts)
+                         .value()
+                         .per_dim_epsilon;
+          break;
+        }
+      }
+      EXPECT_DOUBLE_EQ(reported,
+                       row.budget(kEpsilon, static_cast<double>(m)));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,27 +13,30 @@
 //
 //   hdldp_cli mean    [--mechanism=piecewise] [--epsilon=1] [--report-dims=0]
 //                     [--threads=1] [--recalibrate=both|l1|l2|none] [--gate]
-//                     [--print-estimate] [--encoding=dense|sampled|hadamard1]
+//                     [--print-estimate] [--encoding=dense|hadamard1]
 //                     + run-control flags + numeric source flags
 //                       (--dataset=uniform --dims=128)
 //       Runs the full mean-estimation protocol and prints naive and
 //       HDR4ME-enhanced MSE (--print-estimate adds 17-digit estimates).
+//       dense reports carry --report-dims values (m of d; 0 = all);
 //       --encoding=hadamard1 runs the 1-bit compact-report path
 //       (protocol/hadamard.h); oue/olh are frequency encodings and are
 //       rejected here. --gate with --recalibrate=none is refused (exit 3),
 //       and so is an explicit --gate or --recalibrate other than none
 //       beside --encoding=hadamard1 (it has no value mechanism to model).
+//       The header names mechanism=none under a compact encoding.
 //
 //   hdldp_cli freq    [--mechanism=piecewise] [--epsilon=1] [--sampled=0]
 //                     [--questions=16] [--categories=8] [--zipf=1.0]
-//                     [--threads=1] [--encoding=dense|sampled|oue|olh]
+//                     [--threads=1] [--encoding=dense|oue|olh]
 //                     + run-control flags + categorical source flags
 //       Runs the Section V-C frequency-estimation protocol.
-//       --encoding=oue|olh runs the frequency-oracle path (one
-//       categorical report per sampled dimension at eps/m); hadamard1 is
-//       a mean encoding and is rejected here. With --input keep
-//       --questions/--categories: the shard stores category indices, the
-//       schema stores cardinalities.
+//       --sampled=m reports m of the questions (0 = all) under every
+//       encoding. --encoding=oue|olh runs the frequency-oracle path (one
+//       categorical report per sampled dimension at eps/m; the header
+//       names mechanism=none); hadamard1 is a mean encoding and is
+//       rejected here. With --input keep --questions/--categories: the
+//       shard stores category indices, the schema stores cardinalities.
 //
 //   hdldp_cli variance [--mechanism=piecewise] [--epsilon=1] [--recalibrate]
 //                      + run-control flags + numeric source flags
@@ -59,7 +62,7 @@
 //   hdldp_cli serve   [--workload=mean|freq] [--mechanism=duchi]
 //                     [--reports=10000] [--dims=8 | --questions=4
 //                     --categories=4] [--report-dims=0] [--epsilon=1]
-//                     [--seed=1] [--seed-scheme=v1] [--tenants=4]
+//                     [--seed=1] [--tenants=4]
 //                     [--tenant-budget=0] [--reports-per-tick=0]
 //                     [--window-width=1] [--window-slide=0]
 //                     [--window-lateness=0] [--threads=0]
@@ -69,7 +72,7 @@
 //                     [--fault-drop-rate=P] [--fault-duplicate-rate=P]
 //                     [--fault-reorder-rate=P] [--fault-reorder-delay=3]
 //                     [--fault-seed=S] [--print-estimate]
-//                     [--encoding=dense|sampled|oue|olh|hadamard1]
+//                     [--encoding=dense|oue|olh|hadamard1]
 //                     + write-fault flags
 //       Drives a deterministic report stream through the online
 //       aggregation service (service::Drive): asynchronous multi-worker
@@ -84,14 +87,16 @@
 //       (--max-invalid-per-tenant) a tenant is quarantined and counted-
 //       shed. The service's --checkpoint and --fault-* flags are its
 //       own (snapshot file; report delivery faults), not the groups below.
+//       The stream draws per-report scalar streams (the v1 contract of
+//       common/rng_lanes.h); --seed-scheme is not a serve flag, so naming
+//       one is an unknown flag (exit 3). The header names mechanism=none
+//       under a compact encoding.
 //
 //   hdldp_cli replay  <serve flags minus --threads/--queue-capacity/
 //                      --overload>
 //       The deterministic single-threaded twin of serve: one worker,
 //       lossless backpressure — the golden path whose published bits
-//       serve must reproduce at any worker count. serve/replay ingest
-//       per-report scalar streams: --seed-scheme=v1 is the only accepted
-//       scheme; v2/v3 are a typed validation error.
+//       serve must reproduce at any worker count.
 //
 // Run-control flags (mean/freq/variance; engine::RunControl):
 //   --seed=1                   seed of the run; every stream derives from it.
@@ -397,14 +402,16 @@ class Flags {
 // The compact encodings carry no value mechanism: an explicit
 // --mechanism beside one would be silently ignored, so it is refused.
 Status RefuseMechanism(const Flags& flags, ReportEncoding encoding) {
-  if (encoding == ReportEncoding::kDense ||
-      encoding == ReportEncoding::kSampled) {
-    return Status::OK();
-  }
+  if (encoding == ReportEncoding::kDense) return Status::OK();
   return flags.Refuse({"mechanism"},
                       std::string("--encoding=") +
                           hdldp::protocol::ReportEncodingName(encoding) +
                           " (compact encodings carry no value mechanism)");
+}
+
+// The mechanism a run's header names: none under a compact encoding.
+const char* MechanismLabel(const std::string& name, ReportEncoding encoding) {
+  return encoding == ReportEncoding::kDense ? name.c_str() : "none";
 }
 
 // The run-control group, straight into the options' engine::RunControl.
@@ -662,7 +669,8 @@ Status RunMean(Flags flags) {
       hdldp::protocol::RunMeanEstimation(source, est.mechanism, opts));
   std::printf("mechanism=%s dataset=%s users=%zu dims=%zu eps=%g m=%zu "
               "encoding=%s\n",
-              est.mechanism_name.c_str(), est.source.name().c_str(),
+              MechanismLabel(est.mechanism_name, opts.encoding),
+              est.source.name().c_str(),
               source.num_users(), dims, opts.total_epsilon,
               opts.report_dims == 0 ? dims : opts.report_dims,
               hdldp::protocol::ReportEncodingName(opts.encoding));
@@ -743,8 +751,9 @@ Status RunFreq(Flags flags) {
                                           est.mechanism, opts));
   std::printf("mechanism=%s users=%zu questions=%zu categories=%zu eps=%g "
               "eps/entry=%g encoding=%s\n",
-              est.mechanism_name.c_str(), source.num_users(), questions,
-              categories, opts.total_epsilon, result.per_entry_epsilon,
+              MechanismLabel(est.mechanism_name, opts.encoding),
+              source.num_users(), questions, categories, opts.total_epsilon,
+              result.per_entry_epsilon,
               hdldp::protocol::ReportEncodingName(opts.encoding));
   PrintFaultOutcome(result.resumed_from_checkpoint, result.quarantined_chunks,
                     result.surviving_users);
@@ -881,7 +890,6 @@ Status RunGenerate(Flags flags) {
 Status RunServe(Flags flags, bool replay) {
   bool print_estimate = false;
   hdldp::service::DriveOptions drive;
-  hdldp::SeedScheme seed_scheme = hdldp::SeedScheme::kV1Scalar;
   hdldp::service::ReportStreamOptions stream_options;
   stream_options.num_reports = 10000;
   stream_options.num_tenants = 4;
@@ -893,7 +901,6 @@ Status RunServe(Flags flags, bool replay) {
        {"epsilon", &stream_options.epsilon},
        {"report-dims", &stream_options.report_dims},
        {"seed", &stream_options.seed},
-       {"seed-scheme", &seed_scheme},
        {"tenants", &stream_options.num_tenants},
        {"tenant-budget", &service_options.tenant_epsilon},
        {"reports-per-tick", &stream_options.reports_per_tick},
@@ -916,16 +923,6 @@ Status RunServe(Flags flags, bool replay) {
     return Status::InvalidArgument(
         "--snapshot-every needs --checkpoint=<file> (without one there is "
         "nothing to snapshot to)");
-  }
-  // The stream generator emits per-report scalar Rng streams — the v1
-  // contract. v2/v3 name the engine's lane/batched contracts, which have
-  // no per-report envelope form; refusing them loudly mirrors the freq
-  // v1 --checkpoint rejection.
-  if (seed_scheme != hdldp::SeedScheme::kV1Scalar) {
-    return Status::InvalidArgument(
-        "serve/replay ingest per-report scalar streams: --seed-scheme=v1 "
-        "is the only supported scheme (v2/v3 are engine lane contracts "
-        "with no per-report envelope form)");
   }
   const bool mean = stream_options.workload == Workload::kMean;
   if (mean) {
@@ -966,7 +963,8 @@ Status RunServe(Flags flags, bool replay) {
       hdldp::service::AggregationService::Create(std::move(service_options)));
   std::printf("service workload=%s mechanism=%s reports=%llu tenants=%llu "
               "workers=%zu window=%llu/%llu+%llu\n",
-              mean ? "mean" : "freq", stream_options.mechanism.c_str(),
+              mean ? "mean" : "freq",
+              MechanismLabel(stream_options.mechanism, stream_options.encoding),
               static_cast<unsigned long long>(stream_options.num_reports),
               static_cast<unsigned long long>(stream_options.num_tenants),
               service->num_workers(),
