@@ -213,16 +213,7 @@ void NeumaierColumns::AddRows(std::span<const double> rows) {
   for (std::size_t k = 0; k < rows.size(); k += d) {
     const double* __restrict row = rows.data() + k;
     for (std::size_t j = 0; j < d; ++j) {
-      const double s = sums[j];
-      const double x = row[j];
-      const double t = s + x;
-      // Abs only feeds the comparison, where fabs and NeumaierSum's
-      // sign-preserving Abs agree (±0 compare equal, NaN compares false).
-      const bool sum_dominates = std::fabs(s) >= std::fabs(x);
-      const double hi = sum_dominates ? s : x;
-      const double lo = sum_dominates ? x : s;
-      compensations[j] += (hi - t) + lo;
-      sums[j] = t;
+      NeumaierStep(row[j], &sums[j], &compensations[j]);
     }
   }
 }
@@ -239,10 +230,15 @@ void NeumaierColumns::MergeState(const NeumaierColumns& other) {
   }
 }
 
+void NeumaierColumns::Reset() {
+  std::fill(sums_.begin(), sums_.end(), 0.0);
+  std::fill(compensations_.begin(), compensations_.end(), 0.0);
+}
+
 std::vector<double> NeumaierColumns::Mean(std::size_t count) const {
   std::vector<double> mean(sums_.size());
   for (std::size_t j = 0; j < mean.size(); ++j) {
-    mean[j] = (sums_[j] + compensations_[j]) / static_cast<double>(count);
+    mean[j] = Total(j) / static_cast<double>(count);
   }
   return mean;
 }

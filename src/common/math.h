@@ -88,23 +88,34 @@ Result<double> IntegrateSegments(const std::function<double(double)>& f,
                                  const std::vector<double>& breaks,
                                  const QuadratureOptions& options = {});
 
-/// \brief Neumaier (improved Kahan) compensated accumulator.
+/// \brief One Neumaier (improved Kahan) step: adds `x` to the running
+/// (*sum, *compensation) pair.
 ///
-/// Add() is defined inline: aggregation loops call it once per ingested
-/// value, and the out-of-line call was measurable against the ~5 flops of
-/// work (see bench_micro Ingest*).
+/// The textbook step branches on which operand dominates
+/// (`c += |s| >= |x| ? (s - t) + x : (x - t) + s`); this is the same step
+/// with the branch turned into a select (`hi` the dominant operand, `lo`
+/// the other, `c += (hi - t) + lo`), bit for bit, NaN and ±inf included
+/// (pinned by tests/test_math.cc). Every compensated fold in the library
+/// (NeumaierSum, NeumaierColumns and so MeanAggregator) runs this one
+/// body; it is inline because aggregation loops call it once per value,
+/// and branch-free so that NeumaierColumns::AddRows vectorizes.
+inline void NeumaierStep(double x, double* sum, double* compensation) {
+  const double s = *sum;
+  const double t = s + x;
+  // Abs only feeds the comparison, where ±0 compare equal and NaN compares
+  // false whichever sign it carries.
+  const bool sum_dominates = __builtin_fabs(s) >= __builtin_fabs(x);
+  const double hi = sum_dominates ? s : x;
+  const double lo = sum_dominates ? x : s;
+  *compensation += (hi - t) + lo;
+  *sum = t;
+}
+
+/// \brief Neumaier (improved Kahan) compensated accumulator.
 class NeumaierSum {
  public:
   /// Adds one term.
-  void Add(double x) {
-    const double t = sum_ + x;
-    if (Abs(sum_) >= Abs(x)) {
-      compensation_ += (sum_ - t) + x;
-    } else {
-      compensation_ += (x - t) + sum_;
-    }
-    sum_ = t;
-  }
+  void Add(double x) { NeumaierStep(x, &sum_, &compensation_); }
   /// Folds another accumulator in (parallel-reduction support).
   void Merge(const NeumaierSum& other) { Add(other.Total()); }
 
@@ -161,9 +172,6 @@ class NeumaierSum {
   }
 
  private:
-  // Branch-free |x| without pulling <cmath> into this low-level header.
-  static double Abs(double x) { return x < 0.0 ? -x : x; }
-
   double sum_ = 0.0;
   double compensation_ = 0.0;
 };
@@ -171,20 +179,25 @@ class NeumaierSum {
 /// \brief One NeumaierSum per column of a row-major matrix, stored as a
 /// struct of arrays so the row fold vectorizes.
 ///
-/// AddRows is NeumaierSum::Add per column with the branch turned into a
-/// select (`hi = |s| >= |x| ? s : x`, `lo` the other,
-/// `c += (hi - t) + lo`), applied in row order, so every column's
-/// RawSum() and Compensation() equal those of a NeumaierSum fed the same
-/// values bit for bit (pinned by tests/test_math.cc, NaN and ±inf
-/// included). It is the ground-truth column fold: the mean truth
-/// (data::SurvivingMean, hence Dataset::TrueMean and every mean run)
-/// folds each chunk's rows into its own NeumaierColumns and merges the
-/// chunks' columns with MergeState in chunk order, and so do the
-/// variance truth's mean and squared-deviation passes.
+/// Every fold runs NeumaierStep per column in arrival order, so every
+/// column's RawSum() and Compensation() equal those of a NeumaierSum fed
+/// the same values bit for bit (pinned by tests/test_math.cc, NaN and
+/// ±inf included). It is the library's one compensated-column store:
+/// MeanAggregator keeps its per-dimension sums in one (a dense block
+/// folds through AddRows row-major, scattered entries through Add), the
+/// mean truth (data::SurvivingMean, hence Dataset::TrueMean and every
+/// mean run) folds each chunk's rows into its own and merges the chunks'
+/// columns with MergeState in chunk order, and so do the variance truth's
+/// mean and squared-deviation passes.
 class NeumaierColumns {
  public:
   explicit NeumaierColumns(std::size_t columns)
       : sums_(columns, 0.0), compensations_(columns, 0.0) {}
+
+  /// Adds one term to `column`.
+  void Add(std::size_t column, double x) {
+    NeumaierStep(x, &sums_[column], &compensations_[column]);
+  }
 
   /// Folds consecutive rows; `rows.size()` must be a multiple of the
   /// column count.
@@ -194,9 +207,21 @@ class NeumaierColumns {
   /// count.
   void MergeState(const NeumaierColumns& other);
 
+  /// Zeroes every column.
+  void Reset();
+
   double RawSum(std::size_t column) const { return sums_[column]; }
   double Compensation(std::size_t column) const {
     return compensations_[column];
+  }
+  /// Column's compensated total, as NeumaierSum::Total.
+  double Total(std::size_t column) const {
+    return sums_[column] + compensations_[column];
+  }
+  /// Restores one column's exact state, as NeumaierSum::RestoreRaw.
+  void RestoreRaw(std::size_t column, double sum, double compensation) {
+    sums_[column] = sum;
+    compensations_[column] = compensation;
   }
 
   /// Per column, the compensated total divided by `count`.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "engine/reduce.h"
 
 namespace hdldp {
 namespace protocol {
@@ -59,8 +58,7 @@ Status MeanAggregator::ConsumeScattered(
     return Status::OutOfRange("scattered dimension out of range");
   }
   for (std::size_t k = 0; k < dimensions.size(); ++k) {
-    sums_[dimensions[k]].Add(values[k]);
-    ++counts_[dimensions[k]];
+    Consume(dimensions[k], values[k]);
   }
   return Status::OK();
 }
@@ -72,42 +70,9 @@ Status MeanAggregator::ConsumeDense(std::span<const double> values) {
         "ConsumeDense has " + std::to_string(values.size()) +
         " values, not a multiple of num_dims " + std::to_string(d));
   }
-  const std::size_t users = values.size() / d;
-  const auto n = static_cast<std::int64_t>(users);
-  // Column-major accumulation: each dimension still receives its values
-  // in user order (so per-dimension sums are bit-identical to scalar
-  // Consume() calls), but the accumulator lives in registers across the
-  // whole column instead of round-tripping through sums_[j] per value.
-  // Four columns run per pass: their chains are independent, which hides
-  // the compensated sum's ~5-cycle serial latency.
-  std::size_t j = 0;
-  for (; j + 3 < d; j += 4) {
-    NeumaierSum acc0 = sums_[j];
-    NeumaierSum acc1 = sums_[j + 1];
-    NeumaierSum acc2 = sums_[j + 2];
-    NeumaierSum acc3 = sums_[j + 3];
-    const double* v = values.data() + j;
-    for (std::size_t i = 0; i < users; ++i, v += d) {
-      acc0.Add(v[0]);
-      acc1.Add(v[1]);
-      acc2.Add(v[2]);
-      acc3.Add(v[3]);
-    }
-    sums_[j] = acc0;
-    sums_[j + 1] = acc1;
-    sums_[j + 2] = acc2;
-    sums_[j + 3] = acc3;
-    for (std::size_t c = 0; c < 4; ++c) counts_[j + c] += n;
-  }
-  for (; j < d; ++j) {
-    NeumaierSum acc = sums_[j];
-    const double* v = values.data() + j;
-    for (std::size_t i = 0; i < users; ++i, v += d) {
-      acc.Add(*v);
-    }
-    sums_[j] = acc;
-    counts_[j] += n;
-  }
+  sums_.AddRows(values);
+  const auto users = static_cast<std::int64_t>(values.size() / d);
+  for (std::int64_t& count : counts_) count += users;
   return Status::OK();
 }
 
@@ -117,7 +82,7 @@ Status MeanAggregator::Merge(const MeanAggregator& other) {
         "MeanAggregator::Merge requires matching dimensionality");
   }
   for (std::size_t j = 0; j < counts_.size(); ++j) {
-    sums_[j].Merge(other.sums_[j]);
+    sums_.Add(j, other.sums_.Total(j));
     counts_[j] += other.counts_[j];
   }
   return Status::OK();
@@ -128,15 +93,15 @@ Status MeanAggregator::MergeState(const MeanAggregator& other) {
     return Status::InvalidArgument(
         "MeanAggregator::MergeState requires matching dimensionality");
   }
+  sums_.MergeState(other.sums_);
   for (std::size_t j = 0; j < counts_.size(); ++j) {
-    sums_[j].MergeState(other.sums_[j]);
     counts_[j] += other.counts_[j];
   }
   return Status::OK();
 }
 
 void MeanAggregator::Reset() {
-  std::fill(sums_.begin(), sums_.end(), NeumaierSum());
+  sums_.Reset();
   std::fill(counts_.begin(), counts_.end(), std::int64_t{0});
 }
 
@@ -150,8 +115,8 @@ void MeanAggregator::SerializeState(std::vector<unsigned char>* out) const {
   for (std::size_t j = 0; j < d; ++j) {
     // The raw (sum, compensation) pair, not Total(): collapsing the
     // compensation term would shift a resumed run's estimate by an ulp.
-    fields[3 * j] = std::bit_cast<std::uint64_t>(sums_[j].RawSum());
-    fields[3 * j + 1] = std::bit_cast<std::uint64_t>(sums_[j].Compensation());
+    fields[3 * j] = std::bit_cast<std::uint64_t>(sums_.RawSum(j));
+    fields[3 * j + 1] = std::bit_cast<std::uint64_t>(sums_.Compensation(j));
     fields[3 * j + 2] = static_cast<std::uint64_t>(counts_[j]);
   }
   ByteWriter(out).Write(std::span<const std::uint64_t>(fields));
@@ -170,8 +135,8 @@ Status MeanAggregator::RestoreState(std::span<const unsigned char> bytes) {
   ByteReader in(bytes, StatusCode::kDataLoss, "aggregator state truncated");
   HDLDP_RETURN_NOT_OK(in.Read(std::span(fields)));
   for (std::size_t j = 0; j < d; ++j) {
-    sums_[j].RestoreRaw(std::bit_cast<double>(fields[3 * j]),
-                        std::bit_cast<double>(fields[3 * j + 1]));
+    sums_.RestoreRaw(j, std::bit_cast<double>(fields[3 * j]),
+                     std::bit_cast<double>(fields[3 * j + 1]));
     counts_[j] = static_cast<std::int64_t>(fields[3 * j + 2]);
   }
   return Status::OK();
@@ -203,7 +168,7 @@ std::vector<double> MeanAggregator::EstimatedMean() const {
       continue;
     }
     const double native_mean =
-        sums_[j].Total() / static_cast<double>(counts_[j]) - native_bias_[j];
+        sums_.Total(j) / static_cast<double>(counts_[j]) - native_bias_[j];
     mean[j] = domain_map_.Backward(native_mean);
   }
   return mean;

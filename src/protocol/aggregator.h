@@ -35,7 +35,7 @@ class MeanAggregator {
 
   /// \brief Folds one perturbed value for `dimension` (native space).
   void Consume(std::uint32_t dimension, double value) {
-    sums_[dimension].Add(value);
+    sums_.Add(dimension, value);
     ++counts_[dimension];
   }
 
@@ -44,7 +44,7 @@ class MeanAggregator {
   /// `reports` Consume calls when every partial is exact, as the integer
   /// support counts of the frequency oracles are (below 2^53).
   void ConsumeSum(std::uint32_t dimension, double sum, std::int64_t reports) {
-    sums_[dimension].Add(sum);
+    sums_.Add(dimension, sum);
     counts_[dimension] += reports;
   }
 
@@ -71,9 +71,11 @@ class MeanAggregator {
   /// \brief Folds complete user rows: `values` holds whole perturbed
   /// tuples back to back (size a multiple of d, entry k belonging to
   /// dimension k % d), as the engine's dense driver produces them.
-  /// Per-dimension accumulation order equals the scalar Consume() order,
-  /// so estimates are bit-identical; no per-entry dimension index or
-  /// bounds check is paid.
+  /// The block folds row-major through NeumaierColumns::AddRows, one
+  /// vectorized compensated step per value across each row; every
+  /// dimension still receives its values in user order, so the state is
+  /// bit-identical to the scalar Consume() order. No per-entry dimension
+  /// index or bounds check is paid.
   Status ConsumeDense(std::span<const double> values);
 
   /// \brief Folds another aggregator's state in (parallel reduction).
@@ -82,8 +84,9 @@ class MeanAggregator {
   Status Merge(const MeanAggregator& other);
 
   /// \brief State-exact merge: per dimension the raw Neumaier (sum,
-  /// compensation) pairs combine through NeumaierSum::MergeState (an
-  /// error-free TwoSum in the sum channel) and counts add.
+  /// compensation) pairs combine through NeumaierColumns::MergeState
+  /// (NeumaierSum::MergeState per column, an error-free TwoSum in the sum
+  /// channel) and counts add.
   ///
   /// This is the mergeable-state primitive of the aggregation service
   /// (laws pinned by tests/test_merge_laws.cc for mean and
@@ -131,7 +134,8 @@ class MeanAggregator {
   std::int64_t TotalReports() const;
 
   /// \brief Estimated mean theta-hat in the data domain. Dimensions with
-  /// zero reports estimate the data-domain midpoint. The estimate is the
+  /// zero reports estimate 0.0 whatever the domain map: the midpoint of
+  /// the paper's [-1, 1] data domain, not of any other. The estimate is the
   /// naive average the paper identifies as sub-optimal in high dimensions;
   /// feed it to hdr4me::Recalibrate for the enhanced mean.
   std::vector<double> EstimatedMean() const;
@@ -143,7 +147,7 @@ class MeanAggregator {
   MeanAggregator(std::size_t num_dims, const mech::DomainMap& domain_map);
 
   mech::DomainMap domain_map_;
-  std::vector<NeumaierSum> sums_;
+  NeumaierColumns sums_;
   std::vector<std::int64_t> counts_;
   std::vector<double> native_bias_;
 };

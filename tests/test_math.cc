@@ -170,6 +170,28 @@ TEST(SummationTest, ColumnFoldMatchesPerColumnNeumaierBitForBit) {
     for (std::size_t i = 0; i < kRows; ++i) {
       for (std::size_t j = 0; j < d; ++j) reference[j].Add(values[i * d + j]);
     }
+    // NeumaierSum and NeumaierColumns share one select-form step, so the
+    // reference itself is pinned to the textbook branching step.
+    for (std::size_t j = 0; j < d; ++j) {
+      double s = 0.0;
+      double c = 0.0;
+      for (std::size_t i = 0; i < kRows; ++i) {
+        const double x = values[i * d + j];
+        const double t = s + x;
+        if (std::fabs(s) >= std::fabs(x)) {
+          c += (s - t) + x;
+        } else {
+          c += (x - t) + s;
+        }
+        s = t;
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(reference[j].RawSum()),
+                std::bit_cast<std::uint64_t>(s))
+          << "d " << d << " column " << j;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(reference[j].Compensation()),
+                std::bit_cast<std::uint64_t>(c))
+          << "d " << d << " column " << j;
+    }
     // Uneven row batches, as a chunked pass feeds them.
     NeumaierColumns columns(d);
     const std::span<const double> all(values);

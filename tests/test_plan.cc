@@ -11,12 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/math.h"
 #include "common/rng.h"
 #include "mech/mechanism.h"
 #include "mech/plan.h"
@@ -155,33 +160,212 @@ TEST(SamplerPlanTest, PlanIsReusableAcrossCalls) {
 namespace protocol {
 namespace {
 
-TEST(ConsumeDenseTest, MatchesScalarConsumeBitExactly) {
-  constexpr std::size_t kDims = 7;
-  constexpr std::size_t kUsers = 250;
-  Rng rng(0xD15E);
-  std::vector<double> values(kUsers * kDims);
-  for (double& v : values) v = rng.Uniform(-2.0, 2.0);
+// The textbook Neumaier step, branch and all. The aggregator's fold entry
+// points share one select-form step (common/math.h), so they are pinned
+// here against a body they do not share.
+void BranchingNeumaierAdd(double x, NeumaierSum* acc) {
+  const double s = acc->RawSum();
+  double c = acc->Compensation();
+  const double t = s + x;
+  if (std::fabs(s) >= std::fabs(x)) {
+    c += (s - t) + x;
+  } else {
+    c += (x - t) + s;
+  }
+  acc->RestoreRaw(t, c);
+}
 
-  auto scalar = MeanAggregator::Create(kDims, mech::DomainMap()).value();
-  for (std::size_t i = 0; i < kUsers; ++i) {
-    for (std::size_t j = 0; j < kDims; ++j) {
-      scalar.Consume(static_cast<std::uint32_t>(j), values[i * kDims + j]);
+// Per dimension one NeumaierSum and a report count; Bytes() writes them
+// in MeanAggregator::SerializeState's layout.
+struct ReferenceState {
+  explicit ReferenceState(std::size_t d) : sums(d), counts(d, 0) {}
+
+  void Add(std::size_t j, double x) {
+    BranchingNeumaierAdd(x, &sums[j]);
+    ++counts[j];
+  }
+
+  std::vector<unsigned char> Bytes() const {
+    std::vector<unsigned char> bytes;
+    ByteWriter out(&bytes);
+    for (std::size_t j = 0; j < sums.size(); ++j) {
+      out.F64(sums[j].RawSum());
+      out.F64(sums[j].Compensation());
+      out.U64(static_cast<std::uint64_t>(counts[j]));
+    }
+    return bytes;
+  }
+
+  std::vector<NeumaierSum> sums;
+  std::vector<std::int64_t> counts;
+};
+
+std::vector<unsigned char> StateBytes(const MeanAggregator& aggregator) {
+  std::vector<unsigned char> bytes;
+  aggregator.SerializeState(&bytes);
+  return bytes;
+}
+
+// rows x d values, row-major. Dimension j draws from pool j % 5: signed
+// zeros, a huge exponent spread, a cancellation pool whose column stays
+// finite, ±inf, and NaN.
+std::vector<double> EdgeCaseRows(std::size_t rows, std::size_t d,
+                                 std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> pools = {
+      {0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0},
+      {1e300, -1e300, 1e-300, -1e-300, 1.0, 4.9e-324, -4.9e-324},
+      {1e16, -1e16, 1.0, -1.0, 3.0, 1e-16, -1e-16, 0.1},
+      {1.0, -2.5, 7.0, kInf, -kInf, 1e308},
+      {0.25, -3.0, nan, 1e-300, -0.0, 9.0},
+  };
+  Rng rng(seed);
+  std::vector<double> values(rows * d);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto& pool = pools[j % pools.size()];
+      values[i * d + j] = pool[rng.Next() % pool.size()];
     }
   }
+  return values;
+}
 
-  auto dense = MeanAggregator::Create(kDims, mech::DomainMap()).value();
-  ASSERT_TRUE(dense.ConsumeDense(values).ok());
-  EXPECT_EQ(scalar.TotalReports(), dense.TotalReports());
-  const auto scalar_mean = scalar.EstimatedMean();
-  const auto dense_mean = dense.EstimatedMean();
-  for (std::size_t j = 0; j < kDims; ++j) {
-    EXPECT_EQ(scalar_mean[j], dense_mean[j]) << j;
-    EXPECT_EQ(scalar.ReportCount(j), dense.ReportCount(j)) << j;
+const std::size_t kFoldDims[] = {1, 3, 4, 5, 7, 200, 1024};
+constexpr std::size_t kFoldRows = 61;
+// Uneven row batches summing to kFoldRows, an empty one included.
+const std::size_t kRowBatches[] = {1, 7, 0, 20, 33};
+
+TEST(ConsumeDenseTest, MatchesScalarConsumeBitExactly) {
+  // Every fold entry point leaves the same state bytes as a per-dimension
+  // textbook Neumaier fold of the same values in user order, and the two
+  // merges the same bytes as per-dimension NeumaierSum merges.
+  for (const std::size_t d : kFoldDims) {
+    SCOPED_TRACE("d " + std::to_string(d));
+    const std::vector<double> values = EdgeCaseRows(kFoldRows, d, d);
+    const std::span<const double> all(values);
+    ReferenceState reference(d);
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      reference.Add(k % d, values[k]);
+    }
+    const std::vector<unsigned char> expected = reference.Bytes();
+    // The pools reach every edge case: a compensated cancellation column
+    // that stays finite, an infinite one and a NaN one.
+    if (d >= 5) {
+      EXPECT_NE(reference.sums[2].Compensation(), 0.0);
+      EXPECT_TRUE(std::isfinite(reference.sums[2].Total()));
+      EXPECT_FALSE(std::isfinite(reference.sums[3].Total()));
+      EXPECT_TRUE(std::isnan(reference.sums[4].Total()));
+    }
+
+    auto dense = MeanAggregator::Create(d, mech::DomainMap()).value();
+    std::size_t row = 0;
+    for (const std::size_t batch : kRowBatches) {
+      ASSERT_TRUE(dense.ConsumeDense(all.subspan(row * d, batch * d)).ok());
+      row += batch;
+    }
+    ASSERT_EQ(row, kFoldRows);
+    EXPECT_EQ(StateBytes(dense), expected) << "ConsumeDense";
+
+    auto scalar = MeanAggregator::Create(d, mech::DomainMap()).value();
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      scalar.Consume(static_cast<std::uint32_t>(k % d), values[k]);
+    }
+    EXPECT_EQ(StateBytes(scalar), expected) << "Consume";
+
+    // Scattered blocks cut across rows at uneven points.
+    std::vector<std::uint32_t> dims(values.size());
+    for (std::size_t k = 0; k < dims.size(); ++k) {
+      dims[k] = static_cast<std::uint32_t>(k % d);
+    }
+    auto scattered = MeanAggregator::Create(d, mech::DomainMap()).value();
+    std::size_t entry = 0;
+    for (const std::size_t batch : kRowBatches) {
+      const std::size_t size = std::min(batch * d + 3, values.size() - entry);
+      ASSERT_TRUE(scattered
+                      .ConsumeScattered(std::span(dims).subspan(entry, size),
+                                        all.subspan(entry, size))
+                      .ok());
+      entry += size;
+    }
+    ASSERT_TRUE(scattered
+                    .ConsumeScattered(std::span(dims).subspan(entry),
+                                      all.subspan(entry))
+                    .ok());
+    EXPECT_EQ(StateBytes(scattered), expected) << "ConsumeScattered";
+
+    // One report per user, its entries in reverse dimension order: only
+    // the order within each dimension matters.
+    auto reported = MeanAggregator::Create(d, mech::DomainMap()).value();
+    std::vector<DimensionReport> entries(d);
+    for (std::size_t i = 0; i < kFoldRows; ++i) {
+      for (std::size_t j = 0; j < d; ++j) {
+        entries[d - 1 - j] = {static_cast<std::uint32_t>(j), values[i * d + j]};
+      }
+      ASSERT_TRUE(reported.ConsumeReport(entries).ok());
+    }
+    EXPECT_EQ(StateBytes(reported), expected) << "ConsumeReport";
+
+    // A rejected block leaves the state as it was.
+    if (d > 1) {
+      EXPECT_FALSE(dense.ConsumeDense(all.first(d + 1)).ok());
+    }
+    const std::uint32_t out_of_range[] = {0, static_cast<std::uint32_t>(d)};
+    EXPECT_FALSE(
+        scattered.ConsumeScattered(out_of_range, all.first(2)).ok());
+    EXPECT_EQ(StateBytes(dense), expected);
+    EXPECT_EQ(StateBytes(scattered), expected);
+
+    // Two halves folded apart, then combined: Merge folds the other side's
+    // Total() (NeumaierSum::Merge), MergeState its raw pair
+    // (NeumaierSum::MergeState).
+    const std::size_t split = 23 * d;
+    ReferenceState merged(d);
+    ReferenceState right(d);
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      (k < split ? merged : right).Add(k % d, values[k]);
+    }
+    ReferenceState merged_state = merged;
+    for (std::size_t j = 0; j < d; ++j) {
+      merged.sums[j].Merge(right.sums[j]);
+      merged_state.sums[j].MergeState(right.sums[j]);
+      merged.counts[j] += right.counts[j];
+      merged_state.counts[j] += right.counts[j];
+    }
+    auto merge = MeanAggregator::Create(d, mech::DomainMap()).value();
+    auto right_agg = MeanAggregator::Create(d, mech::DomainMap()).value();
+    ASSERT_TRUE(merge.ConsumeDense(all.first(split)).ok());
+    ASSERT_TRUE(right_agg.ConsumeDense(all.subspan(split)).ok());
+    auto merge_state = merge;
+    ASSERT_TRUE(merge.Merge(right_agg).ok());
+    EXPECT_EQ(StateBytes(merge), merged.Bytes()) << "Merge";
+    ASSERT_TRUE(merge_state.MergeState(right_agg).ok());
+    EXPECT_EQ(StateBytes(merge_state), merged_state.Bytes()) << "MergeState";
+
+    // Frequency oracles fold integer support counts as one partial sum
+    // per dimension and batch; exact partials leave the per-entry state.
+    Rng rng(d);
+    std::vector<double> integers(kFoldRows * d);
+    for (double& v : integers) v = static_cast<double>(rng.Next() % 4) - 1.0;
+    ReferenceState per_entry(d);
+    for (std::size_t k = 0; k < integers.size(); ++k) {
+      per_entry.Add(k % d, integers[k]);
+    }
+    auto summed = MeanAggregator::Create(d, mech::DomainMap()).value();
+    row = 0;
+    for (const std::size_t batch : kRowBatches) {
+      for (std::size_t j = 0; j < d; ++j) {
+        double partial = 0.0;
+        for (std::size_t i = row; i < row + batch; ++i) {
+          partial += integers[i * d + j];
+        }
+        summed.ConsumeSum(static_cast<std::uint32_t>(j), partial,
+                          static_cast<std::int64_t>(batch));
+      }
+      row += batch;
+    }
+    EXPECT_EQ(StateBytes(summed), per_entry.Bytes()) << "ConsumeSum";
   }
-
-  EXPECT_FALSE(dense.ConsumeDense(std::span<const double>(values).first(5))
-                   .ok());  // Not a multiple of d.
-  EXPECT_EQ(dense.TotalReports(), scalar.TotalReports());  // Unchanged.
 }
 
 }  // namespace
