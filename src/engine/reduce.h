@@ -38,7 +38,9 @@ struct GroupCheckpoint {
   /// group's first chunk (groups run their chunks strictly in order, so
   /// one count pins the exact resume point).
   std::size_t chunks_done = 0;
-  /// Absolute indices of this group's quarantined chunks.
+  /// Absolute indices of this group's quarantined chunks: distinct,
+  /// ascending and among the `chunks_done` completed ones (a loaded
+  /// state that breaks this is refused as DataLoss).
   std::vector<std::size_t> quarantined;
   Acc acc;
 };
@@ -147,9 +149,19 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
             HDLDP_ASSIGN_OR_RETURN(std::optional<GroupCheckpoint<Acc>> loaded,
                                    hooks.load(g));
             if (loaded.has_value()) {
-              if (loaded->chunks_done > end - begin) {
+              // The state must fit the group: no more chunks done than it
+              // holds, and the quarantined chunks distinct and ascending
+              // among those done (survivor counts and first-survivor
+              // scans rely on it).
+              const std::vector<std::size_t>& listed = loaded->quarantined;
+              if (loaded->chunks_done > end - begin ||
+                  (!listed.empty() &&
+                   (listed.front() < begin ||
+                    listed.back() >= begin + loaded->chunks_done)) ||
+                  std::adjacent_find(listed.begin(), listed.end(),
+                                     std::greater_equal<>()) != listed.end()) {
                 return Status::DataLoss(
-                    "checkpoint claims more chunks than the group holds");
+                    "checkpoint group state does not fit its group");
               }
               group_locals[g] = std::move(loaded->acc);
               group_quarantined[g] = std::move(loaded->quarantined);

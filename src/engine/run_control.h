@@ -13,12 +13,20 @@
 // checkpoints. The carve-outs (which statistic/encoding/scheme
 // combinations may checkpoint) live in one place too:
 // protocol::ValidateRunControl.
+//
+// What a run's controls did — the chunks it quarantined, the users that
+// survived them, whether it resumed — is declared once as well
+// (RunOutcome). protocol::ReduceMeanChunks produces it, refusing a run
+// with no surviving user, and every statistic's result carries it
+// unchanged (variance: one per half).
 
 #ifndef HDLDP_ENGINE_RUN_CONTROL_H_
 #define HDLDP_ENGINE_RUN_CONTROL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/chunk_source.h"
@@ -66,6 +74,21 @@ struct RunControl {
   /// at `path + ".values"` and `path + ".squares"`. Which runs may
   /// checkpoint is decided by protocol::ValidateRunControl.
   std::string checkpoint_path;
+};
+
+/// \brief What one reduction's run controls did: the facts every
+/// statistic reports beside its estimates, and the population its
+/// deviation model counts (HDR4ME's r_j = surviving_users * m / d).
+struct RunOutcome {
+  /// Chunks skipped under allow_missing_chunks, sorted ascending (empty
+  /// on a fault-free run).
+  std::vector<std::size_t> quarantined_chunks;
+  /// Users whose reports were folded: num_users minus the users of the
+  /// quarantined chunks. protocol::ReduceMeanChunks refuses a run where
+  /// it would be 0.
+  std::size_t surviving_users = 0;
+  /// True iff the run continued from a prior checkpoint.
+  bool resumed_from_checkpoint = false;
 };
 
 }  // namespace engine

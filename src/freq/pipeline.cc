@@ -119,31 +119,27 @@ Result<std::span<const double>> PullAndCount(
   return rows;
 }
 
-// Ground-truth frequencies over the users the estimate covers: the
-// counts `truth` holds of every chunk outside `quarantined` (sorted
-// ascending), merged, with each surviving chunk no estimate body counted
-// — one a resumed run took from its checkpoint — pulled under `retry`
-// and counted now. Counts are exact integers in every merge order, as
-// are CategoricalDataset::TrueFrequencies' `+= 1.0` sums below 2^53, so
-// count / n reproduces its bits from any source at any thread count.
+// Ground-truth frequencies over the users the estimate covers, as the
+// run's `outcome` names them: the counts `truth` holds of every chunk
+// outside its quarantine, merged, with each surviving chunk no estimate
+// body counted — one a resumed run took from its checkpoint — pulled
+// under `retry` and counted now. Counts are exact integers in every
+// merge order, as are CategoricalDataset::TrueFrequencies' `+= 1.0` sums
+// below 2^53, so count / n reproduces its bits from any source at any
+// thread count.
 Result<std::vector<std::vector<double>>> SurvivingFrequencies(
     const data::ChunkSource& source, const CategoricalSchema& schema,
     const data::ChunkPartials<CategoryCounts>& truth,
-    const std::vector<std::size_t>& quarantined,
-    const data::RetryPolicy& retry, std::size_t surviving) {
-  if (surviving == 0) {
-    return Status::FailedPrecondition(
-        "every chunk was quarantined; no surviving users to estimate");
-  }
+    const engine::RunOutcome& outcome, const data::RetryPolicy& retry) {
   CategoryCounts zero;
   zero.counts.assign(schema.total_entries(), 0);
   HDLDP_ASSIGN_OR_RETURN(
       const CategoryCounts total,
-      truth.Finish(source, quarantined, retry, std::move(zero),
+      truth.Finish(source, outcome.quarantined_chunks, retry, std::move(zero),
                    [&](std::size_t c, std::span<const double> rows) {
                      return CountCategories(rows, schema, c);
                    }));
-  const auto n = static_cast<double>(surviving);
+  const auto n = static_cast<double>(outcome.surviving_users);
   std::vector<double> flat(total.counts.size());
   for (std::size_t k = 0; k < flat.size(); ++k) {
     flat[k] = static_cast<double>(total.counts[k]) / n;
@@ -228,7 +224,8 @@ Result<protocol::MeanReduction> IngestV1Scalar(
       }
     }
   }
-  return protocol::MeanReduction{std::move(acc), {}, false};
+  return protocol::MeanReduction{std::move(acc),
+                                 {{}, core.num_users(), false}};
 }
 
 }  // namespace
@@ -493,13 +490,11 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
   HDLDP_ASSIGN_OR_RETURN(
       const hdr4me::RecalibrationResult recal,
       hdr4me::Recalibrate(raw_flat, deviations, options.hdr4me));
-  result.quarantined_chunks = std::move(reduced->quarantined_chunks);
-  result.resumed_from_checkpoint = reduced->resumed_from_checkpoint;
-  result.surviving_users = source.SurvivingUsers(result.quarantined_chunks);
+  result.outcome = std::move(reduced->outcome);
   HDLDP_ASSIGN_OR_RETURN(
       result.true_frequencies,
-      SurvivingFrequencies(source, schema, truth, result.quarantined_chunks,
-                           options.retry, result.surviving_users));
+      SurvivingFrequencies(source, schema, truth, result.outcome,
+                           options.retry));
   result.raw = Unflatten(raw_flat, schema);
   result.recalibrated = Unflatten(recal.enhanced_mean, schema);
   if (options.clip_and_normalize) {

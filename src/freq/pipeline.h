@@ -67,7 +67,8 @@ struct FrequencyOptions : engine::RunControl {
   protocol::ReportEncoding encoding = protocol::ReportEncoding::kDense;
 };
 
-/// Outcome of a frequency-estimation run.
+/// Outcome of a frequency-estimation run: the estimates and their
+/// scores, plus the run's engine::RunOutcome.
 struct FrequencyEstimationResult {
   /// Ground-truth per-dimension, per-category frequencies.
   std::vector<std::vector<double>> true_frequencies;
@@ -83,14 +84,10 @@ struct FrequencyEstimationResult {
   /// MSE of raw/recalibrated estimates over all entries.
   double mse_raw = 0.0;
   double mse_recalibrated = 0.0;
-  /// Chunks skipped under allow_missing_chunks, sorted ascending
-  /// (empty on a fault-free run).
-  std::vector<std::size_t> quarantined_chunks;
-  /// Users whose reports the estimates cover: num_users minus the users
-  /// of quarantined chunks.
-  std::size_t surviving_users = 0;
-  /// True iff the run continued from a prior checkpoint.
-  bool resumed_from_checkpoint = false;
+  /// The run's quarantined chunks, surviving users and resume, as the
+  /// reduction reported them (protocol::ReduceMeanChunks; the kV1Scalar
+  /// serial loop quarantines nothing and never resumes).
+  engine::RunOutcome outcome;
 };
 
 /// \brief Runs the full frequency-estimation protocol over any chunked
@@ -102,10 +99,10 @@ struct FrequencyEstimationResult {
 /// the schema before perturbation. For a fixed (values, options), the
 /// estimate is bit-identical across source kinds and thread counts.
 ///
-/// Fails with FailedPrecondition if any categorical dimension ends the
-/// ingestion phase with zero reports (the Lemma 3 model is undefined at
-/// r = 0): raise num_users or report_dims instead of trusting estimates
-/// that silently pretended r = 1.
+/// Fails with FailedPrecondition if every chunk was quarantined or any
+/// categorical dimension ends the ingestion phase with zero reports (the
+/// Lemma 3 model is undefined at r = 0): raise num_users or report_dims
+/// instead of trusting estimates that silently pretended r = 1.
 Result<FrequencyEstimationResult> RunFrequencyEstimation(
     const data::ChunkSource& source, const CategoricalSchema& schema,
     mech::MechanismPtr mechanism, const FrequencyOptions& options);

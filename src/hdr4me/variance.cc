@@ -67,19 +67,9 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
       const auto square_run,
       protocol::EstimateMean(squares_embedded, mechanism, square_opts));
 
-  if (mean_run.surviving_users == 0 || square_run.surviving_users == 0) {
-    return Status::FailedPrecondition(
-        "every chunk of a variance half was quarantined; no surviving "
-        "users to estimate it");
-  }
-
   VarianceEstimationResult result;
-  result.quarantined_values_chunks = mean_run.quarantined_chunks;
-  result.quarantined_squares_chunks = square_run.quarantined_chunks;
-  result.surviving_users =
-      mean_run.surviving_users + square_run.surviving_users;
-  result.resumed_from_checkpoint =
-      mean_run.resumed_from_checkpoint || square_run.resumed_from_checkpoint;
+  result.values = mean_run.outcome;
+  result.squares = square_run.outcome;
   result.estimated_mean = mean_run.estimated_mean;
   result.per_dim_epsilon = mean_run.per_dim_epsilon;
   result.estimated_second_moment.resize(d);
@@ -100,7 +90,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
         -> Result<std::vector<double>> {
       HDLDP_ASSIGN_OR_RETURN(
           const auto deviations,
-          MarginalDeviations(half, run.quarantined_chunks,
+          MarginalDeviations(half, run.outcome.quarantined_chunks,
                              options.report_dims, *mechanism,
                              run.per_dim_epsilon, domain,
                              mean_opts.num_threads, options.retry));
@@ -136,12 +126,12 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
       [&](const auto& chunk_sums) -> Result<NeumaierColumns> {
     HDLDP_ASSIGN_OR_RETURN(
         NeumaierColumns half_a,
-        pull_every_chunk.Finish(values_half, mean_run.quarantined_chunks,
+        pull_every_chunk.Finish(values_half, result.values.quarantined_chunks,
                                 options.retry, NeumaierColumns(d),
                                 chunk_sums));
-    return pull_every_chunk.Finish(raw_half_b, square_run.quarantined_chunks,
-                                   options.retry, std::move(half_a),
-                                   chunk_sums);
+    return pull_every_chunk.Finish(
+        raw_half_b, result.squares.quarantined_chunks, options.retry,
+        std::move(half_a), chunk_sums);
   };
   HDLDP_ASSIGN_OR_RETURN(
       const NeumaierColumns sums,
@@ -151,7 +141,9 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
         chunk_sums.AddRows(rows);
         return chunk_sums;
       }));
-  const std::vector<double> true_mean = sums.Mean(result.surviving_users);
+  const std::size_t surviving =
+      result.values.surviving_users + result.squares.surviving_users;
+  const std::vector<double> true_mean = sums.Mean(surviving);
   std::vector<double> deviations;
   HDLDP_ASSIGN_OR_RETURN(
       const NeumaierColumns squares,
@@ -167,7 +159,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
         chunk_sums.AddRows(deviations);
         return chunk_sums;
       }));
-  result.true_variance = squares.Mean(result.surviving_users);
+  result.true_variance = squares.Mean(surviving);
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, protocol::MeanSquaredError(result.estimated_variance,
                                              result.true_variance));

@@ -47,7 +47,8 @@ struct VarianceOptions : engine::RunControl {
   Hdr4meOptions hdr4me;
 };
 
-/// Outcome of a variance-estimation run.
+/// Outcome of a variance-estimation run: the estimates and their score,
+/// plus one engine::RunOutcome per half.
 struct VarianceEstimationResult {
   /// Estimated per-dimension variance (clamped to >= 0).
   std::vector<double> estimated_variance;
@@ -63,14 +64,11 @@ struct VarianceEstimationResult {
   double per_dim_epsilon = 0.0;
   /// MSE of the variance estimate against the true variance.
   double mse = 0.0;
-  /// Chunks each half skipped under allow_missing_chunks, indices
-  /// relative to that half's sliced source (empty on fault-free runs).
-  std::vector<std::size_t> quarantined_values_chunks;
-  std::vector<std::size_t> quarantined_squares_chunks;
-  /// Users whose reports the estimates cover, summed over both halves.
-  std::size_t surviving_users = 0;
-  /// True iff either half continued from a prior checkpoint.
-  bool resumed_from_checkpoint = false;
+  /// Each half's mean-estimation outcome; chunk indices are relative to
+  /// that half's sliced source. The estimates cover the surviving users
+  /// of both halves.
+  engine::RunOutcome values;
+  engine::RunOutcome squares;
 };
 
 /// \brief Runs the split-population variance-estimation protocol over
@@ -80,7 +78,8 @@ struct VarianceEstimationResult {
 /// run in O(chunk) data memory. Requires at least 2 users; source
 /// values must lie in [-1, 1]. Under allow_missing_chunks the ground
 /// truth, the HDR4ME marginals and r_j cover the surviving users only;
-/// a half with none left is a FailedPrecondition.
+/// a half with none left is refused by protocol::ReduceMeanChunks
+/// (FailedPrecondition).
 Result<VarianceEstimationResult> RunVarianceEstimation(
     const data::ChunkSource& source, mech::MechanismPtr mechanism,
     const VarianceOptions& options);

@@ -51,9 +51,7 @@ MeanEstimationResult MeanResult(const data::ChunkSource& source,
     result.report_counts.push_back(reduced.aggregator.ReportCount(j));
   }
   result.per_dim_epsilon = per_dim_epsilon;
-  result.surviving_users = source.SurvivingUsers(reduced.quarantined_chunks);
-  result.quarantined_chunks = std::move(reduced.quarantined_chunks);
-  result.resumed_from_checkpoint = reduced.resumed_from_checkpoint;
+  result.outcome = std::move(reduced.outcome);
   return result;
 }
 
@@ -232,13 +230,13 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
       MeanEstimationResult result,
       EstimateMeanFolding(source, std::move(mechanism), options,
                           owns_truth ? nullptr : &truth));
-  if (owns_truth && result.quarantined_chunks.empty()) {
+  if (owns_truth && result.outcome.quarantined_chunks.empty()) {
     HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
   } else {
     HDLDP_ASSIGN_OR_RETURN(
         result.true_mean,
-        data::SurvivingMean(source, result.quarantined_chunks, options.retry,
-                            std::move(truth)));
+        data::SurvivingMean(source, result.outcome.quarantined_chunks,
+                            options.retry, std::move(truth)));
   }
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));

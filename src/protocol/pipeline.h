@@ -59,7 +59,8 @@ struct PipelineOptions : engine::RunControl {
   ReportEncoding encoding = ReportEncoding::kDense;
 };
 
-/// Outcome of a mean-estimation run.
+/// Outcome of a mean-estimation run: the estimate and its score, plus
+/// the run's engine::RunOutcome (what quarantine and resume did).
 struct MeanEstimationResult {
   /// The collector's naive estimate theta-hat (data domain).
   std::vector<double> estimated_mean;
@@ -72,14 +73,9 @@ struct MeanEstimationResult {
   double per_dim_epsilon = 0.0;
   /// MSE(theta-hat, theta-bar), paper Eq. 3.
   double mse = 0.0;
-  /// Chunks skipped under allow_missing_chunks, sorted ascending
-  /// (empty on a fault-free run).
-  std::vector<std::size_t> quarantined_chunks;
-  /// Users whose reports the estimate covers: num_users minus the users
-  /// of quarantined chunks.
-  std::size_t surviving_users = 0;
-  /// True iff the run continued from a prior checkpoint.
-  bool resumed_from_checkpoint = false;
+  /// The run's quarantined chunks, surviving users and resume, as the
+  /// reduction reported them (protocol::ReduceMeanChunks).
+  engine::RunOutcome outcome;
 };
 
 /// \brief Runs the full protocol over any chunked data source —
@@ -91,7 +87,8 @@ struct MeanEstimationResult {
 /// for generator sources), not RAM. Source values must already lie in
 /// [-1, 1] (the paper's normalized data domain); out-of-domain values
 /// are clamped by the client. For a fixed (values, options), the
-/// estimate is bit-identical across source kinds and thread counts.
+/// estimate is bit-identical across source kinds and thread counts. A
+/// run whose every chunk was quarantined is a FailedPrecondition.
 Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                mech::MechanismPtr mechanism,
                                                const PipelineOptions& options);

@@ -18,17 +18,12 @@ Status ValidateRunControl(const engine::RunControl& control,
   // the oracle encodings never take it.
   const bool serial = workload == Workload::kFrequency && !oracle &&
                       control.seed_scheme == SeedScheme::kV1Scalar;
-  if (serial && control.allow_missing_chunks) {
+  if (serial &&
+      (control.allow_missing_chunks || !control.checkpoint_path.empty())) {
     return Status::InvalidArgument(
-        "--allow-missing-chunks needs an engine seed scheme (kV2Lanes or "
-        "kV3Batched) for frequency estimation; the kV1Scalar serial loop "
-        "does not quarantine");
-  }
-  if (serial && !control.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "frequency checkpointing requires an engine seed scheme (kV2Lanes "
-        "or kV3Batched); the kV1Scalar serial loop predates the reduction "
-        "tree");
+        "the kV1Scalar frequency loop predates the reduction tree: it "
+        "neither quarantines (--allow-missing-chunks) nor checkpoints "
+        "(--checkpoint); use kV2Lanes or kV3Batched");
   }
   return Status::OK();
 }
@@ -69,20 +64,28 @@ Result<MeanReduction> ReduceMeanChunks(const engine::ChunkedEstimation& core,
       return snapshot->Save(group, chunks_done, quarantined, bytes);
     };
   }
-  const bool resumed = snapshot.has_value() && snapshot->resumed();
-  std::vector<std::size_t> quarantined;
+  engine::RunOutcome outcome;
+  outcome.resumed_from_checkpoint =
+      snapshot.has_value() && snapshot->resumed();
   HDLDP_ASSIGN_OR_RETURN(
       MeanAggregator aggregator,
       core.ReduceResumable<MeanAggregator>(
           [&] { return MeanAggregator::Create(width, map); }, body, hooks,
-          &quarantined));
+          &outcome.quarantined_chunks));
   // The run completed; its checkpoint is spent.
   if (snapshot.has_value()) {
     HDLDP_RETURN_NOT_OK(snapshot->Close());
     HDLDP_RETURN_NOT_OK(SnapshotFile::Remove(path));
   }
-  return MeanReduction{std::move(aggregator), std::move(quarantined),
-                       resumed};
+  outcome.surviving_users = core.num_users();
+  for (const std::size_t c : outcome.quarantined_chunks) {
+    outcome.surviving_users -= core.Range(c).num_users();
+  }
+  if (outcome.surviving_users == 0) {
+    return Status::FailedPrecondition(
+        "no surviving users to estimate: every chunk was quarantined");
+  }
+  return MeanReduction{std::move(aggregator), std::move(outcome)};
 }
 
 }  // namespace protocol

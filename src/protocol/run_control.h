@@ -1,13 +1,14 @@
 // Protocol-level plumbing of engine::RunControl: the one validator of
 // the run-control carve-outs, and the one checkpointed MeanAggregator
-// reduction behind the mean, frequency and variance pipelines.
+// reduction behind the mean, frequency and variance pipelines — which
+// also produces each run's engine::RunOutcome and is the one place a run
+// with no surviving user is refused.
 
 #ifndef HDLDP_PROTOCOL_RUN_CONTROL_H_
 #define HDLDP_PROTOCOL_RUN_CONTROL_H_
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "common/result.h"
 #include "engine/chunked_estimation.h"
@@ -37,10 +38,7 @@ Status ValidateRunControl(const engine::RunControl& control,
 /// Outcome of ReduceMeanChunks.
 struct MeanReduction {
   MeanAggregator aggregator;
-  /// Chunks skipped under allow_missing_chunks, sorted ascending.
-  std::vector<std::size_t> quarantined_chunks;
-  /// True iff the run continued from a prior checkpoint.
-  bool resumed_from_checkpoint = false;
+  engine::RunOutcome outcome;
 };
 
 /// Folds one chunk's reports into the scratch aggregator it is given.
@@ -53,7 +51,9 @@ using MeanChunkBody =
 /// `digest` (everything the estimate depends on; a checkpoint of any
 /// other run is refused), each group's exact aggregator state is saved
 /// as its chunks complete, a resumed run continues bit-identically, and
-/// the spent checkpoint is removed once the reduction completes.
+/// the spent checkpoint is removed once the reduction completes. A run
+/// that quarantined every user (or covers none) is then refused with
+/// FailedPrecondition: no estimate or deviation model exists at r = 0.
 Result<MeanReduction> ReduceMeanChunks(const engine::ChunkedEstimation& core,
                                        const RunDigest& digest,
                                        std::size_t width,

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -146,6 +147,60 @@ TEST(EngineReduceTest, PropagatesBodyAndFactoryFailures) {
   const auto result = engine::ReduceChunks<CountAcc>(64, 4, make, failing);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("chunk 37"), std::string::npos);
+}
+
+// A resumed group's quarantine list comes from a checkpoint file. One
+// that repeats a chunk, names a chunk outside the group or one the group
+// had not completed would wrap the survivor count or misplace the
+// first-survivor scan of its consumers, so the reduction refuses it.
+TEST(EngineReduceTest, ResumedQuarantineListMustAscendInsideCompletedChunks) {
+  constexpr std::size_t kChunks = 1300;  // Groups of 3: group 1 is 3..5.
+  ASSERT_EQ(engine::GroupGeometry(kChunks).group_size, 3u);
+  const auto make = [] {
+    CountAcc acc;
+    acc.totals.assign(1, 0);
+    return Result<CountAcc>(std::move(acc));
+  };
+  const auto body = [](std::size_t, CountAcc* acc) {
+    ++acc->totals[0];
+    return Status::OK();
+  };
+  // Group 1 resumes after its first two chunks with `listed` quarantined.
+  using Loaded = std::optional<engine::GroupCheckpoint<CountAcc>>;
+  const auto resume_with = [&](const std::vector<std::size_t>& listed,
+                               std::vector<std::size_t>* quarantined) {
+    engine::CheckpointHooks<CountAcc> hooks;
+    hooks.load = [&](std::size_t group) -> Result<Loaded> {
+      if (group != 1) return Loaded();
+      CountAcc acc;
+      acc.totals.assign(1, 2 - static_cast<std::int64_t>(listed.size()));
+      return Loaded(
+          engine::GroupCheckpoint<CountAcc>{2, listed, std::move(acc)});
+    };
+    return engine::ReduceChunksResumable<CountAcc>(
+        kChunks, 2, make, body, engine::RunControl{}, hooks, quarantined);
+  };
+  for (const std::vector<std::size_t>& listed :
+       {std::vector<std::size_t>{}, {3}, {4}, {3, 4}}) {
+    std::vector<std::size_t> quarantined;
+    const auto reduced = resume_with(listed, &quarantined);
+    ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
+    EXPECT_EQ(reduced.value().totals[0],
+              static_cast<std::int64_t>(kChunks - listed.size()));
+    EXPECT_EQ(quarantined, listed);
+  }
+  for (const std::vector<std::size_t>& listed :
+       {std::vector<std::size_t>{3, 3},  // Duplicated.
+        {4, 3},                          // Descending.
+        {0},                             // Before the group.
+        {7},                             // After the group.
+        {5},                             // In the group, not yet completed.
+        {3, 5}}) {
+    std::vector<std::size_t> quarantined;
+    const auto reduced = resume_with(listed, &quarantined);
+    ASSERT_FALSE(reduced.ok()) << listed.size();
+    EXPECT_EQ(reduced.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 // --- Mean pipeline golden streams ------------------------------------------

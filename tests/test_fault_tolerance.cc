@@ -160,8 +160,8 @@ TEST(PipelineFaultTest, RecoveredTransientFaultsAreBitIdentical) {
         protocol::RunMeanEstimation(faulty, Mech(), opts).value();
     EXPECT_EQ(recovered.estimated_mean, clean.estimated_mean)
         << "threads=" << threads;
-    EXPECT_TRUE(recovered.quarantined_chunks.empty());
-    EXPECT_EQ(recovered.surviving_users, kUsers);
+    EXPECT_TRUE(recovered.outcome.quarantined_chunks.empty());
+    EXPECT_EQ(recovered.outcome.surviving_users, kUsers);
   }
 }
 
@@ -216,13 +216,13 @@ TEST(PipelineFaultTest, QuarantineSkipsFailingChunksAndReportsThem) {
   protocol::PipelineOptions opts = BaseOptions();
   opts.allow_missing_chunks = true;
   const auto run = protocol::RunMeanEstimation(faulty, Mech(), opts).value();
-  EXPECT_EQ(run.quarantined_chunks, std::vector<std::size_t>{1});
-  EXPECT_EQ(run.surviving_users, kUsers - base.ChunkUsers(1));
+  EXPECT_EQ(run.outcome.quarantined_chunks, std::vector<std::size_t>{1});
+  EXPECT_EQ(run.outcome.surviving_users, kUsers - base.ChunkUsers(1));
   // The estimate covers surviving users only: report counts must sum to
   // surviving_users per dimension (m == d, every survivor reports all).
   for (std::size_t j = 0; j < kDims; ++j) {
     EXPECT_EQ(run.report_counts[j],
-              static_cast<std::int64_t>(run.surviving_users));
+              static_cast<std::int64_t>(run.outcome.surviving_users));
   }
 }
 
@@ -361,7 +361,7 @@ TEST(RetryPolicyTest, RecoveryWithinDeadlineStaysBitIdentical) {
   const auto recovered =
       protocol::RunMeanEstimation(faulty, Mech(), opts).value();
   EXPECT_EQ(recovered.estimated_mean, clean.estimated_mean);
-  EXPECT_TRUE(recovered.quarantined_chunks.empty());
+  EXPECT_TRUE(recovered.outcome.quarantined_chunks.empty());
 }
 
 }  // namespace

@@ -315,7 +315,7 @@ TEST(FreqTruthTest, MatchesResidentTruthAtEveryThreadCount) {
       const auto run = RunTruthPath(counted, dataset.schema(), path, opts);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       EXPECT_EQ(run.value().true_frequencies, expected);
-      EXPECT_EQ(run.value().surviving_users, kTruthUsers);
+      EXPECT_EQ(run.value().outcome.surviving_users, kTruthUsers);
       EXPECT_EQ(counted.pulls(),
                 std::vector<std::uint32_t>(counted.num_chunks(), 1));
     }
@@ -376,8 +376,8 @@ TEST(FreqTruthTest, PersistentFaultsCountOnlySurvivingChunks) {
       opts.allow_missing_chunks = true;
       const auto run = RunTruthPath(faulty, schema, path, opts);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(run.value().quarantined_chunks, lost);
-      EXPECT_EQ(run.value().surviving_users, survivors);
+      EXPECT_EQ(run.value().outcome.quarantined_chunks, lost);
+      EXPECT_EQ(run.value().outcome.surviving_users, survivors);
       EXPECT_EQ(run.value().true_frequencies, expected);
     }
   }

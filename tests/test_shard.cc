@@ -269,8 +269,9 @@ TEST(ShardTest, CrcFailedChunkIsQuarantinedAndLeftOutOfTheTruth) {
   const auto run = protocol::RunMeanEstimation(
       opened.value(), mech::MakeMechanism("piecewise").value(), opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().quarantined_chunks, std::vector<std::size_t>{0});
-  EXPECT_EQ(run.value().surviving_users, users - kUsersPerChunk);
+  EXPECT_EQ(run.value().outcome.quarantined_chunks,
+            std::vector<std::size_t>{0});
+  EXPECT_EQ(run.value().outcome.surviving_users, users - kUsersPerChunk);
 
   std::vector<NeumaierSum> sums(dims);
   for (std::size_t i = kUsersPerChunk; i < users; ++i) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -272,7 +273,7 @@ TEST(CheckpointResumeTest, InterruptedRunResumesBitIdentically) {
   PipelineOptions resume_opts = CheckpointedOptions(path);
   resume_opts.num_threads = 1;
   const auto resumed = RunMeanEstimation(base, Mech(), resume_opts).value();
-  EXPECT_TRUE(resumed.resumed_from_checkpoint);
+  EXPECT_TRUE(resumed.outcome.resumed_from_checkpoint);
   EXPECT_EQ(resumed.estimated_mean, clean.estimated_mean);
   EXPECT_EQ(resumed.report_counts, clean.report_counts);
 
@@ -347,7 +348,7 @@ TEST(CheckpointResumeTest, FreqInterruptedRunResumesBitIdentically) {
 
     const auto resumed =
         freq::RunFrequencyEstimation(base, schema, mechanism, ck_opts).value();
-    EXPECT_TRUE(resumed.resumed_from_checkpoint);
+    EXPECT_TRUE(resumed.outcome.resumed_from_checkpoint);
     EXPECT_EQ(resumed.raw, clean.raw);
     EXPECT_EQ(resumed.recalibrated, clean.recalibrated);
     EXPECT_EQ(resumed.true_frequencies, clean.true_frequencies);
@@ -389,7 +390,7 @@ TEST(CheckpointResumeTest, MeanResumeRetriesReferencePasses) {
   resume_opts.retry.max_attempts = 2;
   const auto resumed = RunMeanEstimation(flaky_slice, Mech(), resume_opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed.value().resumed_from_checkpoint);
+  EXPECT_TRUE(resumed.value().outcome.resumed_from_checkpoint);
   EXPECT_EQ(flaky.attempts(0), 2u);
   EXPECT_EQ(resumed.value().estimated_mean, clean.estimated_mean);
   EXPECT_EQ(resumed.value().true_mean, clean.true_mean);
@@ -428,7 +429,7 @@ TEST(CheckpointResumeTest, FreqResumeRetriesReferencePasses) {
   const auto resumed =
       freq::RunFrequencyEstimation(flaky, schema, Mech(), ck_opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed.value().resumed_from_checkpoint);
+  EXPECT_TRUE(resumed.value().outcome.resumed_from_checkpoint);
   EXPECT_EQ(flaky.attempts(0), 2u);
   EXPECT_EQ(resumed.value().raw, clean.raw);
   EXPECT_EQ(resumed.value().recalibrated, clean.recalibrated);
@@ -465,10 +466,84 @@ TEST(CheckpointResumeTest, VarianceResumeRetriesReferencePasses) {
   ck_opts.retry.max_attempts = 2;
   const auto resumed = hdr4me::RunVarianceEstimation(flaky, Mech(), ck_opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed.value().resumed_from_checkpoint);
+  EXPECT_TRUE(resumed.value().values.resumed_from_checkpoint);
   EXPECT_EQ(flaky.attempts(0), 4u);  // Marginals: 2 pulls; truth: 2 passes.
   EXPECT_EQ(resumed.value().estimated_variance, clean.estimated_variance);
   EXPECT_EQ(resumed.value().true_variance, clean.true_variance);
+}
+
+// Every chunk quarantined: whichever statistic and encoding, the run
+// has no user to estimate from. It is refused with FailedPrecondition,
+// and the checkpoint its reduction opened is gone.
+TEST(CheckpointResumeTest, EveryChunkQuarantinedIsRefusedLeavingNoCheckpoint) {
+  const data::Dataset dataset = TestDataset();
+  const data::ResidentChunkSource base(&dataset);
+  const auto schema =
+      freq::CategoricalSchema::Create(std::vector<std::size_t>(3, 4)).value();
+  Rng rng(24);
+  const auto categorical =
+      freq::GenerateCategorical(kUsers, schema, 1.0, &rng).value();
+  const freq::CategoricalChunkSource categorical_base(&categorical);
+  data::FaultSchedule every_chunk;
+  for (std::size_t c = 0; c < base.num_chunks(); ++c) {
+    every_chunk.Add({.kind = data::FaultSpec::Kind::kPersistent, .chunk = c});
+  }
+  const data::FaultInjectingChunkSource faulty(&base, every_chunk);
+  const data::FaultInjectingChunkSource faulty_categorical(&categorical_base,
+                                                           every_chunk);
+
+  const auto mean = [&](ReportEncoding encoding) {
+    return [&, encoding](const std::string& path) {
+      PipelineOptions opts = CheckpointedOptions(path);
+      opts.allow_missing_chunks = true;
+      opts.encoding = encoding;
+      return RunMeanEstimation(faulty, Mech(), opts).status();
+    };
+  };
+  const auto frequency = [&](ReportEncoding encoding) {
+    return [&, encoding](const std::string& path) {
+      freq::FrequencyOptions opts;
+      opts.seed = 4;
+      opts.num_threads = 2;
+      opts.allow_missing_chunks = true;
+      opts.checkpoint_path = path;
+      opts.encoding = encoding;
+      const mech::MechanismPtr mechanism =
+          encoding == ReportEncoding::kDense ? Mech() : nullptr;
+      return freq::RunFrequencyEstimation(faulty_categorical, schema,
+                                          mechanism, opts)
+          .status();
+    };
+  };
+  const auto variance = [&](const std::string& path) {
+    hdr4me::VarianceOptions opts;
+    opts.seed = 8;
+    opts.allow_missing_chunks = true;
+    opts.checkpoint_path = path;
+    return hdr4me::RunVarianceEstimation(faulty, Mech(), opts).status();
+  };
+  const struct {
+    const char* name;
+    std::function<Status(const std::string&)> run;
+  } rows[] = {
+      {"mean_dense", mean(ReportEncoding::kDense)},
+      {"mean_hadamard1", mean(ReportEncoding::kHadamard1)},
+      {"freq_dense", frequency(ReportEncoding::kDense)},
+      {"freq_oue", frequency(ReportEncoding::kOue)},
+      {"variance", variance},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string path =
+        TempPath(std::string("every_chunk_quarantined_") + row.name);
+    const Status status = row.run(path);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << status.ToString();
+    // Variance checkpoints its halves beside the path.
+    for (const char* suffix : {"", ".values", ".squares"}) {
+      EXPECT_FALSE(std::ifstream(path + suffix).good()) << suffix;
+    }
+  }
 }
 
 }  // namespace

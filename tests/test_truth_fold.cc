@@ -291,7 +291,8 @@ TEST(MeanTruthFoldTest, CrcQuarantinedShardChunkStaysOutOfTheFusedTruth) {
   opts.allow_missing_chunks = true;
   const auto run = protocol::RunMeanEstimation(counted, Piecewise(), opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().quarantined_chunks, std::vector<std::size_t>{2});
+  EXPECT_EQ(run.value().outcome.quarantined_chunks,
+            std::vector<std::size_t>{2});
   EXPECT_EQ(Bits(run.value().true_mean),
             Bits(ReferenceTruth(resident, {2})));
   EXPECT_EQ(counted.pulls(),
@@ -322,7 +323,7 @@ TEST(MeanTruthFoldTest, ResumedRunFinishesTheTruthFromTheCursor) {
   const CountingSource counted(&resident);
   const auto resumed = protocol::RunMeanEstimation(counted, Piecewise(), opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed.value().resumed_from_checkpoint);
+  EXPECT_TRUE(resumed.value().outcome.resumed_from_checkpoint);
   EXPECT_EQ(Bits(resumed.value().estimated_mean), Bits(clean.estimated_mean));
   EXPECT_EQ(Bits(resumed.value().true_mean), Bits(clean.true_mean));
   for (const std::uint32_t pulls : counted.pulls()) {

@@ -154,9 +154,9 @@ TEST(VarianceEstimationTest, QuarantineScoresAgainstSurvivingRows) {
   const auto mech = mech::MakeMechanism("piecewise").value();
   const auto run = RunVarianceEstimation(faulty, mech, opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().quarantined_values_chunks,
+  EXPECT_EQ(run.value().values.quarantined_chunks,
             std::vector<std::size_t>{1});
-  EXPECT_EQ(run.value().quarantined_squares_chunks,
+  EXPECT_EQ(run.value().squares.quarantined_chunks,
             std::vector<std::size_t>{0});
 
   std::vector<std::size_t> rows;
@@ -164,7 +164,9 @@ TEST(VarianceEstimationTest, QuarantineScoresAgainstSurvivingRows) {
   for (std::size_t i = n / 2 + data::kUsersPerChunk; i < n; ++i) {
     rows.push_back(i);
   }
-  EXPECT_EQ(run.value().surviving_users, rows.size());
+  EXPECT_EQ(run.value().values.surviving_users +
+                run.value().squares.surviving_users,
+            rows.size());
   for (std::size_t j = 0; j < d; ++j) {
     double mean = 0.0;
     for (const std::size_t i : rows) mean += dataset.At(i, j);

@@ -622,14 +622,22 @@ struct Estimation {
   }
 };
 
-// Reports the fault-tolerance outcome of a run in a stable, greppable
-// form (CI asserts on these lines).
-void PrintFaultOutcome(bool resumed, const std::vector<std::size_t>& chunks,
-                       std::size_t surviving_users) {
+// Reports the fault-tolerance outcome of a run — the RunOutcome of each
+// of its reductions, summed — in a stable, greppable form (CI asserts on
+// these lines).
+void PrintFaultOutcome(
+    std::initializer_list<const hdldp::engine::RunOutcome*> outcomes) {
+  bool resumed = false;
+  std::size_t chunks = 0;
+  std::size_t users = 0;
+  for (const hdldp::engine::RunOutcome* outcome : outcomes) {
+    resumed = resumed || outcome->resumed_from_checkpoint;
+    chunks += outcome->quarantined_chunks.size();
+    users += outcome->surviving_users;
+  }
   if (resumed) std::printf("resumed from checkpoint\n");
-  if (!chunks.empty()) {
-    std::printf("quarantined %zu chunks; surviving users %zu\n",
-                chunks.size(), surviving_users);
+  if (chunks != 0) {
+    std::printf("quarantined %zu chunks; surviving users %zu\n", chunks, users);
   }
 }
 
@@ -674,8 +682,7 @@ Status RunMean(Flags flags) {
               source.num_users(), dims, opts.total_epsilon,
               opts.report_dims == 0 ? dims : opts.report_dims,
               hdldp::protocol::ReportEncodingName(opts.encoding));
-  PrintFaultOutcome(run.resumed_from_checkpoint, run.quarantined_chunks,
-                    run.surviving_users);
+  PrintFaultOutcome({&run.outcome});
   std::printf("%-24s %12.6g\n", "naive MSE", run.mse);
   if (print_estimate) {
     // Full-precision estimate, one dimension per line: CI resume tests
@@ -696,10 +703,10 @@ Status RunMean(Flags flags) {
   // Per-dimension deviation models from the surviving users' marginals.
   HDLDP_ASSIGN_OR_RETURN(
       const auto deviations,
-      hdldp::hdr4me::MarginalDeviations(source, run.quarantined_chunks,
-                                        opts.report_dims, *est.mechanism,
-                                        run.per_dim_epsilon, {-1.0, 1.0},
-                                        opts.num_threads, opts.retry));
+      hdldp::hdr4me::MarginalDeviations(
+          source, run.outcome.quarantined_chunks, opts.report_dims,
+          *est.mechanism, run.per_dim_epsilon, {-1.0, 1.0}, opts.num_threads,
+          opts.retry));
   HDLDP_ASSIGN_OR_RETURN(const double predicted,
                          hdldp::framework::PredictedMse(deviations));
   std::printf("%-24s %12.6g\n", "framework-predicted MSE", predicted);
@@ -755,8 +762,7 @@ Status RunFreq(Flags flags) {
               source.num_users(), questions, categories, opts.total_epsilon,
               result.per_entry_epsilon,
               hdldp::protocol::ReportEncodingName(opts.encoding));
-  PrintFaultOutcome(result.resumed_from_checkpoint, result.quarantined_chunks,
-                    result.surviving_users);
+  PrintFaultOutcome({&result.outcome});
   std::printf("%-24s %12.6g\n", "naive MSE", result.mse_raw);
   std::printf("%-24s %12.6g\n", "HDR4ME MSE", result.mse_recalibrated);
   return Status::OK();
@@ -819,12 +825,7 @@ Status RunVariance(Flags flags) {
               est.mechanism_name.c_str(), est.source.name().c_str(),
               source.num_users(), dims, opts.total_epsilon,
               opts.recalibrate ? 1 : 0);
-  std::vector<std::size_t> quarantined = result.quarantined_values_chunks;
-  quarantined.insert(quarantined.end(),
-                     result.quarantined_squares_chunks.begin(),
-                     result.quarantined_squares_chunks.end());
-  PrintFaultOutcome(result.resumed_from_checkpoint, quarantined,
-                    result.surviving_users);
+  PrintFaultOutcome({&result.values, &result.squares});
   std::printf("%-24s %12.6g\n", "variance MSE", result.mse);
   std::printf("first dims (true vs estimated variance):\n");
   for (std::size_t j = 0; j < std::min<std::size_t>(4, dims); ++j) {
